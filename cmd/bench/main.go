@@ -15,7 +15,9 @@
 //	bench -validate FILE    # parse and sanity-check an emitted file
 //	bench -compare FILE     # exit 2 if permutation/*, table_route/*,
 //	                        # shift_route/* or shard_run/* throughput
-//	                        # regresses >20% against FILE's entries
+//	                        # regresses >20% against FILE's entries, or
+//	                        # a recorded_* op takes over 1.5x the time of
+//	                        # its plain twin's (timed interleaved)
 //
 // -compare keeps the gated entries at their canonical sizes even under
 // -smoke, so the names line up with a committed canonical baseline.
@@ -32,6 +34,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,6 +88,10 @@ type spec struct {
 	// metrics, when set, runs ONE instrumented op after the timed loop
 	// and returns selected registry readings for the entry.
 	metrics func() (map[string]int64, error)
+	// op and twinOp, set on a recorded_<name> entry, run one op of the
+	// entry and one of its plain <name> twin, for the -compare telemetry
+	// gate (see pairedOverhead).
+	op, twinOp func() error
 }
 
 func main() {
@@ -168,7 +175,54 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("bench: no gated-family throughput regression against %s\n", *compare)
+		for _, s := range specs {
+			if s.op == nil {
+				continue
+			}
+			ratio, err := pairedOverhead(s.twinOp, s.op, overheadRounds)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "bench:", err)
+				os.Exit(1)
+			}
+			if ratio > maxRecordedOverhead {
+				fmt.Fprintf(os.Stderr, "bench: telemetry overhead: %s takes %.2fx the time of its plain twin (budget %.1fx)\n",
+					s.name, ratio, maxRecordedOverhead)
+				os.Exit(2)
+			}
+			fmt.Printf("bench: %s takes %.2fx the time of its plain twin (budget %.1fx)\n", s.name, ratio, maxRecordedOverhead)
+		}
 	}
+}
+
+// maxRecordedOverhead is the telemetry budget the -compare gate
+// enforces: one op of a recorded_<name> entry may take at most this many
+// times one op of its plain <name> twin.
+const maxRecordedOverhead = 1.5
+
+// overheadRounds is how many twin/op pairs pairedOverhead times.
+const overheadRounds = 31
+
+// pairedOverhead times rounds pairs of one twin op and one op, in
+// alternating order, and returns the median op time over the median
+// twin time. Timing the two interleaved cancels the host's speed drift:
+// on a shared 2-vCPU VM the ratio of the two entries' separately timed
+// ns/op moved between 0.9 and 1.9 across runs of the same code.
+func pairedOverhead(twin, op func() error, rounds int) (float64, error) {
+	fns := [2]func() error{twin, op}
+	times := [2][]time.Duration{make([]time.Duration, rounds), make([]time.Duration, rounds)}
+	for i := 0; i < rounds; i++ {
+		for j := 0; j < 2; j++ {
+			k := (i + j) % 2 // twin first on even rounds, op first on odd
+			start := time.Now()
+			if err := fns[k](); err != nil {
+				return 0, err
+			}
+			times[k][i] = time.Since(start)
+		}
+	}
+	slices.Sort(times[0])
+	slices.Sort(times[1])
+	return float64(times[1][rounds/2]) / float64(times[0][rounds/2]), nil
 }
 
 // comparedFamilies are the benchmark-name prefixes the CI perf gate
@@ -300,6 +354,36 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 				}, nil
 			},
 		})
+		if sz != permSizes[len(permSizes)-1] {
+			continue
+		}
+		// The largest permutation again with a recorder attached for the
+		// whole loop (telemetry that stays on): the recorded/plain pair
+		// prices the run-local tally and its once-per-run merge on the
+		// lean kernel, and -compare holds it to maxRecordedOverhead.
+		rec := obs.NewRecorder(nil)
+		recorded := func() error {
+			_, err := nw.RunOpts(simnet.Fixed(pkts), simnet.WithRecorder(rec))
+			return err
+		}
+		specs = append(specs, spec{
+			name:      "recorded_" + specs[len(specs)-1].name,
+			nodes:     g.N(),
+			delivered: probe.Delivered,
+			fn: func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := recorded(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			op: recorded,
+			twinOp: func() error {
+				_, err := nw.RunOpts(simnet.Fixed(pkts))
+				return err
+			},
+		})
 	}
 
 	// Table vs table-free routing on the fused kernel: the same
@@ -395,6 +479,33 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 	for _, p := range probePts {
 		sweepDelivered += p.Delivered
 	}
+	// A recorded lens outage on the machine: lens 0 down for cycles
+	// 2–17 under a permutation, through the fault engine with a recorder
+	// attached — the op the lens studies repeat, one lens at a time.
+	lensPkts := simnet.Permutation(m.Nodes(), 1)
+	lensPlan, err := m.LensFaultPlan(2, 16, 0)
+	if err != nil {
+		return nil, err
+	}
+	lensRec := obs.NewRecorder(nil)
+	lensProbe, err := m.RunOpts(simnet.Fixed(lensPkts), simnet.WithFaults(lensPlan), simnet.WithRecorder(lensRec))
+	if err != nil {
+		return nil, err
+	}
+	specs = append(specs, spec{
+		name:      fmt.Sprintf("lens_fault/B(%d,%d)", machineD, machineDiam),
+		nodes:     m.Nodes(),
+		delivered: lensProbe.Delivered,
+		fn: func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.RunOpts(simnet.Fixed(lensPkts), simnet.WithFaults(lensPlan), simnet.WithRecorder(lensRec)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		},
+	})
+
 	specs = append(specs, spec{
 		name:      fmt.Sprintf("machine_sweep/B(%d,%d)", machineD, machineDiam),
 		nodes:     mg.N(),

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/debruijn"
 	"repro/internal/digraph"
@@ -39,6 +40,11 @@ type Machine struct {
 	// the routing slab, distance slab and scratch arenas are shared by
 	// every Run/Broadcast/RunWithFaults/DegradationSweep on this machine.
 	net *simnet.Network
+
+	// lensOnce guards lensIdx, the lens of every arc on each side,
+	// built on the first lens roll-up (see lensIndex).
+	lensOnce sync.Once
+	lensIdx  *lensIndex
 }
 
 // Build assembles the machine for B(d, D), verifying every layer:

@@ -92,17 +92,27 @@ const (
 	MetricQuarCloses   = "quarantine_closes"
 )
 
-// Recorder is the hot-path instrument handle the simulators record
-// through. It pre-resolves its registry handles at construction so a
-// recording site is one atomic op, and keeps flat []int64 slabs for
-// per-arc traversal counts and peak queue depths, indexed by the same
-// CSR arc layout the simulator's queues use (arcBase[u]+k).
+// Recorder is the instrument handle the simulators record through. It
+// pre-resolves its registry handles at construction so a recording
+// site is one atomic op, and keeps flat []int64 slabs for per-arc
+// traversal counts and peak queue depths, indexed by the same CSR arc
+// layout the simulator's queues use (arcBase[u]+k).
+//
+// The cycle kernels of simnet (the plain run in both its lean and its
+// general form, and the fault engine) do not call the per-event methods
+// in their loops: each run records into a run-local Tally and folds it
+// in with Merge once, at the end of the run, so the recorder is updated
+// once per run and a recorded run takes the same kernel path as an
+// unrecorded one (the sharded engine aside, which falls back to the
+// sequential kernel when a recorder is attached). The per-event methods
+// remain for the engines that record live (self-healing, deflection)
+// and for callers outside the simulators.
 //
 // A nil *Recorder is the uninstrumented mode: every exported method is
 // nil-receiver guarded, so recording sites may call through nil freely
 // — the fast path pays one predictable branch and zero allocations.
 // All methods are safe for concurrent use (sweep workers share one
-// Recorder), at the price of atomic updates on the instrumented path.
+// Recorder), at the price of atomic updates.
 type Recorder struct {
 	reg *Registry
 
@@ -488,6 +498,72 @@ func (r *Recorder) ArcPeakQueue() []int64 {
 		return copyAtomicSlab(s.peakQueue)
 	}
 	return nil
+}
+
+// SumArcTraversalsBy rolls the per-arc traversal slab up into two
+// partitions of the arcs at once — on an OTIS machine, the
+// transmitter-side and the receiver-side lenses — adding in-place into
+// sums: flat arc a adds its count to sums[first[a]] and to
+// sums[second[a]] (a negative group skips that side). The slab is read
+// where it lies — no copy — in one forward pass, and a run of arcs in
+// one first-side group is summed in a register before it is added.
+// Arcs beyond the slab or either map add nothing, as does a nil or
+// unsized recorder.
+func (r *Recorder) SumArcTraversalsBy(first, second []int16, sums []int64) {
+	if r == nil {
+		return
+	}
+	s := r.slabs.Load()
+	if s == nil {
+		return
+	}
+	//lint:ignore atomicguard the slice header is immutable after publication; the elements are read atomically below
+	tr := s.traversals
+	n := min(len(first), len(second), len(tr))
+	first, second = first[:n], second[:n]
+	cur, acc := int16(-1), int64(0)
+	for a, g := range first {
+		t := atomic.LoadInt64(&tr[a])
+		if g != cur {
+			if cur >= 0 {
+				sums[cur] += acc
+			}
+			cur, acc = g, 0
+		}
+		acc += t
+		if h := second[a]; h >= 0 {
+			sums[h] += t
+		}
+	}
+	if cur >= 0 {
+		sums[cur] += acc
+	}
+}
+
+// MaxArcPeakQueueBy rolls the per-arc peak-queue slab up into two
+// partitions of the arcs as SumArcTraversalsBy does, raising peaks
+// in-place: peaks[first[a]] and peaks[second[a]] become at least the
+// peak queue depth of flat arc a (a negative group skips that side).
+func (r *Recorder) MaxArcPeakQueueBy(first, second []int16, peaks []int64) {
+	if r == nil {
+		return
+	}
+	s := r.slabs.Load()
+	if s == nil {
+		return
+	}
+	//lint:ignore atomicguard the slice header is immutable after publication; the elements are read atomically below
+	pq := s.peakQueue
+	n := min(len(first), len(second), len(pq))
+	for a, g := range first[:n] {
+		d := atomic.LoadInt64(&pq[a])
+		if g >= 0 && d > peaks[g] {
+			peaks[g] = d
+		}
+		if h := second[a]; h >= 0 && d > peaks[h] {
+			peaks[h] = d
+		}
+	}
 }
 
 // Snapshot marshals the recorder's registry plus its per-arc slabs into

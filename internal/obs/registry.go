@@ -6,11 +6,17 @@
 //
 //   - Registry: named counters, gauges and fixed-bucket (power-of-two)
 //     histograms, safe for concurrent use from sweep workers;
-//   - Recorder: the hot-path instrument handle. Every exported Recorder
-//     method is nil-receiver guarded, so instrumented code can call
-//     through a nil *Recorder and the uninstrumented fast path stays
-//     branch-predictable and allocation-free (reprolint's recguard
+//   - Recorder: the instrument handle a run reports into. Every exported
+//     Recorder method is nil-receiver guarded, so instrumented code can
+//     call through a nil *Recorder and the uninstrumented fast path
+//     stays branch-predictable and allocation-free (reprolint's recguard
 //     analyzer enforces the guards);
+//   - Tally: the run-local side of a Recorder. The simnet cycle kernels
+//     record every event of a run into a Tally with plain stores, then
+//     fold it into the Recorder with Recorder.Merge once, when the run
+//     ends — so a recorder is updated once per run, never per hop, and
+//     attaching one does not change which engine runs (the sharded
+//     engine aside, which still falls back to the sequential kernel);
 //   - RunMetrics: a stable JSON document (schema "OBS_run/v1") built by
 //     Snapshot, carrying the registry plus flat per-arc utilization
 //     slabs and optional per-lens roll-ups.
@@ -21,6 +27,7 @@ package obs
 
 import (
 	"expvar"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,10 +91,7 @@ func bucketOf(v int64) int {
 	if v <= 0 {
 		return 0
 	}
-	b := 0
-	for u := uint64(v); u != 0; u >>= 1 {
-		b++
-	}
+	b := bits.Len64(uint64(v))
 	if b >= HistogramBuckets {
 		b = HistogramBuckets - 1
 	}
@@ -105,6 +109,27 @@ func (h *Histogram) Observe(v int64) {
 		}
 	}
 	h.buckets[bucketOf(v)].Add(1)
+}
+
+// merge folds a run-local tally histogram into h, one atomic update
+// per field and per non-empty bucket.
+func (h *Histogram) merge(t *tallyHist) {
+	if t.count == 0 {
+		return
+	}
+	h.count.Add(t.count)
+	h.sum.Add(t.sum)
+	for {
+		cur := h.max.Load()
+		if t.max <= cur || h.max.CompareAndSwap(cur, t.max) {
+			break
+		}
+	}
+	for i, c := range t.buckets {
+		if c != 0 {
+			h.buckets[i].Add(c)
+		}
+	}
 }
 
 // Count returns the number of observations.

@@ -3,6 +3,8 @@ package simnet
 import (
 	"math/bits"
 	"sort"
+
+	"repro/internal/obs"
 )
 
 // Per-run scratch storage. A simulation run needs O(M) queue and
@@ -93,6 +95,11 @@ type arena struct {
 	// O(1), replacing a per-node-per-cycle []bool allocation.
 	busy      []int64
 	busyToken int64
+
+	// tally is the run-local telemetry of a recorded run: the kernels
+	// record into it with plain stores and fold it into the recorder
+	// once, when the run ends (see tallyFor).
+	tally obs.Tally
 }
 
 // getArena checks a scratch arena out of the pool, reset and sized for
@@ -135,6 +142,19 @@ func (nw *Network) getArena() (*arena, bool) {
 	// order and meta are resized by the run; busy stays valid because the
 	// token only ever grows.
 	return ar, true
+}
+
+// tallyFor returns the arena's run-local telemetry tally, zeroed and
+// sized for m arcs, when the run records into rec; nil when it does
+// not, so recording sites test one local instead of calling through a
+// nil recorder. The caller folds the tally into rec with rec.Merge
+// before returning the arena.
+func (ar *arena) tallyFor(rec *obs.Recorder, m int) *obs.Tally {
+	if rec == nil {
+		return nil
+	}
+	ar.tally.Reset(m)
+	return &ar.tally
 }
 
 // clearBits zeroes a bitmap in place.

@@ -386,9 +386,11 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 						nc.name, tc.name, seed, docRef, docNew)
 				}
 
-				// Same inputs without recorders: on table-routed unbounded
-				// nets this exercises the lean fused arrival path, which
-				// only engages when rec == nil.
+				// Same inputs without recorders. On unbounded nets with a
+				// built-in router the lean fused arrival path runs both
+				// with the recorder above and without one here; the
+				// uninstrumented pass pins the lean path's untallied
+				// branches.
 				wantLean := refRun(nwRef, pkts, tc.tun(), nil)
 				gotLean := nwNew.run(pkts, tc.tun(), nil)
 				if !reflect.DeepEqual(wantLean, gotLean) {

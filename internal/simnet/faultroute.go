@@ -68,7 +68,13 @@ func (r *FaultAwareRouter) NextArc(at, dst int) int {
 	if at == dst {
 		return -1
 	}
-	p := r.primary.NextArc(at, dst)
+	return r.fromPrimary(at, dst, r.primary.NextArc(at, dst))
+}
+
+// fromPrimary is the NextArc cascade for at ≠ dst, started from p, the
+// primary router's decision for (at, dst) — which the fault engine
+// caches per packet instead of asking the primary again.
+func (r *FaultAwareRouter) fromPrimary(at, dst, p int) int {
 	if r.state.Empty() {
 		return p
 	}

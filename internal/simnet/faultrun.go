@@ -175,12 +175,15 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		return FaultResult{}, nil, err
 	}
 	// The fault-free distance slab is built once per Network and shared
-	// read-only; only the residual tables are per-router state.
-	router := newFaultAwareRouterShared(nw.g, nw.router, state, nw.distSlab())
+	// read-only; only the residual tables are per-router state. The TTL
+	// default's diameter is read off the same slab, not re-derived by a
+	// second all-pairs BFS.
+	dist := nw.distSlab()
+	router := newFaultAwareRouterShared(nw.g, nw.router, state, dist)
 
 	n := nw.g.N()
 	guardIndexInt32(len(packets), "packets")
-	cfg = cfg.withDefaults(n, nw.diameter())
+	cfg = cfg.withDefaults(n, nw.diameterFrom(dist))
 	policy := newRetryPolicy(cfg)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
@@ -198,10 +201,23 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 
 	ar, reused := nw.getArena()
 	defer nw.putArena(ar)
-	if rec != nil {
-		rec.Arena(reused)
+	tl := ar.tallyFor(rec, int(nw.arcBase[n]))
+	if tl != nil {
+		tl.Arena(reused)
 	}
 	meta := ar.metaFor(len(pkts))
+	// Each packet's primary (fault-blind) arc is gathered once, when the
+	// packet enters a node: entPkt and entNode collect this cycle's
+	// injections and arrivals with their nodes, and one batched pass
+	// after the arrival sweep fills prim (indexed by packet) before any
+	// departure reads it. The lean kernel's gather buffers serve as the
+	// batch.
+	entPkt, entNode, prim := ar.arrivalBatch(len(pkts))
+	var tArcs []int8
+	tN := 0
+	if tr, ok := nw.router.(*TableRouter); ok {
+		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
+	}
 	// waiting[u] is the FIFO of packet indices held at node u; pipes are
 	// the per-arc link pipelines (flat by arcBase) as in Run. nodeBits
 	// (bit u ⇔ waiting[u] non-empty) and aBits (bit a ⇔ pipes[a]
@@ -222,8 +238,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	drop := func(i, cycle, node int, bucket *int, cause obs.DropCause) {
 		*bucket++
 		res.Dropped++
-		if rec != nil {
-			rec.Drop(cause)
+		if tl != nil {
+			tl.Drop(cause)
 		}
 		emit(Event{Cycle: cycle, Kind: EventDrop, Packet: pkts[i].ID, Node: node, Peer: -1})
 	}
@@ -259,8 +275,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 			return false
 		}
 		res.Holds++
-		if rec != nil {
-			rec.Hold(depth)
+		if tl != nil {
+			tl.Hold(depth)
 		}
 		return true
 	}
@@ -278,6 +294,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	for cycle = 0; remaining > 0 && cycle <= maxCycles; cycle++ {
 		state.Advance(cycle)
 		holdsBefore := res.Holds
+		entered := 0
 		if admit != nil {
 			admit.refill(heldLast)
 		}
@@ -302,6 +319,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 				}
 				waiting[src] = append(waiting[src], i32)
 				nodeBits[src>>6] |= 1 << (uint(src) & 63)
+				entPkt[entered], entNode[entered] = i32, int32(src)
+				entered++
 				enter()
 				emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
 			}
@@ -313,8 +332,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 				if cycle-pkts[i].Release > admit.maxDelay {
 					cursor++
 					res.Shed++
-					if rec != nil {
-						rec.Shed()
+					if tl != nil {
+						tl.Shed()
 					}
 					emit(Event{Cycle: cycle, Kind: EventDrop, Packet: pkts[i].ID, Node: pkts[i].Src, Peer: -1})
 					remaining--
@@ -337,6 +356,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 			}
 			waiting[src] = append(waiting[src], int32(i))
 			nodeBits[src>>6] |= 1 << (uint(src) & 63)
+			entPkt[entered], entNode[entered] = int32(i), int32(src)
+			entered++
 			enter()
 			emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
 		}
@@ -360,8 +381,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 					}
 					p := &pkts[fl.pkt]
 					p.Hops++
-					if rec != nil {
-						rec.ArcTraverse(int(a))
+					if tl != nil {
+						tl.ArcTraverse(int(a))
 					}
 					if state.NodeDown(v) {
 						emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
@@ -378,8 +399,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						if cycle > res.Cycles {
 							res.Cycles = cycle
 						}
-						if rec != nil {
-							rec.Deliver(cycle-p.Release, p.Hops)
+						if tl != nil {
+							tl.Deliver(cycle-p.Release, p.Hops)
 						}
 						emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
 						emit(Event{Cycle: cycle, Kind: EventDeliver, Packet: p.ID, Node: v, Peer: -1})
@@ -388,6 +409,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 					emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
 					waiting[v] = append(waiting[v], int32(fl.pkt))
 					nodeBits[v>>6] |= 1 << (uint(v) & 63)
+					entPkt[entered], entNode[entered] = int32(fl.pkt), int32(v)
+					entered++
 				}
 				pipes[a] = keep
 				if len(keep) == 0 {
@@ -395,6 +418,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 				}
 			}
 		}
+
+		nw.gatherPrimary(entPkt[:entered], entNode[:entered], pkts, prim, tArcs, tN)
 
 		// Departures: each node forwards its waiting packets in FIFO
 		// order; each live arc accepts one packet per cycle. busy marks
@@ -411,8 +436,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 					res.MaxQueue = depth
 					res.HotNode = u
 				}
-				if rec != nil {
-					rec.NodeQueueDepth(depth)
+				if tl != nil {
+					tl.NodeQueueDepth(depth)
 				}
 				ar.busyToken++
 				token := ar.busyToken
@@ -431,7 +456,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						resident--
 						continue
 					}
-					arc := router.NextArc(u, p.Dst)
+					primary := int(prim[i])
+					arc := router.fromPrimary(u, p.Dst, primary)
 					if arc < 0 {
 						if !policy.charge(&meta[i], cycle, p.ID) {
 							drop(i, cycle, u, &res.DroppedNoRoute, obs.DropNoRoute)
@@ -440,8 +466,8 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 							continue
 						}
 						res.Retries++
-						if rec != nil {
-							rec.Retry()
+						if tl != nil {
+							tl.Retry()
 						}
 						keep = append(keep, i32)
 						continue
@@ -450,7 +476,9 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						keep = append(keep, i32) // link occupied this cycle: queue
 						continue
 					}
-					if next := nw.g.Out(u)[arc]; next != p.Dst && nodeFull(next) {
+					flat := nw.arcBase[u] + int32(arc)
+					next := int(nw.arcHead[flat])
+					if next != p.Dst && nodeFull(next) {
 						// Credit-based backpressure: the downstream node is
 						// full (delivery always absorbs), so the packet holds
 						// in place instead of deepening next's queue.
@@ -464,15 +492,14 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						continue
 					}
 					busy[arc] = token
-					if router.Primary(u, p.Dst) != arc {
+					if primary != arc {
 						res.Reroutes++
-						if rec != nil {
-							rec.Reroute()
+						if tl != nil {
+							tl.Reroute()
 						}
-						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: nw.g.Out(u)[arc]})
+						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: next})
 					}
-					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: nw.g.Out(u)[arc]})
-					flat := nw.arcBase[u] + int32(arc)
+					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: next})
 					pipes[flat] = append(pipes[flat], inflight{pkt: i, ready: cycle + cfg.HopLatency})
 					aBits[flat>>6] |= 1 << (uint32(flat) & 63)
 				}
@@ -546,5 +573,27 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
 	}
 	res.Packets = pkts
+	rec.Merge(tl)
 	return res, events, nil
+}
+
+// gatherPrimary caches the primary router's arc for every packet that
+// entered a node this cycle: prim[pkt[k]] is the fault-blind arc out of
+// node[k] toward the packet's destination. Under table routing it is one
+// dense pass of independent slab loads, like the lean kernel's pass 2;
+// the departure sweep then starts each decision from the cached arc
+// instead of re-reading the slab on every attempt.
+//
+//lint:hotpath
+func (nw *Network) gatherPrimary(pkt, node []int32, pkts []Packet, prim []int32, tArcs []int8, tN int) {
+	if tArcs != nil {
+		for k, p := range pkt {
+			prim[p] = int32(tArcs[int(node[k])*tN+pkts[p].Dst])
+		}
+		return
+	}
+	for k, p := range pkt {
+		//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+		prim[p] = int32(nw.router.NextArc(int(node[k]), pkts[p].Dst))
+	}
 }

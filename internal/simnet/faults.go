@@ -222,29 +222,37 @@ func (s span) contains(cycle int) bool {
 
 // FaultState is a compiled FaultPlan bound to a digraph: per-arc and
 // per-node down intervals, with a current-cycle cursor the run loop
-// advances. It answers "is this arc/node down right now?" in O(#spans on
-// that arc) and exposes a version counter for the set of *active
-// permanent* faults so routers know when to recompute residual paths.
+// advances. The intervals live in flat CSR slabs — the spans of flat arc
+// f (the simulator's arcBase[tail]+index layout) are
+// arcSpans[arcSpanAt[f]:arcSpanAt[f+1]], node u's are
+// nodeSpans[nodeSpanAt[u]:nodeSpanAt[u+1]] — so "is this arc/node down
+// right now?" is two slab reads plus a scan of that arc's or node's
+// spans, with no hashing. A version counter over the set of *active
+// permanent* faults tells routers when to recompute residual paths.
 type FaultState struct {
-	g         *digraph.Digraph
-	arcSpans  map[Arc][]span
-	nodeSpans map[int][]span
+	arcBase    []int32 // arcBase[u]: flat index of node u's first out-arc
+	arcSpanAt  []int32 // nil ⇔ no arc spans
+	arcSpans   []span
+	nodeSpanAt []int32 // nil ⇔ no node spans
+	nodeSpans  []span
 	// permStarts holds the start cycles of permanent arc faults, sorted;
 	// PermanentVersion is the count of starts <= current cycle.
 	permStarts []int
 	cycle      int
 }
 
+// flatSpan is one compiled down interval keyed by its flat arc or node
+// index, before Compile buckets the spans into their CSR slabs.
+type flatSpan struct {
+	key int
+	sp  span
+}
+
 // Compile validates the plan against g and expands node and lens faults
 // to their arc groups: a node fault downs all out-arcs and in-arcs of
 // the node, a lens fault downs its listed group.
 func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
-	st := &FaultState{
-		g:         g,
-		arcSpans:  map[Arc][]span{},
-		nodeSpans: map[int][]span{},
-		cycle:     -1,
-	}
+	st := &FaultState{cycle: -1}
 	if p == nil {
 		return st, nil
 	}
@@ -252,11 +260,13 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 		return nil, p.err
 	}
 	n := g.N()
+	st.arcBase = arcBaseOf(g)
+	var arcs, nodes []flatSpan
 	addArc := func(a Arc, sp span) error {
 		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
 			return fmt.Errorf("simnet: fault arc (%d#%d) out of range", a.Tail, a.Index)
 		}
-		st.arcSpans[a] = append(st.arcSpans[a], sp)
+		arcs = append(arcs, flatSpan{key: int(st.arcBase[a.Tail]) + a.Index, sp: sp})
 		if sp.end < 0 {
 			st.permStarts = append(st.permStarts, sp.start)
 		}
@@ -279,7 +289,7 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 			if f.Node < 0 || f.Node >= n {
 				return nil, fmt.Errorf("simnet: fault node %d out of range [0,%d)", f.Node, n)
 			}
-			st.nodeSpans[f.Node] = append(st.nodeSpans[f.Node], sp)
+			nodes = append(nodes, flatSpan{key: f.Node, sp: sp})
 			for k := 0; k < g.OutDegree(f.Node); k++ {
 				if err := addArc(Arc{Tail: f.Node, Index: k}, sp); err != nil {
 					return nil, err
@@ -304,8 +314,34 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 			return nil, fmt.Errorf("simnet: unknown fault kind %v", f.Kind)
 		}
 	}
+	st.arcSpanAt, st.arcSpans = bucketSpans(arcs, g.M())
+	st.nodeSpanAt, st.nodeSpans = bucketSpans(nodes, n)
 	sort.Ints(st.permStarts)
 	return st, nil
+}
+
+// bucketSpans sorts spans into CSR form over keys [0, keys): a stable
+// counting sort, so each key's spans keep their plan order. No spans
+// yields nil slabs.
+func bucketSpans(entries []flatSpan, keys int) (at []int32, spans []span) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	guardIndexInt32(len(entries), "fault spans")
+	at = make([]int32, keys+1)
+	for _, e := range entries {
+		at[e.key+1]++
+	}
+	for k := 0; k < keys; k++ {
+		at[k+1] += at[k]
+	}
+	spans = make([]span, len(entries))
+	fill := make([]int32, keys)
+	for _, e := range entries {
+		spans[at[e.key]+fill[e.key]] = e.sp
+		fill[e.key]++
+	}
+	return at, spans
 }
 
 // Empty reports whether no fault is scheduled.
@@ -319,6 +355,19 @@ func (s *FaultState) Advance(cycle int) { s.cycle = cycle }
 // Cycle returns the current cycle.
 func (s *FaultState) Cycle() int { return s.cycle }
 
+// arcSpansOf returns the spans of the arc at (tail, index); none for an
+// arc without faults or outside the digraph.
+func (s *FaultState) arcSpansOf(tail, index int) []span {
+	if s == nil || len(s.arcSpans) == 0 || tail < 0 || tail+1 >= len(s.arcBase) || index < 0 {
+		return nil
+	}
+	f := int(s.arcBase[tail]) + index
+	if f >= int(s.arcBase[tail+1]) {
+		return nil
+	}
+	return s.arcSpans[s.arcSpanAt[f]:s.arcSpanAt[f+1]]
+}
+
 // ArcDown reports whether the arc at (tail, index) is down at the
 // current cycle.
 func (s *FaultState) ArcDown(tail, index int) bool {
@@ -331,10 +380,7 @@ func (s *FaultState) ArcDown(tail, index int) bool {
 // ArcDownAt reports whether the arc at (tail, index) is down at the
 // given cycle.
 func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
-	if s == nil || len(s.arcSpans) == 0 {
-		return false
-	}
-	for _, sp := range s.arcSpans[Arc{Tail: tail, Index: index}] {
+	for _, sp := range s.arcSpansOf(tail, index) {
 		if sp.contains(cycle) {
 			return true
 		}
@@ -346,10 +392,10 @@ func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
 // cycle. (Arc faults touching the node are reported by ArcDown, not
 // here.)
 func (s *FaultState) NodeDown(node int) bool {
-	if s == nil || len(s.nodeSpans) == 0 {
+	if s == nil || len(s.nodeSpans) == 0 || node < 0 || node+1 >= len(s.nodeSpanAt) {
 		return false
 	}
-	for _, sp := range s.nodeSpans[node] {
+	for _, sp := range s.nodeSpans[s.nodeSpanAt[node]:s.nodeSpanAt[node+1]] {
 		if sp.contains(s.cycle) {
 			return true
 		}
@@ -360,10 +406,7 @@ func (s *FaultState) NodeDown(node int) bool {
 // ArcPermanentlyDown reports whether a permanent fault covering the arc
 // is active at the current cycle.
 func (s *FaultState) ArcPermanentlyDown(tail, index int) bool {
-	if s == nil || len(s.arcSpans) == 0 {
-		return false
-	}
-	for _, sp := range s.arcSpans[Arc{Tail: tail, Index: index}] {
+	for _, sp := range s.arcSpansOf(tail, index) {
 		if sp.end < 0 && s.cycle >= sp.start {
 			return true
 		}

@@ -233,8 +233,11 @@ func WithTrace() RunOption {
 
 // WithRecorder records metrics into rec for this run only, overriding
 // (or, when the network has none, supplying) the recorder attached with
-// Observe. WithRecorder(nil) forces an uninstrumented run. Duplicate
-// WithRecorder options conflict and fail eagerly.
+// Observe. WithRecorder(nil) forces an uninstrumented run. The run
+// records into a run-local tally and merges it into rec once, when it
+// ends, so a recorded run takes the same engine path as an unrecorded
+// one — except that a sharded run falls back to the sequential engine.
+// Duplicate WithRecorder options conflict and fail eagerly.
 func WithRecorder(rec *obs.Recorder) RunOption {
 	return func(c *runConfig) {
 		if c.recOverride {

@@ -331,7 +331,9 @@ type Network struct {
 
 // Observe attaches a metrics recorder to the network: subsequent runs
 // record per-arc traversals, queue depths, latency histograms and
-// drop/reroute/retry causes into it. Passing nil detaches. Attach
+// drop/reroute/retry causes into it (plain and fault runs merge a
+// run-local tally into it once, when the run ends; self-healing
+// sessions record live). Passing nil detaches. Attach
 // before starting concurrent runs; the recorder itself is safe to share
 // between sweep workers.
 func (nw *Network) Observe(rec *obs.Recorder) {
@@ -370,15 +372,10 @@ func New(g *digraph.Digraph, router Router, cfg Config) (*Network, error) {
 func newNetwork(g *digraph.Digraph, router Router, cfg Config) *Network {
 	n := g.N()
 	guardIndexInt32(n, "nodes")
-	guardIndexInt32(g.M(), "arcs")
-	arcBase := make([]int32, n+1)
+	arcBase := arcBaseOf(g)
 	maxDeg := 0
 	for u := 0; u < n; u++ {
-		deg := g.OutDegree(u)
-		arcBase[u+1] = arcBase[u] + int32(deg)
-		if deg > maxDeg {
-			maxDeg = deg
-		}
+		maxDeg = max(maxDeg, g.OutDegree(u))
 	}
 	arcHead := make([]int32, g.M())
 	arcTail := make([]int32, g.M())
@@ -393,6 +390,19 @@ func newNetwork(g *digraph.Digraph, router Router, cfg Config) *Network {
 	return &Network{g: g, router: router, cfg: cfg, arcBase: arcBase, arcHead: arcHead, arcTail: arcTail, maxDeg: maxDeg, shift: shift}
 }
 
+// arcBaseOf returns g's out-arcs in CSR form: arcBase[u] is the flat
+// index of node u's first out-arc and arcBase[n] = M, the layout every
+// per-arc slab of the simulator (queues, pipes, fault spans, recorder
+// slabs) is indexed by.
+func arcBaseOf(g *digraph.Digraph) []int32 {
+	guardIndexInt32(g.M(), "arcs")
+	arcBase := make([]int32, g.N()+1)
+	for u := range g.N() {
+		arcBase[u+1] = arcBase[u] + int32(g.OutDegree(u))
+	}
+	return arcBase
+}
+
 // distSlab returns the fault-free all-pairs distance slab, building it
 // exactly once per Network; callers share it read-only.
 func (nw *Network) distSlab() []int32 {
@@ -404,6 +414,34 @@ func (nw *Network) distSlab() []int32 {
 func (nw *Network) diameter() int {
 	nw.diamOnce.Do(func() { nw.diam = nw.g.Diameter() })
 	return nw.diam
+}
+
+// diameterFrom is diameter for a caller already holding the distance
+// slab: the first call reads the diameter off the slab instead of
+// running g.Diameter's all-pairs BFS. Both derivations agree, so
+// whichever reaches the Once first fixes the same value.
+func (nw *Network) diameterFrom(dist []int32) int {
+	nw.diamOnce.Do(func() { nw.diam = slabDiameter(dist) })
+	return nw.diam
+}
+
+// slabDiameter returns the diameter recorded in an all-pairs distance
+// slab: its largest entry, or digraph.Unreachable when some pair is
+// unreachable (or the slab is empty) — what g.Diameter() returns.
+func slabDiameter(dist []int32) int {
+	if len(dist) == 0 {
+		return digraph.Unreachable
+	}
+	diam := int32(0)
+	for _, d := range dist {
+		if d == digraph.Unreachable {
+			return digraph.Unreachable
+		}
+		if d > diam {
+			diam = d
+		}
+	}
+	return int(diam)
 }
 
 // defaultBudget is the generous cycle bound used when MaxCycles is 0.
@@ -474,7 +512,7 @@ type runState struct {
 	queues []fifo
 	qBits  []uint64 // active-arc bitmap: bit a set ⇔ queues[a] non-empty
 	res    *Result
-	rec    *obs.Recorder
+	tl     *obs.Tally // run-local telemetry (nil: the run records nothing)
 	// tArcs/tN devirtualize TableRouter: the run loop gathers next hops
 	// straight from the router slab instead of through the interface
 	// (nil: dynamic dispatch, e.g. DeBruijnRouter or a recordingRouter).
@@ -510,8 +548,8 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 	}
 	if arc < 0 {
 		rs.res.Dropped++
-		if rs.rec != nil {
-			rs.rec.Drop(obs.DropNoRoute)
+		if rs.tl != nil {
+			rs.tl.Drop(obs.DropNoRoute)
 		}
 		return enqNoRoute
 	}
@@ -529,8 +567,8 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 		rs.res.MaxQueue = depth
 		rs.res.HotNode = at
 	}
-	if rs.rec != nil {
-		rs.rec.QueueDepth(int(flat), depth)
+	if rs.tl != nil {
+		rs.tl.QueueDepth(int(flat), depth)
 	}
 	return enqOK
 }
@@ -549,22 +587,25 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 	if int(rs.holds[pkt]) > budget {
 		rs.res.Dropped++
 		rs.res.DroppedQueueFull++
-		if rs.rec != nil {
-			rs.rec.Drop(obs.DropQueueFull)
+		if rs.tl != nil {
+			rs.tl.Drop(obs.DropQueueFull)
 		}
 		return false
 	}
 	rs.res.Holds++
-	if rs.rec != nil {
-		rs.rec.Hold(rs.qcap)
+	if rs.tl != nil {
+		rs.tl.Hold(rs.qcap)
 	}
 	return true
 }
 
 // run is Run with explicit tuning (budget, queue bound, hold budget,
 // admission) and recorder; sweeps use it to retune the budget per point
-// while reusing one Network. All recording sites are rec != nil guarded
-// so the uninstrumented path stays allocation-free.
+// while reusing one Network. A recorded run records into the arena's
+// run-local tally with plain stores and merges it into rec once, at the
+// end; every recording site tests the tally against nil, so the
+// uninstrumented path stays allocation-free, and attaching a recorder
+// does not change which path runs.
 //
 // This is the batched arc-major kernel: per-cycle work is a pair of
 // linear sweeps over the arc axis (arrivals over the in-flight bitmap,
@@ -588,8 +629,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	m := int(nw.arcBase[n])
 	ar, reused := nw.getArena()
 	defer nw.putArena(ar)
-	if rec != nil {
-		rec.Arena(reused)
+	tl := ar.tallyFor(rec, m)
+	if tl != nil {
+		tl.Arena(reused)
 	}
 	queues := ar.queues // per-arc FIFO queues, flat by arcBase
 
@@ -675,8 +717,8 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 		}
 		if arc < 0 {
 			res.Dropped++
-			if rec != nil {
-				rec.Drop(obs.DropNoRoute)
+			if tl != nil {
+				tl.Drop(obs.DropNoRoute)
 			}
 			continue
 		}
@@ -689,7 +731,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 
 	rs := runState{
 		nw: nw, dst: dst, holds: holds, queues: queues, qBits: qBits,
-		res: &res, rec: rec, tArcs: tArcs, tN: tN, qcap: tun.qcap,
+		res: &res, tl: tl, tArcs: tArcs, tN: tN, qcap: tun.qcap,
 	}
 	admit := tun.admit
 	arcHead := nw.arcHead
@@ -698,13 +740,15 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 
 	// The lean arrival path applies when next hops come from a built-in
 	// router — the table slab gathered directly, or the closed-form de
-	// Bruijn shift — nothing records and queues are unbounded (the bench
-	// hot path): arrivals are batched so the routing step — under table
-	// routing one random probe into the n² slab per hop, the run's
-	// cache-miss budget — runs as a dense pass of independent work,
-	// instead of serializing behind each packet's queue push. Delivery,
-	// push order and all accounting stay identical to the general path.
-	lean := (tArcs != nil || shift != nil) && rec == nil && tun.qcap == 0 && tun.admit == nil
+	// Bruijn shift — and queues are unbounded (the bench hot path):
+	// arrivals are batched so the routing step — under table routing one
+	// random probe into the n² slab per hop, the run's cache-miss budget
+	// — runs as a dense pass of independent work, instead of serializing
+	// behind each packet's queue push. Delivery, push order and all
+	// accounting stay identical to the general path. A recorder does not
+	// change the path: recorded runs take it too, recording into the
+	// run-local tally.
+	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil
 	var arrPkt, arrNode, arrArc []int32
 	var qHead, qTail, qLen, pNext []int32
 	if lean {
@@ -745,9 +789,13 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 				qTail[flat] = int32(i)
 				qLen[flat]++
 				qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				if depth := int(qLen[flat]); depth > res.MaxQueue {
+				depth := int(qLen[flat])
+				if depth > res.MaxQueue {
 					res.MaxQueue = depth
 					res.HotNode = at
+				}
+				if tl != nil {
+					tl.QueueDepth(int(flat), depth)
 				}
 				rs.enter()
 			}
@@ -777,8 +825,8 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 					if cycle-int(rel[i]) > admit.maxDelay {
 						cursor++
 						res.Shed++
-						if rec != nil {
-							rec.Shed()
+						if tl != nil {
+							tl.Shed()
 						}
 						remaining--
 						continue
@@ -836,6 +884,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 						}
 						p := int(pk)
 						dv := dst[p]
+						if tl != nil {
+							tl.ArcTraverse(a)
+						}
 						if dv == v {
 							hops[p]++
 							del[p] = cycle32
@@ -883,6 +934,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 					res.Dropped++
 					remaining--
 					rs.leave()
+					if tl != nil {
+						tl.Drop(obs.DropNoRoute)
+					}
 					continue
 				}
 				at := int(arrNode[k])
@@ -896,9 +950,13 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 				qTail[flat] = pk
 				qLen[flat]++
 				qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				if depth := int(qLen[flat]); depth > res.MaxQueue {
+				depth := int(qLen[flat])
+				if depth > res.MaxQueue {
 					res.MaxQueue = depth
 					res.HotNode = at
+				}
+				if tl != nil {
+					tl.QueueDepth(int(flat), depth)
 				}
 			}
 		} else {
@@ -923,8 +981,8 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 						p := int(pk)
 						if dst[p] == int32(v) {
 							hops[p]++
-							if rec != nil {
-								rec.ArcTraverse(a)
+							if tl != nil {
+								tl.ArcTraverse(a)
 							}
 							del[p] = cycle32
 							res.Delivered++
@@ -933,21 +991,18 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 							if cycle > res.Cycles {
 								res.Cycles = cycle
 							}
-							if rec != nil {
-								rec.Deliver(cycle-int(rel[p]), int(hops[p]))
-							}
 							continue
 						}
 						switch rs.enqueue(v, p) {
 						case enqOK:
 							hops[p]++
-							if rec != nil {
-								rec.ArcTraverse(a)
+							if tl != nil {
+								tl.ArcTraverse(a)
 							}
 						case enqNoRoute:
 							hops[p]++
-							if rec != nil {
-								rec.ArcTraverse(a)
+							if tl != nil {
+								tl.ArcTraverse(a)
 							}
 							remaining--
 							rs.leave()
@@ -1025,11 +1080,16 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 
 	// Scatter the SoA slabs back into the packet table. Only routed
 	// packets live in order; self-deliveries and setup drops wrote their
-	// final state above.
+	// final state above. Deliveries are tallied here rather than in the
+	// arrival sweeps: the same (latency, hops) observations, read
+	// sequentially once instead of once per delivery in the hot loop.
 	for _, i32 := range order {
 		i := int(i32)
 		pkts[i].Delivered = int(del[i])
 		pkts[i].Hops = int(hops[i])
+		if tl != nil && del[i] >= 0 {
+			tl.Deliver(int(del[i]-rel[i]), int(hops[i]))
+		}
 	}
 
 	// Aggregate.
@@ -1051,5 +1111,6 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
 	}
 	res.Packets = pkts
+	rec.Merge(tl)
 	return res
 }
