@@ -14,42 +14,13 @@ import (
 // numbers — never pointers into a particular run — so a recycled arena
 // carries no aliasing hazard between runs.
 
-// fifo is a reusable first-in-first-out queue of packet indices. Popping
-// advances a head cursor instead of reslicing away the front, so the
-// backing array is reclaimed (not leaked) the moment the queue drains.
-type fifo struct {
-	buf  []int32
-	head int
-}
-
-func (f *fifo) push(x int32) { f.buf = append(f.buf, x) }
-
-func (f *fifo) pop() int32 {
-	x := f.buf[f.head]
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	}
-	return x
-}
-
-func (f *fifo) depth() int { return len(f.buf) - f.head }
-
-func (f *fifo) reset() {
-	f.buf = f.buf[:0]
-	f.head = 0
-}
-
 // arena is the scratch state of one in-progress run. Network.scratch
 // pools arenas; concurrent runs each check out their own.
 type arena struct {
-	queues  []fifo       // per-arc output queues, flat by Network.arcBase (Run)
-	pipes   [][]inflight // per-arc link pipelines, flat by arcBase (fault/heal runs)
-	waiting [][]int32    // per-node hold queues (fault runs)
-	order   []int32      // packet indices sorted by (Release, index)
-	holdq   []int32      // source-held packets (bounded-queue backpressure)
-	meta    []pktMeta    // per-packet bookkeeping (retries, holds)
+	waiting [][]int32 // per-node hold queues (fault loop)
+	order   []int32   // packet indices sorted by (Release, index)
+	holdq   []int32   // source-held packets (bounded-queue backpressure)
+	meta    []pktMeta // per-packet bookkeeping (retries, holds)
 
 	// SoA packet slabs of the arc-major run engine, parallel by packet
 	// index: destination, release cycle (clamped to the horizon), delivery
@@ -58,36 +29,34 @@ type arena struct {
 	// per-cycle sweeps stay dense in cache.
 	pDst, pRel, pDel, pHops, pHolds []int32
 
-	// SoA link pipelines of the arc-major run engine: fixed-capacity
-	// segments of pipeCap entries per arc in two flat slabs (packet index
-	// and ready cycle), replacing the pointer-chased [][]inflight on the
-	// plain run path. Segment capacity is safe because a pipe holds at
-	// most HopLatency in-flight packets when queues are unbounded (one
-	// departure per cycle, each resident exactly HopLatency cycles) and
-	// at most qcap+HopLatency — the credit window — when bounded.
+	// SoA link pipelines of the run engines: fixed-capacity segments per
+	// arc in two flat slabs (packet index and ready cycle). Segment
+	// capacity is safe because a pipe holds at most HopLatency in-flight
+	// packets when nothing holds on the link (one departure per cycle,
+	// each resident exactly HopLatency cycles) and at most
+	// qcap+HopLatency — the credit window — under the plain engine's
+	// bounded queues.
 	pipePkt, pipeReady []int32
 	pipeLen            []int32
-	pipeCap            int
 
 	// Gather buffers of the lean arrival path: arrived packets, their
 	// arrival nodes and their routed arcs, refilled every cycle so the
 	// router-slab gather runs as one dense pass of independent loads.
 	arrPkt, arrNode, arrArc []int32
 
-	// Intrusive linked queues of the lean path: per-arc head/tail/length
-	// slabs plus a per-packet next pointer, replacing the []fifo
-	// header+buffer double indirection with flat int32 slabs (a push or
-	// pop touches at most two slab lines). A packet sits in one queue at
-	// a time, so one next entry per packet suffices.
+	// Intrusive linked queues of the plain engine: per-arc head/tail/
+	// length slabs plus a per-packet next pointer — flat int32 slabs, so
+	// a push or pop touches at most two slab lines. A packet sits in one
+	// queue at a time, so one next entry per packet suffices.
 	qHead, qTail, qLen []int32
 	pNext              []int32
 
 	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets,
 	// aBits bit a set ⇔ arc a has in-flight (or held) pipe entries, and
-	// nodeBits bit u set ⇔ node u has waiting packets (fault and heal
-	// engines). The per-cycle sweeps walk set bits in ascending order
-	// instead of scanning all M arcs (or N nodes), which is what makes
-	// ns/packet flat in network size.
+	// nodeBits bit u set ⇔ node u has waiting packets (fault loop). The
+	// per-cycle sweeps walk set bits in ascending order instead of
+	// scanning all M arcs (or N nodes), which is what makes ns/packet
+	// flat in network size.
 	qBits, aBits, nodeBits []uint64
 
 	// busy marks out-arcs already used this (node, cycle): busy[k] equals
@@ -112,8 +81,6 @@ func (nw *Network) getArena() (*arena, bool) {
 	ar, ok := nw.scratch.Get().(*arena)
 	if !ok {
 		ar = &arena{
-			queues:   make([]fifo, m),
-			pipes:    make([][]inflight, m),
 			waiting:  make([][]int32, n),
 			pipeLen:  make([]int32, m),
 			qBits:    make([]uint64, (m+63)/64),
@@ -122,12 +89,6 @@ func (nw *Network) getArena() (*arena, bool) {
 			busy:     make([]int64, nw.maxDeg),
 		}
 		return ar, false
-	}
-	for i := range ar.queues {
-		ar.queues[i].reset()
-	}
-	for i := range ar.pipes {
-		ar.pipes[i] = ar.pipes[i][:0]
 	}
 	for i := range ar.waiting {
 		ar.waiting[i] = ar.waiting[i][:0]
@@ -201,7 +162,7 @@ func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	return ar.arrPkt[:p], ar.arrNode[:p], ar.arrArc[:p]
 }
 
-// queueLinks returns the lean path's intrusive queue slabs: per-arc
+// queueLinks returns the plain engine's intrusive queue slabs: per-arc
 // head, tail and length (length zeroed here — a truncated previous run
 // may have left packets queued) and the per-packet next slab. Head and
 // tail need no reset: a queue with qLen == 0 rewrites both on its first
@@ -239,7 +200,6 @@ func (ar *arena) pipeSegments(m, segCap int) (pkt, ready []int32, length []int32
 	}
 	ar.pipePkt = ar.pipePkt[:need]
 	ar.pipeReady = ar.pipeReady[:need]
-	ar.pipeCap = segCap
 	return ar.pipePkt, ar.pipeReady, ar.pipeLen
 }
 

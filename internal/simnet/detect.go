@@ -150,17 +150,22 @@ func (h *healState) downSet(e int) []Arc {
 			down[h.events[i].arc] = true
 		}
 	}
-	dead := make([]Arc, 0, len(down))
-	for a := range down {
-		dead = append(dead, a)
+	return sortedArcs(down)
+}
+
+// sortedArcs returns the arcs of a set in (Tail, Index) order.
+func sortedArcs(set map[Arc]bool) []Arc {
+	out := make([]Arc, 0, len(set))
+	for a := range set {
+		out = append(out, a)
 	}
-	sort.Slice(dead, func(i, j int) bool {
-		if dead[i].Tail != dead[j].Tail {
-			return dead[i].Tail < dead[j].Tail
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Tail != out[j].Tail {
+			return out[i].Tail < out[j].Tail
 		}
-		return dead[i].Index < dead[j].Index
+		return out[i].Index < out[j].Index
 	})
-	return dead
+	return out
 }
 
 // routerFor returns the routing slab of the given epoch, repairing it

@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -60,5 +62,60 @@ func TestSeededRunIsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(doc1, doc2) {
 		t.Errorf("OBS_run/v1 documents differ:\nrun 1:\n%s\nrun 2:\n%s", doc1, doc2)
+	}
+}
+
+// TestSeededHealSessionIsByteIdentical is the self-healing twin of
+// TestSeededRunIsByteIdentical: a session on a fresh Network under a
+// seeded lens outage, with the scripted quarantine monitor, runs two
+// waves; the rendered results of both Runs (packet tables included) and
+// the final OBS_run/v1 document must match a second session built the
+// same way, byte for byte. The arena reuse counters are the one
+// exception: whether the second Run finds the first Run's arena in the
+// Network's sync.Pool is up to the runtime (the pool may drop items at
+// any GC, and does so at random under -race), so they are stripped.
+func TestSeededHealSessionIsByteIdentical(t *testing.T) {
+	runOnce := func() (string, []byte) {
+		t.Helper()
+		g, lenses := otisB26(t)
+		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := obs.NewRecorder(obs.NewRegistry())
+		nw.Observe(rec)
+		rng := rand.New(rand.NewSource(20260808))
+		lens := rng.Intn(len(lenses))
+		plan := NewFaultPlan().LensDown(rng.Intn(8), 24+rng.Intn(16), lens, lenses[lens])
+		mon := &quarMonitor{arc: lenses[(lens+1)%len(lenses)][0], at: 4}
+		session, err := nw.SelfHeal(plan, HealConfig{ProbeInterval: 8, Monitor: mon})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for wave := int64(1); wave <= 2; wave++ {
+			res, err := session.Run(UniformRandom(g.N(), 4*g.N(), wave))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wave == 1 && (res.Delivered == 0 || res.Nacks == 0) {
+				t.Fatalf("degenerate session: %v", res)
+			}
+			fmt.Fprintf(&sb, "%+v\n", res)
+		}
+		doc, err := rec.Snapshot().MarshalIndent()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sb.String(), doc
+	}
+
+	res1, doc1 := runOnce()
+	res2, doc2 := runOnce()
+	if res1 != res2 {
+		t.Fatalf("heal results differ:\nsession 1: %s\nsession 2: %s", res1, res2)
+	}
+	if stripArenaLines(string(doc1)) != stripArenaLines(string(doc2)) {
+		t.Errorf("OBS_run/v1 documents differ:\nsession 1:\n%s\nsession 2:\n%s", doc1, doc2)
 	}
 }

@@ -18,6 +18,36 @@ import (
 // reflect.DeepEqual(refRun(...), nw.run(...)) proves the kernels are
 // observably identical, packet by packet and counter by counter.
 
+// fifo is the historical per-arc queue of packet indices. Popping
+// advances a head cursor instead of reslicing away the front, so the
+// backing array is reclaimed (not leaked) the moment the queue drains.
+type fifo struct {
+	buf  []int32
+	head int
+}
+
+func (f *fifo) push(x int32) { f.buf = append(f.buf, x) }
+
+func (f *fifo) pop() int32 {
+	x := f.buf[f.head]
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return x
+}
+
+func (f *fifo) depth() int { return len(f.buf) - f.head }
+
+// inflight is a packet moving through a historical per-arc link
+// pipeline (the frozen plain, fault and heal engines keep theirs as
+// slices of these).
+type inflight struct {
+	pkt   int // index into packets
+	ready int // cycle at which it pops out at the head vertex
+}
+
 type refRunState struct {
 	nw       *Network
 	pkts     []Packet
@@ -364,7 +394,7 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 				// admitState is stateful: give each engine its own copy.
 				tunRef, tunNew := tc.tun(), tc.tun()
 				want := refRun(nwRef, pkts, tunRef, recRef)
-				got := nwNew.run(pkts, tunNew, recNew)
+				got, _ := nwNew.run(pkts, tunNew, recNew)
 
 				if !reflect.DeepEqual(want, got) {
 					t.Fatalf("%s/%s seed %d: results diverge\nref: %+v\nnew: %+v",
@@ -392,7 +422,7 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 				// uninstrumented pass pins the lean path's untallied
 				// branches.
 				wantLean := refRun(nwRef, pkts, tc.tun(), nil)
-				gotLean := nwNew.run(pkts, tc.tun(), nil)
+				gotLean, _ := nwNew.run(pkts, tc.tun(), nil)
 				if !reflect.DeepEqual(wantLean, gotLean) {
 					t.Fatalf("%s/%s seed %d (uninstrumented): results diverge\nref: %+v\nnew: %+v",
 						nc.name, tc.name, seed, trimPackets(wantLean), trimPackets(gotLean))

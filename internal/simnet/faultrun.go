@@ -6,13 +6,15 @@ import (
 	"repro/internal/obs"
 )
 
-// The fault-aware run loop. Structurally a store-and-forward simulation
-// like Network.Run, with three changes that make it survive a hostile
-// fault schedule instead of deadlocking:
+// The fault-aware run loop, shared by RunWithFaults and self-healing
+// sessions. Structurally a store-and-forward simulation like
+// Network.Run, with three changes that make it survive a hostile fault
+// schedule instead of deadlocking:
 //
 //   - routing decisions are re-taken at departure time (not enqueue
-//     time) through a FaultAwareRouter, so a packet never commits to a
-//     link that has died while it was queued;
+//     time) — by a FaultAwareRouter, or by a session's epoch slabs — so
+//     a packet never commits to a link that has died while it was
+//     queued;
 //   - a packet that finds no live useful out-arc is requeued with
 //     exponential backoff a bounded number of times (transient faults
 //     heal; permanent ones eventually exhaust the retries) and then
@@ -157,10 +159,8 @@ func (nw *Network) RunWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 }
 
 // TracedRunWithFaults is RunWithFaults with a full event log: inject,
-// depart, arrive, deliver, plus the fault-path kinds reroute and drop.
-// Unlike TracedRun, events are recorded live (fault decisions depend on
-// the cycle, so a shadow re-run cannot reconstruct them) and all carry
-// their cycle.
+// depart, arrive, deliver, plus the fault-path kinds reroute and drop,
+// each recorded live with its cycle.
 //
 // Deprecated: use RunOpts with WithFaults and WithTrace. The method
 // remains a thin wrapper and is not going away.
@@ -169,21 +169,49 @@ func (nw *Network) TracedRunWithFaults(packets []Packet, plan *FaultPlan, cfg Fa
 	return res, events, err
 }
 
+// runWithFaults runs the fault loop under the oracle routing policy. The
+// TTL default's diameter is read off the fault-free distance slab the
+// oracle ranks its deflections by (built once per Network and shared
+// read-only), not re-derived by a second all-pairs BFS.
 func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	// The fault-free distance slab is built once per Network and shared
-	// read-only; only the residual tables are per-router state. The TTL
-	// default's diameter is read off the same slab, not re-derived by a
-	// second all-pairs BFS.
-	dist := nw.distSlab()
-	router := newFaultAwareRouterShared(nw.g, nw.router, state, dist)
+	cfg = cfg.withDefaults(nw.g.N(), nw.diameterFrom(nw.distSlab()))
+	res, events, err := nw.faultLoop(packets, state, nil, cfg, traced, admit, rec)
+	return res.FaultResult, events, err
+}
+
+// faultLoop is the cycle loop of both the fault engine and self-healing
+// sessions; cfg is already defaulted. The routing policy is chosen by s:
+//
+//   - s == nil is the oracle. Departures route by a FaultAwareRouter over
+//     the compiled FaultState, which never picks a downed arc, so every
+//     transmission succeeds.
+//   - s != nil is a self-healing session. The FaultState is physical
+//     truth only: each cycle opens with the session's control-plane tick
+//     (monitor, recovery probes, gossip), departures route by the epoch
+//     slab of the node's knowledge (routeArc), and a transmission onto a
+//     physically-down arc fails as a NACK that feeds detection. Cycles
+//     are session-absolute (the Run's cycle plus s.clock) wherever the
+//     fault plan or the control plane reads them, and the loop advances
+//     s.clock past the Run.
+//
+// A session's control-plane counters go straight to rec; per-hop
+// telemetry goes through the run-local tally under both policies.
+func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (HealResult, []Event, error) {
+	var oracle *FaultAwareRouter
+	start := 0
+	if s == nil {
+		oracle = newFaultAwareRouterShared(nw.g, nw.router, state, nw.distSlab())
+	} else {
+		start = s.clock
+	}
 
 	n := nw.g.N()
+	m := int(nw.arcBase[n])
 	guardIndexInt32(len(packets), "packets")
-	cfg = cfg.withDefaults(n, nw.diameterFrom(dist))
 	policy := newRetryPolicy(cfg)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
@@ -195,13 +223,16 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 			maxCycles += int(float64(len(packets))/admit.rate) + admit.maxDelay
 		}
 	}
+	// Pipe ready cycles are narrowed into an int32 slab; one guard at
+	// entry dominates every stamp below.
+	guardIndexInt32(maxCycles+cfg.HopLatency+2, "cycles")
 
 	pkts := make([]Packet, len(packets))
 	copy(pkts, packets)
 
 	ar, reused := nw.getArena()
 	defer nw.putArena(ar)
-	tl := ar.tallyFor(rec, int(nw.arcBase[n]))
+	tl := ar.tallyFor(rec, m)
 	if tl != nil {
 		tl.Arena(reused)
 	}
@@ -218,13 +249,17 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	if tr, ok := nw.router.(*TableRouter); ok {
 		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
 	}
-	// waiting[u] is the FIFO of packet indices held at node u; pipes are
-	// the per-arc link pipelines (flat by arcBase) as in Run. nodeBits
-	// (bit u ⇔ waiting[u] non-empty) and aBits (bit a ⇔ pipes[a]
-	// non-empty) let the per-cycle sweeps walk only active nodes and
-	// arcs, in the same ascending order as the historical full scans.
+	// waiting[u] is the FIFO of packet indices held at node u. Links are
+	// the plain kernel's SoA pipe segments: one departure per arc per
+	// cycle, each in flight exactly HopLatency cycles, so HopLatency
+	// slots per arc suffice. nodeBits (bit u ⇔ waiting[u] non-empty) and
+	// aBits (bit a ⇔ arc a has packets in flight) let the per-cycle
+	// sweeps walk only active nodes and arcs, in the same ascending order
+	// as the historical full scans.
 	waiting := ar.waiting
-	pipes := ar.pipes
+	segCap := cfg.HopLatency
+	hopLat := int32(cfg.HopLatency)
+	pipePkt, pipeReady, pipeLen := ar.pipeSegments(m, segCap)
 	nodeBits, aBits := ar.nodeBits, ar.aBits
 
 	var events []Event
@@ -234,7 +269,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		}
 	}
 
-	res := FaultResult{}
+	res := HealResult{}
 	drop := func(i, cycle, node int, bucket *int, cause obs.DropCause) {
 		*bucket++
 		res.Dropped++
@@ -289,40 +324,55 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	}
 	holdq := ar.holdq[:0]
 	heldLast := false // congestion signal: a hold happened last cycle
+	entered := 0      // packets that entered a node this cycle (entPkt/entNode)
+
+	// inject offers packet i to its source at cycle. A full source holds
+	// it outside the network against its hold budget (true) or, once the
+	// budget runs out, drops it.
+	inject := func(i32 int32, cycle int) (held bool) {
+		i := int(i32)
+		src := pkts[i].Src
+		if nodeFull(src) {
+			if hold(i, len(waiting[src])) {
+				return true
+			}
+			drop(i, cycle, src, &res.DroppedQueueFull, obs.DropQueueFull)
+			remaining--
+			return false
+		}
+		waiting[src] = append(waiting[src], i32)
+		nodeBits[src>>6] |= 1 << (uint(src) & 63)
+		entPkt[entered], entNode[entered] = i32, int32(src)
+		entered++
+		enter()
+		emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
+		return false
+	}
 
 	var cycle int
 	for cycle = 0; remaining > 0 && cycle <= maxCycles; cycle++ {
-		state.Advance(cycle)
+		cycle32 := int32(cycle)
+		state.Advance(start + cycle)
+		if s != nil {
+			if err := s.tick(start+cycle, &res, rec); err != nil {
+				return res, nil, err
+			}
+		}
 		holdsBefore := res.Holds
-		entered := 0
+		entered = 0
 		if admit != nil {
 			admit.refill(heldLast)
 		}
 
 		// Inject: source-held packets (admitted earlier, source full)
 		// retry first, then the release cursor drains through the
-		// admission regulator. A full source holds the packet outside
-		// the network against its hold budget.
+		// admission regulator.
 		if len(holdq) > 0 {
 			nh := holdq[:0]
 			for _, i32 := range holdq {
-				i := int(i32)
-				src := pkts[i].Src
-				if nodeFull(src) {
-					if !hold(i, len(waiting[src])) {
-						drop(i, cycle, src, &res.DroppedQueueFull, obs.DropQueueFull)
-						remaining--
-						continue
-					}
+				if inject(i32, cycle) {
 					nh = append(nh, i32)
-					continue
 				}
-				waiting[src] = append(waiting[src], i32)
-				nodeBits[src>>6] |= 1 << (uint(src) & 63)
-				entPkt[entered], entNode[entered] = i32, int32(src)
-				entered++
-				enter()
-				emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
 			}
 			holdq = nh
 		}
@@ -344,49 +394,41 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 				}
 			}
 			cursor++
-			src := pkts[i].Src
-			if nodeFull(src) {
-				if !hold(i, len(waiting[src])) {
-					drop(i, cycle, src, &res.DroppedQueueFull, obs.DropQueueFull)
-					remaining--
-					continue
-				}
+			if inject(int32(i), cycle) {
 				holdq = append(holdq, int32(i))
-				continue
 			}
-			waiting[src] = append(waiting[src], int32(i))
-			nodeBits[src>>6] |= 1 << (uint(src) & 63)
-			entPkt[entered], entNode[entered] = int32(i), int32(src)
-			entered++
-			enter()
-			emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
 		}
 
 		// Arrivals: wire time completes; a downed node loses the packet.
 		// Swept over the in-flight bitmap in ascending flat-arc order —
-		// identical to the historical nested (node, arc) scan.
+		// identical to the historical nested (node, arc) scan — and
+		// compacted in place in each arc's segment.
 		for w := range aBits {
 			bits := aBits[w]
 			for bits != 0 {
-				a := int32(w<<6 + trailingZeros64(bits))
+				a := w<<6 + trailingZeros64(bits)
 				bits &= bits - 1
-				pipe := pipes[a]
-				keep := pipe[:0]
+				base := a * segCap
+				cnt := int(pipeLen[a])
 				u := int(nw.arcTail[a])
 				v := int(nw.arcHead[a])
-				for _, fl := range pipe {
-					if fl.ready > cycle {
-						keep = append(keep, fl)
+				keep := 0
+				for j := 0; j < cnt; j++ {
+					pk, rdy := pipePkt[base+j], pipeReady[base+j]
+					if rdy > cycle32 {
+						pipePkt[base+keep], pipeReady[base+keep] = pk, rdy
+						keep++
 						continue
 					}
-					p := &pkts[fl.pkt]
+					i := int(pk)
+					p := &pkts[i]
 					p.Hops++
 					if tl != nil {
-						tl.ArcTraverse(int(a))
+						tl.ArcTraverse(a)
 					}
+					emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
 					if state.NodeDown(v) {
-						emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
-						drop(fl.pkt, cycle, v, &res.DroppedFault, obs.DropFault)
+						drop(i, cycle, v, &res.DroppedFault, obs.DropFault)
 						remaining--
 						resident--
 						continue
@@ -402,18 +444,16 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						if tl != nil {
 							tl.Deliver(cycle-p.Release, p.Hops)
 						}
-						emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
 						emit(Event{Cycle: cycle, Kind: EventDeliver, Packet: p.ID, Node: v, Peer: -1})
 						continue
 					}
-					emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
-					waiting[v] = append(waiting[v], int32(fl.pkt))
+					waiting[v] = append(waiting[v], pk)
 					nodeBits[v>>6] |= 1 << (uint(v) & 63)
-					entPkt[entered], entNode[entered] = int32(fl.pkt), int32(v)
+					entPkt[entered], entNode[entered] = pk, int32(v)
 					entered++
 				}
-				pipes[a] = keep
-				if len(keep) == 0 {
+				pipeLen[a] = int32(keep)
+				if keep == 0 {
 					aBits[w] &^= 1 << (uint(a) & 63)
 				}
 			}
@@ -422,9 +462,9 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		nw.gatherPrimary(entPkt[:entered], entNode[:entered], pkts, prim, tArcs, tN)
 
 		// Departures: each node forwards its waiting packets in FIFO
-		// order; each live arc accepts one packet per cycle. busy marks
-		// are invalidated per node by bumping the arena's stamp token.
-		// Swept over the waiting-node bitmap in ascending node order —
+		// order; each arc accepts one attempt per cycle. busy marks are
+		// invalidated per node by bumping the arena's stamp token. Swept
+		// over the waiting-node bitmap in ascending node order —
 		// identical to the historical 0..n-1 scan over all nodes.
 		for w := range nodeBits {
 			wbits := nodeBits[w]
@@ -457,7 +497,12 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						continue
 					}
 					primary := int(prim[i])
-					arc := router.fromPrimary(u, p.Dst, primary)
+					var arc int
+					if s == nil {
+						arc = oracle.fromPrimary(u, p.Dst, primary)
+					} else {
+						arc = s.routeArc(u, p.Dst, rec)
+					}
 					if arc < 0 {
 						if !policy.charge(&meta[i], cycle, p.ID) {
 							drop(i, cycle, u, &res.DroppedNoRoute, obs.DropNoRoute)
@@ -476,7 +521,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						keep = append(keep, i32) // link occupied this cycle: queue
 						continue
 					}
-					flat := nw.arcBase[u] + int32(arc)
+					flat := int(nw.arcBase[u]) + arc
 					next := int(nw.arcHead[flat])
 					if next != p.Dst && nodeFull(next) {
 						// Credit-based backpressure: the downstream node is
@@ -492,6 +537,23 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						continue
 					}
 					busy[arc] = token
+					if s != nil {
+						// The attempt consumed the link slot. Onto a
+						// physically-down arc it fails: the packet stays
+						// queued for DetectLatency cycles while its NACK
+						// feeds the tail's suspicion — the only way the
+						// control plane ever learns of a fault.
+						a := Arc{Tail: u, Index: arc}
+						if state.ArcDown(u, arc) {
+							if err := s.nack(a, start+cycle, &res, rec); err != nil {
+								return res, nil, err
+							}
+							meta[i].readyAt = cycle + s.cfg.DetectLatency
+							keep = append(keep, i32)
+							continue
+						}
+						s.transmitted(a, start+cycle)
+					}
 					if primary != arc {
 						res.Reroutes++
 						if tl != nil {
@@ -500,8 +562,10 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: next})
 					}
 					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: next})
-					pipes[flat] = append(pipes[flat], inflight{pkt: i, ready: cycle + cfg.HopLatency})
-					aBits[flat>>6] |= 1 << (uint32(flat) & 63)
+					slot := flat*segCap + int(pipeLen[flat])
+					pipePkt[slot], pipeReady[slot] = i32, cycle32+hopLat
+					pipeLen[flat]++
+					aBits[flat>>6] |= 1 << (uint(flat) & 63)
 				}
 				waiting[u] = keep
 				if len(keep) == 0 {
@@ -512,35 +576,32 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 
 		heldLast = res.Holds > holdsBefore
 	}
+	if s != nil {
+		s.clock = start + cycle
+	}
 
 	// Exit drain: the cycle budget ran out with work outstanding. Every
 	// survivor is dropped with a cause so Delivered + Dropped == Offered
 	// holds on truncated runs too. Order is deterministic: node queues,
-	// then link pipelines, then never-injected packets.
+	// then link pipelines (at their tails), then never-injected packets.
 	if remaining > 0 {
 		for u := 0; u < n; u++ {
 			for _, i32 := range waiting[u] {
 				drop(int(i32), cycle, u, &res.Stuck, obs.DropStuck)
-				remaining--
 			}
 			waiting[u] = waiting[u][:0]
 		}
-		for u := 0; u < n; u++ {
-			lo, hi := nw.arcBase[u], nw.arcBase[u+1]
-			for a := lo; a < hi; a++ {
-				for _, fl := range pipes[a] {
-					drop(fl.pkt, cycle, u, &res.Stuck, obs.DropStuck)
-					remaining--
-				}
-				pipes[a] = pipes[a][:0]
+		for a := 0; a < m; a++ {
+			for _, pk := range pipePkt[a*segCap : a*segCap+int(pipeLen[a])] {
+				drop(int(pk), cycle, int(nw.arcTail[a]), &res.Stuck, obs.DropStuck)
 			}
+			pipeLen[a] = 0
 		}
 		// Source-held packets (admitted but never accepted by their full
 		// source) drain under the queue-full bucket, distinct from Stuck.
 		for _, i32 := range holdq {
 			i := int(i32)
 			drop(i, cycle, pkts[i].Src, &res.DroppedQueueFull, obs.DropQueueFull)
-			remaining--
 		}
 		holdq = holdq[:0]
 		// Packets whose Release exceeded the horizon were never injected:
@@ -548,31 +609,11 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 		for ; cursor < len(order); cursor++ {
 			i := int(order[cursor])
 			drop(i, cycle, pkts[i].Src, &res.DroppedHorizon, obs.DropHorizon)
-			remaining--
 		}
-		_ = remaining // zero by construction: every outstanding packet was drained
 	}
 	ar.holdq = holdq
 
-	// Aggregate, guarding every ratio against the nothing-delivered case.
-	latencySum := 0
-	for i := range pkts {
-		p := pkts[i]
-		if p.Delivered < 0 {
-			continue
-		}
-		res.TotalHops += p.Hops
-		if p.Hops > res.MaxHops {
-			res.MaxHops = p.Hops
-		}
-		latencySum += p.Delivered - p.Release
-		res.TotalWait += (p.Delivered - p.Release) - p.Hops*cfg.HopLatency
-	}
-	if res.Delivered > 0 {
-		res.MeanLatency = float64(latencySum) / float64(res.Delivered)
-		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
-	}
-	res.Packets = pkts
+	res.aggregate(pkts, cfg.HopLatency)
 	rec.Merge(tl)
 	return res, events, nil
 }

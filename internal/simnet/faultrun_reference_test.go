@@ -610,12 +610,18 @@ func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 	for i := range tops {
 		tops[i].lenses = synthetic(tops[i].nw)
 	}
+	h, lenses := otisB26(t)
+	return append(tops, faultRefTopology{name: "OTIS_B(2,6)", nw: mk(h, NewTableRouter(h)), lenses: lenses})
+}
+
+// otisB26 returns the OTIS wiring of B(2,6) and the arc group each of
+// its lenses carries.
+func otisB26(t interface{ Fatal(...any) }) (*digraph.Digraph, [][]Arc) {
 	layout, ok := otis.OptimalLayout(2, 6)
 	if !ok {
 		t.Fatal("no OTIS layout for B(2,6)")
 	}
-	h := otis.MustH(layout.P(), layout.Q(), 2)
-	machine := faultRefTopology{name: "OTIS_B(2,6)", nw: mk(h, NewTableRouter(h))}
+	var lenses [][]Arc
 	for lens := 0; lens < layout.Lenses(); lens++ {
 		arcs, err := layout.LensArcs(lens)
 		if err != nil {
@@ -625,9 +631,9 @@ func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 		for j, a := range arcs {
 			group[j] = Arc{Tail: a[0], Index: a[1]}
 		}
-		machine.lenses = append(machine.lenses, group)
+		lenses = append(lenses, group)
 	}
-	return append(tops, machine)
+	return otis.MustH(layout.P(), layout.Q(), 2), lenses
 }
 
 // faultRefPlans returns the seeded fault plans of the matrix: none,

@@ -2,18 +2,17 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/digraph"
 	"repro/internal/obs"
 )
 
-// The self-healing run loop. RunWithFaults hands its router the
-// compiled FaultState — an oracle no real network has. A SelfHealing
-// session runs the same store-and-forward simulation with the oracle
-// removed: the fault plan is consulted only as physical truth (does
-// this transmission succeed? is this node alive?), never as routing
-// input. Everything the control plane knows it learned the hard way:
+// Self-healing sessions. RunWithFaults hands its router the compiled
+// FaultState — an oracle no real network has. A SelfHealing session runs
+// the same cycle loop (faultLoop) with the oracle removed: the fault
+// plan is consulted only as physical truth (does this transmission
+// succeed? is this node alive?), never as routing input. Everything the
+// control plane knows it learned the hard way:
 //
 //   - detect: a transmission onto a downed arc fails; the sender times
 //     out (DetectLatency cycles), bumps a per-arc suspicion counter,
@@ -176,19 +175,7 @@ func (s *SelfHealing) Converged() bool { return s.heal.converged() }
 func (s *SelfHealing) BelievedDown() []Arc { return s.heal.downSet(len(s.heal.events)) }
 
 // Quarantined returns the currently quarantined arcs, sorted.
-func (s *SelfHealing) Quarantined() []Arc {
-	out := make([]Arc, 0, len(s.quarantined))
-	for a := range s.quarantined {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Tail != out[j].Tail {
-			return out[i].Tail < out[j].Tail
-		}
-		return out[i].Index < out[j].Index
-	})
-	return out
-}
+func (s *SelfHealing) Quarantined() []Arc { return sortedArcs(s.quarantined) }
 
 // Run simulates the workload under the session. Packet releases are
 // relative to the session clock (a packet with Release 0 injects on the
@@ -197,411 +184,95 @@ func (s *SelfHealing) Quarantined() []Arc {
 // session-absolute cycles. The fault plan's Start cycles are
 // session-absolute.
 func (s *SelfHealing) Run(packets []Packet) (HealResult, error) {
-	nw, cfg, h := s.nw, s.cfg, s.heal
-	n := nw.g.N()
-	guardIndexInt32(len(packets), "packets")
-	start := s.clock
-	mon := cfg.Monitor
-	rec := nw.rec
-
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = nw.defaultBudget(len(packets), cfg.HopLatency)
-		maxCycles += cfg.MaxRetries * cfg.BackoffCap
+	res, _, err := s.nw.faultLoop(packets, s.state, s, s.cfg.FaultConfig, false, nil, s.nw.rec)
+	if err != nil {
+		return res, err
 	}
-
-	pkts := make([]Packet, len(packets))
-	copy(pkts, packets)
-
-	ar, reused := nw.getArena()
-	defer nw.putArena(ar)
-	if rec != nil {
-		rec.Arena(reused)
-	}
-	meta := ar.metaFor(len(pkts))
-	// As in the fault engine: nodeBits (bit u ⇔ waiting[u] non-empty)
-	// and aBits (bit a ⇔ pipes[a] non-empty) confine the per-cycle
-	// sweeps to active nodes and arcs, in the historical scan order.
-	waiting := ar.waiting
-	pipes := ar.pipes
-	nodeBits, aBits := ar.nodeBits, ar.aBits
-
-	res := HealResult{}
-	drop := func(bucket *int, cause obs.DropCause) {
-		*bucket++
-		res.Dropped++
-		if rec != nil {
-			rec.Drop(cause)
-		}
-	}
-
-	remaining := 0
-	order := ar.order[:0]
-	for i := range pkts {
-		pkts[i].Delivered = -1
-		pkts[i].Hops = 0
-		if pkts[i].Src == pkts[i].Dst {
-			pkts[i].Delivered = pkts[i].Release
-			res.Delivered++
-			continue
-		}
-		order = append(order, int32(i))
-		remaining++
-	}
-	sortByRelease(order, pkts)
-	ar.order = order
-	cursor := 0
-
-	// Overload protection, as in the fault engine: nodeFull bounds each
-	// node's hold queue at QueueCapacity packets per out-arc, hold
-	// charges a packet's lifetime hold budget, enter/resident track peak
-	// in-network buffer occupancy. The retry ladder is the shared policy.
-	policy := newRetryPolicy(cfg.FaultConfig)
-	qcap := cfg.QueueCapacity
-	nodeFull := func(v int) bool {
-		return qcap > 0 && len(waiting[v]) >= qcap*int(nw.arcBase[v+1]-nw.arcBase[v])
-	}
-	hold := func(i, depth int) bool {
-		meta[i].holds++
-		if meta[i].holds > cfg.HoldBudget {
-			return false
-		}
-		res.Holds++
-		if rec != nil {
-			rec.Hold(depth)
-		}
-		return true
-	}
-	resident := 0
-	enter := func() {
-		resident++
-		if resident > res.PeakResident {
-			res.PeakResident = resident
-		}
-	}
-	holdq := ar.holdq[:0]
-
-	// gossipLive reports physical arc liveness for flood steps: link-
-	// state updates travel only over arcs that actually work.
-	gossipLive := func(tail, index int) bool { return !s.state.ArcDown(tail, index) }
-
-	var cycle int
-	for cycle = 0; remaining > 0 && cycle <= maxCycles; cycle++ {
-		abs := start + cycle
-		s.state.Advance(abs)
-
-		// Circuit breaker transitions and half-open probes.
-		if mon != nil {
-			quarantine, release, probe := mon.Tick(abs)
-			for _, a := range quarantine {
-				s.quarantined[a] = true
-			}
-			for _, a := range release {
-				delete(s.quarantined, a)
-			}
-			for _, a := range probe {
-				res.Probes++
-				if rec != nil {
-					rec.Probe()
-				}
-				mon.ProbeResult(abs, a, !s.state.ArcDown(a.Tail, a.Index))
-			}
-		}
-
-		// Recovery probes: tails test their believed-down out-arcs; a
-		// probe that succeeds commits a link-up event.
-		if abs > 0 && abs%cfg.ProbeInterval == 0 {
-			for _, a := range h.downSet(len(h.events)) {
-				res.Probes++
-				if rec != nil {
-					rec.Probe()
-				}
-				if !s.state.ArcDown(a.Tail, a.Index) {
-					if err := h.commit(a, true, abs); err != nil {
-						return res, err
-					}
-					res.EventsCommitted++
-					if rec != nil {
-						rec.HealEvent()
-					}
-				}
-			}
-		}
-
-		// Gossip: every in-flight link-state flood advances one round.
-		h.stepFloods(abs, gossipLive)
-
-		// Inject: source-held packets (source full) retry first, then
-		// the release cursor; a full source holds the packet outside the
-		// network against its hold budget.
-		if len(holdq) > 0 {
-			nh := holdq[:0]
-			for _, i32 := range holdq {
-				i := int(i32)
-				src := pkts[i].Src
-				if nodeFull(src) {
-					if !hold(i, len(waiting[src])) {
-						drop(&res.DroppedQueueFull, obs.DropQueueFull)
-						remaining--
-						continue
-					}
-					nh = append(nh, i32)
-					continue
-				}
-				waiting[src] = append(waiting[src], i32)
-				nodeBits[src>>6] |= 1 << (uint(src) & 63)
-				enter()
-			}
-			holdq = nh
-		}
-		for cursor < len(order) && pkts[order[cursor]].Release <= cycle {
-			i := int(order[cursor])
-			cursor++
-			src := pkts[i].Src
-			if nodeFull(src) {
-				if !hold(i, len(waiting[src])) {
-					drop(&res.DroppedQueueFull, obs.DropQueueFull)
-					remaining--
-					continue
-				}
-				holdq = append(holdq, int32(i))
-				continue
-			}
-			waiting[src] = append(waiting[src], int32(i))
-			nodeBits[src>>6] |= 1 << (uint(src) & 63)
-			enter()
-		}
-
-		// Arrivals: wire time completes; a downed node loses the packet.
-		// Swept over the in-flight bitmap in ascending flat-arc order —
-		// identical to the historical nested (node, arc) scan.
-		for w := range aBits {
-			bits := aBits[w]
-			for bits != 0 {
-				a := int32(w<<6 + trailingZeros64(bits))
-				bits &= bits - 1
-				pipe := pipes[a]
-				keep := pipe[:0]
-				v := int(nw.arcHead[a])
-				for _, fl := range pipe {
-					if fl.ready > cycle {
-						keep = append(keep, fl)
-						continue
-					}
-					p := &pkts[fl.pkt]
-					p.Hops++
-					if rec != nil {
-						rec.ArcTraverse(int(a))
-					}
-					if s.state.NodeDown(v) {
-						drop(&res.DroppedFault, obs.DropFault)
-						remaining--
-						resident--
-						continue
-					}
-					if v == p.Dst {
-						p.Delivered = cycle
-						res.Delivered++
-						remaining--
-						resident--
-						if cycle > res.Cycles {
-							res.Cycles = cycle
-						}
-						if rec != nil {
-							rec.Deliver(cycle-p.Release, p.Hops)
-						}
-						continue
-					}
-					waiting[v] = append(waiting[v], int32(fl.pkt))
-					nodeBits[v>>6] |= 1 << (uint(v) & 63)
-				}
-				pipes[a] = keep
-				if len(keep) == 0 {
-					aBits[w] &^= 1 << (uint(a) & 63)
-				}
-			}
-		}
-
-		// Departures: FIFO per node, one packet per live arc per cycle.
-		// A transmission onto a physically-down arc fails: the packet
-		// stays queued for DetectLatency cycles and the tail's suspicion
-		// of the arc grows — this is the only way the control plane ever
-		// learns of a fault.
-		for w := range nodeBits {
-			wbits := nodeBits[w]
-			for wbits != 0 {
-				u := w<<6 + trailingZeros64(wbits)
-				wbits &= wbits - 1
-				depth := len(waiting[u])
-				if depth > res.MaxQueue {
-					res.MaxQueue = depth
-					res.HotNode = u
-				}
-				if rec != nil {
-					rec.NodeQueueDepth(depth)
-				}
-				ar.busyToken++
-				token := ar.busyToken
-				busy := ar.busy
-				keep := waiting[u][:0]
-				for _, i32 := range waiting[u] {
-					i := int(i32)
-					p := &pkts[i]
-					if meta[i].readyAt > cycle {
-						keep = append(keep, i32)
-						continue
-					}
-					if p.Hops >= cfg.TTL {
-						drop(&res.DroppedTTL, obs.DropTTL)
-						remaining--
-						resident--
-						continue
-					}
-					arc := s.routeArc(u, p.Dst, rec)
-					if arc < 0 {
-						if !policy.charge(&meta[i], cycle, p.ID) {
-							drop(&res.DroppedNoRoute, obs.DropNoRoute)
-							remaining--
-							resident--
-							continue
-						}
-						res.Retries++
-						if rec != nil {
-							rec.Retry()
-						}
-						keep = append(keep, i32)
-						continue
-					}
-					if busy[arc] == token {
-						keep = append(keep, i32) // link occupied this cycle: queue
-						continue
-					}
-					if next := nw.g.Out(u)[arc]; next != p.Dst && nodeFull(next) {
-						// Credit-based backpressure: hold in place instead of
-						// deepening a full downstream node's queue (delivery
-						// always absorbs).
-						if !hold(i, len(waiting[next])) {
-							drop(&res.DroppedQueueFull, obs.DropQueueFull)
-							remaining--
-							resident--
-							continue
-						}
-						keep = append(keep, i32)
-						continue
-					}
-					busy[arc] = token
-					a := Arc{Tail: u, Index: arc}
-					if s.state.ArcDown(u, arc) {
-						// NACK: the attempt consumed the link slot and failed.
-						res.Nacks++
-						if rec != nil {
-							rec.Nack()
-						}
-						if mon != nil {
-							mon.ArcFailed(start+cycle, a)
-						}
-						h.suspicion[a]++
-						meta[i].readyAt = cycle + cfg.DetectLatency
-						keep = append(keep, i32)
-						if h.suspicion[a] >= cfg.SuspectThreshold && !h.activeDown(a) {
-							if err := h.commit(a, false, start+cycle); err != nil {
-								return res, err
-							}
-							delete(h.suspicion, a)
-							res.Detections++
-							res.EventsCommitted++
-							if rec != nil {
-								rec.Detect()
-								rec.HealEvent()
-							}
-						}
-						continue
-					}
-					delete(h.suspicion, a)
-					if mon != nil {
-						mon.ArcOK(start+cycle, a)
-					}
-					if s.nw.router.NextArc(u, p.Dst) != arc {
-						res.Reroutes++
-						if rec != nil {
-							rec.Reroute()
-						}
-					}
-					flat := nw.arcBase[u] + int32(arc)
-					pipes[flat] = append(pipes[flat], inflight{pkt: i, ready: cycle + cfg.HopLatency})
-					aBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				}
-				waiting[u] = keep
-				if len(keep) == 0 {
-					nodeBits[w] &^= 1 << (uint(u) & 63)
-				}
-			}
-		}
-	}
-	s.clock = start + cycle
-
-	// Exit drain: identical to the fault run — every survivor drops
-	// with a cause so Delivered + Dropped == Offered holds on truncated
-	// runs too.
-	if remaining > 0 {
-		for u := 0; u < n; u++ {
-			for range waiting[u] {
-				drop(&res.Stuck, obs.DropStuck)
-				remaining--
-			}
-			waiting[u] = waiting[u][:0]
-		}
-		for u := 0; u < n; u++ {
-			lo, hi := nw.arcBase[u], nw.arcBase[u+1]
-			for a := lo; a < hi; a++ {
-				for range pipes[a] {
-					drop(&res.Stuck, obs.DropStuck)
-					remaining--
-				}
-				pipes[a] = pipes[a][:0]
-			}
-		}
-		for range holdq {
-			drop(&res.DroppedQueueFull, obs.DropQueueFull)
-			remaining--
-		}
-		holdq = holdq[:0]
-		for ; cursor < len(order); cursor++ {
-			drop(&res.DroppedHorizon, obs.DropHorizon)
-			remaining--
-		}
-		_ = remaining // zero by construction
-	}
-	ar.holdq = holdq
-
-	// Aggregate.
-	latencySum := 0
-	for i := range pkts {
-		p := pkts[i]
-		if p.Delivered < 0 {
-			continue
-		}
-		res.TotalHops += p.Hops
-		if p.Hops > res.MaxHops {
-			res.MaxHops = p.Hops
-		}
-		latencySum += p.Delivered - p.Release
-		res.TotalWait += (p.Delivered - p.Release) - p.Hops*cfg.HopLatency
-	}
-	if res.Delivered > 0 {
-		res.MeanLatency = float64(latencySum) / float64(res.Delivered)
-		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
-	}
-	res.Packets = pkts
-
+	h := s.heal
 	res.FinalEpoch = len(h.events)
 	res.Repairs = h.repairs
 	res.Converged = h.converged()
 	res.ConvergedCycle = h.convergedCycle()
-	if res.Converged && len(h.events) > 0 && rec != nil {
-		rec.ConvergeCycles(int64(res.ConvergedCycle - h.firstEventCycle()))
+	if res.Converged && len(h.events) > 0 {
+		s.nw.rec.ConvergeCycles(int64(res.ConvergedCycle - h.firstEventCycle()))
 	}
 	return res, nil
+}
+
+// tick runs the control plane at the top of session cycle abs, before
+// any packet moves: circuit-breaker transitions and half-open probes,
+// recovery probes (tails test their believed-down out-arcs; a probe that
+// succeeds commits a link-up event), then one gossip round of every
+// in-flight link-state flood.
+func (s *SelfHealing) tick(abs int, res *HealResult, rec *obs.Recorder) error {
+	h := s.heal
+	if mon := s.cfg.Monitor; mon != nil {
+		quarantine, release, probe := mon.Tick(abs)
+		for _, a := range quarantine {
+			s.quarantined[a] = true
+		}
+		for _, a := range release {
+			delete(s.quarantined, a)
+		}
+		for _, a := range probe {
+			res.Probes++
+			rec.Probe()
+			mon.ProbeResult(abs, a, !s.state.ArcDown(a.Tail, a.Index))
+		}
+	}
+	if abs > 0 && abs%s.cfg.ProbeInterval == 0 {
+		for _, a := range h.downSet(len(h.events)) {
+			res.Probes++
+			rec.Probe()
+			if !s.state.ArcDown(a.Tail, a.Index) {
+				if err := h.commit(a, true, abs); err != nil {
+					return err
+				}
+				res.EventsCommitted++
+				rec.HealEvent()
+			}
+		}
+	}
+	h.stepFloods(abs, s.gossipLive)
+	return nil
+}
+
+// gossipLive reports physical arc liveness for flood steps: link-state
+// updates travel only over arcs that actually work.
+func (s *SelfHealing) gossipLive(tail, index int) bool { return !s.state.ArcDown(tail, index) }
+
+// nack accounts a failed transmission on arc a at session cycle abs: the
+// monitor hears of it, the tail's suspicion of the arc grows, and at
+// SuspectThreshold consecutive failures the tail commits a link-down
+// event.
+func (s *SelfHealing) nack(a Arc, abs int, res *HealResult, rec *obs.Recorder) error {
+	h := s.heal
+	res.Nacks++
+	rec.Nack()
+	if mon := s.cfg.Monitor; mon != nil {
+		mon.ArcFailed(abs, a)
+	}
+	h.suspicion[a]++
+	if h.suspicion[a] >= s.cfg.SuspectThreshold && !h.activeDown(a) {
+		if err := h.commit(a, false, abs); err != nil {
+			return err
+		}
+		delete(h.suspicion, a)
+		res.Detections++
+		res.EventsCommitted++
+		rec.Detect()
+		rec.HealEvent()
+	}
+	return nil
+}
+
+// transmitted accounts a successful transmission on arc a at session
+// cycle abs: the arc's suspicion resets and the monitor hears it is OK.
+func (s *SelfHealing) transmitted(a Arc, abs int) {
+	delete(s.heal.suspicion, a)
+	if mon := s.cfg.Monitor; mon != nil {
+		mon.ArcOK(abs, a)
+	}
 }
 
 // routeArc is the self-healed routing decision at node u for dst: the

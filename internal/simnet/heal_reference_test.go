@@ -424,13 +424,50 @@ func refRouteArc(s *SelfHealing, u, dst int, rec *obs.Recorder) int {
 	return best
 }
 
+// monitorCall is one HealMonitor callback.
+type monitorCall struct {
+	kind  byte // 't' Tick, 'f' ArcFailed, 'o' ArcOK, 'p' ProbeResult
+	cycle int
+	arc   Arc
+	ok    bool
+}
+
+// callLog is the scripted quarantine monitor with every callback
+// logged, so twin sessions' monitor traffic can be compared call by
+// call.
+type callLog struct {
+	quarMonitor
+	calls []monitorCall
+}
+
+func (m *callLog) ArcFailed(cycle int, arc Arc) {
+	m.calls = append(m.calls, monitorCall{kind: 'f', cycle: cycle, arc: arc})
+	m.quarMonitor.ArcFailed(cycle, arc)
+}
+
+func (m *callLog) ArcOK(cycle int, arc Arc) {
+	m.calls = append(m.calls, monitorCall{kind: 'o', cycle: cycle, arc: arc})
+	m.quarMonitor.ArcOK(cycle, arc)
+}
+
+func (m *callLog) Tick(cycle int) (quarantine, release, probe []Arc) {
+	m.calls = append(m.calls, monitorCall{kind: 't', cycle: cycle})
+	return m.quarMonitor.Tick(cycle)
+}
+
+func (m *callLog) ProbeResult(cycle int, arc Arc, ok bool) {
+	m.calls = append(m.calls, monitorCall{kind: 'p', cycle: cycle, arc: arc, ok: ok})
+	m.quarMonitor.ProbeResult(cycle, arc, ok)
+}
+
 // TestHealEngineMatchesReference opens twin sessions — one driven by
 // SelfHealing.Run, one by the frozen loop, each on its own Network and
 // recorder — over topologies × fault plans × configs × monitor × seeds,
 // runs two Runs on each, and after every Run requires DeepEqual
 // results and session state (clock, epoch, believed-down and
-// quarantined sets, convergence) and identical OBS_run/v1 documents
-// (arena counters aside, as the reference allocates fresh scratch).
+// quarantined sets, suspicion counters, convergence), identical
+// monitor callbacks and identical OBS_run/v1 documents (arena counters
+// aside, as the reference allocates fresh scratch).
 func TestHealEngineMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
@@ -464,7 +501,7 @@ func TestHealEngineMatchesReference(t *testing.T) {
 				for _, cc := range configs {
 					for _, monitored := range []bool{false, true} {
 						name := fmt.Sprintf("%s/seed%d/%s/%s/monitor=%v", top.name, seed, pc.name, cc.name, monitored)
-						open := func() (*SelfHealing, *obs.Recorder) {
+						open := func() (*SelfHealing, *obs.Recorder, *callLog) {
 							nw, err := New(g, router, DefaultConfig())
 							if err != nil {
 								t.Fatal(err)
@@ -473,17 +510,18 @@ func TestHealEngineMatchesReference(t *testing.T) {
 							rec.SizeArcs(m)
 							nw.Observe(rec)
 							cfg := cc.cfg
+							mon := &callLog{quarMonitor: quarMonitor{arc: quarArc, at: 3}}
 							if monitored {
-								cfg.Monitor = &quarMonitor{arc: quarArc, at: 3}
+								cfg.Monitor = mon
 							}
 							s, err := nw.SelfHeal(pc.plan, cfg)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
-							return s, rec
+							return s, rec, mon
 						}
-						ref, recRef := open()
-						got, recNew := open()
+						ref, recRef, monRef := open()
+						got, recNew, monNew := open()
 						for w, pkts := range waves {
 							want, err := refHealRun(ref, pkts)
 							if err != nil {
@@ -499,10 +537,14 @@ func TestHealEngineMatchesReference(t *testing.T) {
 							}
 							if ref.Cycle() != got.Cycle() || ref.Epoch() != got.Epoch() || ref.Converged() != got.Converged() ||
 								!reflect.DeepEqual(ref.BelievedDown(), got.BelievedDown()) ||
-								!reflect.DeepEqual(ref.Quarantined(), got.Quarantined()) {
+								!reflect.DeepEqual(ref.Quarantined(), got.Quarantined()) ||
+								!reflect.DeepEqual(ref.heal.suspicion, got.heal.suspicion) {
 								t.Fatalf("%s run %d: session state diverges: clock %d/%d epoch %d/%d converged %v/%v down %v/%v quarantined %v/%v",
 									name, w, ref.Cycle(), got.Cycle(), ref.Epoch(), got.Epoch(), ref.Converged(), got.Converged(),
 									ref.BelievedDown(), got.BelievedDown(), ref.Quarantined(), got.Quarantined())
+							}
+							if !reflect.DeepEqual(monRef.calls, monNew.calls) {
+								t.Fatalf("%s run %d: monitor callbacks diverge (%d vs %d calls)", name, w, len(monRef.calls), len(monNew.calls))
 							}
 							docRef, err := recRef.Snapshot().MarshalIndent()
 							if err != nil {

@@ -50,7 +50,7 @@ func TestPeakQueueSurfacesAgree(t *testing.T) {
 
 			rec := obs.NewRecorder(obs.NewRegistry())
 			rec.SizeArcs(int(nw.arcBase[n]))
-			res := nw.run(pkts, tc.tun(), rec)
+			res, _ := nw.run(pkts, tc.tun(), rec)
 
 			snap := rec.Snapshot()
 			gauge := snap.Gauges[obs.MetricMaxQueue]

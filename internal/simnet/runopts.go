@@ -436,16 +436,14 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	}
 	tun = tun.withDefaults()
 	tun.admit = admit
-	if cfg.traced {
-		res, events := nw.tracedRun(pkts, tun, rec)
-		return fallback(RunReport{FaultResult: FaultResult{Result: res}, Events: events}), nil
-	}
+	tun.trace = cfg.traced
 	// The sharded engine covers the lean configuration: plain unbounded
-	// uninstrumented runs. Anything instrumented falls back to the
-	// sequential engines above (WithShards documents this).
-	if shardReq && rec == nil && tun.qcap == 0 && tun.admit == nil {
+	// untraced uninstrumented runs. Anything else falls back to the
+	// sequential engines (WithShards documents this).
+	if shardReq && rec == nil && tun.qcap == 0 && tun.admit == nil && !tun.trace {
 		res := nw.shardRun(pkts, tun, cfg.shards, shardWorkers(cfg.shards))
 		return RunReport{FaultResult: FaultResult{Result: res}}, nil
 	}
-	return fallback(RunReport{FaultResult: FaultResult{Result: nw.run(pkts, tun, rec)}}), nil
+	res, events := nw.run(pkts, tun, rec)
+	return fallback(RunReport{FaultResult: FaultResult{Result: res}, Events: events}), nil
 }

@@ -618,24 +618,7 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 		pkts[i].Delivered = int(del[i])
 		pkts[i].Hops = int(hops[i])
 	}
-	latencySum := 0
-	for i := range pkts {
-		p := pkts[i]
-		if p.Delivered < 0 {
-			continue
-		}
-		res.TotalHops += p.Hops
-		if p.Hops > res.MaxHops {
-			res.MaxHops = p.Hops
-		}
-		latencySum += p.Delivered - p.Release
-		res.TotalWait += (p.Delivered - p.Release) - p.Hops*nw.cfg.HopLatency
-	}
-	if res.Delivered > 0 {
-		res.MeanLatency = float64(latencySum) / float64(res.Delivered)
-		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
-	}
-	res.Packets = pkts
+	res.aggregate(pkts, nw.cfg.HopLatency)
 	return res
 }
 

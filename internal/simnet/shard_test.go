@@ -64,7 +64,7 @@ func TestShardRunMatchesSequential(t *testing.T) {
 		}
 		for _, wl := range workloads {
 			pkts := wl.w(g.N())
-			want := nw.run(pkts, nw.baseTuning(0), nil)
+			want, _ := nw.run(pkts, nw.baseTuning(0), nil)
 			for _, shards := range []int{1, 2, 3, 4, 7, 8} {
 				if shards > g.N() {
 					continue
@@ -87,7 +87,7 @@ func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkts := UniformRandom(g.N(), 5*g.N(), 13)
-		want := nw.run(pkts, nw.baseTuning(0), nil)
+		want, _ := nw.run(pkts, nw.baseTuning(0), nil)
 		for _, shards := range []int{2, 5} {
 			got := nw.shardRun(pkts, nw.baseTuning(0), shards, shardWorkers(shards))
 			resultsEqual(t, "hop="+itoa(hop)+"/shards="+itoa(shards), want, got)
@@ -100,7 +100,7 @@ func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := Permutation(g.N(), 5)
-	want := custom.run(pkts, custom.baseTuning(0), nil)
+	want, _ := custom.run(pkts, custom.baseTuning(0), nil)
 	got := custom.shardRun(pkts, custom.baseTuning(0), 4, shardWorkers(4))
 	resultsEqual(t, "customRouter/shards=4", want, got)
 }
@@ -121,7 +121,7 @@ func TestShardRunTruncation(t *testing.T) {
 	}
 	pkts := UniformRandom(g.N(), 8*g.N(), 9)
 	tun := nw.baseTuning(5) // 5 cycles: most packets still in flight
-	want := nw.run(pkts, tun, nil)
+	want, _ := nw.run(pkts, tun, nil)
 	for _, shards := range []int{2, 4} {
 		got := nw.shardRun(pkts, tun, shards, shardWorkers(shards))
 		resultsEqual(t, "truncated/shards="+itoa(shards), want, got)
@@ -143,7 +143,7 @@ func TestShardWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := UniformRandom(g.N(), 6*g.N(), 21)
-	want := nw.run(pkts, nw.baseTuning(0), nil)
+	want, _ := nw.run(pkts, nw.baseTuning(0), nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
 			got := nw.shardRun(pkts, nw.baseTuning(0), 8, workers)

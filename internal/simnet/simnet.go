@@ -274,10 +274,26 @@ func (r Result) String() string {
 		r.Delivered, r.Dropped, r.Cycles, r.MeanLatency, r.MeanHops, r.MaxHops)
 }
 
-// inflight is a packet moving through a link pipeline.
-type inflight struct {
-	pkt   int // index into packets
-	ready int // cycle at which it pops out at the head vertex
+// aggregate fills the delivered-packet aggregates — total and maximum
+// hops, queueing wait, mean latency and hops — from a run's final packet
+// table and attaches the table. Means stay 0 when nothing was delivered.
+func (r *Result) aggregate(pkts []Packet, hopLatency int) {
+	latencySum := 0
+	for i := range pkts {
+		p := &pkts[i]
+		if p.Delivered < 0 {
+			continue
+		}
+		r.TotalHops += p.Hops
+		r.MaxHops = max(r.MaxHops, p.Hops)
+		latencySum += p.Delivered - p.Release
+		r.TotalWait += (p.Delivered - p.Release) - p.Hops*hopLatency
+	}
+	if r.Delivered > 0 {
+		r.MeanLatency = float64(latencySum) / float64(r.Delivered)
+		r.MeanHops = float64(r.TotalHops) / float64(r.Delivered)
+	}
+	r.Packets = pkts
 }
 
 // Network binds a digraph, a router and a config into a runnable
@@ -331,9 +347,9 @@ type Network struct {
 
 // Observe attaches a metrics recorder to the network: subsequent runs
 // record per-arc traversals, queue depths, latency histograms and
-// drop/reroute/retry causes into it (plain and fault runs merge a
-// run-local tally into it once, when the run ends; self-healing
-// sessions record live). Passing nil detaches. Attach
+// drop/reroute/retry causes into it (runs merge a run-local tally into
+// it once, when the run ends; self-healing sessions also record their
+// control-plane events live). Passing nil detaches. Attach
 // before starting concurrent runs; the recorder itself is safe to share
 // between sweep workers.
 func (nw *Network) Observe(rec *obs.Recorder) {
@@ -468,15 +484,16 @@ func (nw *Network) Run(packets []Packet) Result {
 	return rep.Result
 }
 
-// runTuning is the per-run overload-protection tuning threaded through
-// run: the cycle budget, the per-arc queue bound, the lifetime
-// per-packet hold budget and the admission regulator. The zero value
-// reproduces the historical unbounded behaviour.
+// runTuning is the per-run tuning threaded through run: the cycle
+// budget, the per-arc queue bound, the lifetime per-packet hold budget,
+// the admission regulator and event tracing. The zero value reproduces
+// the historical unbounded, untraced behaviour.
 type runTuning struct {
 	budget int
 	qcap   int         // per-arc queue bound (0: unbounded)
 	hold   int         // per-packet hold budget (0: default when qcap > 0)
 	admit  *admitState // nil: no admission control
+	trace  bool        // record the event log (takes the general path)
 }
 
 // withDefaults resolves the hold budget a queue bound implies.
@@ -506,20 +523,28 @@ const (
 // stack value replaces the closure run used to define: the run loop is a
 // hot path and closures allocate.
 type runState struct {
-	nw     *Network
-	dst    []int32 // SoA packet destination slab
-	holds  []int32 // SoA per-packet holds-spent slab
-	queues []fifo
-	qBits  []uint64 // active-arc bitmap: bit a set ⇔ queues[a] non-empty
-	res    *Result
-	tl     *obs.Tally // run-local telemetry (nil: the run records nothing)
+	nw    *Network
+	pkts  []Packet
+	dst   []int32 // SoA packet destination slab
+	holds []int32 // SoA per-packet holds-spent slab
+	// qHead/qTail/qLen are the per-arc intrusive queues threaded through
+	// the per-packet pNext slab (see arena.queueLinks).
+	qHead, qTail, qLen, pNext []int32
+	qBits                     []uint64 // active-arc bitmap: bit a set ⇔ qLen[a] > 0
+	// res is the run's result, held by value: appending to events below
+	// stores through the state, so a pointer held here would escape it
+	// to the heap on every run.
+	res Result
+	tl  *obs.Tally // run-local telemetry (nil: the run records nothing)
 	// tArcs/tN devirtualize TableRouter: the run loop gathers next hops
 	// straight from the router slab instead of through the interface
-	// (nil: dynamic dispatch, e.g. DeBruijnRouter or a recordingRouter).
+	// (nil: dynamic dispatch, e.g. DeBruijnRouter or a custom router).
 	tArcs    []int8
 	tN       int
 	qcap     int // per-arc queue bound (0: unbounded)
 	resident int // packets currently buffered in queues + pipelines
+	trace    bool
+	events   []Event // the live event log of a traced run
 }
 
 // enter records one packet entering the network's buffers.
@@ -533,6 +558,35 @@ func (rs *runState) enter() {
 // leave records one packet leaving the network's buffers (delivered or
 // dropped mid-flight).
 func (rs *runState) leave() { rs.resident-- }
+
+// inject offers packet i to its source's queue at cycle. It reports
+// held when a full queue keeps the packet at the source against its hold
+// budget, and dropped when the packet left the run (no route, or the
+// hold budget ran out).
+//
+//lint:hotpath
+func (rs *runState) inject(cycle, i, budget int) (held, dropped bool) {
+	src := rs.pkts[i].Src
+	switch rs.enqueue(src, i) {
+	case enqOK:
+		rs.enter()
+		rs.emit(cycle, EventInject, i, src, -1)
+		return false, false
+	case enqFull:
+		if rs.holdOrDrop(i, budget) {
+			return true, false
+		}
+	}
+	rs.emit(cycle, EventDrop, i, src, -1)
+	return false, true
+}
+
+// emit appends an event for packet index p to a traced run's log.
+func (rs *runState) emit(cycle int, kind EventKind, p, node, peer int) {
+	if rs.trace {
+		rs.events = append(rs.events, Event{Cycle: cycle, Kind: kind, Packet: rs.pkts[p].ID, Node: node, Peer: peer})
+	}
+}
 
 // enqueue routes pkt out of node at, pushing it onto the chosen arc's
 // queue. enqNoRoute is accounted (drop counters) here; enqFull leaves
@@ -555,14 +609,20 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 	}
 	//lint:ignore slabindex arc < maxDeg ≤ M, dominated by newNetwork's guardIndexInt32
 	flat := rs.nw.arcBase[at] + int32(arc)
-	q := &rs.queues[flat]
-	if rs.qcap > 0 && q.depth() >= rs.qcap {
+	if rs.qcap > 0 && int(rs.qLen[flat]) >= rs.qcap {
 		return enqFull
 	}
 	//lint:ignore slabindex pkt < len(pkts), dominated by run's guardIndexInt32
-	q.push(int32(pkt))
+	pk := int32(pkt)
+	if rs.qLen[flat] == 0 {
+		rs.qHead[flat] = pk
+	} else {
+		rs.pNext[rs.qTail[flat]] = pk
+	}
+	rs.qTail[flat] = pk
+	rs.qLen[flat]++
 	rs.qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-	depth := q.depth()
+	depth := int(rs.qLen[flat])
 	if depth > rs.res.MaxQueue {
 		rs.res.MaxQueue = depth
 		rs.res.HotNode = at
@@ -600,12 +660,14 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 }
 
 // run is Run with explicit tuning (budget, queue bound, hold budget,
-// admission) and recorder; sweeps use it to retune the budget per point
-// while reusing one Network. A recorded run records into the arena's
-// run-local tally with plain stores and merges it into rec once, at the
-// end; every recording site tests the tally against nil, so the
+// admission, tracing) and recorder; sweeps use it to retune the budget
+// per point while reusing one Network. A recorded run records into the
+// arena's run-local tally with plain stores and merges it into rec once,
+// at the end; every recording site tests the tally against nil, so the
 // uninstrumented path stays allocation-free, and attaching a recorder
-// does not change which path runs.
+// does not change which path runs. A traced run (tun.trace) takes the
+// general path and returns the event log, recorded live with each
+// event's cycle; otherwise the log is nil.
 //
 // This is the batched arc-major kernel: per-cycle work is a pair of
 // linear sweeps over the arc axis (arrivals over the in-flight bitmap,
@@ -619,7 +681,7 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 // TestArcMajorKernelMatchesReference and the engine behaviour goldens.
 //
 //lint:hotpath
-func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Result {
+func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Result, []Event) {
 	guardIndexInt32(len(packets), "packets")
 	//lint:ignore hotalloc pkts escapes into Result.Packets: one allocation per run, not per cycle
 	pkts := make([]Packet, len(packets))
@@ -633,7 +695,6 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	if tl != nil {
 		tl.Arena(reused)
 	}
-	queues := ar.queues // per-arc FIFO queues, flat by arcBase
 
 	maxCycles := tun.budget
 	if maxCycles == 0 {
@@ -666,6 +727,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	pipePkt, pipeReady, pipeLen := ar.pipeSegments(m, segCap)
 	qBits, aBits := ar.qBits, ar.aBits
 	dst, rel, del, hops, holds := ar.packetSlabs(len(pkts))
+	qHead, qTail, qLen, pNext := ar.queueLinks(m, len(pkts))
 	holdq := ar.holdq[:0]
 
 	// Devirtualize the built-in routers: the hot loop gathers next hops
@@ -681,7 +743,12 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	}
 	shift := nw.shift
 
-	res := Result{}
+	rs := runState{
+		nw: nw, pkts: pkts, dst: dst, holds: holds,
+		qHead: qHead, qTail: qTail, qLen: qLen, pNext: pNext, qBits: qBits,
+		tl: tl, tArcs: tArcs, tN: tN, qcap: tun.qcap, trace: tun.trace,
+	}
+	res := &rs.res
 	remaining := 0
 	horizon := int32(maxCycles) + 1
 	// Route-or-drop at injection time; survivors are injected in sorted
@@ -720,6 +787,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 			if tl != nil {
 				tl.Drop(obs.DropNoRoute)
 			}
+			rs.emit(0, EventDrop, i, pkts[i].Src, -1)
 			continue
 		}
 		order = append(order, int32(i))
@@ -729,10 +797,6 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	ar.order = order
 	cursor := 0
 
-	rs := runState{
-		nw: nw, dst: dst, holds: holds, queues: queues, qBits: qBits,
-		res: &res, tl: tl, tArcs: tArcs, tN: tN, qcap: tun.qcap,
-	}
 	admit := tun.admit
 	arcHead := nw.arcHead
 	hopLat := int32(nw.cfg.HopLatency)
@@ -747,13 +811,12 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 	// behind each packet's queue push. Delivery, push order and all
 	// accounting stay identical to the general path. A recorder does not
 	// change the path: recorded runs take it too, recording into the
-	// run-local tally.
-	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil
+	// run-local tally. A traced run takes the general path, which emits
+	// its event log live.
+	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil && !tun.trace
 	var arrPkt, arrNode, arrArc []int32
-	var qHead, qTail, qLen, pNext []int32
 	if lean {
 		arrPkt, arrNode, arrArc = ar.arrivalBatch(len(pkts))
-		qHead, qTail, qLen, pNext = ar.queueLinks(m, len(pkts))
 	}
 
 	for cycle := 0; remaining > 0 && cycle <= maxCycles; cycle++ {
@@ -803,17 +866,10 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 			if len(holdq) > 0 {
 				nh := holdq[:0]
 				for _, i32 := range holdq {
-					i := int(i32)
-					switch rs.enqueue(pkts[i].Src, i) {
-					case enqOK:
-						rs.enter()
-					case enqNoRoute:
+					held, dropped := rs.inject(cycle, int(i32), tun.hold)
+					if dropped {
 						remaining--
-					case enqFull:
-						if !rs.holdOrDrop(i, tun.hold) {
-							remaining--
-							continue
-						}
+					} else if held {
 						nh = append(nh, i32)
 					}
 				}
@@ -829,6 +885,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 							tl.Shed()
 						}
 						remaining--
+						rs.emit(cycle, EventDrop, i, pkts[i].Src, -1)
 						continue
 					}
 					if !admit.take() {
@@ -836,18 +893,12 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 					}
 				}
 				cursor++
-				switch rs.enqueue(pkts[i].Src, i) {
-				case enqOK:
-					rs.enter()
-				case enqNoRoute:
+				// Admitted but the source queue is full: hold at the
+				// source and retry ahead of the cursor next cycle.
+				held, dropped := rs.inject(cycle, i, tun.hold)
+				if dropped {
 					remaining--
-				case enqFull:
-					// Admitted but the source queue is full: hold at the
-					// source and retry ahead of the cursor next cycle.
-					if !rs.holdOrDrop(i, tun.hold) {
-						remaining--
-						continue
-					}
+				} else if held {
 					holdq = append(holdq, int32(i))
 				}
 			}
@@ -967,7 +1018,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 					bits &= bits - 1
 					base := a * segCap
 					cnt := int(pipeLen[a])
-					v := int(arcHead[a])
+					u, v := int(nw.arcTail[a]), int(arcHead[a])
 					keep := 0
 					for j := 0; j < cnt; j++ {
 						pk := pipePkt[base+j]
@@ -991,30 +1042,34 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 							if cycle > res.Cycles {
 								res.Cycles = cycle
 							}
+							rs.emit(cycle, EventArrive, p, v, u)
+							rs.emit(cycle, EventDeliver, p, v, -1)
 							continue
 						}
-						switch rs.enqueue(v, p) {
-						case enqOK:
-							hops[p]++
-							if tl != nil {
-								tl.ArcTraverse(a)
-							}
-						case enqNoRoute:
-							hops[p]++
-							if tl != nil {
-								tl.ArcTraverse(a)
-							}
-							remaining--
-							rs.leave()
-						case enqFull:
+						st := rs.enqueue(v, p)
+						if st == enqFull {
+							// Held on the link; a packet whose hold budget
+							// runs out drops at the tail.
 							if !rs.holdOrDrop(p, tun.hold) {
 								remaining--
 								rs.leave()
+								rs.emit(cycle, EventDrop, p, u, -1)
 								continue
 							}
 							pipePkt[base+keep] = pk
 							pipeReady[base+keep] = cycle32 + 1
 							keep++
+							continue
+						}
+						hops[p]++
+						if tl != nil {
+							tl.ArcTraverse(a)
+						}
+						rs.emit(cycle, EventArrive, p, v, u)
+						if st == enqNoRoute {
+							remaining--
+							rs.leave()
+							rs.emit(cycle, EventDrop, p, v, -1)
 						}
 					}
 					pipeLen[a] = int32(keep)
@@ -1060,16 +1115,19 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 					if credits > 0 && int(pipeLen[a]) >= credits {
 						continue
 					}
-					q := &queues[a]
-					pk := q.pop()
-					if q.depth() == 0 {
+					pk := qHead[a]
+					qLen[a]--
+					if qLen[a] == 0 {
 						qBits[w] &^= 1 << (uint(a) & 63)
+					} else {
+						qHead[a] = pNext[pk]
 					}
 					slot := a*segCap + int(pipeLen[a])
 					pipePkt[slot] = pk
 					pipeReady[slot] = cycle32 + hopLat
 					pipeLen[a]++
 					aBits[w] |= 1 << (uint(a) & 63)
+					rs.emit(cycle, EventDepart, int(pk), int(nw.arcTail[a]), int(arcHead[a]))
 				}
 			}
 		}
@@ -1092,25 +1150,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) Resul
 		}
 	}
 
-	// Aggregate.
-	latencySum := 0
-	for i := range pkts {
-		p := pkts[i]
-		if p.Delivered < 0 {
-			continue
-		}
-		res.TotalHops += p.Hops
-		if p.Hops > res.MaxHops {
-			res.MaxHops = p.Hops
-		}
-		latencySum += p.Delivered - p.Release
-		res.TotalWait += (p.Delivered - p.Release) - p.Hops*nw.cfg.HopLatency
-	}
-	if res.Delivered > 0 {
-		res.MeanLatency = float64(latencySum) / float64(res.Delivered)
-		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
-	}
-	res.Packets = pkts
+	res.aggregate(pkts, nw.cfg.HopLatency)
 	rec.Merge(tl)
-	return res
+	return *res, rs.events
 }

@@ -53,7 +53,7 @@ func LoadSweep(g *digraph.Digraph, router Router, rates []float64, packets int, 
 		// Budget: the ideal drain time plus ample slack; saturated loads
 		// blow through it and get flagged rather than running forever.
 		budget := int(float64(packets)/rate)*4 + 64*g.N()
-		res := nw.run(PoissonArrivals(g.N(), packets, rate, seed), nw.baseTuning(budget), nw.rec)
+		res, _ := nw.run(PoissonArrivals(g.N(), packets, rate, seed), nw.baseTuning(budget), nw.rec)
 		pt := SweepPoint{
 			Rate:      rate,
 			Delivered: res.Delivered,

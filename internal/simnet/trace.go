@@ -2,10 +2,8 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/digraph"
-	"repro/internal/obs"
 )
 
 // Event tracing: an instrumented run that records every packet movement,
@@ -70,77 +68,22 @@ func (e Event) String() string {
 	return fmt.Sprintf("c=%d %s pkt=%d @%d", e.Cycle, e.Kind, e.Packet, e.Node)
 }
 
-// TracedRun wraps Network.Run, replaying each delivered packet's journey
-// from the per-packet hop data into a coherent event log. The log is
-// reconstructed from a second, instrumented simulation pass that records
-// departures; events are ordered by (cycle, kind, packet).
-//
-// For simplicity and to keep the hot simulation loop allocation-free,
-// tracing re-runs the workload with a shadow network whose router
-// decisions are recorded.
+// TracedRun is Run with the full event log — inject, depart, arrive,
+// deliver and drop — recorded live as the run takes each step, so every
+// event carries its cycle and the log is in simulation order.
 func (nw *Network) TracedRun(packets []Packet) (Result, []Event) {
-	return nw.tracedRun(packets, nw.baseTuning(0), nw.rec)
-}
-
-// tracedRun is TracedRun with explicit run tuning and metrics recorder
-// for the shadow run (RunOpts threads its per-run overload knobs and
-// recorder through here).
-func (nw *Network) tracedRun(packets []Packet, tun runTuning, mrec *obs.Recorder) (Result, []Event) {
-	rec := &recordingRouter{inner: nw.router}
-	shadow := newNetwork(nw.g, rec, nw.cfg)
-	res := shadow.run(packets, tun, mrec)
-
-	// Reconstruct per-packet paths by walking the recorded decisions.
-	var events []Event
-	for _, p := range res.Packets {
-		if p.Delivered < 0 {
-			continue
-		}
-		events = append(events, Event{Cycle: p.Release, Kind: EventInject, Packet: p.ID, Node: p.Src, Peer: -1})
-		at := p.Src
-		for hop := 0; hop < p.Hops; hop++ {
-			arc := rec.decision(at, p.Dst)
-			next := nw.g.Out(at)[arc]
-			events = append(events, Event{Kind: EventDepart, Packet: p.ID, Node: at, Peer: next})
-			events = append(events, Event{Kind: EventArrive, Packet: p.ID, Node: next, Peer: at})
-			at = next
-		}
-		events = append(events, Event{Cycle: p.Delivered, Kind: EventDeliver, Packet: p.ID, Node: p.Dst, Peer: -1})
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		if events[i].Packet != events[j].Packet {
-			return events[i].Packet < events[j].Packet
-		}
-		return false
-	})
-	return res, events
-}
-
-// recordingRouter memoizes the inner router's decisions (which are
-// deterministic per (node, dst) for the routers in this package).
-type recordingRouter struct {
-	inner     Router
-	decisions map[[2]int]int
-}
-
-func (r *recordingRouter) NextArc(at, dst int) int {
-	arc := r.inner.NextArc(at, dst)
-	if r.decisions == nil {
-		r.decisions = make(map[[2]int]int)
-	}
-	r.decisions[[2]int{at, dst}] = arc
-	return arc
-}
-
-func (r *recordingRouter) decision(at, dst int) int {
-	return r.decisions[[2]int{at, dst}]
+	tun := nw.baseTuning(0)
+	tun.trace = true
+	return nw.run(packets, tun, nw.rec)
 }
 
 // VerifyTrace checks a trace against the digraph: every depart/arrive
 // pair follows an arc, each packet's walk is connected from source to
 // destination, reroutes announce a real arc at the packet's position,
-// and a dropped packet never moves (or delivers) afterwards. Traces from
-// TracedRun and TracedRunWithFaults both satisfy it.
+// and a dropped packet never moves (or delivers) afterwards. It also
+// checks causality: a packet's event cycles never decrease, and each
+// arrive is later than the depart before it. Traces from TracedRun and
+// TracedRunWithFaults both satisfy it.
 func VerifyTrace(g *digraph.Digraph, packets []Packet, events []Event) error {
 	byPacket := map[int][]Event{}
 	for _, e := range events {
@@ -153,10 +96,15 @@ func VerifyTrace(g *digraph.Digraph, packets []Packet, events []Event) error {
 		}
 		at := -1
 		dropped := false
+		last, departed := evs[0].Cycle, -1
 		for _, e := range evs {
 			if dropped {
 				return fmt.Errorf("simnet: packet %d has %v after its drop", p.ID, e.Kind)
 			}
+			if e.Cycle < last {
+				return fmt.Errorf("simnet: packet %d has %v at cycle %d after an event at cycle %d", p.ID, e.Kind, e.Cycle, last)
+			}
+			last = e.Cycle
 			switch e.Kind {
 			case EventInject:
 				if e.Node != p.Src {
@@ -170,7 +118,11 @@ func VerifyTrace(g *digraph.Digraph, packets []Packet, events []Event) error {
 				if !g.HasArc(e.Node, e.Peer) {
 					return fmt.Errorf("simnet: packet %d uses missing arc (%d,%d)", p.ID, e.Node, e.Peer)
 				}
+				departed = e.Cycle
 			case EventArrive:
+				if e.Cycle <= departed {
+					return fmt.Errorf("simnet: packet %d arrives at cycle %d, not after its depart at %d", p.ID, e.Cycle, departed)
+				}
 				at = e.Node
 			case EventDeliver:
 				if e.Node != p.Dst || at != p.Dst {

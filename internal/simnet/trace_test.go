@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 	pkts := UniformRandom(g.N(), 100, 101)
 	plain := nw.Run(pkts)
 	traced, events := nw.TracedRun(pkts)
-	if plain.Delivered != traced.Delivered || plain.TotalHops != traced.TotalHops {
+	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("traced run diverged: %v vs %v", plain, traced)
 	}
 	if len(events) == 0 {
@@ -21,6 +22,21 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 	}
 	if err := VerifyTrace(g, pkts, events); err != nil {
 		t.Fatal(err)
+	}
+	// Events are live: each delivery is logged at the packet's delivery
+	// cycle, and no injection precedes its release.
+	byID := map[int]Packet{}
+	for _, p := range traced.Packets {
+		byID[p.ID] = p
+	}
+	for _, e := range events {
+		p := byID[e.Packet]
+		if e.Kind == EventDeliver && e.Cycle != p.Delivered {
+			t.Fatalf("packet %d delivered at cycle %d, logged at %d", p.ID, p.Delivered, e.Cycle)
+		}
+		if e.Kind == EventInject && e.Cycle < p.Release {
+			t.Fatalf("packet %d released at %d, injected at %d", p.ID, p.Release, e.Cycle)
+		}
 	}
 }
 
@@ -76,5 +92,20 @@ func TestVerifyTraceRejects(t *testing.T) {
 	}
 	if VerifyTrace(g, pkts, bad) == nil {
 		t.Error("wrong injection node accepted")
+	}
+	bad = []Event{
+		{Cycle: 1, Kind: EventInject, Packet: 0, Node: 0, Peer: -1},
+		{Cycle: 0, Kind: EventDepart, Packet: 0, Node: 0, Peer: 1}, // before its injection
+	}
+	if VerifyTrace(g, pkts, bad) == nil {
+		t.Error("decreasing event cycles accepted")
+	}
+	bad = []Event{
+		{Cycle: 0, Kind: EventInject, Packet: 0, Node: 0, Peer: -1},
+		{Cycle: 2, Kind: EventDepart, Packet: 0, Node: 0, Peer: 1},
+		{Cycle: 2, Kind: EventArrive, Packet: 0, Node: 1, Peer: 0}, // no wire time
+	}
+	if VerifyTrace(g, pkts, bad) == nil {
+		t.Error("arrive in its depart cycle accepted")
 	}
 }
