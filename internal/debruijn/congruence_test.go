@@ -1,6 +1,7 @@
 package debruijn
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/digraph"
@@ -77,4 +78,104 @@ func relabel(g *digraph.Digraph) *digraph.Digraph {
 		}
 		return out
 	})
+}
+
+// TestCertifyWitnessAcceptsPaperWitnesses: every explicit isomorphism
+// the paper gives onto B(d, D) — the identity on the congruence form,
+// Proposition 3.3's II(d, d^D) witness and Proposition 3.2's B_σ
+// witness — certifies, with a letter map whose arcs shift in exactly
+// their letters.
+func TestCertifyWitnessAcceptsPaperWitnesses(t *testing.T) {
+	identity := func(n int) []int {
+		id := make([]int, n)
+		for u := range id {
+			id[u] = u
+		}
+		return id
+	}
+	type witnessCase struct {
+		name  string
+		g     *digraph.Digraph
+		label []int
+		d, D  int
+	}
+	var cases []witnessCase
+	for _, tc := range []struct{ d, D int }{{1, 1}, {2, 1}, {5, 1}, {2, 4}, {3, 3}, {5, 2}} {
+		n := Order(tc.d, tc.D)
+		cases = append(cases, witnessCase{"B", DeBruijn(tc.d, tc.D), identity(n), tc.d, tc.D})
+	}
+	for _, tc := range []struct{ d, D int }{{2, 3}, {2, 6}, {3, 3}, {4, 2}} {
+		cases = append(cases, witnessCase{"II", ImaseItoh(tc.d, Order(tc.d, tc.D)), WitnessIIToB(tc.d, tc.D), tc.d, tc.D})
+		sigma := perm.MustFromFunc(tc.d, func(i int) int { return (i + 1) % tc.d })
+		cases = append(cases, witnessCase{"Bsigma", BSigma(tc.d, tc.D, sigma), WitnessW(tc.d, tc.D, sigma), tc.d, tc.D})
+	}
+	rel := relabel(DeBruijn(2, 4))
+	back := make([]int, rel.N())
+	for u := range back {
+		back[u] = rel.N() - 1 - u
+	}
+	cases = append(cases, witnessCase{"relabelled", rel, back, 2, 4})
+
+	for _, tc := range cases {
+		d, D, letterArc, err := CertifyWitness(tc.g, tc.label)
+		if err != nil || d != tc.d || D != tc.D {
+			t.Fatalf("%s(%d,%d): CertifyWitness = (%d, %d, %v)", tc.name, tc.d, tc.D, d, D, err)
+		}
+		n := tc.g.N()
+		for u := 0; u < n; u++ {
+			for alpha := 0; alpha < d; alpha++ {
+				k := int(letterArc[u*d+alpha])
+				if head := tc.g.Out(u)[k]; tc.label[head] != (d*tc.label[u]+alpha)%n {
+					t.Fatalf("%s(%d,%d): letter %d of node %d maps to arc %d, whose head %d is not the shift", tc.name, d, D, alpha, u, k, head)
+				}
+			}
+		}
+	}
+}
+
+// TestCertifyWitnessRejects: the certificate refuses each way a witness
+// can fail — a non-bijective label map, a re-pointed arc, a repeated
+// letter, a wrong out-degree and a label map of the wrong size.
+func TestCertifyWitnessRejects(t *testing.T) {
+	base := DeBruijn(2, 3)
+	n := base.N()
+	id := make([]int, n)
+	for u := range id {
+		id[u] = u
+	}
+	// edit returns base with node 3's out-list replaced.
+	edit := func(out3 []int) *digraph.Digraph {
+		return digraph.FromFunc(n, func(u int) []int {
+			if u == 3 {
+				return out3
+			}
+			return append([]int(nil), base.Out(u)...)
+		})
+	}
+	dup := append([]int(nil), id...)
+	dup[5] = dup[4]
+	cases := []struct {
+		name  string
+		g     *digraph.Digraph
+		label []int
+		want  string // fragment of the expected error
+	}{
+		{"nil label map", base, nil, "nil witness"},
+		{"non-bijective label map", base, dup, "not a bijection"},
+		{"label out of range", base, append(append([]int(nil), id[:n-1]...), n), "not a bijection"},
+		{"re-pointed arc", edit([]int{6, 0}), id, "no left shift"}, // 3 → {6, 7} in B(2,3)
+		{"repeated letter", edit([]int{7, 7}), id, "two arcs"},     // letter 1 twice
+		{"wrong out-degree", edit([]int{6}), id, "out-degree 1"},
+		{"size mismatch", base, id[:n-1], "7 entries"},
+		{"not a power", ImaseItoh(2, 12), make([]int, 12), "not a power"},
+	}
+	for _, tc := range cases {
+		d, D, _, err := CertifyWitness(tc.g, tc.label)
+		if err == nil {
+			t.Fatalf("%s: certified as B(%d,%d)", tc.name, d, D)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: error %q does not name the failure (want %q)", tc.name, err, tc.want)
+		}
+	}
 }

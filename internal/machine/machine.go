@@ -36,9 +36,14 @@ type Machine struct {
 	// ToPhysical is its inverse.
 	ToPhysical []int
 
-	// net is the packet simulator over Physical, compiled once at Build:
-	// the routing slab, distance slab and scratch arenas are shared by
-	// every Run/Broadcast/RunWithFaults/DegradationSweep on this machine.
+	// net is the packet simulator over Physical, built once at Build. It
+	// routes table-free through the certified witness (shift routing on
+	// the logical labels, each letter mapped to a physical out-arc), so
+	// it holds no n² routing or distance slab: fault-free distances are
+	// closed-form. Its scratch arenas are shared by every
+	// Run/Broadcast/RunOpts/RunWithFaults/DegradationSweep on this
+	// machine; self-healing sessions build one pristine table slab on
+	// first use and share it.
 	net *simnet.Network
 
 	// lensOnce guards lensIdx, the lens of every arc on each side,
@@ -49,8 +54,11 @@ type Machine struct {
 
 // Build assembles the machine for B(d, D), verifying every layer:
 // the layout criterion, the witness isomorphism, and the optical
-// transpose. Pitch is the transceiver pitch in metres (use
-// optics.DefaultPitch for the standard 250 µm).
+// transpose. The witness is certified in one O(M) pass over the
+// physical arcs (simnet.NewWitnessRouter), which is both the
+// isomorphism check and the router: the machine self-routes on its
+// logical labels, with no routing table. Pitch is the transceiver pitch
+// in metres (use optics.DefaultPitch for the standard 250 µm).
 func Build(d, D int, pitch float64) (*Machine, error) {
 	layout, ok := otis.OptimalLayout(d, D)
 	if !ok {
@@ -71,14 +79,15 @@ func Build(d, D int, pitch float64) (*Machine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine: witness: %w", err)
 	}
-	if err := digraph.VerifyIsomorphism(physical, debruijn.DeBruijn(d, D), toLogical); err != nil {
+	router, err := simnet.NewWitnessRouter(physical, toLogical)
+	if err != nil {
 		return nil, fmt.Errorf("machine: witness verification: %w", err)
 	}
 	toPhysical := make([]int, len(toLogical))
 	for p, l := range toLogical {
 		toPhysical[l] = p
 	}
-	net, err := simnet.New(physical, simnet.NewTableRouter(physical), simnet.DefaultConfig())
+	net, err := simnet.NewNetwork(physical, simnet.WithRouter(router))
 	if err != nil {
 		return nil, fmt.Errorf("machine: simulator: %w", err)
 	}

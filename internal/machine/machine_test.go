@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -170,5 +171,78 @@ func TestRunOptsShardsPassThrough(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seq, sh) {
 		t.Fatal("WithShards(4) through Machine.RunOpts diverged from the sequential run")
+	}
+}
+
+// TestMachineIsTableFree pins the machine's memory budget: Build(2,12),
+// one plain permutation and one lens-fault run allocate at most 16 MiB
+// in total — less than the n² next-hop slab alone (16 MiB at 4096
+// nodes), let alone the 64 MiB all-pairs distance slab the first fault
+// run used to add. The machine routes table-free through its certified
+// witness, with closed-form fault-free distances.
+func TestMachineIsTableFree(t *testing.T) {
+	const budget = 16 << 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m, err := Build(2, 12, optics.DefaultPitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := m.RunOpts(simnet.PermutationLoad(), simnet.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := m.LensFaultPlan(2, 16, 70) // a receiver lens: its outage deflects
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted, err := m.RunOpts(simnet.PermutationLoad(), simnet.WithSeed(1), simnet.WithFaults(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if plain.Delivered != m.Nodes() || faulted.Delivered+faulted.Dropped != m.Nodes() || faulted.Reroutes == 0 {
+		t.Fatalf("degenerate runs: plain %v, faulted %v", plain.FaultResult, faulted.FaultResult)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Build(2,12) + a plain and a lens-fault run allocated %.1f MiB", float64(alloc)/(1<<20))
+	if alloc > budget {
+		t.Fatalf("Build(2,12) + a plain and a lens-fault run allocated %.1f MiB, budget %d MiB",
+			float64(alloc)/(1<<20), budget>>20)
+	}
+	if m.net.Routing() != simnet.ShiftRouting {
+		t.Fatalf("the machine routes %v, want shift (witness)", m.net.Routing())
+	}
+}
+
+// TestMachineHealSessionsShareOneSlab: self-healing repairs table
+// slabs, which the table-free machine does not hold, so its first
+// session builds the pristine n² slab; every later session shares it
+// and allocates far less than n² bytes.
+func TestMachineHealSessionsShareOneSlab(t *testing.T) {
+	m, err := Build(2, 10, optics.DefaultPitch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := uint64(m.Nodes())
+	plan, err := m.LensFaultPlan(2, 20, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := m.SelfHeal(plan, simnet.HealConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if first := allocs(); first < n*n {
+		t.Fatalf("first session allocated %d bytes, less than the %d-byte pristine slab", first, n*n)
+	}
+	if second := allocs(); second > n*n/8 {
+		t.Fatalf("second session allocated %d bytes: it rebuilt the %d-byte pristine slab", second, n*n)
 	}
 }

@@ -29,6 +29,12 @@ type arena struct {
 	// per-cycle sweeps stay dense in cache.
 	pDst, pRel, pDel, pHops, pHolds []int32
 
+	// pCarry is the per-packet carried state of shift routing
+	// (DeBruijnRouter.start/step): the destination letters a packet
+	// still has to shift in. Every run that reads it sets each routed
+	// packet's entry at setup, so a recycled slab carries nothing over.
+	pCarry []int32
+
 	// SoA link pipelines of the run engines: fixed-capacity segments per
 	// arc in two flat slabs (packet index and ready cycle). Segment
 	// capacity is safe because a pipe holds at most HopLatency in-flight
@@ -148,6 +154,17 @@ func (ar *arena) packetSlabs(p int) (dst, rel, del, hops, holds []int32) {
 	ar.pHops = ar.pHops[:p]
 	ar.pHolds = ar.pHolds[:p]
 	return ar.pDst, ar.pRel, ar.pDel, ar.pHops, ar.pHolds
+}
+
+// carrySlab returns the carried-state slab resized to p entries,
+// reusing the arena's backing storage when large enough. The run
+// initializes every entry it reads.
+func (ar *arena) carrySlab(p int) []int32 {
+	if cap(ar.pCarry) < p {
+		ar.pCarry = make([]int32, p)
+	}
+	ar.pCarry = ar.pCarry[:p]
+	return ar.pCarry
 }
 
 // arrivalBatch returns the three gather buffers of the lean arrival

@@ -6,19 +6,53 @@ import (
 	"testing"
 
 	"repro/internal/debruijn"
+	"repro/internal/digraph"
 	"repro/internal/obs"
 )
 
+// routingConfig is one way of routing a congruence-form B(d, D) the
+// concurrency tests run under.
+type routingConfig struct {
+	name string
+	opt  NetworkOption
+}
+
+// routingConfigs returns the table, congruence-form shift routing, and
+// a witness router on g's own labels — the configuration whose packets
+// carry state in the pooled arenas' carried-state slabs.
+func routingConfigs(t *testing.T, g *digraph.Digraph) []routingConfig {
+	labels := make([]int, g.N())
+	for u := range labels {
+		labels[u] = u
+	}
+	wr, err := NewWitnessRouter(g, labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []routingConfig{
+		{"table", WithRouting(TableRouting)},
+		{"shift", WithRouting(ShiftRouting)},
+		{"witness", WithRouter(wr)},
+	}
+}
+
 // TestConcurrentRunOptsSharedNetwork is the service-mode concurrency
-// contract: one compiled Network (shared routing slabs, pooled arenas)
-// must serve many goroutines calling RunOpts at once, each run
-// producing exactly the report the same options produce alone. Run
-// under -race in check.sh; any shared mutable state in the arenas,
-// the recorder, admission, or the fault engine shows up either as a
-// race report or as a diverging result.
+// contract: one compiled Network (shared routing slabs, pooled arenas
+// with their carried-state slabs) must serve many goroutines calling
+// RunOpts at once, each run producing exactly the report the same
+// options produce alone, under table, shift and witness routing. Run
+// under -race in check.sh; any shared mutable state in the arenas, the
+// recorder, admission, or the fault engine shows up either as a race
+// report or as a diverging result.
 func TestConcurrentRunOptsSharedNetwork(t *testing.T) {
 	g := debruijn.DeBruijn(3, 4)
-	nw, err := NewNetwork(g, WithRouting(TableRouting))
+	for _, rc := range routingConfigs(t, g) {
+		concurrentRunOpts(t, g, rc)
+	}
+}
+
+func concurrentRunOpts(t *testing.T, g *digraph.Digraph, rc routingConfig) {
+	nw, err := NewNetwork(g, rc.opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +108,7 @@ func TestConcurrentRunOptsSharedNetwork(t *testing.T) {
 					return
 				}
 				if !reflect.DeepEqual(want[i], rep) {
-					t.Errorf("worker %d run %d: concurrent %s run diverged from its sequential baseline", w, r, v.name)
+					t.Errorf("%s worker %d run %d: concurrent %s run diverged from its sequential baseline", rc.name, w, r, v.name)
 					return
 				}
 			}
@@ -89,12 +123,20 @@ func TestConcurrentRunOptsSharedNetwork(t *testing.T) {
 
 // TestConcurrentSelfHealSessionsSharedNetwork pins the session-service
 // substrate: many independent SelfHealing sessions over ONE compiled
-// Network (sharing its pristine routing slab), each serialized
-// internally but all running concurrently, with per-session exact
-// accounting. This is the invariant cmd/serve's scheduler builds on.
+// Network (sharing its pristine routing slab — on the shift- and
+// witness-routed networks, built by whichever session opens first),
+// each serialized internally but all running concurrently, with
+// per-session exact accounting. This is the invariant cmd/serve's
+// scheduler builds on.
 func TestConcurrentSelfHealSessionsSharedNetwork(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := NewNetwork(g, WithRouting(TableRouting))
+	for _, rc := range routingConfigs(t, g) {
+		concurrentSelfHeal(t, g, rc)
+	}
+}
+
+func concurrentSelfHeal(t *testing.T, g *digraph.Digraph, rc routingConfig) {
+	nw, err := NewNetwork(g, rc.opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,8 +82,9 @@ func (nw *Network) DegradationSweep(rates []float64, packets int, seed int64, wo
 	if workers > len(rates) {
 		workers = len(rates)
 	}
-	// Build the shared distance slab before the workers race to use it.
-	_ = nw.distSlab()
+	// Build the shared distance slab before the workers race to use it
+	// (none on a shift-routed network: deflections rank in closed form).
+	_ = nw.faultFreeDist()
 
 	points := make([]DegradationPoint, len(rates))
 	var next atomic.Int64

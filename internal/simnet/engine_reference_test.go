@@ -354,6 +354,15 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 		{name: "B(3,3)_word", build: mkDB(3, 3, false, DefaultConfig())},
 		{name: "B(2,4)_lat3", build: mkDB(2, 4, true, Config{HopLatency: 3})},
 		{name: "B(2,4)_trunc", build: mkDB(2, 4, true, Config{HopLatency: 1, MaxCycles: 6})},
+		{name: "OTIS_B(2,6)_witness", build: func() (*Network, *Network, error) {
+			h, _, r := otisB26Witness(t)
+			a, err := New(h, r, DefaultConfig())
+			if err != nil {
+				return nil, nil, err
+			}
+			b, err := New(h, r, DefaultConfig())
+			return a, b, err
+		}},
 	}
 	tunings := []struct {
 		name string

@@ -15,7 +15,9 @@ import (
 //     deflection onto the best live alternate out-arc ranked by
 //     fault-free distance — the d−1 arc-disjoint alternatives every de
 //     Bruijn node offers. Transients heal, so a locally-greedy dodge
-//     (bounded by the run loop's TTL and retry budget) is enough.
+//     (bounded by the run loop's TTL and retry budget) is enough. Under
+//     a shift-routed primary the distance is the closed form
+//     D − overlap, so no all-pairs slab is built.
 //   - Permanent faults active: exact shortest paths of the residual
 //     digraph, for every pair — the "rebuild the tables" a control plane
 //     does. Local dodging is NOT enough here: a fault-blind primary path
@@ -40,8 +42,11 @@ type FaultAwareRouter struct {
 
 	// dist is the flat fault-free distance slab (dist[u*n+v]), for
 	// ranking deflections when no permanent fault is active. It may be
-	// shared read-only with other routers over the same digraph.
-	dist []int32
+	// shared read-only with other routers over the same digraph. It is
+	// nil when the primary is a *DeBruijnRouter (shift), whose closed
+	// form ranks instead.
+	dist  []int32
+	shift *DeBruijnRouter
 
 	// Residual tables under the currently active permanent faults,
 	// rebuilt when the version changes: next-hop slab and distances.
@@ -51,16 +56,24 @@ type FaultAwareRouter struct {
 }
 
 // NewFaultAwareRouter builds the router. state may be nil (or empty), in
-// which case decisions are exactly the primary's.
+// which case decisions are exactly the primary's. A shift-routed primary
+// ranks deflections in closed form; any other builds the fault-free
+// distance slab here.
 func NewFaultAwareRouter(g *digraph.Digraph, primary Router, state *FaultState) *FaultAwareRouter {
-	return newFaultAwareRouterShared(g, primary, state, g.DistanceSlab())
+	var dist []int32
+	if _, ok := primary.(*DeBruijnRouter); !ok {
+		dist = g.DistanceSlab()
+	}
+	return newFaultAwareRouterShared(g, primary, state, dist)
 }
 
 // newFaultAwareRouterShared is NewFaultAwareRouter with a caller-provided
-// fault-free distance slab, so sweeps over one Network build it once and
-// share it read-only across every worker's router.
+// fault-free distance slab (Network.faultFreeDist: nil under a shift
+// primary), so sweeps over one Network build it once and share it
+// read-only across every worker's router.
 func newFaultAwareRouterShared(g *digraph.Digraph, primary Router, state *FaultState, dist []int32) *FaultAwareRouter {
-	return &FaultAwareRouter{g: g, primary: primary, state: state, n: g.N(), dist: dist}
+	shift, _ := primary.(*DeBruijnRouter)
+	return &FaultAwareRouter{g: g, primary: primary, state: state, n: g.N(), dist: dist, shift: shift}
 }
 
 // NextArc implements Router: the cascade above, or -1.
@@ -106,7 +119,7 @@ func (r *FaultAwareRouter) fromPrimary(at, dst, p int) int {
 func (r *FaultAwareRouter) Primary(at, dst int) int { return r.primary.NextArc(at, dst) }
 
 // deflect returns the live out-arc (≠ avoid) whose head minimizes
-// dist[head*n+dst], or -1.
+// dist[head*n+dst] (the closed-form distance when dist is nil), or -1.
 func (r *FaultAwareRouter) deflect(at, dst, avoid int, dist []int32) int {
 	best := -1
 	bestDist := int32(-1)
@@ -114,7 +127,7 @@ func (r *FaultAwareRouter) deflect(at, dst, avoid int, dist []int32) int {
 		if k == avoid || v == at || r.state.ArcDown(at, k) {
 			continue
 		}
-		dv := dist[v*r.n+dst]
+		dv := hopDist(dist, r.shift, r.n, v, dst)
 		if dv == digraph.Unreachable {
 			continue
 		}

@@ -172,13 +172,14 @@ func (nw *Network) TracedRunWithFaults(packets []Packet, plan *FaultPlan, cfg Fa
 // runWithFaults runs the fault loop under the oracle routing policy. The
 // TTL default's diameter is read off the fault-free distance slab the
 // oracle ranks its deflections by (built once per Network and shared
-// read-only), not re-derived by a second all-pairs BFS.
+// read-only), not re-derived by a second all-pairs BFS — or, on a
+// shift-routed network, which has no such slab, taken in closed form.
 func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	cfg = cfg.withDefaults(nw.g.N(), nw.diameterFrom(nw.distSlab()))
+	cfg = cfg.withDefaults(nw.g.N(), nw.diameterFrom(nw.faultFreeDist()))
 	res, events, err := nw.faultLoop(packets, state, nil, cfg, traced, admit, rec)
 	return res.FaultResult, events, err
 }
@@ -204,7 +205,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	var oracle *FaultAwareRouter
 	start := 0
 	if s == nil {
-		oracle = newFaultAwareRouterShared(nw.g, nw.router, state, nw.distSlab())
+		oracle = newFaultAwareRouterShared(nw.g, nw.router, state, nw.faultFreeDist())
 	} else {
 		start = s.clock
 	}
@@ -248,6 +249,16 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	tN := 0
 	if tr, ok := nw.router.(*TableRouter); ok {
 		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
+	}
+	// Under a witness router the gather steps each packet's carried
+	// state (see gatherPrimary). Every state starts stale, so the gather
+	// at the source computes it.
+	var carry []int32
+	if nw.shift.carries() {
+		carry = ar.carrySlab(len(pkts))
+		for i := range carry {
+			carry[i] = staleCarry
+		}
 	}
 	// waiting[u] is the FIFO of packet indices held at node u. Links are
 	// the plain kernel's SoA pipe segments: one departure per arc per
@@ -459,7 +470,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 			}
 		}
 
-		nw.gatherPrimary(entPkt[:entered], entNode[:entered], pkts, prim, tArcs, tN)
+		nw.gatherPrimary(entPkt[:entered], entNode[:entered], pkts, prim, carry, tArcs, tN)
 
 		// Departures: each node forwards its waiting packets in FIFO
 		// order; each arc accepts one attempt per cycle. busy marks are
@@ -555,6 +566,12 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 						s.transmitted(a, start+cycle)
 					}
 					if primary != arc {
+						if carry != nil {
+							// Off the primary arc the packet leaves the
+							// shortest path its state describes: the
+							// next gather recomputes it.
+							carry[i] = staleCarry
+						}
 						res.Reroutes++
 						if tl != nil {
 							tl.Reroute()
@@ -618,18 +635,40 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	return res, events, nil
 }
 
+// staleCarry marks a carried shift state the fault loop must recompute:
+// the packet has not been gathered yet, or left its shortest path.
+const staleCarry int32 = -1
+
 // gatherPrimary caches the primary router's arc for every packet that
 // entered a node this cycle: prim[pkt[k]] is the fault-blind arc out of
 // node[k] toward the packet's destination. Under table routing it is one
 // dense pass of independent slab loads, like the lean kernel's pass 2;
 // the departure sweep then starts each decision from the cached arc
-// instead of re-reading the slab on every attempt.
+// instead of re-reading the slab on every attempt. Under a witness
+// router it steps the packet's carried state — recomputing it first
+// (the one O(D) call) only when stale — and leaves carry holding the
+// state after the primary hop, which a departure on the primary arc
+// keeps and any other departure marks stale.
 //
 //lint:hotpath
-func (nw *Network) gatherPrimary(pkt, node []int32, pkts []Packet, prim []int32, tArcs []int8, tN int) {
+func (nw *Network) gatherPrimary(pkt, node []int32, pkts []Packet, prim, carry []int32, tArcs []int8, tN int) {
 	if tArcs != nil {
 		for k, p := range pkt {
 			prim[p] = int32(tArcs[int(node[k])*tN+pkts[p].Dst])
+		}
+		return
+	}
+	if carry != nil {
+		shift := nw.shift
+		for k, p := range pkt {
+			at := int(node[k])
+			t := carry[p]
+			if t == staleCarry {
+				t = shift.start(at, pkts[p].Dst)
+			}
+			arc, next := shift.step(at, t)
+			//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+			prim[p], carry[p] = int32(arc), next
 		}
 		return
 	}

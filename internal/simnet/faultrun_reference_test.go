@@ -578,9 +578,12 @@ type faultRefTopology struct {
 
 // faultRefTopologies builds the matrix networks: table-routed B(2,5),
 // shift-routed B(3,3), table-routed Kautz K(2,4) and the OTIS machine
-// wiring B(2,6), whose lens groups are the layout's real ones. The
-// non-OTIS digraphs get synthetic lens groups: every fourth arc from a
-// rotating offset.
+// wiring B(2,6), table-routed and witness-routed, whose lens groups are
+// the layout's real ones. The non-OTIS digraphs get synthetic lens
+// groups: every fourth arc from a rotating offset. On the shift-routed
+// networks the engines rank deflections by the closed-form distance and
+// the frozen references by the all-pairs slab, so equality there pins
+// the closed form to the slab ranking.
 func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 	mk := func(g *digraph.Digraph, r Router) *Network {
 		nw, err := New(g, r, DefaultConfig())
@@ -611,7 +614,10 @@ func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 		tops[i].lenses = synthetic(tops[i].nw)
 	}
 	h, lenses := otisB26(t)
-	return append(tops, faultRefTopology{name: "OTIS_B(2,6)", nw: mk(h, NewTableRouter(h)), lenses: lenses})
+	_, _, wr := otisB26Witness(t)
+	return append(tops,
+		faultRefTopology{name: "OTIS_B(2,6)", nw: mk(h, NewTableRouter(h)), lenses: lenses},
+		faultRefTopology{name: "OTIS_B(2,6)_witness", nw: mk(h, wr), lenses: lenses})
 }
 
 // otisB26 returns the OTIS wiring of B(2,6) and the arc group each of
@@ -721,6 +727,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 		nw := top.nw
 		n := nw.g.N()
 		m := int(nw.arcBase[n])
+		reroutes := 0
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed * 104729))
 			pkts := make([]Packet, 3*n)
@@ -752,6 +759,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 							t.Fatalf("%s: results diverge\nref: %+v\nnew: %+v", name, want, got)
 						}
 						total.Reroutes += got.Reroutes
+						reroutes += got.Reroutes
 						total.Retries += got.Retries
 						total.Holds += got.Holds
 						total.Shed += got.Shed
@@ -777,6 +785,16 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+		if nw.shift != nil {
+			// Shift-routed: the engine ranked every deflection in closed
+			// form, so it must have deflected, and built no slab.
+			if reroutes == 0 {
+				t.Errorf("%s: no run deflected, so the closed-form ranking went unchecked", top.name)
+			}
+			if nw.dist != nil {
+				t.Errorf("%s: a fault run built the n² distance slab", top.name)
 			}
 		}
 	}

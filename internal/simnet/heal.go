@@ -139,22 +139,19 @@ type SelfHealing struct {
 }
 
 // SelfHeal compiles the plan and opens a self-healing session. The
-// plan is physical truth only — no routing decision ever reads it. If
-// the network's router is not a *TableRouter, a pristine slab is built
-// for the session (self-healing repairs table slabs).
+// plan is physical truth only — no routing decision ever reads it.
+// Self-healing repairs table slabs, so if the network's router is not a
+// *TableRouter a pristine slab is built on the first SelfHeal and shared
+// read-only by every later session on the network.
 func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return nil, err
 	}
-	base, ok := nw.router.(*TableRouter)
-	if !ok {
-		base = NewTableRouter(nw.g)
-	}
 	return &SelfHealing{
 		nw:          nw,
 		state:       state,
-		heal:        newHealState(nw.g, base),
+		heal:        newHealState(nw.g, nw.pristineSlab()),
 		cfg:         cfg.withHealDefaults(nw.g.N(), nw.diameter()),
 		quarantined: map[Arc]bool{},
 	}, nil
@@ -291,8 +288,9 @@ func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 	}
 	// The slab's choice is believed dead or quarantined (or dst is
 	// unreachable at this epoch): deflect onto the best usable out-arc
-	// by fault-free distance; the TTL and retry budgets bound the dodge.
-	dist := s.nw.distSlab()
+	// by fault-free distance (closed form on a shift-routed network);
+	// the TTL and retry budgets bound the dodge.
+	dist := s.nw.faultFreeDist()
 	n := s.nw.g.N()
 	best := -1
 	bestDist := int32(-1)
@@ -300,7 +298,7 @@ func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 		if k == arc || v == u || !usable(k) {
 			continue
 		}
-		dv := dist[v*n+dst]
+		dv := hopDist(dist, s.nw.shift, n, v, dst)
 		if dv == digraph.Unreachable {
 			continue
 		}

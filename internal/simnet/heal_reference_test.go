@@ -557,6 +557,9 @@ func TestHealEngineMatchesReference(t *testing.T) {
 							if stripArenaLines(string(docRef)) != stripArenaLines(string(docNew)) {
 								t.Fatalf("%s run %d: OBS documents diverge\nref:\n%s\nnew:\n%s", name, w, docRef, docNew)
 							}
+							if got.nw.shift != nil && got.nw.dist != nil {
+								t.Fatalf("%s run %d: a shift-routed session built the n² distance slab", name, w)
+							}
 							total.Nacks += res.Nacks
 							total.Detections += res.Detections
 							total.Probes += res.Probes

@@ -38,8 +38,11 @@ const (
 	// (NewTableRouter): n² bytes, any strongly-connected digraph.
 	TableRouting
 	// ShiftRouting routes by the de Bruijn congruence left-shift rule
-	// (DeBruijnRouter): O(D) work and O(D) state, valid only on a
-	// congruence-form B(d, D) — anything else fails eagerly.
+	// (DeBruijnRouter): O(D) state, O(D) work per hop. WithRouting
+	// selects it only on a congruence-form B(d, D) — anything else
+	// fails eagerly; a witness router (NewWitnessRouter) supplied
+	// through WithRouter shift-routes any digraph certified isomorphic
+	// to B(d, D), with one carried int32 per packet, and reports it too.
 	ShiftRouting
 	// CustomRouting reports a caller-supplied Router (WithRouter). It is
 	// not selectable via WithRouting.
@@ -65,7 +68,14 @@ func (m RoutingMode) String() string {
 // nodes the n² table still fits comfortably in cache-adjacent memory
 // (4096² = 16 MB) and its one-load gather is preferred; above it the
 // table-free shift router wins on footprint (and is the only option at
-// million-node scale, where the table would need n² ≈ 1 TB).
+// million-node scale, where the table would need n² ≈ 1 TB). Per run
+// the table is faster at every size measured (plain permutation, median
+// of 15 interleaved pairs, 2-vCPU Xeon, go1.24.0): table vs shift 81 vs
+// 174 µs on B(2,8), 407 vs 872 µs on B(2,10), 719 vs 1254 µs on B(3,7),
+// 1966 vs 4440 µs on B(2,12) and 4365 vs 8871 µs on B(2,13). But
+// building it takes 401 ms at B(2,12) and 1.6 s at B(2,13), a few
+// hundred runs' worth of that saving, on top of 16 and 64 MiB — so the
+// crossover stays here.
 const autoShiftNodes = 4096
 
 // netConfig is the option state of one NewNetwork call.

@@ -108,10 +108,12 @@ type shardEngine struct {
 	segCap int
 	hopLat int32
 
-	// Router devirtualization, as in the sequential kernel.
+	// Router devirtualization, as in the sequential kernel; carry is
+	// the per-packet carried shift state (nil unless shift.carries()).
 	tArcs []int8
 	tN    int
 	shift *DeBruijnRouter
+	carry []int32
 
 	// Balanced contiguous partition: the first r shards own q+1 nodes,
 	// the rest q; splitAt = r·(q+1) is the first node of the q-sized
@@ -226,19 +228,28 @@ func (nw *Network) getShardEngine(S int) *shardEngine {
 	return e
 }
 
-// nextArc routes with the devirtualized built-in router, falling back
-// to interface dispatch for custom routers (routers are immutable and
-// safe to share across lanes).
+// route returns packet p's out-arc at node at with the devirtualized
+// built-in router — the table gather, the carried shift state stepped
+// and advanced (sharded queues are unbounded, so every routed packet is
+// pushed), or the closed-form congruence shift — falling back to
+// interface dispatch for custom routers (routers are immutable and safe
+// to share across lanes; a packet's carried state is owned by the lane
+// buffering it).
 //
 //lint:hotpath
-func (e *shardEngine) nextArc(at, dst int) int {
+func (e *shardEngine) route(at, p int) int {
 	if e.tArcs != nil {
-		return int(e.tArcs[at*e.tN+dst])
+		return int(e.tArcs[at*e.tN+int(e.dst[p])])
+	}
+	if e.carry != nil {
+		arc, next := e.shift.step(at, e.carry[p])
+		e.carry[p] = next
+		return arc
 	}
 	if e.shift != nil {
-		return e.shift.NextArc(at, dst)
+		return e.shift.NextArc(at, int(e.dst[p]))
 	}
-	return e.nw.router.NextArc(at, dst)
+	return e.nw.router.NextArc(at, int(e.dst[p]))
 }
 
 // rendezvous is the spin barrier. The last arriver optionally runs the
@@ -412,11 +423,12 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 		}
 		la.cursor++
 		at := e.pkts[i].Src
-		arc := e.nextArc(at, int(e.dst[i]))
+		arc := e.route(at, i)
 		if arc < 0 {
-			// Only a custom router reaches this: table/shift injections
-			// were route-prechecked at setup. Matches the sequential
-			// injection-time drop (never entered, so not a leave).
+			// Only a custom router reaches this: table injections were
+			// route-prechecked at setup, and shift routing reaches every
+			// dst ≠ src. Matches the sequential injection-time drop
+			// (never entered, so not a leave).
 			la.dropped++
 			la.removed++
 			continue
@@ -432,7 +444,7 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 			p := int(pk)
 			a := inArc[k]
 			v := int(arcHead[a])
-			arc := e.nextArc(v, int(e.dst[p]))
+			arc := e.route(v, p)
 			e.hops[p]++
 			if arc < 0 {
 				la.dropped++
@@ -510,6 +522,10 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 		tArcs, tN = tr.arcs, tr.n
 	}
 	shift := nw.shift
+	var carry []int32
+	if shift.carries() {
+		carry = ar.carrySlab(len(pkts))
+	}
 
 	res := Result{}
 	remaining := 0
@@ -531,18 +547,24 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 			res.Delivered++
 			continue
 		}
-		var arc int
-		switch {
-		case tArcs != nil:
-			arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
-		case shift != nil:
-			arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
-		default:
-			arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
-		}
-		if arc < 0 {
-			res.Dropped++
-			continue
+		if carry != nil {
+			// As in the sequential kernel: nothing to drop, one O(D)
+			// call per packet.
+			carry[i] = shift.start(pkts[i].Src, pkts[i].Dst)
+		} else {
+			var arc int
+			switch {
+			case tArcs != nil:
+				arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
+			case shift != nil:
+				arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
+			default:
+				arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
+			}
+			if arc < 0 {
+				res.Dropped++
+				continue
+			}
 		}
 		order = append(order, int32(i))
 		remaining++
@@ -553,7 +575,7 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 	e := nw.getShardEngine(shards)
 	e.segCap = segCap
 	e.hopLat = int32(nw.cfg.HopLatency)
-	e.tArcs, e.tN, e.shift = tArcs, tN, shift
+	e.tArcs, e.tN, e.shift, e.carry = tArcs, tN, shift, carry
 	e.pkts, e.order = pkts, order
 	e.dst, e.rel, e.del, e.hops = dst, rel, del, hops
 	e.qHead, e.qTail, e.qLen, e.pNext = qHead, qTail, qLen, pNext

@@ -39,13 +39,15 @@ func TestShardRunMatchesSequential(t *testing.T) {
 		name    string
 		d, D    int
 		routing RoutingMode
+		witness bool // the OTIS wiring of B(d, D), routed through its layout witness
 	}{
-		{"B(2,5)/table", 2, 5, TableRouting},
-		{"B(2,5)/shift", 2, 5, ShiftRouting},
-		{"B(3,4)/table", 3, 4, TableRouting},
-		{"B(3,4)/shift", 3, 4, ShiftRouting},
-		{"B(2,8)/shift", 2, 8, ShiftRouting},
-		{"B(4,3)/shift", 4, 3, ShiftRouting},
+		{"B(2,5)/table", 2, 5, TableRouting, false},
+		{"B(2,5)/shift", 2, 5, ShiftRouting, false},
+		{"B(3,4)/table", 3, 4, TableRouting, false},
+		{"B(3,4)/shift", 3, 4, ShiftRouting, false},
+		{"B(2,8)/shift", 2, 8, ShiftRouting, false},
+		{"B(4,3)/shift", 4, 3, ShiftRouting, false},
+		{"OTIS_B(2,6)/witness", 2, 6, ShiftRouting, true},
 	}
 	workloads := []struct {
 		name string
@@ -58,9 +60,17 @@ func TestShardRunMatchesSequential(t *testing.T) {
 	}
 	for _, tp := range topos {
 		g := debruijn.DeBruijn(tp.d, tp.D)
-		nw, err := NewNetwork(g, WithRouting(tp.routing))
+		opt := WithRouting(tp.routing)
+		if tp.witness {
+			w, _ := otisWitness(t, tp.d, tp.D)
+			g, opt = w.g, WithRouter(w.r)
+		}
+		nw, err := NewNetwork(g, opt)
 		if err != nil {
 			t.Fatalf("%s: NewNetwork: %v", tp.name, err)
+		}
+		if nw.Routing() != tp.routing {
+			t.Fatalf("%s: routes %v, want %v", tp.name, nw.Routing(), tp.routing)
 		}
 		for _, wl := range workloads {
 			pkts := wl.w(g.N())

@@ -16,9 +16,11 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"time"
 
+	"repro/internal/debruijn"
 	"repro/internal/digraph"
 	"repro/internal/obs"
 	"repro/internal/word"
@@ -163,12 +165,57 @@ func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 
 // DeBruijnRouter routes natively on B(d, D) congruence labels using the
 // left-shift rule — no tables, O(D) work per decision, exactly the
-// self-routing the de Bruijn literature advertises.
+// self-routing the de Bruijn literature advertises. A witness router
+// (NewWitnessRouter) routes any digraph certified isomorphic to B(d, D)
+// the same way, through the isomorphism's labels: the paper's OTIS
+// layouts, II(d, d^D) and B_σ.
+//
+// The engines route a witness router's packets without calling NextArc
+// per hop, since its NextArc reads two node labels. A packet carries its
+// destination's remaining letters as one int32 (start, set at
+// injection), and each hop reads the next letter off it (step): on a
+// shortest path the overlap grows by exactly one per hop, so the
+// carried state always equals the recomputed one. A congruence-form
+// router's NextArc is arithmetic on node ids alone, and the engines
+// call it per hop (see carries).
 type DeBruijnRouter struct {
 	d, D int
 	n    int   // d^D, precomputed with an overflow-guarded power
 	pow  []int // pow[i] = d^i for i in [0, D]
+
+	// label maps a physical node to its B(d, D) label, and
+	// letterArc[u·d+α] is the out-arc of physical node u that shifts in
+	// letter α (both nil in congruence form, where labels are node ids
+	// and letter α is adjacency position α).
+	label     []int32
+	letterArc []int8
+
+	// lead divides by top = d^(D−1) without a division instruction: step
+	// reads a carried state's leading digit with it (both unset when d^D
+	// exceeds the int32 range, which no Network admits, or D = 0).
+	lead     divisor
+	top, d32 int32
 }
+
+// divisor divides by a fixed power p of d with one multiply and a shift:
+// for every x < 2^31, ⌊x/p⌋ = (x·recip) >> shift with
+// recip = ⌈2^(31+ℓ)/p⌉, shift = 31+ℓ and ℓ = ⌈log2 p⌉ (Granlund and
+// Montgomery's round-up method; the product stays below 2^63). p = 1
+// needs no case of its own: recip = 2^31, shift = 31.
+type divisor struct {
+	recip uint64
+	shift uint
+}
+
+func newDivisor(p int) divisor {
+	l := uint(bits.Len64(uint64(p - 1)))
+	return divisor{recip: (uint64(1)<<(31+l) + uint64(p) - 1) / uint64(p), shift: 31 + l}
+}
+
+// quo returns ⌊x/p⌋ for x ≥ 0.
+//
+//lint:hotpath
+func (v divisor) quo(x int32) int32 { return int32((uint64(x) * v.recip) >> v.shift) }
 
 // NewDeBruijnRouter returns the native router for B(d, D).
 func NewDeBruijnRouter(d, D int) *DeBruijnRouter {
@@ -178,30 +225,141 @@ func NewDeBruijnRouter(d, D int) *DeBruijnRouter {
 	for i := 1; i <= D; i++ {
 		pow[i] = pow[i-1] * d
 	}
-	return &DeBruijnRouter{d: d, D: D, n: n, pow: pow}
+	r := &DeBruijnRouter{d: d, D: D, n: n, pow: pow}
+	// Carried states are int32, so step serves only graphs in the int32
+	// range; larger ones (and the empty word length D = 0) route by
+	// NextArc alone.
+	if n <= math.MaxInt32 && D >= 1 {
+		r.lead = newDivisor(pow[D-1])
+		r.top, r.d32 = int32(pow[D-1]), int32(d)
+	}
+	return r
+}
+
+// NewWitnessRouter certifies toLogical — a map from g's nodes to B(d, D)
+// labels — as an isomorphism from g onto the congruence-form B(d, D) in
+// one O(M) pass (debruijn.CertifyWitness), and returns the shift router
+// that routes g through it. A network built on it reports ShiftRouting:
+// no n² slab is ever built for it, and fault-free distances come in
+// closed form.
+func NewWitnessRouter(g *digraph.Digraph, toLogical []int) (*DeBruijnRouter, error) {
+	d, D, letterArc, err := debruijn.CertifyWitness(g, toLogical)
+	if err != nil {
+		return nil, fmt.Errorf("simnet: witness router: %w", err)
+	}
+	guardIndexInt32(len(toLogical), "nodes")
+	r := NewDeBruijnRouter(d, D)
+	r.label = make([]int32, len(toLogical))
+	for u, l := range toLogical {
+		r.label[u] = int32(l)
+	}
+	r.letterArc = letterArc
+	return r, nil
+}
+
+// logical returns physical node u's B(d, D) label.
+//
+//lint:hotpath
+func (r *DeBruijnRouter) logical(u int) int {
+	if r.label != nil {
+		return int(r.label[u])
+	}
+	return u
+}
+
+// overlap returns the largest k < D such that a's low-order k digits
+// equal b's high-order k digits — a ≡ ⌊b/d^(D−k)⌋ (mod d^k) — for
+// logical labels a ≠ b. The shortest path from a to b shifts in b's
+// remaining D−k letters, so dist(a, b) = D − k.
+//
+//lint:hotpath
+func (r *DeBruijnRouter) overlap(a, b int) int {
+	pow := r.pow
+	k := r.D - 1
+	for ; k > 0; k-- {
+		if a%pow[k] == b/pow[r.D-k] {
+			break
+		}
+	}
+	return k
 }
 
 // NextArc implements Router. In congruence form the successor via letter α
 // is (d·u + α) mod d^D, which is adjacency position α; the canonical
 // shortest path shifts in the destination's remaining letters. The first
-// such letter falls out of pure division arithmetic: with k the largest
-// overlap below D — at ≡ ⌊dst/d^(D−k)⌋ (mod d^k), i.e. at's low-order k
-// digits equal dst's high-order k digits — the letter to shift in next is
-// dst's digit at position D−k−1. O(D) integer ops, no allocation.
+// such letter falls out of pure digit arithmetic: with k the overlap of
+// at and dst, the letter to shift in next is dst's digit at position
+// D−k−1. A witness router does the same on the logical labels and maps
+// the letter to a physical arc. O(D) integer ops, no allocation.
 //
 //lint:hotpath
 func (r *DeBruijnRouter) NextArc(at, dst int) int {
 	if at == dst {
 		return -1
 	}
-	pow := r.pow
-	k := r.D - 1
-	for ; k > 0; k-- {
-		if at%pow[k] == dst/pow[r.D-k] {
-			break
-		}
+	b := r.logical(dst)
+	letter := (b / r.pow[r.D-r.overlap(r.logical(at), b)-1]) % r.d
+	if r.letterArc != nil {
+		return int(r.letterArc[at*r.d+letter])
 	}
-	return (dst / pow[r.D-k-1]) % r.d
+	return letter
+}
+
+// start returns the state a packet at node at ≠ dst carries: dst's
+// logical label with the overlap already shifted out, left-aligned —
+// L(dst)·d^k mod d^D for k the overlap of L(at) and L(dst). The one O(D)
+// routing call of a packet's life on a shortest path; the caller
+// guarantees n fits int32 (every Network does).
+//
+//lint:hotpath
+func (r *DeBruijnRouter) start(at, dst int) int32 {
+	b := r.logical(dst)
+	k := r.overlap(r.logical(at), b)
+	rest := r.D - k
+	//lint:ignore slabindex the state is below d^D = n, which newNetwork's guardIndexInt32 bounds
+	return int32(b % r.pow[rest] * r.pow[k])
+}
+
+// step routes one hop from node at for a packet carrying state t: the
+// next letter is t's leading digit, mapped to at's out-arc, and the
+// state after the hop shifts that letter out. One multiply by the
+// precomputed reciprocal replaces NextArc's O(D) digit comparisons.
+//
+//lint:hotpath
+func (r *DeBruijnRouter) step(at int, t int32) (arc int, next int32) {
+	letter := r.lead.quo(t)
+	next = (t - letter*r.top) * r.d32
+	if r.letterArc != nil {
+		return int(r.letterArc[at*r.d+int(letter)]), next
+	}
+	return int(letter), next
+}
+
+// carries reports whether the engines route r's packets by carried
+// state (start, then step per hop): true for a witness router, whose
+// NextArc would read two labels per hop; false for a congruence-form
+// router, whose per-hop NextArc reads no memory (DESIGN.md § 6 records
+// the measurement behind that choice), and for nil.
+func (r *DeBruijnRouter) carries() bool { return r != nil && r.label != nil }
+
+// distance returns the fault-free distance from node u to node v in
+// closed form, D − overlap(L(u), L(v)) (0 when u = v) — the ranking the
+// fault-aware deflections read in place of an all-pairs slab.
+func (r *DeBruijnRouter) distance(u, v int) int32 {
+	if u == v {
+		return 0
+	}
+	//lint:ignore slabindex a distance is at most D, far below the int32 range
+	return int32(r.D - r.overlap(r.logical(u), r.logical(v)))
+}
+
+// diameter returns the diameter of B(d, D): D, or 0 for the one-node
+// B(1, 1).
+func (r *DeBruijnRouter) diameter() int {
+	if r.n == 1 {
+		return 0
+	}
+	return r.D
 }
 
 // Packet is one simulated datagram.
@@ -318,13 +476,22 @@ type Network struct {
 	maxDeg  int
 
 	// dist is the fault-free all-pairs distance slab, built on first use
-	// and then shared read-only by every fault-aware run and sweep worker.
+	// and then shared read-only by every fault-aware run and sweep worker
+	// — never on a shift-routed network, where the closed form replaces
+	// it (faultFreeDist).
 	distOnce sync.Once
 	dist     []int32
 
-	// diam caches g.Diameter(), which fault runs consult for TTL defaults.
+	// diam caches the diameter, which fault runs consult for TTL defaults.
 	diamOnce sync.Once
 	diam     int
+
+	// pristine is the fault-free next-arc slab self-healing sessions
+	// repair per epoch: the router itself when it is a *TableRouter,
+	// otherwise built once, on the first SelfHeal, and shared by every
+	// session on the network.
+	pristineOnce sync.Once
+	pristine     *TableRouter
 
 	// rec is the attached metrics recorder (nil: uninstrumented). Every
 	// recording site is nil-guarded so the fast path stays
@@ -332,9 +499,11 @@ type Network struct {
 	rec *obs.Recorder
 
 	// shift devirtualizes the native de Bruijn router: non-nil exactly
-	// when router is a *DeBruijnRouter, letting the lean arrival path
-	// call the closed-form NextArc directly instead of through the
-	// interface — the table-free routing mode.
+	// when router is a *DeBruijnRouter (congruence-form or witness),
+	// letting every engine route without the interface call — stepping
+	// each packet's carried state under a witness router, calling the
+	// arithmetic NextArc directly in congruence form (see carries) — the
+	// table-free routing mode, with closed-form fault-free distances.
 	shift *DeBruijnRouter
 
 	// defaults are the network-wide run defaults (RunOptions passed to
@@ -426,17 +595,62 @@ func (nw *Network) distSlab() []int32 {
 	return nw.dist
 }
 
-// diameter returns g.Diameter(), computed once per Network.
+// faultFreeDist returns what deflections rank live out-arcs by: the
+// fault-free distance slab, or nil on a shift-routed network, whose
+// fault-free distance is the closed form D − overlap
+// (DeBruijnRouter.distance) — so no n² slab is ever built there.
+func (nw *Network) faultFreeDist() []int32 {
+	if nw.shift != nil {
+		return nil
+	}
+	return nw.distSlab()
+}
+
+// hopDist is the fault-free distance from v to dst that ranks a
+// deflection onto v: dist's entry, or the closed form when dist is nil
+// (faultFreeDist on a shift-routed network).
+func hopDist(dist []int32, shift *DeBruijnRouter, n, v, dst int) int32 {
+	if dist == nil {
+		return shift.distance(v, dst)
+	}
+	return dist[v*n+dst]
+}
+
+// pristineSlab returns the fault-free next-arc slab self-healing
+// sessions start from, shared by every session on the network.
+func (nw *Network) pristineSlab() *TableRouter {
+	nw.pristineOnce.Do(func() {
+		if tr, ok := nw.router.(*TableRouter); ok {
+			nw.pristine = tr
+			return
+		}
+		nw.pristine = NewTableRouter(nw.g)
+	})
+	return nw.pristine
+}
+
+// diameter returns the digraph's diameter, computed once per Network:
+// in closed form on a shift-routed network, by g.Diameter() otherwise.
 func (nw *Network) diameter() int {
-	nw.diamOnce.Do(func() { nw.diam = nw.g.Diameter() })
+	nw.diamOnce.Do(func() {
+		if nw.shift != nil {
+			nw.diam = nw.shift.diameter()
+			return
+		}
+		nw.diam = nw.g.Diameter()
+	})
 	return nw.diam
 }
 
-// diameterFrom is diameter for a caller already holding the distance
-// slab: the first call reads the diameter off the slab instead of
-// running g.Diameter's all-pairs BFS. Both derivations agree, so
-// whichever reaches the Once first fixes the same value.
+// diameterFrom is diameter for a caller already holding faultFreeDist's
+// result: the first call reads the diameter off the slab instead of
+// running g.Diameter's all-pairs BFS (nil, on a shift-routed network,
+// takes the closed form). The derivations agree, so whichever reaches
+// the Once first fixes the same value.
 func (nw *Network) diameterFrom(dist []int32) int {
+	if dist == nil {
+		return nw.diameter()
+	}
 	nw.diamOnce.Do(func() { nw.diam = slabDiameter(dist) })
 	return nw.diam
 }
@@ -538,9 +752,14 @@ type runState struct {
 	tl  *obs.Tally // run-local telemetry (nil: the run records nothing)
 	// tArcs/tN devirtualize TableRouter: the run loop gathers next hops
 	// straight from the router slab instead of through the interface
-	// (nil: dynamic dispatch, e.g. DeBruijnRouter or a custom router).
-	tArcs    []int8
-	tN       int
+	// (nil: dynamic dispatch, e.g. a custom router).
+	tArcs []int8
+	tN    int
+	// shift is the network's DeBruijnRouter; under a witness router each
+	// packet's next arc comes from its carried state in carry (nil unless
+	// shift.carries()).
+	shift    *DeBruijnRouter
+	carry    []int32
 	qcap     int // per-arc queue bound (0: unbounded)
 	resident int // packets currently buffered in queues + pipelines
 	trace    bool
@@ -590,14 +809,20 @@ func (rs *runState) emit(cycle int, kind EventKind, p, node, peer int) {
 
 // enqueue routes pkt out of node at, pushing it onto the chosen arc's
 // queue. enqNoRoute is accounted (drop counters) here; enqFull leaves
-// all accounting to the caller, which holds the packet upstream.
+// all accounting to the caller, which holds the packet upstream. A
+// packet's carried state advances only when the push succeeds, so a
+// held packet routes from the same state next cycle.
 //
 //lint:hotpath
 func (rs *runState) enqueue(at, pkt int) enqStatus {
 	var arc int
-	if rs.tArcs != nil {
+	var next int32
+	switch {
+	case rs.tArcs != nil:
 		arc = int(rs.tArcs[at*rs.tN+int(rs.dst[pkt])])
-	} else {
+	case rs.carry != nil:
+		arc, next = rs.shift.step(at, rs.carry[pkt])
+	default:
 		arc = rs.nw.router.NextArc(at, int(rs.dst[pkt]))
 	}
 	if arc < 0 {
@@ -611,6 +836,9 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 	flat := rs.nw.arcBase[at] + int32(arc)
 	if rs.qcap > 0 && int(rs.qLen[flat]) >= rs.qcap {
 		return enqFull
+	}
+	if rs.carry != nil {
+		rs.carry[pkt] = next
 	}
 	//lint:ignore slabindex pkt < len(pkts), dominated by run's guardIndexInt32
 	pk := int32(pkt)
@@ -731,22 +959,27 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	holdq := ar.holdq[:0]
 
 	// Devirtualize the built-in routers: the hot loop gathers next hops
-	// from the table slab, or computes them with the closed-form de
-	// Bruijn shift rule, without the interface call (recorded or custom
+	// from the table slab, steps each packet's carried state under a
+	// witness router, or computes congruence-form next hops with the
+	// closed-form de Bruijn shift, without the interface call (custom
 	// routers keep dynamic dispatch). shift is the table-free routing
 	// mode — no n² slab exists at all, which is what admits million-node
-	// graphs.
+	// graphs and the witness-routed OTIS machine.
 	var tArcs []int8
 	tN := 0
 	if tr, ok := nw.router.(*TableRouter); ok {
 		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
 	}
 	shift := nw.shift
+	var carry []int32
+	if shift.carries() {
+		carry = ar.carrySlab(len(pkts))
+	}
 
 	rs := runState{
 		nw: nw, pkts: pkts, dst: dst, holds: holds,
 		qHead: qHead, qTail: qTail, qLen: qLen, pNext: pNext, qBits: qBits,
-		tl: tl, tArcs: tArcs, tN: tN, qcap: tun.qcap, trace: tun.trace,
+		tl: tl, tArcs: tArcs, tN: tN, shift: shift, carry: carry, qcap: tun.qcap, trace: tun.trace,
 	}
 	res := &rs.res
 	remaining := 0
@@ -773,22 +1006,28 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 			res.Delivered++
 			continue
 		}
-		var arc int
-		switch {
-		case tArcs != nil:
-			arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
-		case shift != nil:
-			arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
-		default:
-			arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
-		}
-		if arc < 0 {
-			res.Dropped++
-			if tl != nil {
-				tl.Drop(obs.DropNoRoute)
+		if carry != nil {
+			// Shift routing reaches every dst ≠ src, so there is nothing
+			// to drop: the packet's one O(D) routing call sets its state.
+			carry[i] = shift.start(pkts[i].Src, pkts[i].Dst)
+		} else {
+			var arc int
+			switch {
+			case tArcs != nil:
+				arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
+			case shift != nil:
+				arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
+			default:
+				arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
 			}
-			rs.emit(0, EventDrop, i, pkts[i].Src, -1)
-			continue
+			if arc < 0 {
+				res.Dropped++
+				if tl != nil {
+					tl.Drop(obs.DropNoRoute)
+				}
+				rs.emit(0, EventDrop, i, pkts[i].Src, -1)
+				continue
+			}
 		}
 		order = append(order, int32(i))
 		remaining++
@@ -803,8 +1042,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	heldLast := false // congestion signal: a hold happened last cycle
 
 	// The lean arrival path applies when next hops come from a built-in
-	// router — the table slab gathered directly, or the closed-form de
-	// Bruijn shift — and queues are unbounded (the bench hot path):
+	// router — the table slab gathered directly, or the de Bruijn shift,
+	// stepped from each packet's carried state or computed in closed
+	// form — and queues are unbounded (the bench hot path):
 	// arrivals are batched so the routing step — under table routing one
 	// random probe into the n² slab per hop, the run's cache-miss budget
 	// — runs as a dense pass of independent work, instead of serializing
@@ -830,7 +1070,8 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		// full) retry first, then the release cursor drains through the
 		// admission regulator. The lean path has no admission and no
 		// backpressure (holdq stays empty, every order entry was
-		// route-prechecked at setup), so its cursor drains through plain
+		// route-prechecked at setup or is shift-routed, which always
+		// reaches its destination), so its cursor drains through plain
 		// linked-queue pushes.
 		if lean {
 			for cursor < len(order) && rel[order[cursor]] <= cycle32 {
@@ -838,9 +1079,13 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 				cursor++
 				at := pkts[i].Src
 				var arc int32
-				if tArcs != nil {
+				switch {
+				case tArcs != nil:
 					arc = int32(tArcs[at*tN+int(dst[i])])
-				} else {
+				case carry != nil:
+					a, next := shift.step(at, carry[i])
+					arc, carry[i] = int32(a), next
+				default:
 					arc = int32(shift.NextArc(at, int(dst[i])))
 				}
 				flat := nw.arcBase[at] + arc
@@ -963,13 +1208,22 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 			// Pass 2: route the whole batch — under table routing a pass
 			// of independent slab gathers (pass 1 left each packet's
 			// destination in arrArc, so every iteration is a single load
-			// with no dependent chain); under shift routing a pass of
-			// closed-form O(D) decisions touching no routing state at all.
-			if tArcs != nil {
+			// with no dependent chain); under a witness router a pass of
+			// carried-state steps, one multiply and one letter-map load
+			// each; in congruence form a pass of closed-form O(D)
+			// decisions touching no routing state at all.
+			switch {
+			case tArcs != nil:
 				for k := 0; k < na; k++ {
 					arrArc[k] = int32(tArcs[int(arrNode[k])*tN+int(arrArc[k])])
 				}
-			} else {
+			case carry != nil:
+				for k := 0; k < na; k++ {
+					p := arrPkt[k]
+					arc, next := shift.step(int(arrNode[k]), carry[p])
+					arrArc[k], carry[p] = int32(arc), next
+				}
+			default:
 				for k := 0; k < na; k++ {
 					arrArc[k] = int32(shift.NextArc(int(arrNode[k]), int(arrArc[k])))
 				}

@@ -34,9 +34,9 @@ go test ./internal/lint -count=1
 echo "== go test -race (every internal package) =="
 go test -race ./internal/...
 
-echo "== determinism double-run (byte-identical trace, heal session + OBS_run/v1) =="
+echo "== determinism double-run (byte-identical trace, heal session, witness-routed run + OBS_run/v1) =="
 go test ./internal/simnet \
-    -run 'SeededRunIsByteIdentical|SeededHealSessionIsByteIdentical' -count=2
+    -run 'SeededRunIsByteIdentical|SeededHealSessionIsByteIdentical|SeededWitnessRunIsByteIdentical' -count=2
 
 echo "== shard determinism double-run (sequential equivalence + worker matrix) =="
 go test ./internal/simnet \
