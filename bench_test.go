@@ -112,6 +112,7 @@ func BenchmarkIsoIIToB(b *testing.B) {
 func BenchmarkLayoutWitness(b *testing.B) {
 	for _, D := range []int{8, 10, 12} {
 		b.Run(fmt.Sprintf("D=%d", D), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := LayoutWitness(2, D/2, D/2+1); err != nil {
 					b.Fatal(err)
@@ -142,6 +143,7 @@ func BenchmarkBuildKautz(b *testing.B) {
 }
 
 func BenchmarkBuildH(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		g, err := HDigraph(32, 64, 2)
 		if err != nil || g.N() != 1024 {
@@ -281,6 +283,7 @@ func BenchmarkBroadcastTree(b *testing.B) {
 
 func BenchmarkAlphaDigraphBuild(b *testing.B) {
 	a := DeBruijnAlpha(2, 10)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if a.Digraph().N() != 1024 {

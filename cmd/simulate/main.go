@@ -1,6 +1,7 @@
 // simulate runs packet-level experiments over the networks the paper lays
 // out: de Bruijn B(d,D) (natively routed or table-routed), the OTIS
-// digraph H(p,q,d) of the optimal layout, or the Kautz digraph.
+// digraph H(p,q,d) of the optimal layout (routed through its layout
+// witness, or table-routed), or the Kautz digraph.
 //
 // Usage:
 //
@@ -160,8 +161,8 @@ func main() {
 	nopts := []simnet.NetworkOption{simnet.WithHopLatency(*hop)}
 	switch *routing {
 	case "auto":
-		// Historical CLI pick: native shift routing on de Bruijn,
-		// (recorder-observed) table routing elsewhere.
+		// Native shift routing on de Bruijn, witness shift routing on
+		// OTIS, (recorder-observed) table routing on Kautz.
 		nopts = append(nopts, simnet.WithRouter(router))
 	case "table":
 		nopts = append(nopts, simnet.WithRouting(simnet.TableRouting))
@@ -500,7 +501,9 @@ func parseRates(list string) ([]float64, error) {
 }
 
 // buildTopology returns the digraph and router; table builds are timed
-// into the recorder when one is attached.
+// into the recorder when one is attached. The OTIS wiring routes through
+// its certified layout witness, table-free; -routing table still builds
+// a slab for it.
 func buildTopology(topo string, d, diam int, rec *obs.Recorder) (*digraph.Digraph, simnet.Router, string) {
 	table := func(g *digraph.Digraph) simnet.Router {
 		if rec != nil {
@@ -519,8 +522,18 @@ func buildTopology(topo string, d, diam int, rec *obs.Recorder) (*digraph.Digrap
 			os.Exit(2)
 		}
 		g := otis.MustH(layout.P(), layout.Q(), d)
-		return g, table(g),
-			fmt.Sprintf("H(%d,%d,%d) = %v, table routing", layout.P(), layout.Q(), d, layout)
+		toLogical, err := otis.LayoutWitness(d, layout.PPrime, layout.QPrime)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "simulate:", err)
+			os.Exit(1)
+		}
+		router, err := simnet.NewWitnessRouter(g, toLogical)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "simulate:", err)
+			os.Exit(1)
+		}
+		return g, router,
+			fmt.Sprintf("H(%d,%d,%d) = %v, witness self-routing", layout.P(), layout.Q(), d, layout)
 	case "kautz":
 		g, _ := debruijn.Kautz(d, diam)
 		return g, table(g), fmt.Sprintf("K(%d,%d), table routing", d, diam)

@@ -99,18 +99,31 @@ func (a *Alpha) Successors(x word.Word) []word.Word {
 	return out
 }
 
-// Digraph materializes A(f, σ, j) on Horner labels.
+// Digraph materializes A(f, σ, j) on Horner labels. Arc α of u leads to
+// base(u) + α·d^j with base(u) = Σ_{f(i)≠j} σ(x_i)·d^{f(i)}, one
+// word.DigitMap; adjacency position α is the letter placed at j, as in
+// Successors.
 func (a *Alpha) Digraph() *digraph.Digraph {
 	d, D := a.D(), a.Dim()
-	return digraph.FromFunc(a.N(), func(u int) []int {
-		x := word.MustFromInt(d, D, u)
-		succ := a.Successors(x)
-		out := make([]int, len(succ))
-		for i, y := range succ {
-			out[i] = y.Int()
+	place := word.NewPlace(d, D)
+	for i, fi := range a.f {
+		if fi == a.j {
+			continue // the letter moved to j is overwritten by α
 		}
-		return out
-	})
+		w := word.Pow(d, fi)
+		for x, y := range a.sigma {
+			place[i][x] = y * w
+		}
+	}
+	base := word.DigitMap(d, D, place)
+	step := word.Pow(d, a.j)
+	heads := make([]int, len(base)*d)
+	for u, b := range base {
+		for alpha := 0; alpha < d; alpha++ {
+			heads[u*d+alpha] = b + alpha*step
+		}
+	}
+	return digraph.Regular(len(base), d, heads)
 }
 
 // GPerm returns the permutation g of Z_D associated with f in the proof of
@@ -143,6 +156,11 @@ func (a *Alpha) IsDeBruijn() bool { return a.f.IsCyclic() }
 // Proposition 3.2 witness W maps B_σ(d, D) onto B(d, D); the composition
 // W ∘ (g→)⁻¹ is the required isomorphism. Returns an error when f is not
 // cyclic.
+//
+// (g→)⁻¹ moves letter x_i of the A-vertex to position k = g⁻¹(i) of its
+// B_σ label, where W substitutes σ^{D-1-k} and weights it d^k, so the
+// mapping is W's place table with row k moved to row g(k): one
+// word.DigitMap, no word per label.
 func (a *Alpha) IsoToDeBruijn() ([]int, error) {
 	if !a.f.IsCyclic() {
 		return nil, fmt.Errorf("alpha: f = %v is not cyclic; A(f,σ,%d) is disconnected (Proposition 3.9)", a.f, a.j)
@@ -151,18 +169,13 @@ func (a *Alpha) IsoToDeBruijn() ([]int, error) {
 	if !ok {
 		return nil, errors.New("alpha: internal error: cyclic f produced non-bijective g")
 	}
-	gInv := g.Inverse()
 	d, D := a.D(), a.Dim()
-	w := debruijn.WitnessW(d, D, a.sigma)
-	n := a.N()
-	mapping := make([]int, n)
-	for u := 0; u < n; u++ {
-		x := word.MustFromInt(d, D, u)
-		// (g→)⁻¹ = (g⁻¹)→ carries the A-vertex back to its B_σ label,
-		// then W carries B_σ onto B.
-		mapping[u] = w[x.ApplyIndex(gInv).Int()]
+	w := debruijn.WitnessWPlace(d, D, a.sigma)
+	place := make([][]int, D)
+	for k, row := range w {
+		place[g[k]] = row
 	}
-	return mapping, nil
+	return word.DigitMap(d, D, place), nil
 }
 
 // VerifiedIsoToDeBruijn builds the witness and checks it against the

@@ -26,14 +26,7 @@ func DeBruijn(d, D int) *digraph.Digraph {
 	if d < 1 || D < 1 {
 		panic("debruijn: need d >= 1 and D >= 1")
 	}
-	n := word.Pow(d, D)
-	return digraph.FromFunc(n, func(u int) []int {
-		out := make([]int, d)
-		for alpha := 0; alpha < d; alpha++ {
-			out[alpha] = (d*u + alpha) % n
-		}
-		return out
-	})
+	return RRK(d, word.Pow(d, D))
 }
 
 // Successors returns the out-neighbours of word x in B(d, D) in word form:
@@ -55,13 +48,18 @@ func RRK(d, n int) *digraph.Digraph {
 	if d < 1 || n < 1 {
 		panic("debruijn: need d >= 1 and n >= 1")
 	}
-	return digraph.FromFunc(n, func(u int) []int {
-		out := make([]int, d)
-		for alpha := 0; alpha < d; alpha++ {
-			out[alpha] = (d*u + alpha) % n
+	// Arc α of u sits at slab index k = du + α, so its head is k mod n:
+	// the slab counts 0, 1, ..., n-1 over and over.
+	heads := make([]int, n*d)
+	v := 0
+	for k := range heads {
+		heads[k] = v
+		v++
+		if v == n {
+			v = 0
 		}
-		return out
-	})
+	}
+	return digraph.Regular(n, d, heads)
 }
 
 // ImaseItoh returns the Imase–Itoh digraph II(d, n) (Definition 2.8):
@@ -70,38 +68,54 @@ func ImaseItoh(d, n int) *digraph.Digraph {
 	if d < 1 || n < 1 {
 		panic("debruijn: need d >= 1 and n >= 1")
 	}
-	return digraph.FromFunc(n, func(u int) []int {
-		out := make([]int, d)
-		for alpha := 1; alpha <= d; alpha++ {
-			v := (-d*u - alpha) % n
-			if v < 0 {
-				v += n
-			}
-			out[alpha-1] = v
+	// Arc α of u sits at slab index k = du + α − 1, so its head is
+	// −(k + 1) mod n = n − 1 − (k mod n): the slab counts down
+	// n-1, ..., 0 over and over.
+	heads := make([]int, n*d)
+	v := n - 1
+	for k := range heads {
+		heads[k] = v
+		v--
+		if v < 0 {
+			v = n - 1
 		}
-		return out
-	})
+	}
+	return digraph.Regular(n, d, heads)
 }
 
 // BSigma returns B_σ(d, D) (Definition 3.1): vertices are the words of
 // length D over Z_d (Horner-labelled), and
 // Γ⁺(x_{D-1} ... x_0) = {σ(x_{D-2}) ... σ(x_0) α : α ∈ Z_d}.
 // BSigma(d, D, Identity) equals DeBruijn(d, D).
+//
+// On labels, arc α of u leads to base(u) + α with
+// base(u) = Σ_{i<D-1} σ(x_i)·d^{i+1}, one DigitMap.
 func BSigma(d, D int, sigma perm.Perm) *digraph.Digraph {
 	if sigma.N() != d {
 		panic("debruijn: alphabet permutation size mismatch")
 	}
-	n := word.Pow(d, D)
-	rho := perm.CyclicShift(D)
-	return digraph.FromFunc(n, func(u int) []int {
-		x := word.MustFromInt(d, D, u)
-		shifted := x.ApplyIndex(rho).ApplyAlphabet(sigma)
-		out := make([]int, d)
-		for alpha := 0; alpha < d; alpha++ {
-			out[alpha] = shifted.WithLetter(0, alpha).Int()
+	place := word.NewPlace(d, D)
+	for i := 0; i+1 < D; i++ {
+		w := word.Pow(d, i+1)
+		for x, y := range sigma {
+			place[i][x] = y * w
 		}
-		return out
-	})
+	}
+	return fromBase(word.DigitMap(d, D, place), perm.Identity(d))
+}
+
+// fromBase returns the d-regular digraph whose vertex u has out-neighbour
+// base[u] + arc[α] at adjacency position α, d = len(arc): the shape of
+// every shift-and-substitute successor rule of Section 3.
+func fromBase(base, arc []int) *digraph.Digraph {
+	d := len(arc)
+	heads := make([]int, len(base)*d)
+	for u, b := range base {
+		for a, off := range arc {
+			heads[u*d+a] = b + off
+		}
+	}
+	return digraph.Regular(len(base), d, heads)
 }
 
 // BBar returns B̄(d, D) = B_C(d, D), the complement-alphabet de Bruijn used

@@ -16,26 +16,18 @@ import (
 // i.e. letter x_i is replaced by σ^{D-1-i}(x_i). mapping[u] is the B-vertex
 // image of B_σ-vertex u.
 func WitnessW(d, D int, sigma perm.Perm) []int {
-	if sigma.N() != d {
-		panic("debruijn: alphabet permutation size mismatch")
+	return word.DigitMap(d, D, WitnessWPlace(d, D, sigma))
+}
+
+// WitnessWPlace returns W as a word.DigitMap place table: row i holds
+// σ^{D-1-i}(x)·d^i. It is the generalized W's table with every σ_i = σ.
+func WitnessWPlace(d, D int, sigma perm.Perm) [][]int {
+	s := sigma.Clone()
+	sigmas := make([]perm.Perm, D)
+	for i := range sigmas {
+		sigmas[i] = s
 	}
-	// Precompute σ^k for k = 0..D-1.
-	powers := make([]perm.Perm, D)
-	powers[0] = perm.Identity(d)
-	for k := 1; k < D; k++ {
-		powers[k] = sigma.Compose(powers[k-1])
-	}
-	n := word.Pow(d, D)
-	mapping := make([]int, n)
-	for u := 0; u < n; u++ {
-		x := word.MustFromInt(d, D, u)
-		y := word.New(d, D)
-		for i := 0; i < D; i++ {
-			y = y.WithLetter(i, powers[D-1-i].Apply(x.Letter(i)))
-		}
-		mapping[u] = y.Int()
-	}
-	return mapping
+	return witnessPlace(d, D, sigmas)
 }
 
 // IsoBSigmaToB verifies Proposition 3.2 constructively: it builds
@@ -85,31 +77,45 @@ func IsoIIToB(d, D int) ([]int, error) {
 // permutations, applied innermost-last (τ_{j-1} = τ_j ∘ σ_{D-1-j} with
 // τ_{D-1} = Id, exactly as in the Proposition 3.2 proof).
 func GeneralizedWitness(d, D int, sigmas []perm.Perm) []int {
+	return word.DigitMap(d, D, witnessPlace(d, D, sigmas))
+}
+
+// witnessPlace returns the generalized W as a word.DigitMap place table:
+// row i holds τ_i(x)·d^i, where τ_i = σ_0 ∘ ... ∘ σ_{D-2-i} is the
+// substitution GeneralizedWitness applies at position i. Since
+// τ_i = τ_{i+1} ∘ σ_{D-2-i}, each row is the row above it read through
+// σ_{D-2-i} and moved one place down, starting from τ_{D-1} = Id.
+func witnessPlace(d, D int, sigmas []perm.Perm) [][]int {
+	if d < 1 || D < 1 {
+		panic("debruijn: need d >= 1 and D >= 1")
+	}
 	if len(sigmas) != D {
 		panic("debruijn: need exactly D alphabet permutations")
 	}
-	// prefix[k] = σ_0 ∘ σ_1 ∘ ... ∘ σ_{k-1}, with prefix[0] = Id.
-	prefix := make([]perm.Perm, D+1)
-	prefix[0] = perm.Identity(d)
-	for k := 1; k <= D; k++ {
-		prefix[k] = prefix[k-1].Compose(sigmas[k-1])
-	}
-	n := word.Pow(d, D)
-	mapping := make([]int, n)
-	for u := 0; u < n; u++ {
-		x := word.MustFromInt(d, D, u)
-		y := word.New(d, D)
-		for i := 0; i < D; i++ {
-			y = y.WithLetter(i, prefix[D-1-i].Apply(x.Letter(i)))
+	for _, s := range sigmas {
+		if s.N() != d {
+			panic("debruijn: alphabet permutation size mismatch")
 		}
-		mapping[u] = y.Int()
 	}
-	return mapping
+	place := word.NewPlace(d, D)
+	top := word.Pow(d, D-1)
+	for x := range place[D-1] {
+		place[D-1][x] = x * top
+	}
+	for i := D - 2; i >= 0; i-- {
+		for x, y := range sigmas[D-2-i] {
+			place[i][x] = place[i+1][y] / d
+		}
+	}
+	return place
 }
 
 // BMultiSigma builds the generalized alphabet digraph described after
 // Proposition 3.2, with a distinct permutation σ_i applied at each position:
 // Γ⁺(x_{D-1} ... x_0) = {σ_0(x_{D-2}) ... σ_{D-2}(x_0) σ_{D-1}(α) : α ∈ Z_d}.
+//
+// On labels, arc α of u leads to base(u) + σ_{D-1}(α) with
+// base(u) = Σ_{j≥1} σ_{D-1-j}(x_{j-1})·d^j, one DigitMap.
 func BMultiSigma(d, D int, sigmas []perm.Perm) *digraph.Digraph {
 	if len(sigmas) != D {
 		panic("debruijn: need exactly D alphabet permutations")
@@ -119,19 +125,12 @@ func BMultiSigma(d, D int, sigmas []perm.Perm) *digraph.Digraph {
 			panic("debruijn: alphabet permutation size mismatch")
 		}
 	}
-	n := word.Pow(d, D)
-	return digraph.FromFunc(n, func(u int) []int {
-		x := word.MustFromInt(d, D, u)
-		// Successor letters: position j (1 ≤ j ≤ D-1) holds σ_{D-1-j}(x_{j-1});
-		// position 0 holds σ_{D-1}(α), which ranges over all of Z_d.
-		y := word.New(d, D)
-		for j := 1; j < D; j++ {
-			y = y.WithLetter(j, sigmas[D-1-j].Apply(x.Letter(j-1)))
+	place := word.NewPlace(d, D)
+	for i := 0; i+1 < D; i++ {
+		w := word.Pow(d, i+1)
+		for x, y := range sigmas[D-2-i] {
+			place[i][x] = y * w
 		}
-		out := make([]int, d)
-		for alpha := 0; alpha < d; alpha++ {
-			out[alpha] = y.WithLetter(0, sigmas[D-1].Apply(alpha)).Int()
-		}
-		return out
-	})
+	}
+	return fromBase(word.DigitMap(d, D, place), sigmas[D-1])
 }

@@ -41,6 +41,29 @@ func FromFunc(n int, out func(u int) []int) *Digraph {
 	return g
 }
 
+// Regular returns the digraph on n vertices in which vertex u has the d
+// out-neighbours heads[u·d : (u+1)·d], in that order. It takes ownership
+// of heads (len n·d, every head in [0, n)) and cuts every adjacency list
+// from it, so a d-regular construction fills one slab instead of n lists.
+// Each list's capacity ends at its length: an AddArc on one vertex
+// reallocates that list instead of overwriting its neighbour's.
+func Regular(n, d int, heads []int) *Digraph {
+	if d < 0 || len(heads) != n*d {
+		panic(fmt.Sprintf("digraph: Regular(%d, %d) needs %d heads, got %d", n, d, n*d, len(heads)))
+	}
+	g := New(n)
+	for k, v := range heads {
+		if v < 0 || v >= n {
+			panic(fmt.Sprintf("digraph: arc (%d,%d) out of range [0,%d)", k/d, v, n))
+		}
+	}
+	for u := range g.adj {
+		g.adj[u] = heads[u*d : (u+1)*d : (u+1)*d]
+	}
+	g.m = len(heads)
+	return g
+}
+
 // AddArc adds the arc (u, v). Parallel arcs and loops are allowed.
 func (g *Digraph) AddArc(u, v int) {
 	n := g.N()

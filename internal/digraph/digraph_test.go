@@ -602,3 +602,50 @@ func TestEmptyDigraph(t *testing.T) {
 		t.Error("empty digraphs not isomorphic")
 	}
 }
+
+func TestRegularCutsOneSlab(t *testing.T) {
+	heads := []int{1, 2, 2, 3, 3, 0, 0, 1}
+	g := Regular(4, 2, heads)
+	if g.N() != 4 || g.M() != 8 || !g.IsOutRegular(2) {
+		t.Fatalf("Regular(4, 2): n=%d m=%d", g.N(), g.M())
+	}
+	for u := 0; u < 4; u++ {
+		if out := g.Out(u); !reflect.DeepEqual(out, heads[2*u:2*u+2]) {
+			t.Errorf("Out(%d) = %v, want %v", u, out, heads[2*u:2*u+2])
+		}
+	}
+	// AddArc is the only in-place mutator: growing one list must
+	// reallocate it, never write into the neighbour's window.
+	g.AddArc(1, 0)
+	want := [][]int{{1, 2}, {2, 3, 0}, {3, 0}, {0, 1}}
+	for u, w := range want {
+		if out := g.Out(u); !reflect.DeepEqual(out, w) {
+			t.Errorf("after AddArc(1, 0): Out(%d) = %v, want %v", u, out, w)
+		}
+	}
+	if g.M() != 9 {
+		t.Errorf("after AddArc: m=%d, want 9", g.M())
+	}
+}
+
+func TestRegularRejectsBadSlab(t *testing.T) {
+	for _, c := range []struct {
+		n, d  int
+		heads []int
+	}{
+		{2, 2, []int{0, 1, 1}}, // short slab
+		{2, 1, []int{0, 2}},    // head out of range
+		{2, 1, []int{-1, 0}},   // negative head
+		{1, -1, []int{}},       // negative degree
+		{3, 2, make([]int, 7)}, // long slab
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Regular(%d, %d, %v) did not panic", c.n, c.d, c.heads)
+				}
+			}()
+			Regular(c.n, c.d, c.heads)
+		}()
+	}
+}

@@ -9,6 +9,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/debruijn"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/optics"
 	"repro/internal/otis"
 	"repro/internal/simnet"
+	"repro/internal/word"
 )
 
 // Machine is a fully assembled optical de Bruijn machine.
@@ -60,6 +62,11 @@ type Machine struct {
 // logical labels, with no routing table. Pitch is the transceiver pitch
 // in metres (use optics.DefaultPitch for the standard 250 µm).
 func Build(d, D int, pitch float64) (*Machine, error) {
+	// The simulator's node ids are int32: refuse a larger machine before
+	// the O(D²) layout search and the O(d^D) bench, digraph and witness.
+	if n, ok := word.PowChecked(d, D); !ok || n > math.MaxInt32 {
+		return nil, fmt.Errorf("machine: B(%d,%d) is outside the simulator's node range [1, %d]", d, D, math.MaxInt32)
+	}
 	layout, ok := otis.OptimalLayout(d, D)
 	if !ok {
 		return nil, fmt.Errorf("machine: no OTIS layout realizes B(%d,%d)", d, D)

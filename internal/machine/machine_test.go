@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -37,6 +38,59 @@ func TestBuildFailsWithoutLayout(t *testing.T) {
 	if _, err := Build(2, 8, -1); err == nil {
 		t.Error("negative pitch accepted")
 	}
+}
+
+// TestBuildRejectsUnservableSizes: every machine the simulator cannot
+// address is refused with an error before any O(d^D) work — no panic,
+// no overflowed bench, no multi-minute beam trace.
+func TestBuildRejectsUnservableSizes(t *testing.T) {
+	for _, c := range []struct{ d, D int }{
+		{2, 31},          // 2^31 nodes: one past the int32 range
+		{2, 40},          // cmd/machine -diam 40
+		{2, 70},          // p·q = 2^71 overflows int
+		{3, 20},          // 3^20 > 2^31
+		{2, math.MaxInt}, // d^D overflows long before the layout search
+		{math.MaxInt, 2}, // likewise with a huge degree
+		{0, 3},           // no alphabet
+		{2, 0},           // no letters
+		{2, -1},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("Build(%d, %d) panicked: %v", c.d, c.D, r)
+				}
+			}()
+			if _, err := Build(c.d, c.D, optics.DefaultPitch); err == nil {
+				t.Errorf("Build(%d, %d) succeeded, want an error", c.d, c.D)
+			}
+		}()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Build(2, 31, optics.DefaultPitch)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Build(2, 31) succeeded")
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("Build(2, 31) allocated %d bytes before refusing, want < 1 MiB", alloc)
+	}
+}
+
+// TestBuildAllocs pins the machine's construction footprint at B(2,12):
+// the bench, H, the witness and the router are a fixed number of slabs,
+// never a Word or a list per node.
+func TestBuildAllocs(t *testing.T) {
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(2, 12, optics.DefaultPitch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("Build(2, 12) makes %.0f allocations, want at most 200", allocs)
+	}
+	t.Logf("Build(2, 12): %.0f allocations", allocs)
 }
 
 func TestRouteAndVerify(t *testing.T) {

@@ -2,6 +2,7 @@ package otis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/alpha"
 	"repro/internal/perm"
@@ -51,8 +52,21 @@ func IsDeBruijnLayout(pPrime, qPrime int) bool {
 // LayoutWitness returns the isomorphism from H(d^p', d^q', d) onto
 // B(d, D) as a vertex mapping, combining Proposition 4.1 (H = A(f, C,
 // p'-1) on identical labels) with the Proposition 3.9 witness. Errors when
-// the layout criterion fails.
+// d < 1, p' < 1, q' < 1, d^D overflows int, or the layout criterion
+// fails; every check runs before any O(d^D) work.
 func LayoutWitness(d, pPrime, qPrime int) ([]int, error) {
+	if d < 1 {
+		return nil, fmt.Errorf("otis: degree %d < 1", d)
+	}
+	if pPrime < 1 || qPrime < 1 {
+		return nil, fmt.Errorf("otis: need p', q' >= 1, got (%d,%d)", pPrime, qPrime)
+	}
+	if pPrime-1 > math.MaxInt-qPrime {
+		return nil, fmt.Errorf("otis: p' + q' - 1 overflows int for (%d,%d)", pPrime, qPrime)
+	}
+	if _, ok := word.PowChecked(d, pPrime+qPrime-1); !ok {
+		return nil, fmt.Errorf("otis: B(%d,%d) has more than MaxInt vertices", d, pPrime+qPrime-1)
+	}
 	a := AlphaForLayout(d, pPrime, qPrime)
 	mapping, err := a.IsoToDeBruijn()
 	if err != nil {

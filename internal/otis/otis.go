@@ -15,6 +15,7 @@ package otis
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/digraph"
 )
@@ -87,20 +88,22 @@ func H(p, q, d int) (*digraph.Digraph, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("otis: degree %d < 1", d)
 	}
-	m := p * q
+	if q > math.MaxInt/p {
+		return nil, fmt.Errorf("otis: pq = %d·%d overflows int", p, q)
+	}
+	m := s.Transceivers()
 	if m%d != 0 {
 		return nil, fmt.Errorf("otis: degree %d does not divide pq = %d", d, m)
 	}
-	n := m / d
-	g := digraph.FromFunc(n, func(u int) []int {
-		out := make([]int, d)
-		for beta := 0; beta < d; beta++ {
-			t := d*u + beta
-			out[beta] = s.ConnectionID(t) / d
+	// Transmitter t is out-arc t mod d of node ⌊t/d⌋, so the heads in
+	// transmitter order are the adjacency lists back to back.
+	heads := make([]int, m)
+	for i := 0; i < p; i++ {
+		for j := 0; j < q; j++ {
+			heads[s.TransmitterID(i, j)] = s.ReceiverID(s.Receiver(i, j)) / d
 		}
-		return out
-	})
-	return g, nil
+	}
+	return digraph.Regular(m/d, d, heads), nil
 }
 
 // MustH is H panicking on error, for fixtures and tables.

@@ -60,6 +60,16 @@ func TestPowOverflowBoundary(t *testing.T) {
 		// Far past the boundary the same guard, not a wrapped value, must
 		// answer.
 		mustPanicMsg(t, "word: d^D overflows int", func() { Pow(tc.d, 4*tc.maxD) })
+		// PowChecked draws the same boundary without panicking, and
+		// answers an absurd D in O(64) steps.
+		if got, ok := PowChecked(tc.d, tc.maxD); !ok || got != n {
+			t.Errorf("PowChecked(%d,%d) = %d, %v, want %d, true", tc.d, tc.maxD, got, ok, n)
+		}
+		for _, D := range []int{tc.maxD + 1, 4 * tc.maxD, math.MaxInt} {
+			if got, ok := PowChecked(tc.d, D); ok {
+				t.Errorf("PowChecked(%d,%d) = %d, true; want overflow", tc.d, D, got)
+			}
+		}
 	}
 }
 
@@ -131,4 +141,12 @@ func TestIntGuardFires(t *testing.T) {
 func TestPowInvalidArguments(t *testing.T) {
 	mustPanicMsg(t, "word: invalid Pow arguments", func() { Pow(0, 3) })
 	mustPanicMsg(t, "word: invalid Pow arguments", func() { Pow(2, -1) })
+	for _, c := range [][2]int{{0, 3}, {2, -1}, {-2, 2}} {
+		if got, ok := PowChecked(c[0], c[1]); ok {
+			t.Errorf("PowChecked(%d,%d) = %d, true; want invalid", c[0], c[1], got)
+		}
+	}
+	if got, ok := PowChecked(1, math.MaxInt); !ok || got != 1 {
+		t.Errorf("PowChecked(1, MaxInt) = %d, %v, want 1, true", got, ok)
+	}
 }

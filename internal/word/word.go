@@ -261,15 +261,88 @@ func Pow(d, D int) int {
 	if d < 1 || D < 0 {
 		panic("word: invalid Pow arguments")
 	}
-	n := 1
-	for i := 0; i < D; i++ {
-		next := n * d
-		if next/d != n {
-			panic("word: d^D overflows int")
-		}
-		n = next
+	n, ok := PowChecked(d, D)
+	if !ok {
+		panic("word: d^D overflows int")
 	}
 	return n
+}
+
+// PowChecked returns d^D and true, or 0 and false when d < 1, D < 0 or
+// d^D overflows int. It never panics and takes O(min(D, 64)) steps, so
+// it can size-check untrusted parameters before any O(d^D) work.
+func PowChecked(d, D int) (int, bool) {
+	if d < 1 || D < 0 {
+		return 0, false
+	}
+	if d == 1 {
+		return 1, true
+	}
+	n := 1
+	for i := 0; i < D; i++ {
+		if n > math.MaxInt/d {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// DigitMap evaluates a digit-wise map on every label of Z_d^D: out[u] =
+// Σ_i place[i][x_i] for u = Σ_i x_i d^i, in increasing u. place is a D×d
+// table, one row per letter position; every isomorphism witness and
+// successor rule of Section 3 substitutes letters position by position
+// and moves them to new positions, which is exactly such a table (row i
+// holds τ_i(x)·d^π(i)). An odometer over x_1 … x_{D-1} keeps the high
+// positions' partial sum, so each label costs one add plus an amortized
+// O(1) carry, and no Word is ever materialized.
+func DigitMap(d, D int, place [][]int) []int {
+	n := Pow(d, D)
+	if len(place) != D {
+		panic(fmt.Sprintf("word: DigitMap needs %d place rows, got %d", D, len(place)))
+	}
+	for _, row := range place {
+		if len(row) != d {
+			panic(fmt.Sprintf("word: DigitMap place row has %d entries, want %d", len(row), d))
+		}
+	}
+	out := make([]int, n)
+	if D == 0 {
+		return out
+	}
+	x := make([]int, D) // the odometer; x[0] is swept by the inner loop
+	high := 0
+	for i := 1; i < D; i++ {
+		high += place[i][0]
+	}
+	for u := 0; ; {
+		for _, w := range place[0] {
+			out[u] = high + w
+			u++
+		}
+		if u == n {
+			return out
+		}
+		i := 1
+		for x[i] == d-1 {
+			high += place[i][0] - place[i][d-1]
+			x[i] = 0
+			i++
+		}
+		high += place[i][x[i]+1] - place[i][x[i]]
+		x[i]++
+	}
+}
+
+// NewPlace returns a zero D×d place table for DigitMap, backed by one
+// slab.
+func NewPlace(d, D int) [][]int {
+	slab := make([]int, D*d)
+	place := make([][]int, D)
+	for i := range place {
+		place[i] = slab[i*d : (i+1)*d : (i+1)*d]
+	}
+	return place
 }
 
 // Enumerate calls visit for every word of length D over Z_d in increasing

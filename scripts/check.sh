@@ -46,6 +46,17 @@ echo "== sharded table-free smoke run =="
 go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift -shards 4 \
     -workload permutation > /dev/null
 
+echo "== OTIS witness-routed smoke run (B(2,14), 16384 nodes, no routing table) =="
+# Table routing here would need a 256 MiB next-hop slab; -routing auto
+# must shift-route through the certified layout witness and print none.
+otis_out=$(go run ./cmd/simulate -topo otis -d 2 -diam 14 -workload permutation)
+if ! printf '%s\n' "$otis_out" | grep -qx 'routing:  shift' ||
+    printf '%s\n' "$otis_out" | grep -q 'slab'; then
+    echo "simulate -topo otis: want the routing line 'routing:  shift' and no slab, got:" >&2
+    printf '%s\n' "$otis_out" >&2
+    exit 1
+fi
+
 echo "== chaos smoke (seeded random fault plans) =="
 go test ./internal/simnet -run Chaos -count=1
 
