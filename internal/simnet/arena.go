@@ -1,8 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -35,34 +36,40 @@ type arena struct {
 	// packet's entry at setup, so a recycled slab carries nothing over.
 	pCarry []int32
 
-	// SoA link pipelines of the run engines: fixed-capacity segments per
-	// arc in two flat slabs (packet index and ready cycle). Segment
-	// capacity is safe because a pipe holds at most HopLatency in-flight
-	// packets when nothing holds on the link (one departure per cycle,
-	// each resident exactly HopLatency cycles) and at most
-	// qcap+HopLatency — the credit window — under the plain engine's
-	// bounded queues.
+	// The links, in two flat slabs of segCap·M entries. The general path
+	// and the fault loop cut them into fixed-capacity pipe segments per
+	// arc (packet index and ready cycle, pipeLen entries in use). A pipe
+	// holds at most HopLatency in-flight packets when nothing holds on
+	// the link (one departure per cycle, each resident exactly
+	// HopLatency cycles) and at most qcap+HopLatency — the credit window
+	// — under the plain engine's bounded queues. The lean path and the
+	// sharded lanes cut the same slabs into a departure ring instead
+	// (departureRing): HopLatency buckets of M (packet, arc) entries.
+	// ringFill counts the lean path's entries in each bucket; the lanes
+	// keep their own.
 	pipePkt, pipeReady []int32
-	pipeLen            []int32
+	pipeLen, ringFill  []int32
 
-	// Gather buffers of the lean arrival path: arrived packets, their
-	// arrival nodes and their routed arcs, refilled every cycle so the
-	// router-slab gather runs as one dense pass of independent loads.
+	// The lean path's routing batch: the packets entering a node this
+	// cycle (injections, then arrivals), their nodes and their routed
+	// flat out-arcs, refilled every cycle so the router-slab gather runs
+	// as one dense pass of independent loads.
 	arrPkt, arrNode, arrArc []int32
 
-	// Intrusive linked queues of the plain engine: per-arc head/tail/
-	// length slabs plus a per-packet next pointer — flat int32 slabs, so
-	// a push or pop touches at most two slab lines. A packet sits in one
-	// queue at a time, so one next entry per packet suffices.
-	qHead, qTail, qLen []int32
-	pNext              []int32
+	// Intrusive linked queues of the plain engines (see arcQueues): a
+	// {tail, length} pair per arc plus one link slab holding each
+	// packet's next pointer followed by a head sentinel per arc, so a
+	// push touches one pair and one link. A packet sits in one queue at
+	// a time, so one link per packet suffices.
+	qEnds []queueEnds
+	qLink []int32
 
 	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets,
-	// aBits bit a set ⇔ arc a has in-flight (or held) pipe entries, and
-	// nodeBits bit u set ⇔ node u has waiting packets (fault loop). The
-	// per-cycle sweeps walk set bits in ascending order instead of
-	// scanning all M arcs (or N nodes), which is what makes ns/packet
-	// flat in network size.
+	// aBits bit a set ⇔ arc a has in-flight (or held) pipe entries
+	// (general path and fault loop), and nodeBits bit u set ⇔ node u has
+	// waiting packets (fault loop). The per-cycle sweeps walk set bits
+	// in ascending order instead of scanning all M arcs (or N nodes),
+	// which is what makes ns/packet flat in network size.
 	qBits, aBits, nodeBits []uint64
 
 	// busy marks out-arcs already used this (node, cycle): busy[k] equals
@@ -89,6 +96,7 @@ func (nw *Network) getArena() (*arena, bool) {
 		ar = &arena{
 			waiting:  make([][]int32, n),
 			pipeLen:  make([]int32, m),
+			ringFill: make([]int32, nw.cfg.HopLatency),
 			qBits:    make([]uint64, (m+63)/64),
 			aBits:    make([]uint64, (m+63)/64),
 			nodeBits: make([]uint64, (n+63)/64),
@@ -99,9 +107,8 @@ func (nw *Network) getArena() (*arena, bool) {
 	for i := range ar.waiting {
 		ar.waiting[i] = ar.waiting[i][:0]
 	}
-	for i := range ar.pipeLen {
-		ar.pipeLen[i] = 0
-	}
+	clearInt32(ar.pipeLen)
+	clearInt32(ar.ringFill)
 	clearBits(ar.qBits)
 	clearBits(ar.aBits)
 	clearBits(ar.nodeBits)
@@ -167,9 +174,9 @@ func (ar *arena) carrySlab(p int) []int32 {
 	return ar.pCarry
 }
 
-// arrivalBatch returns the three gather buffers of the lean arrival
-// path (packet index, arrival node, routed arc), each with room for p
-// entries — at most every offered packet can arrive in one cycle.
+// arrivalBatch returns the three buffers of the lean routing batch
+// (packet index, node, routed arc), each with room for p entries — at
+// most every offered packet can enter a node in one cycle.
 func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	if cap(ar.arrPkt) < p {
 		ar.arrPkt = make([]int32, p)
@@ -179,25 +186,69 @@ func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	return ar.arrPkt[:p], ar.arrNode[:p], ar.arrArc[:p]
 }
 
-// queueLinks returns the plain engine's intrusive queue slabs: per-arc
-// head, tail and length (length zeroed here — a truncated previous run
-// may have left packets queued) and the per-packet next slab. Head and
-// tail need no reset: a queue with qLen == 0 rewrites both on its first
-// push.
-func (ar *arena) queueLinks(m, p int) (qHead, qTail, qLen, pNext []int32) {
-	if cap(ar.qHead) < m {
-		ar.qHead = make([]int32, m)
-		ar.qTail = make([]int32, m)
-		ar.qLen = make([]int32, m)
+// arcQueues are the plain engines' per-arc FIFO queues, threaded
+// through one link slab: link[i] is packet i's successor in its queue,
+// and link[head+a] is arc a's head sentinel, whose successor is the
+// queue's head. An empty queue's tail is its sentinel, so a push has no
+// empty-queue case; the pop that empties a queue points its tail back
+// at the sentinel. Every per-arc queue of the lean and general paths and
+// of the sharded lanes has this one layout.
+type arcQueues struct {
+	ends []queueEnds
+	link []int32
+	head int32 // link index of arc 0's sentinel: the packet count
+}
+
+// queueEnds is one arc queue's tail link index and length, side by side
+// so a push reads and writes one cache line of them.
+type queueEnds struct{ tail, length int32 }
+
+// push appends packet pk to arc a's queue and returns its new depth.
+//
+//lint:hotpath
+func (q *arcQueues) push(a, pk int32) int32 {
+	e := &q.ends[a]
+	q.link[e.tail] = pk
+	e.tail = pk
+	e.length++
+	return e.length
+}
+
+// pop unlinks and returns the head of arc a's non-empty queue and
+// reports whether the queue is now empty.
+//
+//lint:hotpath
+func (q *arcQueues) pop(a int) (pk int32, empty bool) {
+	//lint:ignore slabindex a < M, and head+M fits int32 by queueLinks' guard
+	s := q.head + int32(a)
+	pk = q.link[s]
+	q.link[s] = q.link[pk]
+	e := &q.ends[a]
+	e.length--
+	if e.length > 0 {
+		return pk, false
 	}
-	ar.qHead = ar.qHead[:m]
-	ar.qTail = ar.qTail[:m]
-	ar.qLen = ar.qLen[:m]
-	clearInt32(ar.qLen)
-	if cap(ar.pNext) < p {
-		ar.pNext = make([]int32, p)
+	e.tail = s
+	return pk, true
+}
+
+// queueLinks returns empty queues for m arcs and p packets on the
+// arena's end and link slabs: 2m ends and p+m links. Ends are
+// reset here (a truncated previous run may have left packets queued);
+// links need none, since a push writes every link a pop later reads.
+func (ar *arena) queueLinks(m, p int) arcQueues {
+	guardIndexInt32(p+m, "queue links")
+	if cap(ar.qEnds) < m {
+		ar.qEnds = make([]queueEnds, m)
 	}
-	return ar.qHead, ar.qTail, ar.qLen, ar.pNext[:p]
+	if cap(ar.qLink) < p+m {
+		ar.qLink = make([]int32, p+m)
+	}
+	q := arcQueues{ends: ar.qEnds[:m], link: ar.qLink[:p+m], head: int32(p)}
+	for a := range q.ends {
+		q.ends[a] = queueEnds{tail: q.head + int32(a)}
+	}
+	return q
 }
 
 // clearInt32 zeroes an int32 slab in place.
@@ -218,6 +269,18 @@ func (ar *arena) pipeSegments(m, segCap int) (pkt, ready []int32, length []int32
 	ar.pipePkt = ar.pipePkt[:need]
 	ar.pipeReady = ar.pipeReady[:need]
 	return ar.pipePkt, ar.pipeReady, ar.pipeLen
+}
+
+// departureRing returns the departure ring of the lean path and the
+// sharded lanes, carved from the pipe slabs: hopLat buckets of m entries,
+// bucket b holding the packets (pkt) that left on which arcs (arc) at
+// the cycles ≡ b mod hopLat, in ascending arc order. A link sends at
+// most one packet per cycle, so m entries per bucket suffice, and the
+// packets arriving at cycle t are exactly bucket t mod hopLat as written
+// at cycle t−hopLat. Each caller counts its own bucket fills.
+func (ar *arena) departureRing(m, hopLat int) (pkt, arc []int32) {
+	pkt, arc, _ = ar.pipeSegments(m, hopLat)
+	return pkt, arc
 }
 
 // putArena returns a run's scratch to the pool.
@@ -243,11 +306,10 @@ func (ar *arena) metaFor(n int) []pktMeta {
 // order identical to the map-era behaviour (buckets were appended in
 // index order).
 func sortByRelease(order []int32, pkts []Packet) {
-	sort.Slice(order, func(a, b int) bool {
-		ra, rb := pkts[order[a]].Release, pkts[order[b]].Release
-		if ra != rb {
-			return ra < rb
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(pkts[a].Release, pkts[b].Release); c != 0 {
+			return c
 		}
-		return order[a] < order[b]
+		return cmp.Compare(a, b)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/debruijn"
+	"repro/internal/digraph"
 	"repro/internal/obs"
 )
 
@@ -349,18 +350,34 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 			return a, b, err
 		}
 	}
+	mkWitness := func(cfg Config) func() (*Network, *Network, error) {
+		return func() (*Network, *Network, error) {
+			h, _, r := otisB26Witness(t)
+			a, err := New(h, r, cfg)
+			if err != nil {
+				return nil, nil, err
+			}
+			b, err := New(h, r, cfg)
+			return a, b, err
+		}
+	}
 	nets := []netCase{
 		{name: "B(2,5)_table", build: mkDB(2, 5, true, DefaultConfig())},
 		{name: "B(3,3)_word", build: mkDB(3, 3, false, DefaultConfig())},
 		{name: "B(2,4)_lat3", build: mkDB(2, 4, true, Config{HopLatency: 3})},
 		{name: "B(2,4)_trunc", build: mkDB(2, 4, true, Config{HopLatency: 1, MaxCycles: 6})},
-		{name: "OTIS_B(2,6)_witness", build: func() (*Network, *Network, error) {
-			h, _, r := otisB26Witness(t)
-			a, err := New(h, r, DefaultConfig())
+		{name: "OTIS_B(2,6)_witness", build: mkWitness(DefaultConfig())},
+		{name: "OTIS_B(2,6)_witness_lat2", build: mkWitness(Config{HopLatency: 2})},
+		{name: "OTIS_B(2,6)_witness_trunc", build: mkWitness(Config{HopLatency: 1, MaxCycles: 9})},
+		{name: "B(3,3)_word_lat4", build: mkDB(3, 3, false, Config{HopLatency: 4})},
+		{name: "multigraph_table", build: func() (*Network, *Network, error) {
+			g := parallelLoopMultigraph()
+			r := NewTableRouter(g)
+			a, err := New(g, r, DefaultConfig())
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := New(h, r, DefaultConfig())
+			b, err := New(g, r, DefaultConfig())
 			return a, b, err
 		}},
 	}
@@ -439,6 +456,25 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// parallelLoopMultigraph is a strongly connected 6-node multigraph with
+// parallel arcs, self-loops and out-degrees 2 to 4: several arcs share
+// each head, so one cycle's arrivals at a node come in on different
+// arcs.
+func parallelLoopMultigraph() *digraph.Digraph {
+	g := digraph.New(6)
+	for _, arc := range [][2]int{
+		{0, 1}, {0, 1}, {0, 0}, {0, 3},
+		{1, 2}, {1, 1}, {1, 2}, {1, 4},
+		{2, 3}, {2, 5}, {2, 0},
+		{3, 4}, {3, 4}, {3, 3},
+		{4, 5}, {4, 0}, {4, 2},
+		{5, 0}, {5, 0}, {5, 5}, {5, 1},
+	} {
+		g.AddArc(arc[0], arc[1])
+	}
+	return g
 }
 
 // trimPackets drops the packet table from a Result for readable failure

@@ -30,9 +30,11 @@ import (
 
 // FaultConfig tunes RunWithFaults. The zero value selects defaults.
 type FaultConfig struct {
-	// HopLatency is the wire time of one hop in cycles (0: 1).
+	// HopLatency is the wire time of one hop in cycles (0: the
+	// Network's Config.HopLatency).
 	HopLatency int
-	// MaxCycles aborts the run (0: a generous bound).
+	// MaxCycles aborts the run (0: the Network's Config.MaxCycles, and
+	// when that is 0 too, a generous bound).
 	MaxCycles int
 	// TTL is the per-packet hop budget (0: 4·diameter+8, or 2n when the
 	// digraph is not strongly connected).
@@ -61,6 +63,20 @@ type FaultConfig struct {
 
 // DefaultFaultConfig returns the default fault-run tuning.
 func DefaultFaultConfig() FaultConfig { return FaultConfig{} }
+
+// faultConfig resolves the tuning of a fault run or a self-healing
+// session on nw: a field c sets explicitly wins, a zero HopLatency or
+// MaxCycles takes the Network's Config (so WithHopLatency and
+// WithMaxCycles reach every engine), and withDefaults fills the rest.
+func (nw *Network) faultConfig(c FaultConfig, diameter int) FaultConfig {
+	if c.HopLatency < 1 {
+		c.HopLatency = nw.cfg.HopLatency
+	}
+	if c.MaxCycles == 0 {
+		c.MaxCycles = nw.cfg.MaxCycles
+	}
+	return c.withDefaults(nw.g.N(), diameter)
+}
 
 func (c FaultConfig) withDefaults(n, diameter int) FaultConfig {
 	if c.HopLatency < 1 {
@@ -179,7 +195,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	cfg = cfg.withDefaults(nw.g.N(), nw.diameterFrom(nw.faultFreeDist()))
+	cfg = nw.faultConfig(cfg, nw.diameterFrom(nw.faultFreeDist()))
 	res, events, err := nw.faultLoop(packets, state, nil, cfg, traced, admit, rec)
 	return res.FaultResult, events, err
 }
@@ -261,12 +277,14 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 		}
 	}
 	// waiting[u] is the FIFO of packet indices held at node u. Links are
-	// the plain kernel's SoA pipe segments: one departure per arc per
-	// cycle, each in flight exactly HopLatency cycles, so HopLatency
-	// slots per arc suffice. nodeBits (bit u ⇔ waiting[u] non-empty) and
-	// aBits (bit a ⇔ arc a has packets in flight) let the per-cycle
-	// sweeps walk only active nodes and arcs, in the same ascending order
-	// as the historical full scans.
+	// the general plain path's SoA pipe segments: one departure per arc
+	// per cycle, each in flight exactly HopLatency cycles, so HopLatency
+	// slots per arc suffice. (Not the lean path's departure ring: packets
+	// leave a node in FIFO order, not ascending arc order, and arrivals
+	// must be swept in arc order.) nodeBits (bit u ⇔ waiting[u]
+	// non-empty) and aBits (bit a ⇔ arc a has packets in flight) let the
+	// per-cycle sweeps walk only active nodes and arcs, in the same
+	// ascending order as the historical full scans.
 	waiting := ar.waiting
 	segCap := cfg.HopLatency
 	hopLat := int32(cfg.HopLatency)
@@ -482,7 +500,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 			for wbits != 0 {
 				u := w<<6 + trailingZeros64(wbits)
 				wbits &= wbits - 1
-				depth := len(waiting[u])
+				depth := len(waiting[u]) // MaxQueue is node-FIFO depth here
 				if depth > res.MaxQueue {
 					res.MaxQueue = depth
 					res.HotNode = u

@@ -59,7 +59,8 @@ type HealMonitor interface {
 
 // HealConfig tunes a self-healing session. The zero value selects
 // defaults. The embedded FaultConfig keeps its RunWithFaults meaning
-// (hop latency, TTL, retry/backoff budget, cycle bound per Run).
+// (hop latency, TTL, retry/backoff budget, cycle bound per Run),
+// resolved against the Network's Config the same way.
 type HealConfig struct {
 	FaultConfig
 	// DetectLatency is the timeout a sender pays for a failed
@@ -77,8 +78,8 @@ type HealConfig struct {
 	Monitor HealMonitor
 }
 
-func (c HealConfig) withHealDefaults(n, diameter int) HealConfig {
-	c.FaultConfig = c.FaultConfig.withDefaults(n, diameter)
+func (c HealConfig) withHealDefaults(nw *Network, diameter int) HealConfig {
+	c.FaultConfig = nw.faultConfig(c.FaultConfig, diameter)
 	if c.DetectLatency < 1 {
 		c.DetectLatency = 2
 	}
@@ -152,7 +153,7 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 		nw:          nw,
 		state:       state,
 		heal:        newHealState(nw.g, nw.pristineSlab()),
-		cfg:         cfg.withHealDefaults(nw.g.N(), nw.diameter()),
+		cfg:         cfg.withHealDefaults(nw, nw.diameter()),
 		quarantined: map[Arc]bool{},
 	}, nil
 }

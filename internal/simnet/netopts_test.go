@@ -207,3 +207,130 @@ func TestNetworkRunDefaults(t *testing.T) {
 		t.Fatalf("bounded default produced no backpressure; test not exercising the bound")
 	}
 }
+
+// TestNetworkConfigReachesEveryEngine is the agreement property behind a
+// Network's Config: with unbounded queues, a plain RunOpts, a fault run
+// with no plan (WithFaults(nil)) and a fresh self-healing session with
+// an empty plan must deliver every packet at the same cycle after the
+// same hops, at every HopLatency the Network is built with — the fault
+// and heal tunings leave HopLatency zero, so they take the Network's.
+// MaxQueue and HotNode are left out: the fault loop reports node-FIFO
+// depth (Result.MaxQueue).
+func TestNetworkConfigReachesEveryEngine(t *testing.T) {
+	kautz, _ := debruijn.Kautz(2, 4)
+	w, _ := otisWitness(t, 2, 6)
+	topos := []struct {
+		name string
+		g    *digraph.Digraph
+		opts []NetworkOption
+	}{
+		{"B(2,6)", debruijn.DeBruijn(2, 6), nil},
+		{"B(3,4)", debruijn.DeBruijn(3, 4), nil},
+		{"K(2,4)", kautz, nil},
+		{"OTIS_B(2,6)_witness", w.g, []NetworkOption{WithRouter(w.r)}},
+	}
+	for _, tp := range topos {
+		n := tp.g.N()
+		for hop := 1; hop <= 3; hop++ {
+			nw, err := NewNetwork(tp.g, append(tp.opts, WithHopLatency(hop))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				label := tp.name + "/hop=" + itoa(hop) + "/seed=" + itoa(int(seed))
+				plain, err := nw.RunOpts(UniformLoad(4*n), WithSeed(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fault, err := nw.RunOpts(UniformLoad(4*n), WithSeed(seed), WithFaults(nil))
+				if err != nil {
+					t.Fatal(err)
+				}
+				session, err := nw.SelfHeal(nil, HealConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				heal, err := session.Run(UniformRandom(n, 4*n, seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDeliveries(t, label+"/fault", plain.Result, fault.Result)
+				sameDeliveries(t, label+"/heal", plain.Result, heal.Result)
+			}
+		}
+	}
+}
+
+// sameDeliveries fails unless got delivers every packet of want at the
+// same cycle after the same hops, with the same aggregates.
+func sameDeliveries(t *testing.T, label string, want, got Result) {
+	t.Helper()
+	type agg struct {
+		Delivered, Cycles, TotalHops, TotalWait int
+		MeanLatency                             float64
+	}
+	wa := agg{want.Delivered, want.Cycles, want.TotalHops, want.TotalWait, want.MeanLatency}
+	ga := agg{got.Delivered, got.Cycles, got.TotalHops, got.TotalWait, got.MeanLatency}
+	if wa != ga {
+		t.Fatalf("%s: aggregates %+v, plain run %+v", label, ga, wa)
+	}
+	if len(got.Packets) != len(want.Packets) {
+		t.Fatalf("%s: %d packets, plain run %d", label, len(got.Packets), len(want.Packets))
+	}
+	for i, p := range want.Packets {
+		if q := got.Packets[i]; q.Delivered != p.Delivered || q.Hops != p.Hops {
+			t.Fatalf("%s: packet %d delivered at %d after %d hops, plain run at %d after %d",
+				label, i, q.Delivered, q.Hops, p.Delivered, p.Hops)
+		}
+	}
+}
+
+// TestMaxCyclesReachesFaultEngine: a Network's cycle budget stops a fault
+// run left at FaultConfig.MaxCycles 0 at the same cycle as the plain
+// run, and the packets it strands are counted as Stuck.
+func TestMaxCyclesReachesFaultEngine(t *testing.T) {
+	g := debruijn.DeBruijn(2, 6)
+	const budget = 5
+	nw, err := NewNetwork(g, WithMaxCycles(budget))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := UniformRandom(g.N(), 8*g.N(), 3)
+	plain, err := nw.RunOpts(Fixed(pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault, err := nw.RunOpts(Fixed(pkts), WithFaults(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	session, err := nw.SelfHeal(nil, HealConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	heal, err := session.Run(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := session.Cycle(); got != budget+1 {
+		t.Fatalf("heal session clock at %d after the run, want %d (cycles 0..%d)", got, budget+1, budget)
+	}
+	for _, r := range []struct {
+		name string
+		res  FaultResult
+	}{{"fault", fault.FaultResult}, {"heal", heal.FaultResult}} {
+		sameDeliveries(t, r.name, plain.Result, r.res.Result)
+		if r.res.Cycles > budget {
+			t.Fatalf("%s: last delivery at cycle %d, budget %d", r.name, r.res.Cycles, budget)
+		}
+		if r.res.Stuck == 0 || r.res.Delivered+r.res.Dropped != len(pkts) {
+			t.Fatalf("%s: truncated run: delivered %d + dropped %d (stuck %d) of %d", r.name,
+				r.res.Delivered, r.res.Dropped, r.res.Stuck, len(pkts))
+		}
+	}
+	undelivered := len(pkts) - plain.Delivered - plain.Dropped
+	if fault.Stuck != undelivered-fault.DroppedHorizon {
+		t.Fatalf("fault run: %d stuck + %d beyond the horizon, plain run left %d undelivered",
+			fault.Stuck, fault.DroppedHorizon, undelivered)
+	}
+}

@@ -10,7 +10,7 @@ import (
 // contiguous label ranges (word-prefix shards: de Bruijn congruence
 // labels sharing their high-order digits are contiguous integers) and
 // executes the lean arc-major cycle kernel on every shard concurrently.
-// Each shard exclusively owns the queue, pipe and activity-bitmap state
+// Each shard exclusively owns the queue, link and activity-bitmap state
 // of its nodes' out-arcs and every packet currently buffered there, so
 // the per-cycle phases run without locks; the only cross-shard traffic
 // is the hop handoff, carried in per-cycle batched outboxes (one append
@@ -21,13 +21,13 @@ import (
 //
 // A cycle is two barrier-separated phases:
 //
-//	A (arrive):  sweep own pipes; deliver in place; collect packets
-//	             that must forward into outbox[destination shard],
-//	             tagged with their arrival arc.
+//	A (arrive):  scan own departure-ring bucket; count each hop; deliver
+//	             in place; collect packets that must forward into
+//	             outbox[destination shard], tagged with their arrival arc.
 //	B (enqueue + depart): inject own released packets, drain inboxes
 //	             in sender-shard order, route at the arrival node and
 //	             push; then pop one packet per non-empty own queue
-//	             into its pipe.
+//	             into own ring bucket.
 //
 // The engine reproduces the sequential engine bit for bit, for every
 // shard and worker count (TestShardRunMatchesSequential pins it):
@@ -62,9 +62,15 @@ type shardLane struct {
 	nodeLo, nodeHi int32 // owned nodes [nodeLo, nodeHi)
 	arcLo, arcHi   int32 // owned arcs [arcLo, arcHi) = arcBase[nodeLo:nodeHi]
 
-	// Local activity bitmaps, bit b ⇔ arc arcLo+b (a shared global
-	// bitmap would race on the words straddling shard boundaries).
-	qBits, aBits []uint64
+	// Local queued bitmap, bit b ⇔ arc arcLo+b (a shared global bitmap
+	// would race on the words straddling shard boundaries).
+	qBits []uint64
+
+	// The lane's departure ring: bucket b is entries [b·M+arcLo,
+	// b·M+arcLo+ringFill[b]) of the engine's ring slabs — the lane's
+	// departures at the cycles ≡ b mod HopLatency, in ascending arc
+	// order (at most one per owned arc).
+	ringFill []int32
 
 	// Per-cycle handoff outboxes: outPkt[t] holds the packets crossing
 	// into shard t this cycle, outArc[t] their arrival arcs (the arc
@@ -98,15 +104,14 @@ type shardLane struct {
 
 // shardEngine is the pooled state of one sharded run. The global slabs
 // are the same arena storage the sequential kernel uses; every entry is
-// owned by exactly one lane at any instant (queues and pipes by the arc
-// owner, packet metadata by the shard currently buffering the packet),
-// and the barriers transfer ownership between phases.
+// owned by exactly one lane at any instant (queues and ring entries by
+// the arc owner, packet metadata by the shard currently buffering the
+// packet), and the barriers transfer ownership between phases.
 type shardEngine struct {
 	nw *Network
 	S  int
 
-	segCap int
-	hopLat int32
+	m, hopLat int
 
 	// Router devirtualization, as in the sequential kernel; carry is
 	// the per-packet carried shift state (nil unless shift.carries()).
@@ -123,10 +128,8 @@ type shardEngine struct {
 	pkts                []Packet
 	order               []int32
 	dst, rel, del, hops []int32
-	qHead, qTail, qLen  []int32
-	pNext               []int32
-	pipePkt, pipeReady  []int32
-	pipeLen             []int32
+	queues              arcQueues
+	ringPkt, ringArc    []int32 // the departure ring (arena.departureRing)
 
 	lanes []shardLane
 
@@ -178,7 +181,7 @@ func newShardEngine(nw *Network, S int) *shardEngine {
 		la.arcLo, la.arcHi = nw.arcBase[lo], nw.arcBase[lo+size]
 		words := (int(la.arcHi-la.arcLo) + 63) / 64
 		la.qBits = make([]uint64, words)
-		la.aBits = make([]uint64, words)
+		la.ringFill = make([]int32, nw.cfg.HopLatency)
 		la.outPkt = make([][]int32, S)
 		la.outArc = make([][]int32, S)
 		lo += size
@@ -199,9 +202,9 @@ func (e *shardEngine) shardOf(v int32) int {
 }
 
 // getShardEngine checks a shard engine out of the pool, reset for a new
-// run (a previous truncated run may have left bitmaps and outboxes
-// populated). Engines are per-Network, so only the shard count can
-// invalidate a pooled one.
+// run (a previous truncated run may have left bitmaps, ring fills and
+// outboxes populated). Engines are per-Network, so only the shard count
+// can invalidate a pooled one.
 func (nw *Network) getShardEngine(S int) *shardEngine {
 	e, ok := nw.shardScratch.Get().(*shardEngine)
 	if !ok || e.S != S {
@@ -210,7 +213,7 @@ func (nw *Network) getShardEngine(S int) *shardEngine {
 	for s := range e.lanes {
 		la := &e.lanes[s]
 		clearBits(la.qBits)
-		clearBits(la.aBits)
+		clearInt32(la.ringFill)
 		for t := range la.outPkt {
 			la.outPkt[t] = la.outPkt[t][:0]
 			la.outArc[t] = la.outArc[t][:0]
@@ -311,16 +314,17 @@ func (e *shardEngine) worker(w, workers int) {
 		e.rendezvous(workers, false)
 		for s := w; s < e.S; s += workers {
 			e.phaseEnqueue(s, cycle32)
-			e.phaseDepart(s, cycle32)
+			e.phaseDepart(s, cycle)
 		}
 		e.rendezvous(workers, true)
 	}
 }
 
-// phaseArrive sweeps shard s's in-flight bitmap: packets whose wire
-// time completes are delivered in place or appended to the destination
-// shard's outbox with their arrival arc. Mirrors the lean kernel's
-// pass 1.
+// phaseArrive scans shard s's ring bucket: the packets its arcs sent
+// HopLatency cycles ago arrive now, in ascending arc order. Each hop is
+// counted; a packet at its destination is delivered in place, any other
+// is appended to the destination shard's outbox with its arrival arc.
+// Mirrors the lean kernel's arrival scan.
 //
 //lint:hotpath
 func (e *shardEngine) phaseArrive(s, cycle int, cycle32 int32) {
@@ -331,52 +335,24 @@ func (e *shardEngine) phaseArrive(s, cycle int, cycle32 int32) {
 		la.outArc[t] = la.outArc[t][:0]
 	}
 	arcHead := e.nw.arcHead
-	segCap := e.segCap
-	arcLo := int(la.arcLo)
 	dst, del, hops := e.dst, e.del, e.hops
-	pipePkt, pipeReady, pipeLen := e.pipePkt, e.pipeReady, e.pipeLen
-	for w := range la.aBits {
-		bits := la.aBits[w]
-		for bits != 0 {
-			tz := trailingZeros64(bits)
-			bits &= bits - 1
-			a := arcLo + w<<6 + tz
-			base := a * segCap
-			cnt := int(pipeLen[a])
-			v := arcHead[a]
-			keep := 0
-			for j := 0; j < cnt; j++ {
-				pk := pipePkt[base+j]
-				rdy := pipeReady[base+j]
-				if rdy > cycle32 {
-					pipePkt[base+keep] = pk
-					pipeReady[base+keep] = rdy
-					keep++
-					continue
-				}
-				p := int(pk)
-				if dst[p] == v {
-					hops[p]++
-					del[p] = cycle32
-					la.delivered++
-					la.left++
-					la.removed++
-					if cycle > la.cycles {
-						la.cycles = cycle
-					}
-					continue
-				}
-				t := e.shardOf(v)
-				la.outPkt[t] = append(la.outPkt[t], pk)
-				//lint:ignore slabindex a < M, dominated by shardRun's guardIndexInt32
-				la.outArc[t] = append(la.outArc[t], int32(a))
-			}
-			//lint:ignore slabindex keep ≤ segCap, a compacted prefix of an int32-counted segment
-			pipeLen[a] = int32(keep)
-			if keep == 0 {
-				la.aBits[w] &^= 1 << uint(tz)
-			}
+	bucket := cycle % e.hopLat
+	base := bucket*e.m + int(la.arcLo)
+	for k := base; k < base+int(la.ringFill[bucket]); k++ {
+		pk, a := e.ringPkt[k], e.ringArc[k]
+		hops[pk]++
+		v := arcHead[a]
+		if dst[pk] == v {
+			del[pk] = cycle32
+			la.delivered++
+			la.left++
+			la.removed++
+			la.cycles = cycle
+			continue
 		}
+		t := e.shardOf(v)
+		la.outPkt[t] = append(la.outPkt[t], pk)
+		la.outArc[t] = append(la.outArc[t], a)
 	}
 }
 
@@ -389,16 +365,10 @@ func (e *shardEngine) phaseArrive(s, cycle int, cycle32 int32) {
 func (e *shardEngine) push(la *shardLane, at, arc int, pk, cycle32, phase, key int32) {
 	//lint:ignore slabindex arc < maxDeg ≤ M, dominated by shardRun's guardIndexInt32
 	flat := e.nw.arcBase[at] + int32(arc)
-	if e.qLen[flat] == 0 {
-		e.qHead[flat] = pk
-	} else {
-		e.pNext[e.qTail[flat]] = pk
-	}
-	e.qTail[flat] = pk
-	e.qLen[flat]++
+	depth := int(e.queues.push(flat, pk))
 	b := int(flat - la.arcLo)
 	la.qBits[b>>6] |= 1 << (uint(b) & 63)
-	if depth := int(e.qLen[flat]); depth > la.maxQueue {
+	if depth > la.maxQueue {
 		la.maxQueue = depth
 		la.hotNode = at
 		la.hotCycle, la.hotPhase, la.hotKey = cycle32, phase, key
@@ -445,7 +415,6 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 			a := inArc[k]
 			v := int(arcHead[a])
 			arc := e.route(v, p)
-			e.hops[p]++
 			if arc < 0 {
 				la.dropped++
 				la.left++
@@ -457,35 +426,34 @@ func (e *shardEngine) phaseEnqueue(s int, cycle32 int32) {
 	}
 }
 
-// phaseDepart pops one packet per non-empty own queue into its pipe —
-// the lean kernel's unconditional departure sweep (sharded queues are
-// unbounded, so every link has credit).
+// phaseDepart pops one packet per non-empty own queue into the lane's
+// ring bucket for this cycle — the lean kernel's unconditional departure
+// sweep (sharded queues are unbounded, so every link has credit).
 //
 //lint:hotpath
-func (e *shardEngine) phaseDepart(s int, cycle32 int32) {
+func (e *shardEngine) phaseDepart(s, cycle int) {
 	la := &e.lanes[s]
 	arcLo := int(la.arcLo)
-	segCap := e.segCap
+	bucket := cycle % e.hopLat
+	base := bucket*e.m + arcLo
+	f := base
 	for w := range la.qBits {
 		bits := la.qBits[w]
 		for bits != 0 {
 			tz := trailingZeros64(bits)
 			bits &= bits - 1
 			a := arcLo + w<<6 + tz
-			pk := e.qHead[a]
-			e.qLen[a]--
-			if e.qLen[a] == 0 {
+			pk, empty := e.queues.pop(a)
+			if empty {
 				la.qBits[w] &^= 1 << uint(tz)
-			} else {
-				e.qHead[a] = e.pNext[pk]
 			}
-			slot := a*segCap + int(e.pipeLen[a])
-			e.pipePkt[slot] = pk
-			e.pipeReady[slot] = cycle32 + e.hopLat
-			e.pipeLen[a]++
-			la.aBits[w] |= 1 << uint(tz)
+			//lint:ignore slabindex a < M, dominated by shardRun's guardIndexInt32
+			e.ringPkt[f], e.ringArc[f] = pk, int32(a)
+			f++
 		}
 	}
+	//lint:ignore slabindex at most one departure per owned arc, below M
+	la.ringFill[bucket] = int32(f - base)
 }
 
 // shardRun is the sharded counterpart of run for the lean configuration
@@ -511,10 +479,9 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 	}
 	guardIndexInt32(maxCycles+nw.cfg.HopLatency+2, "cycles")
 
-	segCap := nw.cfg.HopLatency
-	pipePkt, pipeReady, pipeLen := ar.pipeSegments(m, segCap)
+	ringPkt, ringArc := ar.departureRing(m, nw.cfg.HopLatency)
 	dst, rel, del, hops, _ := ar.packetSlabs(len(pkts))
-	qHead, qTail, qLen, pNext := ar.queueLinks(m, len(pkts))
+	q := ar.queueLinks(m, len(pkts))
 
 	var tArcs []int8
 	tN := 0
@@ -573,13 +540,12 @@ func (nw *Network) shardRun(packets []Packet, tun runTuning, shards, workers int
 	ar.order = order
 
 	e := nw.getShardEngine(shards)
-	e.segCap = segCap
-	e.hopLat = int32(nw.cfg.HopLatency)
+	e.m, e.hopLat = m, nw.cfg.HopLatency
 	e.tArcs, e.tN, e.shift, e.carry = tArcs, tN, shift, carry
 	e.pkts, e.order = pkts, order
 	e.dst, e.rel, e.del, e.hops = dst, rel, del, hops
-	e.qHead, e.qTail, e.qLen, e.pNext = qHead, qTail, qLen, pNext
-	e.pipePkt, e.pipeReady, e.pipeLen = pipePkt, pipeReady, pipeLen
+	e.queues = q
+	e.ringPkt, e.ringArc = ringPkt, ringArc
 	e.maxCycles = maxCycles
 	e.remaining = remaining
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/debruijn"
+	"repro/internal/digraph"
 )
 
 // stripPackets returns r with the packet table detached, for asserting
@@ -86,21 +87,31 @@ func TestShardRunMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestShardRunMatchesSequentialHopLatency covers multi-entry pipes
-// (HopLatency > 1) and a custom interface router, the two paths the
-// main matrix leaves thin.
+// TestShardRunMatchesSequentialHopLatency covers multi-bucket departure
+// rings (HopLatency > 1), table-routed and witness-routed, and a custom
+// interface router, the paths the main matrix leaves thin.
 func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
-	for _, hop := range []int{2, 3} {
-		nw, err := NewNetwork(g, WithHopLatency(hop))
+	w, _ := otisWitness(t, 2, 6)
+	for _, tc := range []struct {
+		name string
+		g    *digraph.Digraph
+		hop  int
+		opts []NetworkOption
+	}{
+		{"B(3,3)/hop=2", g, 2, nil},
+		{"B(3,3)/hop=3", g, 3, nil},
+		{"OTIS_B(2,6)/witness/hop=2", w.g, 2, []NetworkOption{WithRouter(w.r)}},
+	} {
+		nw, err := NewNetwork(tc.g, append(tc.opts, WithHopLatency(tc.hop))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pkts := UniformRandom(g.N(), 5*g.N(), 13)
+		pkts := UniformRandom(tc.g.N(), 5*tc.g.N(), 13)
 		want, _ := nw.run(pkts, nw.baseTuning(0), nil)
 		for _, shards := range []int{2, 5} {
 			got := nw.shardRun(pkts, nw.baseTuning(0), shards, shardWorkers(shards))
-			resultsEqual(t, "hop="+itoa(hop)+"/shards="+itoa(shards), want, got)
+			resultsEqual(t, tc.name+"/shards="+itoa(shards), want, got)
 		}
 	}
 
@@ -122,22 +133,36 @@ func (r opaqueRouter) NextArc(at, dst int) int { return r.r.NextArc(at, dst) }
 
 // TestShardRunTruncation pins budget-truncated equivalence: a cycle
 // budget too small to finish must leave the same partial delivery state
-// under both engines.
+// under both engines, table-routed and witness-routed.
 func TestShardRunTruncation(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
-	nw, err := NewNetwork(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := UniformRandom(g.N(), 8*g.N(), 9)
-	tun := nw.baseTuning(5) // 5 cycles: most packets still in flight
-	want, _ := nw.run(pkts, tun, nil)
-	for _, shards := range []int{2, 4} {
-		got := nw.shardRun(pkts, tun, shards, shardWorkers(shards))
-		resultsEqual(t, "truncated/shards="+itoa(shards), want, got)
-	}
-	if want.Delivered+want.Dropped == len(pkts) {
-		t.Fatalf("truncation test did not truncate: all %d packets settled", len(pkts))
+	w, _ := otisWitness(t, 2, 6)
+	for _, tc := range []struct {
+		name string
+		g    *digraph.Digraph
+		opts []NetworkOption
+	}{
+		{"B(2,6)", g, nil},
+		{"OTIS_B(2,6)/witness", w.g, []NetworkOption{WithRouter(w.r)}},
+	} {
+		nw, err := NewNetwork(tc.g, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := UniformRandom(tc.g.N(), 8*tc.g.N(), 9)
+		tun := nw.baseTuning(5) // 5 cycles: most packets still in flight
+		want, _ := nw.run(pkts, tun, nil)
+		for _, shards := range []int{2, 4} {
+			// Twice: the pooled engine must not carry a truncated run's
+			// queued or in-flight packets into the next run.
+			for rerun := 0; rerun < 2; rerun++ {
+				got := nw.shardRun(pkts, tun, shards, shardWorkers(shards))
+				resultsEqual(t, tc.name+"/truncated/shards="+itoa(shards)+"/rerun="+itoa(rerun), want, got)
+			}
+		}
+		if want.Delivered+want.Dropped == len(pkts) {
+			t.Fatalf("%s: truncation test did not truncate: all %d packets settled", tc.name, len(pkts))
+		}
 	}
 }
 

@@ -403,10 +403,17 @@ type Result struct {
 	TotalWait   int // cycles spent queued (latency minus wire time)
 	MeanLatency float64
 	MeanHops    float64
-	// MaxQueue is the deepest any output queue got during the run — the
-	// buffer size a hardware implementation would need to avoid drops.
+	// MaxQueue is the deepest any queue got during the run — the buffer
+	// size a hardware implementation would need to avoid drops. It
+	// measures one of two queue models, by engine: a plain run (RunOpts
+	// without WithFaults, Run) reports the deepest per-arc output queue;
+	// a fault run (WithFaults, RunWithFaults) and a self-healing session
+	// report the deepest node FIFO, which holds every packet waiting at
+	// a node whatever its out-arc, so on the same traffic it can exceed
+	// the plain run's figure. DESIGN.md § 6 records why both remain.
 	MaxQueue int
-	// HotNode is a vertex owning a queue that reached MaxQueue.
+	// HotNode is a vertex owning a queue that reached MaxQueue: the tail
+	// of the deepest output queue, or the node of the deepest FIFO.
 	HotNode int
 	// Shed counts packets refused by admission control (WithAdmission)
 	// before ever entering the network. Shed is disjoint from Dropped:
@@ -741,10 +748,8 @@ type runState struct {
 	pkts  []Packet
 	dst   []int32 // SoA packet destination slab
 	holds []int32 // SoA per-packet holds-spent slab
-	// qHead/qTail/qLen are the per-arc intrusive queues threaded through
-	// the per-packet pNext slab (see arena.queueLinks).
-	qHead, qTail, qLen, pNext []int32
-	qBits                     []uint64 // active-arc bitmap: bit a set ⇔ qLen[a] > 0
+	q     arcQueues
+	qBits []uint64 // active-arc bitmap: bit a set ⇔ queue a is non-empty
 	// res is the run's result, held by value: appending to events below
 	// stores through the state, so a pointer held here would escape it
 	// to the heap on every run.
@@ -834,23 +839,15 @@ func (rs *runState) enqueue(at, pkt int) enqStatus {
 	}
 	//lint:ignore slabindex arc < maxDeg ≤ M, dominated by newNetwork's guardIndexInt32
 	flat := rs.nw.arcBase[at] + int32(arc)
-	if rs.qcap > 0 && int(rs.qLen[flat]) >= rs.qcap {
+	if rs.qcap > 0 && int(rs.q.ends[flat].length) >= rs.qcap {
 		return enqFull
 	}
 	if rs.carry != nil {
 		rs.carry[pkt] = next
 	}
-	//lint:ignore slabindex pkt < len(pkts), dominated by run's guardIndexInt32
-	pk := int32(pkt)
-	if rs.qLen[flat] == 0 {
-		rs.qHead[flat] = pk
-	} else {
-		rs.pNext[rs.qTail[flat]] = pk
-	}
-	rs.qTail[flat] = pk
-	rs.qLen[flat]++
 	rs.qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-	depth := int(rs.qLen[flat])
+	//lint:ignore slabindex pkt < len(pkts), dominated by run's guardIndexInt32
+	depth := int(rs.q.push(flat, int32(pkt)))
 	if depth > rs.res.MaxQueue {
 		rs.res.MaxQueue = depth
 		rs.res.HotNode = at
@@ -897,16 +894,18 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 // general path and returns the event log, recorded live with each
 // event's cycle; otherwise the log is nil.
 //
-// This is the batched arc-major kernel: per-cycle work is a pair of
-// linear sweeps over the arc axis (arrivals over the in-flight bitmap,
-// departures over the queued bitmap) against flat SoA slabs — int32
-// packet arrays instead of []Packet field access, fixed-capacity pipe
-// segments instead of per-arc slices, and the TableRouter slab gathered
-// directly. Empty arcs cost one skipped bit, not a slice-header probe,
-// so a cycle costs O(active arcs + set-bitmap words) rather than O(M).
-// Phase structure, iteration order and every accounting/recording site
-// are identical to the packet-at-a-time engine it replaced — pinned by
-// TestArcMajorKernelMatchesReference and the engine behaviour goldens.
+// This is the batched arc-major kernel: per-cycle work is a few linear
+// passes against flat SoA slabs — int32 packet arrays instead of
+// []Packet field access, intrusive per-arc queues (arcQueues) swept over
+// the queued bitmap, and the TableRouter slab gathered directly. The
+// lean path's links are a departure ring (arena.departureRing): a cycle
+// costs one scan of the packets arriving, the routing and push passes
+// over them, and one sweep of the set queue-bitmap words. The general
+// path's links are per-arc pipe segments swept over the in-flight
+// bitmap. Phase structure, iteration order and every accounting/
+// recording site are identical to the packet-at-a-time engine the
+// kernel replaced — pinned by TestArcMajorKernelMatchesReference and the
+// engine behaviour goldens.
 //
 //lint:hotpath
 func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Result, []Event) {
@@ -939,25 +938,6 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	// slabs; one guard at entry dominates every stamp below.
 	guardIndexInt32(maxCycles+nw.cfg.HopLatency+2, "cycles")
 
-	// A full link window (in-flight wire slots plus held packets) stops
-	// accepting departures — the credit that propagates backpressure.
-	// The credit bound is also the pipe segment capacity: an unbounded
-	// run keeps at most HopLatency packets per link (one departure per
-	// cycle, each in flight exactly HopLatency cycles), a bounded one at
-	// most qcap+HopLatency (departures stop at the window, holds re-slot
-	// in place).
-	credits := 0
-	segCap := nw.cfg.HopLatency
-	if tun.qcap > 0 {
-		credits = tun.qcap + nw.cfg.HopLatency
-		segCap = credits
-	}
-	pipePkt, pipeReady, pipeLen := ar.pipeSegments(m, segCap)
-	qBits, aBits := ar.qBits, ar.aBits
-	dst, rel, del, hops, holds := ar.packetSlabs(len(pkts))
-	qHead, qTail, qLen, pNext := ar.queueLinks(m, len(pkts))
-	holdq := ar.holdq[:0]
-
 	// Devirtualize the built-in routers: the hot loop gathers next hops
 	// from the table slab, steps each packet's carried state under a
 	// witness router, or computes congruence-form next hops with the
@@ -976,9 +956,49 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		carry = ar.carrySlab(len(pkts))
 	}
 
+	// The lean path applies when next hops come from a built-in router —
+	// the table slab gathered directly, or the de Bruijn shift, stepped
+	// from each packet's carried state or computed in closed form — and
+	// queues are unbounded (the bench hot path): arrivals are batched so
+	// the routing step — under table routing one random probe into the
+	// n² slab per hop, the run's cache-miss budget — runs as a dense
+	// pass of independent work, instead of serializing behind each
+	// packet's queue push. Delivery, push order and all accounting stay
+	// identical to the general path. A recorder does not change the
+	// path: recorded runs take it too, recording into the run-local
+	// tally. A traced run takes the general path, which emits its event
+	// log live.
+	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil && !tun.trace
+	hopLat := nw.cfg.HopLatency
+	// Links. A lean link never holds a packet, so it runs as the
+	// departure ring. A general link may: a full link window (in-flight
+	// wire slots plus held packets) stops accepting departures — the
+	// credit that propagates backpressure — so it runs as a pipe segment
+	// of the credit bound's capacity. An unbounded run keeps at most
+	// HopLatency packets per link (one departure per cycle, each in
+	// flight exactly HopLatency cycles), a bounded one at most
+	// qcap+HopLatency (departures stop at the window, holds re-slot in
+	// place).
+	credits := 0
+	segCap := hopLat
+	if tun.qcap > 0 {
+		credits = tun.qcap + hopLat
+		segCap = credits
+	}
+	var ringPkt, ringArc []int32
+	var pipePkt, pipeReady, pipeLen []int32
+	if lean {
+		ringPkt, ringArc = ar.departureRing(m, hopLat)
+	} else {
+		pipePkt, pipeReady, pipeLen = ar.pipeSegments(m, segCap)
+	}
+	qBits, aBits, ringFill := ar.qBits, ar.aBits, ar.ringFill
+	dst, rel, del, hops, holds := ar.packetSlabs(len(pkts))
+	q := ar.queueLinks(m, len(pkts))
+	holdq := ar.holdq[:0]
+
 	rs := runState{
-		nw: nw, pkts: pkts, dst: dst, holds: holds,
-		qHead: qHead, qTail: qTail, qLen: qLen, pNext: pNext, qBits: qBits,
+		nw: nw, pkts: pkts, dst: dst, holds: holds, q: q, qBits: qBits,
 		tl: tl, tArcs: tArcs, tN: tN, shift: shift, carry: carry, qcap: tun.qcap, trace: tun.trace,
 	}
 	res := &rs.res
@@ -1037,23 +1057,9 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	cursor := 0
 
 	admit := tun.admit
-	arcHead := nw.arcHead
-	hopLat := int32(nw.cfg.HopLatency)
+	arcBase, arcHead := nw.arcBase, nw.arcHead
+	hopLat32 := int32(hopLat)
 	heldLast := false // congestion signal: a hold happened last cycle
-
-	// The lean arrival path applies when next hops come from a built-in
-	// router — the table slab gathered directly, or the de Bruijn shift,
-	// stepped from each packet's carried state or computed in closed
-	// form — and queues are unbounded (the bench hot path):
-	// arrivals are batched so the routing step — under table routing one
-	// random probe into the n² slab per hop, the run's cache-miss budget
-	// — runs as a dense pass of independent work, instead of serializing
-	// behind each packet's queue push. Delivery, push order and all
-	// accounting stay identical to the general path. A recorder does not
-	// change the path: recorded runs take it too, recording into the
-	// run-local tally. A traced run takes the general path, which emits
-	// its event log live.
-	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil && !tun.trace
 	var arrPkt, arrNode, arrArc []int32
 	if lean {
 		arrPkt, arrNode, arrArc = ar.arrivalBatch(len(pkts))
@@ -1061,91 +1067,166 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 
 	for cycle := 0; remaining > 0 && cycle <= maxCycles; cycle++ {
 		cycle32 := int32(cycle)
-		holdsBefore := res.Holds
-		if admit != nil {
-			admit.refill(heldLast)
-		}
-
-		// Inject: source-held packets (admitted earlier, source queue
-		// full) retry first, then the release cursor drains through the
-		// admission regulator. The lean path has no admission and no
-		// backpressure (holdq stays empty, every order entry was
-		// route-prechecked at setup or is shift-routed, which always
-		// reaches its destination), so its cursor drains through plain
-		// linked-queue pushes.
 		if lean {
+			// Inject: the released packets open the cycle's batch at
+			// their sources. The lean path has no admission and no
+			// backpressure (every order entry was route-prechecked at
+			// setup or is shift-routed, which always reaches its
+			// destination), so the batch's push pass queues them all,
+			// ahead of the arrivals, as the general path does.
+			na := 0
 			for cursor < len(order) && rel[order[cursor]] <= cycle32 {
-				i := int(order[cursor])
+				i := order[cursor]
 				cursor++
-				at := pkts[i].Src
-				var arc int32
-				switch {
-				case tArcs != nil:
-					arc = int32(tArcs[at*tN+int(dst[i])])
-				case carry != nil:
-					a, next := shift.step(at, carry[i])
-					arc, carry[i] = int32(a), next
-				default:
-					arc = int32(shift.NextArc(at, int(dst[i])))
+				arrPkt[na], arrNode[na], arrArc[na] = i, int32(pkts[i].Src), dst[i]
+				na++
+				rs.enter()
+			}
+			// Arrivals: exactly the departures of cycle − HopLatency, in
+			// the ascending arc order the departure sweep wrote them —
+			// the general path's arrival order. One scan counts each
+			// packet's hop and delivers it in place or appends it, with
+			// its node, to the batch.
+			bucket := cycle % hopLat
+			base := bucket * m
+			sentPkt := ringPkt[base : base+int(ringFill[bucket])]
+			sentArc := ringArc[base : base+len(sentPkt)]
+			for k, pk := range sentPkt {
+				a := sentArc[k]
+				hops[pk]++
+				if tl != nil {
+					tl.ArcTraverse(int(a))
 				}
-				flat := nw.arcBase[at] + arc
-				if qLen[flat] == 0 {
-					qHead[flat] = int32(i)
-				} else {
-					pNext[qTail[flat]] = int32(i)
+				v, dv := arcHead[a], dst[pk]
+				if dv == v {
+					del[pk] = cycle32
+					res.Delivered++
+					remaining--
+					rs.leave()
+					res.Cycles = cycle
+					continue
 				}
-				qTail[flat] = int32(i)
-				qLen[flat]++
+				arrPkt[na], arrNode[na], arrArc[na] = pk, v, dv // destination, rewritten to the out-arc below
+				na++
+			}
+			// Route the whole batch to flat out-arcs (−1: no route) —
+			// under table routing a pass of independent slab gathers (the
+			// batch holds each packet's destination in arrArc, so every
+			// iteration is a single load with no dependent chain); under
+			// a witness router a pass of carried-state steps, one multiply
+			// and one letter-map load each; in congruence form a pass of
+			// closed-form O(D) decisions touching no routing state at all.
+			batchPkt, batchNode, batchArc := arrPkt[:na], arrNode[:na], arrArc[:na]
+			switch {
+			case tArcs != nil:
+				for k, v := range batchNode {
+					arc := int32(tArcs[int(v)*tN+int(batchArc[k])])
+					flat := arcBase[v] + arc
+					if arc < 0 {
+						flat = -1
+					}
+					batchArc[k] = flat
+				}
+			case carry != nil:
+				for k, v := range batchNode {
+					p := batchPkt[k]
+					arc, next := shift.step(int(v), carry[p])
+					batchArc[k], carry[p] = arcBase[v]+int32(arc), next
+				}
+			default:
+				for k, v := range batchNode {
+					batchArc[k] = arcBase[v] + int32(shift.NextArc(int(v), int(batchArc[k])))
+				}
+			}
+			// Push in batch order — injections in (Release, index) order,
+			// then arrivals in ascending arc order, the general path's
+			// push order — so per-queue depth sequences (and
+			// MaxQueue/HotNode) match it exactly.
+			for k, flat := range batchArc {
+				if flat < 0 {
+					res.Dropped++
+					remaining--
+					rs.leave()
+					if tl != nil {
+						tl.Drop(obs.DropNoRoute)
+					}
+					continue
+				}
 				qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				depth := int(qLen[flat])
+				depth := int(q.push(flat, batchPkt[k]))
 				if depth > res.MaxQueue {
 					res.MaxQueue = depth
-					res.HotNode = at
+					res.HotNode = int(batchNode[k])
 				}
 				if tl != nil {
 					tl.QueueDepth(int(flat), depth)
 				}
-				rs.enter()
 			}
-		} else {
-			if len(holdq) > 0 {
-				nh := holdq[:0]
-				for _, i32 := range holdq {
-					held, dropped := rs.inject(cycle, int(i32), tun.hold)
-					if dropped {
-						remaining--
-					} else if held {
-						nh = append(nh, i32)
+			// Departures: each link sends its queue's head, swept over the
+			// queued bitmap in ascending arc order into the bucket just
+			// read, which this cycle's departures arrive from.
+			f := base
+			for w := range qBits {
+				bits := qBits[w]
+				for bits != 0 {
+					a := w<<6 + trailingZeros64(bits)
+					bits &= bits - 1
+					pk, empty := q.pop(a)
+					if empty {
+						qBits[w] &^= 1 << (uint(a) & 63)
 					}
+					ringPkt[f], ringArc[f] = pk, int32(a)
+					f++
 				}
-				holdq = nh
 			}
-			for cursor < len(order) && rel[order[cursor]] <= cycle32 {
-				i := int(order[cursor])
-				if admit != nil {
-					if cycle-int(rel[i]) > admit.maxDelay {
-						cursor++
-						res.Shed++
-						if tl != nil {
-							tl.Shed()
-						}
-						remaining--
-						rs.emit(cycle, EventDrop, i, pkts[i].Src, -1)
-						continue
-					}
-					if !admit.take() {
-						break // out of tokens: the head waits in release order
-					}
-				}
-				cursor++
-				// Admitted but the source queue is full: hold at the
-				// source and retry ahead of the cursor next cycle.
-				held, dropped := rs.inject(cycle, i, tun.hold)
+			ringFill[bucket] = int32(f - base)
+			continue
+		}
+
+		holdsBefore := res.Holds
+		if admit != nil {
+			admit.refill(heldLast)
+		}
+		// Inject: source-held packets (admitted earlier, source queue
+		// full) retry first, then the release cursor drains through the
+		// admission regulator.
+		if len(holdq) > 0 {
+			nh := holdq[:0]
+			for _, i32 := range holdq {
+				held, dropped := rs.inject(cycle, int(i32), tun.hold)
 				if dropped {
 					remaining--
 				} else if held {
-					holdq = append(holdq, int32(i))
+					nh = append(nh, i32)
 				}
+			}
+			holdq = nh
+		}
+		for cursor < len(order) && rel[order[cursor]] <= cycle32 {
+			i := int(order[cursor])
+			if admit != nil {
+				if cycle-int(rel[i]) > admit.maxDelay {
+					cursor++
+					res.Shed++
+					if tl != nil {
+						tl.Shed()
+					}
+					remaining--
+					rs.emit(cycle, EventDrop, i, pkts[i].Src, -1)
+					continue
+				}
+				if !admit.take() {
+					break // out of tokens: the head waits in release order
+				}
+			}
+			cursor++
+			// Admitted but the source queue is full: hold at the
+			// source and retry ahead of the cursor next cycle.
+			held, dropped := rs.inject(cycle, i, tun.hold)
+			if dropped {
+				remaining--
+			} else if held {
+				holdq = append(holdq, int32(i))
 			}
 		}
 
@@ -1156,180 +1237,70 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		// queue keeps it on the upstream link (credit-based
 		// backpressure) to retry next cycle, compacted in place in its
 		// fixed-capacity segment.
-		if lean {
-			// Pass 1: sweep the in-flight bitmap, delivering in place
-			// and collecting forwarding packets with their nodes.
-			na := 0
-			for w := range aBits {
-				bits := aBits[w]
-				for bits != 0 {
-					a := w<<6 + trailingZeros64(bits)
-					bits &= bits - 1
-					base := a * segCap
-					cnt := int(pipeLen[a])
-					v := arcHead[a]
-					keep := 0
-					for j := 0; j < cnt; j++ {
-						pk := pipePkt[base+j]
-						rdy := pipeReady[base+j]
-						if rdy > cycle32 {
-							pipePkt[base+keep] = pk
-							pipeReady[base+keep] = rdy
-							keep++
-							continue
-						}
-						p := int(pk)
-						dv := dst[p]
-						if tl != nil {
-							tl.ArcTraverse(a)
-						}
-						if dv == v {
-							hops[p]++
-							del[p] = cycle32
-							res.Delivered++
-							remaining--
-							rs.leave()
-							if cycle > res.Cycles {
-								res.Cycles = cycle
-							}
-							continue
-						}
-						arrPkt[na] = pk
-						arrNode[na] = v
-						arrArc[na] = dv // destination, rewritten to the arc by pass 2
-						na++
+		for w := range aBits {
+			bits := aBits[w]
+			for bits != 0 {
+				a := w<<6 + trailingZeros64(bits)
+				bits &= bits - 1
+				base := a * segCap
+				cnt := int(pipeLen[a])
+				u, v := int(nw.arcTail[a]), int(arcHead[a])
+				keep := 0
+				for j := 0; j < cnt; j++ {
+					pk := pipePkt[base+j]
+					rdy := pipeReady[base+j]
+					if rdy > cycle32 {
+						pipePkt[base+keep] = pk
+						pipeReady[base+keep] = rdy
+						keep++
+						continue
 					}
-					pipeLen[a] = int32(keep)
-					if keep == 0 {
-						aBits[w] &^= 1 << (uint(a) & 63)
-					}
-				}
-			}
-			// Pass 2: route the whole batch — under table routing a pass
-			// of independent slab gathers (pass 1 left each packet's
-			// destination in arrArc, so every iteration is a single load
-			// with no dependent chain); under a witness router a pass of
-			// carried-state steps, one multiply and one letter-map load
-			// each; in congruence form a pass of closed-form O(D)
-			// decisions touching no routing state at all.
-			switch {
-			case tArcs != nil:
-				for k := 0; k < na; k++ {
-					arrArc[k] = int32(tArcs[int(arrNode[k])*tN+int(arrArc[k])])
-				}
-			case carry != nil:
-				for k := 0; k < na; k++ {
-					p := arrPkt[k]
-					arc, next := shift.step(int(arrNode[k]), carry[p])
-					arrArc[k], carry[p] = int32(arc), next
-				}
-			default:
-				for k := 0; k < na; k++ {
-					arrArc[k] = int32(shift.NextArc(int(arrNode[k]), int(arrArc[k])))
-				}
-			}
-			// Pass 3: enqueue in the same ascending arc order the
-			// general path pushes in, so per-queue depth sequences (and
-			// MaxQueue/HotNode) match it exactly.
-			for k := 0; k < na; k++ {
-				p := int(arrPkt[k])
-				arc := arrArc[k]
-				hops[p]++
-				if arc < 0 {
-					res.Dropped++
-					remaining--
-					rs.leave()
-					if tl != nil {
-						tl.Drop(obs.DropNoRoute)
-					}
-					continue
-				}
-				at := int(arrNode[k])
-				flat := nw.arcBase[at] + arc
-				pk := arrPkt[k]
-				if qLen[flat] == 0 {
-					qHead[flat] = pk
-				} else {
-					pNext[qTail[flat]] = pk
-				}
-				qTail[flat] = pk
-				qLen[flat]++
-				qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				depth := int(qLen[flat])
-				if depth > res.MaxQueue {
-					res.MaxQueue = depth
-					res.HotNode = at
-				}
-				if tl != nil {
-					tl.QueueDepth(int(flat), depth)
-				}
-			}
-		} else {
-			for w := range aBits {
-				bits := aBits[w]
-				for bits != 0 {
-					a := w<<6 + trailingZeros64(bits)
-					bits &= bits - 1
-					base := a * segCap
-					cnt := int(pipeLen[a])
-					u, v := int(nw.arcTail[a]), int(arcHead[a])
-					keep := 0
-					for j := 0; j < cnt; j++ {
-						pk := pipePkt[base+j]
-						rdy := pipeReady[base+j]
-						if rdy > cycle32 {
-							pipePkt[base+keep] = pk
-							pipeReady[base+keep] = rdy
-							keep++
-							continue
-						}
-						p := int(pk)
-						if dst[p] == int32(v) {
-							hops[p]++
-							if tl != nil {
-								tl.ArcTraverse(a)
-							}
-							del[p] = cycle32
-							res.Delivered++
-							remaining--
-							rs.leave()
-							if cycle > res.Cycles {
-								res.Cycles = cycle
-							}
-							rs.emit(cycle, EventArrive, p, v, u)
-							rs.emit(cycle, EventDeliver, p, v, -1)
-							continue
-						}
-						st := rs.enqueue(v, p)
-						if st == enqFull {
-							// Held on the link; a packet whose hold budget
-							// runs out drops at the tail.
-							if !rs.holdOrDrop(p, tun.hold) {
-								remaining--
-								rs.leave()
-								rs.emit(cycle, EventDrop, p, u, -1)
-								continue
-							}
-							pipePkt[base+keep] = pk
-							pipeReady[base+keep] = cycle32 + 1
-							keep++
-							continue
-						}
+					p := int(pk)
+					if dst[p] == int32(v) {
 						hops[p]++
 						if tl != nil {
 							tl.ArcTraverse(a)
 						}
+						del[p] = cycle32
+						res.Delivered++
+						remaining--
+						rs.leave()
+						if cycle > res.Cycles {
+							res.Cycles = cycle
+						}
 						rs.emit(cycle, EventArrive, p, v, u)
-						if st == enqNoRoute {
+						rs.emit(cycle, EventDeliver, p, v, -1)
+						continue
+					}
+					st := rs.enqueue(v, p)
+					if st == enqFull {
+						// Held on the link; a packet whose hold budget
+						// runs out drops at the tail.
+						if !rs.holdOrDrop(p, tun.hold) {
 							remaining--
 							rs.leave()
-							rs.emit(cycle, EventDrop, p, v, -1)
+							rs.emit(cycle, EventDrop, p, u, -1)
+							continue
 						}
+						pipePkt[base+keep] = pk
+						pipeReady[base+keep] = cycle32 + 1
+						keep++
+						continue
 					}
-					pipeLen[a] = int32(keep)
-					if keep == 0 {
-						aBits[w] &^= 1 << (uint(a) & 63)
+					hops[p]++
+					if tl != nil {
+						tl.ArcTraverse(a)
 					}
+					rs.emit(cycle, EventArrive, p, v, u)
+					if st == enqNoRoute {
+						remaining--
+						rs.leave()
+						rs.emit(cycle, EventDrop, p, v, -1)
+					}
+				}
+				pipeLen[a] = int32(keep)
+				if keep == 0 {
+					aBits[w] &^= 1 << (uint(a) & 63)
 				}
 			}
 		}
@@ -1338,51 +1309,25 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		// and only while it has credit (its window of wire slots plus
 		// held packets is not full). Swept over the queued bitmap —
 		// bit a set ⇔ queue a non-empty, maintained by the pushes and
-		// the pops here. Lean queues are unbounded (credits == 0), so
-		// their sweep pops unconditionally.
-		if lean {
-			for w := range qBits {
-				bits := qBits[w]
-				for bits != 0 {
-					a := w<<6 + trailingZeros64(bits)
-					bits &= bits - 1
-					pk := qHead[a]
-					qLen[a]--
-					if qLen[a] == 0 {
-						qBits[w] &^= 1 << (uint(a) & 63)
-					} else {
-						qHead[a] = pNext[pk]
-					}
-					slot := a*segCap + int(pipeLen[a])
-					pipePkt[slot] = pk
-					pipeReady[slot] = cycle32 + hopLat
-					pipeLen[a]++
-					aBits[w] |= 1 << (uint(a) & 63)
+		// the pops here.
+		for w := range qBits {
+			bits := qBits[w]
+			for bits != 0 {
+				a := w<<6 + trailingZeros64(bits)
+				bits &= bits - 1
+				if credits > 0 && int(pipeLen[a]) >= credits {
+					continue
 				}
-			}
-		} else {
-			for w := range qBits {
-				bits := qBits[w]
-				for bits != 0 {
-					a := w<<6 + trailingZeros64(bits)
-					bits &= bits - 1
-					if credits > 0 && int(pipeLen[a]) >= credits {
-						continue
-					}
-					pk := qHead[a]
-					qLen[a]--
-					if qLen[a] == 0 {
-						qBits[w] &^= 1 << (uint(a) & 63)
-					} else {
-						qHead[a] = pNext[pk]
-					}
-					slot := a*segCap + int(pipeLen[a])
-					pipePkt[slot] = pk
-					pipeReady[slot] = cycle32 + hopLat
-					pipeLen[a]++
-					aBits[w] |= 1 << (uint(a) & 63)
-					rs.emit(cycle, EventDepart, int(pk), int(nw.arcTail[a]), int(arcHead[a]))
+				pk, empty := q.pop(a)
+				if empty {
+					qBits[w] &^= 1 << (uint(a) & 63)
 				}
+				slot := a*segCap + int(pipeLen[a])
+				pipePkt[slot] = pk
+				pipeReady[slot] = cycle32 + hopLat32
+				pipeLen[a]++
+				aBits[w] |= 1 << (uint(a) & 63)
+				rs.emit(cycle, EventDepart, int(pk), int(nw.arcTail[a]), int(arcHead[a]))
 			}
 		}
 

@@ -302,3 +302,38 @@ func TestArenaReuseKeepsRunsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestSortByReleaseAllocFree pins the injection schedule's sort: it
+// orders by (Release, index) and allocates nothing, on unsorted input
+// and on input already in that order — it runs once per run.
+func TestSortByReleaseAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pkts := make([]Packet, 500)
+	for i := range pkts {
+		pkts[i].Release = rng.Intn(40)
+	}
+	base := make([]int32, 0, len(pkts))
+	for i := range pkts {
+		if i%7 != 0 { // order holds a subsequence, as after setup drops
+			base = append(base, int32(i))
+		}
+	}
+	order := make([]int32, len(base))
+	copy(order, base)
+	sortByRelease(order, pkts)
+	for k := 1; k < len(order); k++ {
+		a, b := order[k-1], order[k]
+		if ra, rb := pkts[a].Release, pkts[b].Release; ra > rb || (ra == rb && a > b) {
+			t.Fatalf("order[%d..%d] = %d (release %d), %d (release %d): not in (Release, index) order", k-1, k, a, ra, b, rb)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		copy(order, base)
+		sortByRelease(order, pkts)
+	}); allocs != 0 {
+		t.Fatalf("sorting allocates %.1f times per call, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sortByRelease(order, pkts) }); allocs != 0 {
+		t.Fatalf("sorting sorted input allocates %.1f times per call, want 0", allocs)
+	}
+}

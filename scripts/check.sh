@@ -1,8 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's development gate. Runs formatting, vet,
 # build, the repo-specific static-analysis suite (reprolint) plus its
-# fixture self-check, the race detector over every internal package, and
-# the seeded determinism double-run.
+# fixture self-check, the race detector over every internal package, the
+# seeded determinism double-run, and short runs of the benchmark that
+# check its golden digests.
 #
 # Usage: sh scripts/check.sh
 # POSIX sh only; no bashisms.
@@ -88,6 +89,24 @@ metrics_out=$(mktemp /tmp/OBS_run.XXXXXX.json)
 go run ./cmd/simulate -topo otis -d 3 -diam 4 -metrics "$metrics_out" > /dev/null
 go run ./cmd/simulate -validate-metrics "$metrics_out"
 rm -f "$metrics_out"
+
+echo "== benchmark golden digests (perfbench vet + tests, 1-second contract workloads) =="
+# perfbench checks every op's simulated counts against its expected.json
+# digests, so a kernel change that moves any of them fails here.
+# shift_scale takes about 7 s at --seconds 1 (its 100-op minimum).
+go -C perfbench vet ./...
+go -C perfbench test ./...
+for w in otis_batch shift_scale otis_lens; do
+    line=$(sh perfbench/run.sh --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    case "$line" in
+    *'"correct":true,'*'"failed":0,'*) ;;
+    *)
+        echo "perfbench $w: want \"correct\":true and \"failed\":0 in the result line, got:" >&2
+        echo "$line" >&2
+        exit 1
+        ;;
+    esac
+done
 
 echo "== bench smoke + perf regression gate (BENCH_simnet.json) =="
 # Build the binary so its exit code reaches us directly: the gate exits
