@@ -360,7 +360,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 		// The largest permutation again with a recorder attached for the
 		// whole loop (telemetry that stays on): the recorded/plain pair
 		// prices the run-local tally and its once-per-run merge on the
-		// lean kernel, and -compare holds it to maxRecordedOverhead.
+		// one-lane lane kernel, and -compare holds it to maxRecordedOverhead.
 		rec := obs.NewRecorder(nil)
 		recorded := func() error {
 			_, err := nw.RunOpts(simnet.Fixed(pkts), simnet.WithRecorder(rec))

@@ -73,9 +73,9 @@ const (
 	MetricHolds         = "sim_holds"
 	MetricHistQueueFull = "queue_full_depth"
 
-	// Sharded-engine dispatch: runs that requested WithShards but were
-	// forced onto a sequential engine (faults, tracing, recorder,
-	// bounded queues or admission control in effect).
+	// Sharded dispatch: runs that requested WithShards but ran on one
+	// lane or a one-lane engine (faults, tracing, recorder, bounded
+	// queues or admission control in effect).
 	MetricShardFallback = "shard_fallback"
 
 	// Self-healing control plane (simnet heal engine).
@@ -322,9 +322,9 @@ func (r *Recorder) Shed() {
 	r.shed.Inc()
 }
 
-// ShardFallback records a run that requested the sharded engine
-// (WithShards > 1) but was forced onto a sequential engine by an
-// incompatible option set — the dispatch rule WithShards documents,
+// ShardFallback records a run that requested several lanes
+// (WithShards > 1) but was forced onto one lane or a one-lane engine by
+// an incompatible option set — the dispatch rule WithShards documents,
 // surfaced as a counter so sweeps notice when their shard request is
 // being silently ignored. The counter is registered lazily on first
 // fallback (dispatch happens once per run, never in the cycle loop), so

@@ -42,18 +42,13 @@ type arena struct {
 	// holds at most HopLatency in-flight packets when nothing holds on
 	// the link (one departure per cycle, each resident exactly
 	// HopLatency cycles) and at most qcap+HopLatency — the credit window
-	// — under the plain engine's bounded queues. The lean path and the
-	// sharded lanes cut the same slabs into a departure ring instead
-	// (departureRing): HopLatency buckets of M (packet, arc) entries.
-	// ringFill counts the lean path's entries in each bucket; the lanes
-	// keep their own.
-	pipePkt, pipeReady []int32
-	pipeLen, ringFill  []int32
+	// — under the plain engine's bounded queues. The lane kernel cuts the
+	// same slabs into a departure ring instead (departureRing): HopLatency
+	// buckets of M (packet, arc) entries.
+	pipePkt, pipeReady, pipeLen []int32
 
-	// The lean path's routing batch: the packets entering a node this
-	// cycle (injections, then arrivals), their nodes and their routed
-	// flat out-arcs, refilled every cycle so the router-slab gather runs
-	// as one dense pass of independent loads.
+	// A routing batch (arrivalBatch): the packets entering a node this
+	// cycle, their nodes and their arcs.
 	arrPkt, arrNode, arrArc []int32
 
 	// Intrusive linked queues of the plain engines (see arcQueues): a
@@ -82,6 +77,9 @@ type arena struct {
 	// record into it with plain stores and fold it into the recorder
 	// once, when the run ends (see tallyFor).
 	tally obs.Tally
+
+	// lanes is the lane kernel's state, partitioned on first use.
+	lanes laneRun
 }
 
 // getArena checks a scratch arena out of the pool, reset and sized for
@@ -96,7 +94,6 @@ func (nw *Network) getArena() (*arena, bool) {
 		ar = &arena{
 			waiting:  make([][]int32, n),
 			pipeLen:  make([]int32, m),
-			ringFill: make([]int32, nw.cfg.HopLatency),
 			qBits:    make([]uint64, (m+63)/64),
 			aBits:    make([]uint64, (m+63)/64),
 			nodeBits: make([]uint64, (n+63)/64),
@@ -108,7 +105,6 @@ func (nw *Network) getArena() (*arena, bool) {
 		ar.waiting[i] = ar.waiting[i][:0]
 	}
 	clearInt32(ar.pipeLen)
-	clearInt32(ar.ringFill)
 	clearBits(ar.qBits)
 	clearBits(ar.aBits)
 	clearBits(ar.nodeBits)
@@ -174,9 +170,10 @@ func (ar *arena) carrySlab(p int) []int32 {
 	return ar.pCarry
 }
 
-// arrivalBatch returns the three buffers of the lean routing batch
-// (packet index, node, routed arc), each with room for p entries — at
-// most every offered packet can enter a node in one cycle.
+// arrivalBatch returns the three buffers of a routing batch (packet
+// index, node, arc), each with room for p entries — at most every offered
+// packet can enter a node in one cycle: the one-lane kernel's batch and
+// the fault loop's entry batch.
 func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	if cap(ar.arrPkt) < p {
 		ar.arrPkt = make([]int32, p)
@@ -191,8 +188,8 @@ func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 // and link[head+a] is arc a's head sentinel, whose successor is the
 // queue's head. An empty queue's tail is its sentinel, so a push has no
 // empty-queue case; the pop that empties a queue points its tail back
-// at the sentinel. Every per-arc queue of the lean and general paths and
-// of the sharded lanes has this one layout.
+// at the sentinel. Every per-arc queue of the lane kernel and the general
+// path has this one layout.
 type arcQueues struct {
 	ends []queueEnds
 	link []int32
@@ -271,13 +268,13 @@ func (ar *arena) pipeSegments(m, segCap int) (pkt, ready []int32, length []int32
 	return ar.pipePkt, ar.pipeReady, ar.pipeLen
 }
 
-// departureRing returns the departure ring of the lean path and the
-// sharded lanes, carved from the pipe slabs: hopLat buckets of m entries,
-// bucket b holding the packets (pkt) that left on which arcs (arc) at
-// the cycles ≡ b mod hopLat, in ascending arc order. A link sends at
+// departureRing returns the lane kernel's departure ring, carved from
+// the pipe slabs: hopLat buckets of m entries, bucket b holding the
+// packets (pkt) that left on which arcs (arc) at the cycles ≡ b mod
+// hopLat, in ascending arc order. A link sends at
 // most one packet per cycle, so m entries per bucket suffice, and the
 // packets arriving at cycle t are exactly bucket t mod hopLat as written
-// at cycle t−hopLat. Each caller counts its own bucket fills.
+// at cycle t−hopLat. Each lane counts its own bucket fills.
 func (ar *arena) departureRing(m, hopLat int) (pkt, arc []int32) {
 	pkt, arc, _ = ar.pipeSegments(m, hopLat)
 	return pkt, arc

@@ -332,6 +332,18 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 		build  func() (*Network, *Network, error)
 		n      int
 		cycles int
+		// midPath requires some packet to be dropped after a hop.
+		midPath bool
+	}
+	mkGraph := func(g *digraph.Digraph, r Router) func() (*Network, *Network, error) {
+		return func() (*Network, *Network, error) {
+			a, err := New(g, r, DefaultConfig())
+			if err != nil {
+				return nil, nil, err
+			}
+			b, err := New(g, r, DefaultConfig())
+			return a, b, err
+		}
 	}
 	mkDB := func(d, D int, table bool, cfg Config) func() (*Network, *Network, error) {
 		return func() (*Network, *Network, error) {
@@ -380,6 +392,11 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 			b, err := New(g, r, DefaultConfig())
 			return a, b, err
 		}},
+		{name: "B(2,5)_refusing", build: mkGraph(debruijn.DeBruijn(2, 5), refusingRouter{NewTableRouter(debruijn.DeBruijn(2, 5))}), midPath: true},
+		{name: "wide_hub_table", build: mkGraph(wideHubDigraph(), NewTableRouter(wideHubDigraph()))},
+	}
+	if NewTableRouter(wideHubDigraph()).arcs != nil {
+		t.Fatal("wide_hub_table: the table router built the int8 slab; the row must exercise the wide one")
 	}
 	tunings := []struct {
 		name string
@@ -442,16 +459,18 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 						nc.name, tc.name, seed, docRef, docNew)
 				}
 
-				// Same inputs without recorders. On unbounded nets with a
-				// built-in router the lean fused arrival path runs both
-				// with the recorder above and without one here; the
-				// uninstrumented pass pins the lean path's untallied
-				// branches.
+				// Same inputs without recorders. Unbounded tunings run the
+				// lane kernel at one lane, for every router, both with the
+				// recorder above and without one here; the uninstrumented
+				// pass pins its untallied branches.
 				wantLean := refRun(nwRef, pkts, tc.tun(), nil)
 				gotLean, _ := nwNew.run(pkts, tc.tun(), nil)
 				if !reflect.DeepEqual(wantLean, gotLean) {
 					t.Fatalf("%s/%s seed %d (uninstrumented): results diverge\nref: %+v\nnew: %+v",
 						nc.name, tc.name, seed, trimPackets(wantLean), trimPackets(gotLean))
+				}
+				if nc.midPath && tc.name == "unbounded" && !droppedAfterHop(got) {
+					t.Fatalf("%s seed %d: no packet was dropped after a hop", nc.name, seed)
 				}
 			}
 		}
@@ -473,6 +492,48 @@ func parallelLoopMultigraph() *digraph.Digraph {
 		{5, 0}, {5, 0}, {5, 5}, {5, 1},
 	} {
 		g.AddArc(arc[0], arc[1])
+	}
+	return g
+}
+
+// refusingRouter is an opaqueRouter that refuses every (node,
+// destination) pair with (7·at + dst) mod 11 = 0: some packets drop at
+// the source, others after hops, when they reach such a node.
+type refusingRouter struct{ r Router }
+
+func (r refusingRouter) NextArc(at, dst int) int {
+	if (7*at+dst)%11 == 0 {
+		return -1
+	}
+	return r.r.NextArc(at, dst)
+}
+
+// droppedAfterHop reports whether some packet of res was dropped after
+// at least one hop.
+func droppedAfterHop(res Result) bool {
+	for _, p := range res.Packets {
+		if p.Delivered < 0 && p.Hops > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// wideHubDigraph is a 160-node digraph of diameter above 1 whose hub,
+// node 0, has out-degree 141 — past the int8 table slab, so its
+// TableRouter builds the wide int32 slab: a ring u → u+1, an arc from
+// every other node to the hub, and hub arcs to nodes 2–141.
+func wideHubDigraph() *digraph.Digraph {
+	const n = 160
+	g := digraph.New(n)
+	for u := 0; u < n; u++ {
+		g.AddArc(u, (u+1)%n)
+		if u != 0 {
+			g.AddArc(u, 0)
+		}
+	}
+	for v := 2; v <= 141; v++ {
+		g.AddArc(0, v)
 	}
 	return g
 }

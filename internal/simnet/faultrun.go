@@ -51,13 +51,15 @@ type FaultConfig struct {
 	// the exact historical ladder).
 	BackoffJitterSeed int64
 	// QueueCapacity bounds each node's hold queue at QueueCapacity
-	// packets per out-arc (0: unbounded). A full downstream node is not
-	// forwarded to: the packet holds in place upstream (credit-based
-	// backpressure) until space opens or its hold budget runs out.
+	// packets per out-arc (0: the Network's; unbounded when it has none).
+	// A full downstream node is not forwarded to: the packet holds in
+	// place upstream (credit-based backpressure) until space opens or its
+	// hold budget runs out.
 	QueueCapacity int
 	// HoldBudget is the lifetime number of hold-in-place cycles a packet
 	// may spend against full downstream nodes before dropping as
-	// DroppedQueueFull (0: 4·QueueCapacity+16).
+	// DroppedQueueFull (0: the Network's, and when that is 0 too,
+	// 4·QueueCapacity+16).
 	HoldBudget int
 }
 
@@ -66,14 +68,28 @@ func DefaultFaultConfig() FaultConfig { return FaultConfig{} }
 
 // faultConfig resolves the tuning of a fault run or a self-healing
 // session on nw: a field c sets explicitly wins, a zero HopLatency or
-// MaxCycles takes the Network's Config (so WithHopLatency and
-// WithMaxCycles reach every engine), and withDefaults fills the rest.
+// MaxCycles takes the Network's Config, a zero QueueCapacity or
+// HoldBudget the Network's network-default WithQueueCapacity or
+// WithHoldBudget, else its Config (so every Network setting reaches
+// every engine), and withDefaults fills the rest.
 func (nw *Network) faultConfig(c FaultConfig, diameter int) FaultConfig {
 	if c.HopLatency < 1 {
 		c.HopLatency = nw.cfg.HopLatency
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = nw.cfg.MaxCycles
+	}
+	if c.QueueCapacity == 0 {
+		c.QueueCapacity = nw.cfg.QueueCapacity
+		if nw.defaults.qcapSet {
+			c.QueueCapacity = nw.defaults.qcap
+		}
+	}
+	if c.HoldBudget == 0 {
+		c.HoldBudget = nw.cfg.HoldBudget
+		if nw.defaults.holdSet {
+			c.HoldBudget = nw.defaults.hold
+		}
 	}
 	return c.withDefaults(nw.g.N(), diameter)
 }
@@ -258,8 +274,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	// packet enters a node: entPkt and entNode collect this cycle's
 	// injections and arrivals with their nodes, and one batched pass
 	// after the arrival sweep fills prim (indexed by packet) before any
-	// departure reads it. The lean kernel's gather buffers serve as the
-	// batch.
+	// departure reads it.
 	entPkt, entNode, prim := ar.arrivalBatch(len(pkts))
 	var tArcs []int8
 	tN := 0
@@ -279,7 +294,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	// waiting[u] is the FIFO of packet indices held at node u. Links are
 	// the general plain path's SoA pipe segments: one departure per arc
 	// per cycle, each in flight exactly HopLatency cycles, so HopLatency
-	// slots per arc suffice. (Not the lean path's departure ring: packets
+	// slots per arc suffice. (Not the lane kernel's departure ring: packets
 	// leave a node in FIFO order, not ascending arc order, and arrivals
 	// must be swept in arc order.) nodeBits (bit u ⇔ waiting[u]
 	// non-empty) and aBits (bit a ⇔ arc a has packets in flight) let the
@@ -660,9 +675,9 @@ const staleCarry int32 = -1
 // gatherPrimary caches the primary router's arc for every packet that
 // entered a node this cycle: prim[pkt[k]] is the fault-blind arc out of
 // node[k] toward the packet's destination. Under table routing it is one
-// dense pass of independent slab loads, like the lean kernel's pass 2;
-// the departure sweep then starts each decision from the cached arc
-// instead of re-reading the slab on every attempt. Under a witness
+// dense pass of independent slab loads, like the lane kernel's routing
+// pass; the departure sweep then starts each decision from the cached
+// arc instead of re-reading the slab on every attempt. Under a witness
 // router it steps the packet's carried state — recomputing it first
 // (the one O(D) call) only when stale — and leaves carry holding the
 // state after the primary hop, which a departure on the primary arc

@@ -59,8 +59,8 @@ type HealMonitor interface {
 
 // HealConfig tunes a self-healing session. The zero value selects
 // defaults. The embedded FaultConfig keeps its RunWithFaults meaning
-// (hop latency, TTL, retry/backoff budget, cycle bound per Run),
-// resolved against the Network's Config the same way.
+// (hop latency, TTL, retry/backoff budget, queue bound, cycle bound per
+// Run), resolved against the Network the same way.
 type HealConfig struct {
 	FaultConfig
 	// DetectLatency is the timeout a sender pays for a failed

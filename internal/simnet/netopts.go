@@ -293,7 +293,7 @@ func NewNetwork(g *digraph.Digraph, opts ...NetworkOption) (*Network, error) {
 func (nw *Network) Routing() RoutingMode { return routingModeOf(nw.router) }
 
 // Shards reports the network-wide default shard count (WithShards at
-// NewNetwork; 1 when unset — the sequential engine).
+// NewNetwork; 1 when unset — the lane kernel on one lane).
 func (nw *Network) Shards() int {
 	if nw.defaults.shardsSet {
 		return nw.defaults.shards

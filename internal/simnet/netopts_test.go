@@ -285,6 +285,76 @@ func sameDeliveries(t *testing.T, label string, want, got Result) {
 	}
 }
 
+// TestQueueBoundReachesFaultEngine: a Network's queue bound and hold
+// budget — from its Config or from network-default WithQueueCapacity and
+// WithHoldBudget — reach fault runs and self-healing sessions that leave
+// FaultConfig.QueueCapacity and HoldBudget at 0. Each is DeepEqual to the
+// same engine bounded explicitly on an unbounded network, and the bound
+// bites: packets hold or drop.
+func TestQueueBoundReachesFaultEngine(t *testing.T) {
+	g := debruijn.DeBruijn(2, 6)
+	open, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		opts     []NetworkOption
+		explicit FaultConfig
+	}{
+		{"Config", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 1})}, FaultConfig{QueueCapacity: 1}},
+		{"Config+hold", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 2, HoldBudget: 3})},
+			FaultConfig{QueueCapacity: 2, HoldBudget: 3}},
+		{"options", []NetworkOption{WithQueueCapacity(1), WithHoldBudget(2)}, FaultConfig{QueueCapacity: 1, HoldBudget: 2}},
+	} {
+		bounded, err := NewNetwork(g, tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			label := tc.name + "/seed=" + itoa(int(seed))
+			pkts := UniformRandom(g.N(), 256, seed)
+			got, err := bounded.RunOpts(Fixed(pkts), WithFaults(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := open.RunOpts(Fixed(pkts), WithFaultConfig(tc.explicit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: fault run %v, explicitly bounded %v", label, got.FaultResult, want.FaultResult)
+			}
+			if got.Holds == 0 && got.DroppedQueueFull == 0 {
+				t.Fatalf("%s: fault run never held or dropped against the bound: %v", label, got.FaultResult)
+			}
+
+			session, err := bounded.SelfHeal(nil, HealConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			heal, err := session.Run(pkts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			session, err = open.SelfHeal(nil, HealConfig{FaultConfig: tc.explicit})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantHeal, err := session.Run(pkts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(heal, wantHeal) {
+				t.Fatalf("%s: heal session %v, explicitly bounded %v", label, heal, wantHeal)
+			}
+			if heal.Holds == 0 && heal.DroppedQueueFull == 0 {
+				t.Fatalf("%s: heal session never held or dropped against the bound: %v", label, heal)
+			}
+		}
+	}
+}
+
 // TestMaxCyclesReachesFaultEngine: a Network's cycle budget stops a fault
 // run left at FaultConfig.MaxCycles 0 at the same cycle as the plain
 // run, and the packets it strands are counted as Stuck.

@@ -235,9 +235,9 @@ func WithTrace() RunOption {
 // (or, when the network has none, supplying) the recorder attached with
 // Observe. WithRecorder(nil) forces an uninstrumented run. The run
 // records into a run-local tally and merges it into rec once, when it
-// ends, so a recorded run takes the same engine path as an unrecorded
-// one — except that a sharded run falls back to the sequential engine.
-// Duplicate WithRecorder options conflict and fail eagerly.
+// ends, so a recorded run takes the same kernel as an unrecorded one —
+// except that a sharded run runs one lane. Duplicate WithRecorder
+// options conflict and fail eagerly.
 func WithRecorder(rec *obs.Recorder) RunOption {
 	return func(c *runConfig) {
 		if c.recOverride {
@@ -257,18 +257,18 @@ func WithSeed(seed int64) RunOption {
 	}
 }
 
-// WithShards partitions the run's nodes into s contiguous word-prefix
-// shards executed by a pool of min(s, GOMAXPROCS) workers — the sharded
-// cycle engine. Each shard owns its nodes' queue, pipe and activity-
-// bitmap state; cross-shard hops travel in per-cycle batched handoff
-// buffers, and the result is identical to the sequential engine for
-// every shard and worker count (pinned by the equivalence tests).
-// Sharding applies to plain unbounded uninstrumented runs; runs with
-// faults, tracing, a recorder, bounded queues or admission control fall
-// back to their sequential engines. s must be at least 1 and at most the
-// node count; out-of-range counts and duplicate WithShards options fail
-// eagerly. As a NetworkOption it sets the network-wide default shard
-// count.
+// WithShards runs the lane kernel on s lanes: the run's nodes split into
+// s contiguous word-prefix ranges, executed by a pool of
+// min(s, GOMAXPROCS) workers. Each lane owns its nodes' queue, ring and
+// activity-bitmap state; hops between lanes travel in per-cycle batched
+// handoff buffers, and the result is identical to a one-lane run for
+// every lane and worker count (pinned by the equivalence tests).
+// Sharding applies to plain unbounded runs without admission control or
+// a trace; a recorded one runs one lane, and runs with faults, tracing,
+// bounded queues or admission control take their one engine (fault loop
+// or general path). s must be at least 1 and at most the node count;
+// out-of-range counts and duplicate WithShards options fail eagerly. As a
+// NetworkOption it sets the network-wide default shard count.
 func WithShards(s int) RunOption {
 	return func(c *runConfig) {
 		if c.shardsSet {
@@ -348,20 +348,22 @@ func WithAdmission(cfg AdmissionConfig) RunOption {
 type RunReport struct {
 	FaultResult
 	Events []Event
-	// ShardFallback reports that the run requested the sharded engine
-	// (WithShards > 1) but an incompatible option forced a sequential
-	// engine: faults, tracing, a recorder, bounded queues or admission
-	// control (the dispatch rule WithShards documents). The run is still
-	// correct — the engines are result-identical — but did not use the
-	// requested parallelism. Also counted as obs metric "shard_fallback"
-	// when a recorder is attached.
+	// ShardFallback reports that the run requested several lanes
+	// (WithShards > 1) but ran on one: a recorder keeps the lane kernel
+	// at one lane, and faults, tracing, bounded queues or admission
+	// control take the fault loop or the general path (the dispatch rule
+	// WithShards documents). The run is still correct — the result does
+	// not depend on the lane count — but did not use the requested
+	// parallelism. Also counted as obs metric "shard_fallback" when a
+	// recorder is attached.
 	ShardFallback bool
 }
 
 // RunOpts generates the workload and runs it under the given options,
 // subsuming Run (no options), RunWithFaults (WithFaults) and
-// TracedRunWithFaults (WithFaults + WithTrace). Plain runs take the
-// allocation-free fast path; fault and traced runs use their engines.
+// TracedRunWithFaults (WithFaults + WithTrace). Plain unbounded runs
+// take the allocation-free lane kernel; fault, bounded, admission-
+// controlled and traced runs use their engines.
 // Invalid options and workloads fail eagerly, before any simulation
 // work, with *OptionError values.
 func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
@@ -402,7 +404,7 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	pkts := w.Packets(nw.g.N(), cfg.seed)
 
 	// A sharded run was requested; whether dispatch honors it is decided
-	// below. Every sequential return past this point is a fallback worth
+	// below. Every one-lane return past this point is a fallback worth
 	// surfacing (RunReport.ShardFallback + the shard_fallback counter).
 	shardReq := cfg.shardsSet && cfg.shards > 1
 	fallback := func(rep RunReport) RunReport {
@@ -437,13 +439,18 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	tun = tun.withDefaults()
 	tun.admit = admit
 	tun.trace = cfg.traced
-	// The sharded engine covers the lean configuration: plain unbounded
-	// untraced uninstrumented runs. Anything else falls back to the
-	// sequential engines (WithShards documents this).
-	if shardReq && rec == nil && tun.qcap == 0 && tun.admit == nil && !tun.trace {
-		res := nw.shardRun(pkts, tun, cfg.shards, shardWorkers(cfg.shards))
-		return RunReport{FaultResult: FaultResult{Result: res}}, nil
+	// The lane kernel runs every plain unbounded run without admission or
+	// a trace; it spreads one over the requested lanes unless a recorder
+	// is attached. Anything else runs one lane or the general path
+	// (WithShards documents this).
+	sharded := shardReq && rec == nil && tun.qcap == 0 && tun.admit == nil && !tun.trace
+	if sharded {
+		tun.shards = cfg.shards
 	}
 	res, events := nw.run(pkts, tun, rec)
-	return fallback(RunReport{FaultResult: FaultResult{Result: res}, Events: events}), nil
+	rep := RunReport{FaultResult: FaultResult{Result: res}, Events: events}
+	if !sharded {
+		rep = fallback(rep)
+	}
+	return rep, nil
 }

@@ -29,10 +29,18 @@ func resultsEqual(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestShardRunMatchesSequential is the sharded engine's equivalence
-// gate: for a matrix of topologies, routing modes, workloads, hop
-// latencies and shard counts, shardRun must reproduce the sequential
-// arc-major kernel's Result exactly — every aggregate counter,
+// shardRun runs pkts on nw's lane kernel with the given lane and worker
+// counts.
+func shardRun(nw *Network, pkts []Packet, tun runTuning, shards, workers int) Result {
+	tun.shards, tun.workers = shards, workers
+	res, _ := nw.run(pkts, tun, nil)
+	return res
+}
+
+// TestShardRunMatchesSequential is the lane kernel's equivalence gate:
+// for a matrix of topologies, routing modes, workloads and lane counts
+// (one lane included), the kernel must reproduce the frozen
+// packet-at-a-time engine's Result exactly — every aggregate counter,
 // MaxQueue/HotNode tie-breaks, PeakResident, and the full per-packet
 // delivery table.
 func TestShardRunMatchesSequential(t *testing.T) {
@@ -40,31 +48,42 @@ func TestShardRunMatchesSequential(t *testing.T) {
 		name    string
 		d, D    int
 		routing RoutingMode
-		witness bool // the OTIS wiring of B(d, D), routed through its layout witness
+		witness bool  // the OTIS wiring of B(d, D), routed through its layout witness
+		shards  []int // nil: 1, 2, 3, 4, 7, 8
+		// large skips the workloads that drain over thousands of cycles:
+		// the reference scans every arc each cycle, and at 16,384 nodes
+		// poisson (33,011 cycles) and broadcast (8,204) take it seconds.
+		large bool
 	}{
-		{"B(2,5)/table", 2, 5, TableRouting, false},
-		{"B(2,5)/shift", 2, 5, ShiftRouting, false},
-		{"B(3,4)/table", 3, 4, TableRouting, false},
-		{"B(3,4)/shift", 3, 4, ShiftRouting, false},
-		{"B(2,8)/shift", 2, 8, ShiftRouting, false},
-		{"B(4,3)/shift", 4, 3, ShiftRouting, false},
-		{"OTIS_B(2,6)/witness", 2, 6, ShiftRouting, true},
+		{"B(2,5)/table", 2, 5, TableRouting, false, nil, false},
+		{"B(2,5)/shift", 2, 5, ShiftRouting, false, nil, false},
+		{"B(3,4)/table", 3, 4, TableRouting, false, nil, false},
+		{"B(3,4)/shift", 3, 4, ShiftRouting, false, nil, false},
+		{"B(3,4)/custom", 3, 4, CustomRouting, false, nil, false},
+		{"B(2,8)/shift", 2, 8, ShiftRouting, false, nil, false},
+		{"B(4,3)/shift", 4, 3, ShiftRouting, false, nil, false},
+		{"OTIS_B(2,6)/witness", 2, 6, ShiftRouting, true, nil, false},
+		{"B(2,14)/shift", 2, 14, ShiftRouting, false, []int{1, 3, 8}, true},
 	}
 	workloads := []struct {
 		name string
 		w    func(n int) []Packet
+		long bool // drains over thousands of cycles at B(2,14)
 	}{
-		{"permutation", func(n int) []Packet { return Permutation(n, 11) }},
-		{"uniform", func(n int) []Packet { return UniformRandom(n, 4*n, 7) }},
-		{"poisson", func(n int) []Packet { return PoissonArrivals(n, 2*n, 0.5, 3) }},
-		{"broadcast", func(n int) []Packet { return Broadcast(n, 1) }},
+		{"permutation", func(n int) []Packet { return Permutation(n, 11) }, false},
+		{"uniform", func(n int) []Packet { return UniformRandom(n, 4*n, 7) }, false},
+		{"poisson", func(n int) []Packet { return PoissonArrivals(n, 2*n, 0.5, 3) }, true},
+		{"broadcast", func(n int) []Packet { return Broadcast(n, 1) }, true},
 	}
 	for _, tp := range topos {
 		g := debruijn.DeBruijn(tp.d, tp.D)
 		opt := WithRouting(tp.routing)
-		if tp.witness {
+		switch {
+		case tp.witness:
 			w, _ := otisWitness(t, tp.d, tp.D)
 			g, opt = w.g, WithRouter(w.r)
+		case tp.routing == CustomRouting:
+			opt = WithRouter(opaqueRouter{NewTableRouter(g)})
 		}
 		nw, err := NewNetwork(g, opt)
 		if err != nil {
@@ -74,13 +93,20 @@ func TestShardRunMatchesSequential(t *testing.T) {
 			t.Fatalf("%s: routes %v, want %v", tp.name, nw.Routing(), tp.routing)
 		}
 		for _, wl := range workloads {
+			if tp.large && wl.long {
+				continue
+			}
 			pkts := wl.w(g.N())
-			want, _ := nw.run(pkts, nw.baseTuning(0), nil)
-			for _, shards := range []int{1, 2, 3, 4, 7, 8} {
+			want := refRun(nw, pkts, nw.baseTuning(0), nil)
+			counts := tp.shards
+			if counts == nil {
+				counts = []int{1, 2, 3, 4, 7, 8}
+			}
+			for _, shards := range counts {
 				if shards > g.N() {
 					continue
 				}
-				got := nw.shardRun(pkts, nw.baseTuning(0), shards, shardWorkers(shards))
+				got := shardRun(nw, pkts, nw.baseTuning(0), shards, shardWorkers(shards))
 				resultsEqual(t, tp.name+"/"+wl.name+"/shards="+itoa(shards), want, got)
 			}
 		}
@@ -108,21 +134,21 @@ func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkts := UniformRandom(tc.g.N(), 5*tc.g.N(), 13)
-		want, _ := nw.run(pkts, nw.baseTuning(0), nil)
-		for _, shards := range []int{2, 5} {
-			got := nw.shardRun(pkts, nw.baseTuning(0), shards, shardWorkers(shards))
+		want := refRun(nw, pkts, nw.baseTuning(0), nil)
+		for _, shards := range []int{1, 2, 5} {
+			got := shardRun(nw, pkts, nw.baseTuning(0), shards, shardWorkers(shards))
 			resultsEqual(t, tc.name+"/shards="+itoa(shards), want, got)
 		}
 	}
 
-	// Custom router: interface dispatch inside the shard phases.
+	// Custom router: interface dispatch in the routing pass.
 	custom, err := NewNetwork(g, WithRouter(opaqueRouter{NewTableRouter(g)}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkts := Permutation(g.N(), 5)
-	want, _ := custom.run(pkts, custom.baseTuning(0), nil)
-	got := custom.shardRun(pkts, custom.baseTuning(0), 4, shardWorkers(4))
+	want := refRun(custom, pkts, custom.baseTuning(0), nil)
+	got := shardRun(custom, pkts, custom.baseTuning(0), 4, shardWorkers(4))
 	resultsEqual(t, "customRouter/shards=4", want, got)
 }
 
@@ -151,12 +177,12 @@ func TestShardRunTruncation(t *testing.T) {
 		}
 		pkts := UniformRandom(tc.g.N(), 8*tc.g.N(), 9)
 		tun := nw.baseTuning(5) // 5 cycles: most packets still in flight
-		want, _ := nw.run(pkts, tun, nil)
+		want := refRun(nw, pkts, tun, nil)
 		for _, shards := range []int{2, 4} {
 			// Twice: the pooled engine must not carry a truncated run's
 			// queued or in-flight packets into the next run.
 			for rerun := 0; rerun < 2; rerun++ {
-				got := nw.shardRun(pkts, tun, shards, shardWorkers(shards))
+				got := shardRun(nw, pkts, tun, shards, shardWorkers(shards))
 				resultsEqual(t, tc.name+"/truncated/shards="+itoa(shards)+"/rerun="+itoa(rerun), want, got)
 			}
 		}
@@ -178,10 +204,10 @@ func TestShardWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := UniformRandom(g.N(), 6*g.N(), 21)
-	want, _ := nw.run(pkts, nw.baseTuning(0), nil)
+	want := refRun(nw, pkts, nw.baseTuning(0), nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
-			got := nw.shardRun(pkts, nw.baseTuning(0), 8, workers)
+			got := shardRun(nw, pkts, nw.baseTuning(0), 8, workers)
 			resultsEqual(t, "workers="+itoa(workers)+"/rerun="+itoa(rerun), want, got)
 		}
 	}

@@ -517,8 +517,7 @@ type Network struct {
 	// NewNetwork), merged under each RunOpts call's own options.
 	defaults runConfig
 
-	scratch      sync.Pool // *arena
-	shardScratch sync.Pool // *shardEngine
+	scratch sync.Pool // *arena
 }
 
 // Observe attaches a metrics recorder to the network: subsequent runs
@@ -559,8 +558,8 @@ func New(g *digraph.Digraph, router Router, cfg Config) (*Network, error) {
 	return newNetwork(g, router, cfg), nil
 }
 
-// newNetwork builds the derived state for already-validated inputs (the
-// shadow network of TracedRun reuses it without re-threading the error).
+// newNetwork builds the derived state for already-validated inputs
+// (New and NewNetwork validate, then call it).
 func newNetwork(g *digraph.Digraph, router Router, cfg Config) *Network {
 	n := g.N()
 	guardIndexInt32(n, "nodes")
@@ -690,7 +689,7 @@ func (nw *Network) defaultBudget(pkts, hopLatency int) int {
 // elapses. The packets slice is copied; releases may be in any order.
 // Network-wide run defaults (RunOptions passed to NewNetwork, e.g.
 // WithShards) apply; on a network constructed without them Run is the
-// plain sequential engine it always was.
+// plain one-lane run it always was.
 //
 // Deprecated: use RunOpts, which unifies the run entry points behind
 // functional options (Run(pkts) is RunOpts(Fixed(pkts))). Run remains a
@@ -715,6 +714,9 @@ type runTuning struct {
 	hold   int         // per-packet hold budget (0: default when qcap > 0)
 	admit  *admitState // nil: no admission control
 	trace  bool        // record the event log (takes the general path)
+	// shards is a lane-kernel run's lane count (0: one lane) and workers
+	// the goroutines that execute them (0: shardWorkers(shards)).
+	shards, workers int
 }
 
 // withDefaults resolves the hold budget a queue bound implies.
@@ -740,16 +742,18 @@ const (
 	enqFull                     // bounded queue full: caller holds the packet upstream
 )
 
-// runState threads run's per-call state through enqueue. A method on a
-// stack value replaces the closure run used to define: the run loop is a
-// hot path and closures allocate.
+// runState is one run's setup — packets, SoA slabs, queues, routing and
+// tally — shared by both kernels. The general path threads its per-call
+// state through it to enqueue: methods on a stack value, since closures
+// allocate and the run loop is a hot path.
 type runState struct {
-	nw    *Network
-	pkts  []Packet
-	dst   []int32 // SoA packet destination slab
-	holds []int32 // SoA per-packet holds-spent slab
-	q     arcQueues
-	qBits []uint64 // active-arc bitmap: bit a set ⇔ queue a is non-empty
+	nw   *Network
+	pkts []Packet
+	// SoA packet slabs: destination, release cycle, delivery cycle, hop
+	// count and holds spent.
+	dst, rel, del, hops, holds []int32
+	q                          arcQueues
+	qBits                      []uint64 // active-arc bitmap: bit a set ⇔ queue a is non-empty
 	// res is the run's result, held by value: appending to events below
 	// stores through the state, so a pointer held here would escape it
 	// to the heap on every run.
@@ -885,27 +889,26 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 }
 
 // run is Run with explicit tuning (budget, queue bound, hold budget,
-// admission, tracing) and recorder; sweeps use it to retune the budget
-// per point while reusing one Network. A recorded run records into the
-// arena's run-local tally with plain stores and merges it into rec once,
-// at the end; every recording site tests the tally against nil, so the
-// uninstrumented path stays allocation-free, and attaching a recorder
-// does not change which path runs. A traced run (tun.trace) takes the
-// general path and returns the event log, recorded live with each
-// event's cycle; otherwise the log is nil.
+// admission, tracing, lanes) and recorder; sweeps use it to retune the
+// budget per point while reusing one Network. One setup — the cycle
+// budget, the route-or-drop precheck, each carried state's start and the
+// release order — serves both kernels: a run with unbounded queues, no
+// admission and no trace runs on the lane kernel (runLanes) with
+// tun.shards lanes, every other run on the general path. A recorded run
+// records into the arena's run-local tally with plain stores and merges
+// it into rec once, at the end; every recording site tests the tally
+// against nil, so the uninstrumented path stays allocation-free, and
+// attaching a recorder does not change the kernel (a recorded run must
+// have one lane). A traced run returns the event log, recorded live with
+// each event's cycle; otherwise the log is nil.
 //
-// This is the batched arc-major kernel: per-cycle work is a few linear
-// passes against flat SoA slabs — int32 packet arrays instead of
+// Both kernels are batched arc-major sweeps: per-cycle work is a few
+// linear passes against flat SoA slabs — int32 packet arrays instead of
 // []Packet field access, intrusive per-arc queues (arcQueues) swept over
-// the queued bitmap, and the TableRouter slab gathered directly. The
-// lean path's links are a departure ring (arena.departureRing): a cycle
-// costs one scan of the packets arriving, the routing and push passes
-// over them, and one sweep of the set queue-bitmap words. The general
-// path's links are per-arc pipe segments swept over the in-flight
-// bitmap. Phase structure, iteration order and every accounting/
-// recording site are identical to the packet-at-a-time engine the
-// kernel replaced — pinned by TestArcMajorKernelMatchesReference and the
-// engine behaviour goldens.
+// the queued bitmap, and the TableRouter slab gathered directly. Phase
+// structure, iteration order and every accounting/recording site are
+// identical to the packet-at-a-time engine they replaced — pinned by
+// TestArcMajorKernelMatchesReference and the engine behaviour goldens.
 //
 //lint:hotpath
 func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Result, []Event) {
@@ -938,13 +941,14 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	// slabs; one guard at entry dominates every stamp below.
 	guardIndexInt32(maxCycles+nw.cfg.HopLatency+2, "cycles")
 
-	// Devirtualize the built-in routers: the hot loop gathers next hops
-	// from the table slab, steps each packet's carried state under a
-	// witness router, or computes congruence-form next hops with the
+	// Devirtualize the built-in routers: the kernels gather next hops
+	// from the table slab, step each packet's carried state under a
+	// witness router, or compute congruence-form next hops with the
 	// closed-form de Bruijn shift, without the interface call (custom
-	// routers keep dynamic dispatch). shift is the table-free routing
-	// mode — no n² slab exists at all, which is what admits million-node
-	// graphs and the witness-routed OTIS machine.
+	// routers, and tables too wide for the int8 slab, keep dynamic
+	// dispatch). shift is the table-free routing mode — no n² slab exists
+	// at all, which is what admits million-node graphs and the
+	// witness-routed OTIS machine.
 	var tArcs []int8
 	tN := 0
 	if tr, ok := nw.router.(*TableRouter); ok {
@@ -956,49 +960,10 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		carry = ar.carrySlab(len(pkts))
 	}
 
-	// The lean path applies when next hops come from a built-in router —
-	// the table slab gathered directly, or the de Bruijn shift, stepped
-	// from each packet's carried state or computed in closed form — and
-	// queues are unbounded (the bench hot path): arrivals are batched so
-	// the routing step — under table routing one random probe into the
-	// n² slab per hop, the run's cache-miss budget — runs as a dense
-	// pass of independent work, instead of serializing behind each
-	// packet's queue push. Delivery, push order and all accounting stay
-	// identical to the general path. A recorder does not change the
-	// path: recorded runs take it too, recording into the run-local
-	// tally. A traced run takes the general path, which emits its event
-	// log live.
-	lean := (tArcs != nil || shift != nil) && tun.qcap == 0 && tun.admit == nil && !tun.trace
-	hopLat := nw.cfg.HopLatency
-	// Links. A lean link never holds a packet, so it runs as the
-	// departure ring. A general link may: a full link window (in-flight
-	// wire slots plus held packets) stops accepting departures — the
-	// credit that propagates backpressure — so it runs as a pipe segment
-	// of the credit bound's capacity. An unbounded run keeps at most
-	// HopLatency packets per link (one departure per cycle, each in
-	// flight exactly HopLatency cycles), a bounded one at most
-	// qcap+HopLatency (departures stop at the window, holds re-slot in
-	// place).
-	credits := 0
-	segCap := hopLat
-	if tun.qcap > 0 {
-		credits = tun.qcap + hopLat
-		segCap = credits
-	}
-	var ringPkt, ringArc []int32
-	var pipePkt, pipeReady, pipeLen []int32
-	if lean {
-		ringPkt, ringArc = ar.departureRing(m, hopLat)
-	} else {
-		pipePkt, pipeReady, pipeLen = ar.pipeSegments(m, segCap)
-	}
-	qBits, aBits, ringFill := ar.qBits, ar.aBits, ar.ringFill
 	dst, rel, del, hops, holds := ar.packetSlabs(len(pkts))
-	q := ar.queueLinks(m, len(pkts))
-	holdq := ar.holdq[:0]
-
 	rs := runState{
-		nw: nw, pkts: pkts, dst: dst, holds: holds, q: q, qBits: qBits,
+		nw: nw, pkts: pkts, dst: dst, rel: rel, del: del, hops: hops, holds: holds,
+		q: ar.queueLinks(m, len(pkts)), qBits: ar.qBits,
 		tl: tl, tArcs: tArcs, tN: tN, shift: shift, carry: carry, qcap: tun.qcap, trace: tun.trace,
 	}
 	res := &rs.res
@@ -1054,135 +1019,68 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	}
 	sortByRelease(order, pkts)
 	ar.order = order
-	cursor := 0
 
+	if tun.qcap == 0 && tun.admit == nil && !tun.trace {
+		nw.runLanes(ar, &rs, order, maxCycles, remaining, tun)
+	} else {
+		rs.general(ar, order, maxCycles, remaining, tun)
+	}
+
+	// Scatter the SoA slabs back into the packet table. Only routed
+	// packets live in order; self-deliveries and setup drops wrote their
+	// final state above. Deliveries are tallied here rather than in the
+	// arrival sweeps: the same (latency, hops) observations, read
+	// sequentially once instead of once per delivery in the hot loop.
+	for _, i32 := range order {
+		i := int(i32)
+		pkts[i].Delivered = int(del[i])
+		pkts[i].Hops = int(hops[i])
+		if tl != nil && del[i] >= 0 {
+			tl.Deliver(int(del[i]-rel[i]), int(hops[i]))
+		}
+	}
+
+	res.aggregate(pkts, nw.cfg.HopLatency)
+	rec.Merge(tl)
+	return *res, rs.events
+}
+
+// general is the general path of run: bounded queues with credit-based
+// backpressure, source admission and live tracing. Its links may hold
+// packets: a full link window (in-flight wire slots plus held packets)
+// stops accepting departures — the credit that propagates backpressure —
+// so each link is a pipe segment of the credit bound's capacity, swept
+// over the in-flight bitmap. An unbounded link keeps at most HopLatency
+// packets (one departure per cycle, each in flight exactly HopLatency
+// cycles), a bounded one at most qcap+HopLatency (departures stop at the
+// window, holds re-slot in place).
+//
+//lint:hotpath
+func (rs *runState) general(ar *arena, order []int32, maxCycles, remaining int, tun runTuning) {
+	nw, pkts, res, tl := rs.nw, rs.pkts, &rs.res, rs.tl
+	dst, rel, del, hops := rs.dst, rs.rel, rs.del, rs.hops
+	q, qBits, aBits := rs.q, rs.qBits, ar.aBits
+	hopLat := nw.cfg.HopLatency
+	// run checked both bounds; restated here, they dominate the int32
+	// stamps and indices below.
+	guardIndexInt32(maxCycles+hopLat+2, "cycles")
+	guardIndexInt32(len(pkts), "packets")
+	credits := 0
+	segCap := hopLat
+	if tun.qcap > 0 {
+		credits = tun.qcap + hopLat
+		segCap = credits
+	}
+	pipePkt, pipeReady, pipeLen := ar.pipeSegments(int(nw.arcBase[nw.g.N()]), segCap)
+	holdq := ar.holdq[:0]
+	cursor := 0
 	admit := tun.admit
-	arcBase, arcHead := nw.arcBase, nw.arcHead
+	arcHead := nw.arcHead
 	hopLat32 := int32(hopLat)
 	heldLast := false // congestion signal: a hold happened last cycle
-	var arrPkt, arrNode, arrArc []int32
-	if lean {
-		arrPkt, arrNode, arrArc = ar.arrivalBatch(len(pkts))
-	}
 
 	for cycle := 0; remaining > 0 && cycle <= maxCycles; cycle++ {
 		cycle32 := int32(cycle)
-		if lean {
-			// Inject: the released packets open the cycle's batch at
-			// their sources. The lean path has no admission and no
-			// backpressure (every order entry was route-prechecked at
-			// setup or is shift-routed, which always reaches its
-			// destination), so the batch's push pass queues them all,
-			// ahead of the arrivals, as the general path does.
-			na := 0
-			for cursor < len(order) && rel[order[cursor]] <= cycle32 {
-				i := order[cursor]
-				cursor++
-				arrPkt[na], arrNode[na], arrArc[na] = i, int32(pkts[i].Src), dst[i]
-				na++
-				rs.enter()
-			}
-			// Arrivals: exactly the departures of cycle − HopLatency, in
-			// the ascending arc order the departure sweep wrote them —
-			// the general path's arrival order. One scan counts each
-			// packet's hop and delivers it in place or appends it, with
-			// its node, to the batch.
-			bucket := cycle % hopLat
-			base := bucket * m
-			sentPkt := ringPkt[base : base+int(ringFill[bucket])]
-			sentArc := ringArc[base : base+len(sentPkt)]
-			for k, pk := range sentPkt {
-				a := sentArc[k]
-				hops[pk]++
-				if tl != nil {
-					tl.ArcTraverse(int(a))
-				}
-				v, dv := arcHead[a], dst[pk]
-				if dv == v {
-					del[pk] = cycle32
-					res.Delivered++
-					remaining--
-					rs.leave()
-					res.Cycles = cycle
-					continue
-				}
-				arrPkt[na], arrNode[na], arrArc[na] = pk, v, dv // destination, rewritten to the out-arc below
-				na++
-			}
-			// Route the whole batch to flat out-arcs (−1: no route) —
-			// under table routing a pass of independent slab gathers (the
-			// batch holds each packet's destination in arrArc, so every
-			// iteration is a single load with no dependent chain); under
-			// a witness router a pass of carried-state steps, one multiply
-			// and one letter-map load each; in congruence form a pass of
-			// closed-form O(D) decisions touching no routing state at all.
-			batchPkt, batchNode, batchArc := arrPkt[:na], arrNode[:na], arrArc[:na]
-			switch {
-			case tArcs != nil:
-				for k, v := range batchNode {
-					arc := int32(tArcs[int(v)*tN+int(batchArc[k])])
-					flat := arcBase[v] + arc
-					if arc < 0 {
-						flat = -1
-					}
-					batchArc[k] = flat
-				}
-			case carry != nil:
-				for k, v := range batchNode {
-					p := batchPkt[k]
-					arc, next := shift.step(int(v), carry[p])
-					batchArc[k], carry[p] = arcBase[v]+int32(arc), next
-				}
-			default:
-				for k, v := range batchNode {
-					batchArc[k] = arcBase[v] + int32(shift.NextArc(int(v), int(batchArc[k])))
-				}
-			}
-			// Push in batch order — injections in (Release, index) order,
-			// then arrivals in ascending arc order, the general path's
-			// push order — so per-queue depth sequences (and
-			// MaxQueue/HotNode) match it exactly.
-			for k, flat := range batchArc {
-				if flat < 0 {
-					res.Dropped++
-					remaining--
-					rs.leave()
-					if tl != nil {
-						tl.Drop(obs.DropNoRoute)
-					}
-					continue
-				}
-				qBits[flat>>6] |= 1 << (uint32(flat) & 63)
-				depth := int(q.push(flat, batchPkt[k]))
-				if depth > res.MaxQueue {
-					res.MaxQueue = depth
-					res.HotNode = int(batchNode[k])
-				}
-				if tl != nil {
-					tl.QueueDepth(int(flat), depth)
-				}
-			}
-			// Departures: each link sends its queue's head, swept over the
-			// queued bitmap in ascending arc order into the bucket just
-			// read, which this cycle's departures arrive from.
-			f := base
-			for w := range qBits {
-				bits := qBits[w]
-				for bits != 0 {
-					a := w<<6 + trailingZeros64(bits)
-					bits &= bits - 1
-					pk, empty := q.pop(a)
-					if empty {
-						qBits[w] &^= 1 << (uint(a) & 63)
-					}
-					ringPkt[f], ringArc[f] = pk, int32(a)
-					f++
-				}
-			}
-			ringFill[bucket] = int32(f - base)
-			continue
-		}
-
 		holdsBefore := res.Holds
 		if admit != nil {
 			admit.refill(heldLast)
@@ -1334,22 +1232,4 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		heldLast = res.Holds > holdsBefore
 	}
 	ar.holdq = holdq
-
-	// Scatter the SoA slabs back into the packet table. Only routed
-	// packets live in order; self-deliveries and setup drops wrote their
-	// final state above. Deliveries are tallied here rather than in the
-	// arrival sweeps: the same (latency, hops) observations, read
-	// sequentially once instead of once per delivery in the hot loop.
-	for _, i32 := range order {
-		i := int(i32)
-		pkts[i].Delivered = int(del[i])
-		pkts[i].Hops = int(hops[i])
-		if tl != nil && del[i] >= 0 {
-			tl.Deliver(int(del[i]-rel[i]), int(hops[i]))
-		}
-	}
-
-	res.aggregate(pkts, nw.cfg.HopLatency)
-	rec.Merge(tl)
-	return *res, rs.events
 }

@@ -70,11 +70,16 @@ func (e Event) String() string {
 
 // TracedRun is Run with the full event log — inject, depart, arrive,
 // deliver and drop — recorded live as the run takes each step, so every
-// event carries its cycle and the log is in simulation order.
+// event carries its cycle and the log is in simulation order. It is
+// RunOpts(Fixed(packets), WithTrace()), so network-wide run defaults
+// apply as they do to Run.
 func (nw *Network) TracedRun(packets []Packet) (Result, []Event) {
-	tun := nw.baseTuning(0)
-	tun.trace = true
-	return nw.run(packets, tun, nw.rec)
+	rep, err := nw.RunOpts(Fixed(packets), WithTrace())
+	if err != nil {
+		// Unreachable for a valid Network, as in Run.
+		panic(fmt.Sprintf("simnet: TracedRun: %v", err))
+	}
+	return rep.Result, rep.Events
 }
 
 // VerifyTrace checks a trace against the digraph: every depart/arrive

@@ -8,35 +8,54 @@ import (
 	"repro/internal/debruijn"
 )
 
+// TestTracedRunMatchesPlainRun: a traced run is the plain run plus its
+// live event log, on a default network and on one whose network-wide
+// run defaults bound its queues (which the traced run must obey too).
 func TestTracedRunMatchesPlainRun(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	pkts := UniformRandom(g.N(), 100, 101)
-	plain := nw.Run(pkts)
-	traced, events := nw.TracedRun(pkts)
-	if !reflect.DeepEqual(plain, traced) {
-		t.Fatalf("traced run diverged: %v vs %v", plain, traced)
-	}
-	if len(events) == 0 {
-		t.Fatal("no events recorded")
-	}
-	if err := VerifyTrace(g, pkts, events); err != nil {
+	plainNet, _ := New(g, NewTableRouter(g), DefaultConfig())
+	boundedNet, err := NewNetwork(g, WithQueueCapacity(1), WithHoldBudget(2))
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Events are live: each delivery is logged at the packet's delivery
-	// cycle, and no injection precedes its release.
-	byID := map[int]Packet{}
-	for _, p := range traced.Packets {
-		byID[p.ID] = p
+	for _, tc := range []struct {
+		name string
+		nw   *Network
+		pkts []Packet
+	}{
+		{"default", plainNet, UniformRandom(g.N(), 100, 101)},
+		{"bounded", boundedNet, UniformRandom(g.N(), 192, 5)},
+	} {
+		plain := tc.nw.Run(tc.pkts)
+		traced, events := tc.nw.TracedRun(tc.pkts)
+		if !reflect.DeepEqual(plain, traced) {
+			t.Fatalf("%s: traced run diverged: %v vs %v", tc.name, plain, traced)
+		}
+		if len(events) == 0 {
+			t.Fatalf("%s: no events recorded", tc.name)
+		}
+		if err := VerifyTrace(g, tc.pkts, events); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// Events are live: each delivery is logged at the packet's
+		// delivery cycle, and no injection precedes its release.
+		byID := map[int]Packet{}
+		for _, p := range traced.Packets {
+			byID[p.ID] = p
+		}
+		for _, e := range events {
+			p := byID[e.Packet]
+			if e.Kind == EventDeliver && e.Cycle != p.Delivered {
+				t.Fatalf("%s: packet %d delivered at cycle %d, logged at %d", tc.name, p.ID, p.Delivered, e.Cycle)
+			}
+			if e.Kind == EventInject && e.Cycle < p.Release {
+				t.Fatalf("%s: packet %d released at %d, injected at %d", tc.name, p.ID, p.Release, e.Cycle)
+			}
+		}
 	}
-	for _, e := range events {
-		p := byID[e.Packet]
-		if e.Kind == EventDeliver && e.Cycle != p.Delivered {
-			t.Fatalf("packet %d delivered at cycle %d, logged at %d", p.ID, p.Delivered, e.Cycle)
-		}
-		if e.Kind == EventInject && e.Cycle < p.Release {
-			t.Fatalf("packet %d released at %d, injected at %d", p.ID, p.Release, e.Cycle)
-		}
+	// The bound bites on the bounded network: the case is not a repeat.
+	if res := boundedNet.Run(UniformRandom(g.N(), 192, 5)); res.DroppedQueueFull == 0 || res.MaxQueue != 1 {
+		t.Fatalf("bounded network: %d queue-full drops, MaxQueue %d; want drops at MaxQueue 1", res.DroppedQueueFull, res.MaxQueue)
 	}
 }
 

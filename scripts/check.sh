@@ -43,9 +43,21 @@ echo "== shard determinism double-run (sequential equivalence + worker matrix) =
 go test ./internal/simnet \
     -run 'ShardRunMatchesSequential|ShardWorkerCountDeterminism' -count=2
 
-echo "== sharded table-free smoke run =="
-go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift -shards 4 \
-    -workload permutation > /dev/null
+echo "== sharded table-free smoke run (4 lanes against 1 lane, B(2,14)) =="
+# The lane partition at 16,384 nodes, above the unit tests' sizes, with
+# real concurrency on a multi-CPU host: 4 lanes must print the result and
+# queueing lines of a one-lane run.
+simulate_b214() {
+    go run ./cmd/simulate -topo debruijn -d 2 -diam 14 -routing shift \
+        -shards "$1" -workload permutation | grep -E '^(result|queueing):'
+}
+four_lanes=$(simulate_b214 4)
+one_lane=$(simulate_b214 1)
+if [ "$four_lanes" != "$one_lane" ]; then
+    echo "simulate -shards 4 and -shards 1 disagree:" >&2
+    printf '4 lanes:\n%s\n1 lane:\n%s\n' "$four_lanes" "$one_lane" >&2
+    exit 1
+fi
 
 echo "== OTIS witness-routed smoke run (B(2,14), 16384 nodes, no routing table) =="
 # Table routing here would need a 256 MiB next-hop slab; -routing auto
