@@ -388,9 +388,10 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 
 	// Table vs table-free routing on the fused kernel: the same
 	// permutation through WithRouting(TableRouting) and
-	// WithRouting(ShiftRouting). The pair prices the O(D) closed-form
-	// next-arc against the slab gather — the shift entry is the routing
-	// cost the million-node regime pays, with zero table bytes behind it.
+	// WithRouting(ShiftRouting). The pair prices carried shift state (one
+	// O(D) overlap per packet, one multiply per hop) against the slab
+	// gather — the shift entry is the routing cost the million-node
+	// regime pays, with zero table bytes behind it.
 	routeSizes := permSizes
 	for _, sz := range routeSizes {
 		g := debruijn.DeBruijn(sz.d, sz.D)

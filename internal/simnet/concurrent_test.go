@@ -18,8 +18,9 @@ type routingConfig struct {
 }
 
 // routingConfigs returns the table, congruence-form shift routing, and
-// a witness router on g's own labels — the configuration whose packets
-// carry state in the pooled arenas' carried-state slabs.
+// a witness router on g's own labels. Both shift configurations carry
+// each packet's state in the pooled arenas' carried-state slabs, the
+// witness router through its letter map.
 func routingConfigs(t *testing.T, g *digraph.Digraph) []routingConfig {
 	labels := make([]int, g.N())
 	for u := range labels {

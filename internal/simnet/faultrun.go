@@ -281,11 +281,11 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	if tr, ok := nw.router.(*TableRouter); ok {
 		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
 	}
-	// Under a witness router the gather steps each packet's carried
-	// state (see gatherPrimary). Every state starts stale, so the gather
-	// at the source computes it.
+	// Under shift routing the gather steps each packet's carried state
+	// (see gatherPrimary). Every state starts stale, so the gather at the
+	// source computes it.
 	var carry []int32
-	if nw.shift.carries() {
+	if nw.shift != nil {
 		carry = ar.carrySlab(len(pkts))
 		for i := range carry {
 			carry[i] = staleCarry
@@ -677,8 +677,8 @@ const staleCarry int32 = -1
 // node[k] toward the packet's destination. Under table routing it is one
 // dense pass of independent slab loads, like the lane kernel's routing
 // pass; the departure sweep then starts each decision from the cached
-// arc instead of re-reading the slab on every attempt. Under a witness
-// router it steps the packet's carried state — recomputing it first
+// arc instead of re-reading the slab on every attempt. Under shift
+// routing it steps the packet's carried state — recomputing it first
 // (the one O(D) call) only when stale — and leaves carry holding the
 // state after the primary hop, which a departure on the primary arc
 // keeps and any other departure marks stale.

@@ -443,11 +443,11 @@ func (e *laneRun) enqueue(s, cycle int) {
 
 // route rewrites each entry of b from its destination to the flat
 // out-arc it leaves its node on (−1: no route): under table routing a
-// pass of independent slab gathers, under a witness router a pass of
+// pass of independent slab gathers, under shift routing a pass of
 // carried-state steps (advancing each packet's state: queues are
-// unbounded, so every routed packet is pushed), in congruence form a
-// pass of closed-form decisions, and for any other router (a custom one,
-// or a table too wide for the int8 slab) one interface call per entry.
+// unbounded, so every routed packet is pushed), and for any other router
+// (a custom one, or a table too wide for the int8 slab) one interface
+// call per entry.
 //
 //lint:hotpath
 func (e *laneRun) route(b *laneBatch) {
@@ -469,11 +469,6 @@ func (e *laneRun) route(b *laneBatch) {
 			a, next := shift.step(int(v), carry[p])
 			//lint:ignore slabindex a < maxDeg ≤ M, dominated by newNetwork's guardIndexInt32
 			arc[k], carry[p] = arcBase[v]+int32(a), next
-		}
-	case shift != nil:
-		for k, v := range node {
-			//lint:ignore slabindex the arc is below maxDeg ≤ M, dominated by newNetwork's guardIndexInt32
-			arc[k] = arcBase[v] + int32(shift.NextArc(int(v), int(arc[k])))
 		}
 	default:
 		for k, v := range node {

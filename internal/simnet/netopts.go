@@ -38,11 +38,12 @@ const (
 	// (NewTableRouter): n² bytes, any strongly-connected digraph.
 	TableRouting
 	// ShiftRouting routes by the de Bruijn congruence left-shift rule
-	// (DeBruijnRouter): O(D) state, O(D) work per hop. WithRouting
-	// selects it only on a congruence-form B(d, D) — anything else
-	// fails eagerly; a witness router (NewWitnessRouter) supplied
-	// through WithRouter shift-routes any digraph certified isomorphic
-	// to B(d, D), with one carried int32 per packet, and reports it too.
+	// (DeBruijnRouter): O(D) state, one carried int32 per packet, O(D)
+	// work when a packet enters and O(1) per hop. WithRouting selects it
+	// only on a congruence-form B(d, D) — anything else fails eagerly; a
+	// witness router (NewWitnessRouter) supplied through WithRouter
+	// shift-routes any digraph certified isomorphic to B(d, D) and
+	// reports it too.
 	ShiftRouting
 	// CustomRouting reports a caller-supplied Router (WithRouter). It is
 	// not selectable via WithRouting.
@@ -66,16 +67,20 @@ func (m RoutingMode) String() string {
 
 // autoShiftNodes is the AutoRouting crossover: at or below this many
 // nodes the n² table still fits comfortably in cache-adjacent memory
-// (4096² = 16 MB) and its one-load gather is preferred; above it the
-// table-free shift router wins on footprint (and is the only option at
-// million-node scale, where the table would need n² ≈ 1 TB). Per run
-// the table is faster at every size measured (plain permutation, median
-// of 15 interleaved pairs, 2-vCPU Xeon, go1.24.0): table vs shift 81 vs
-// 174 µs on B(2,8), 407 vs 872 µs on B(2,10), 719 vs 1254 µs on B(3,7),
-// 1966 vs 4440 µs on B(2,12) and 4365 vs 8871 µs on B(2,13). But
-// building it takes 401 ms at B(2,12) and 1.6 s at B(2,13), a few
-// hundred runs' worth of that saving, on top of 16 and 64 MiB — so the
-// crossover stays here.
+// (4096² = 16 MB) and takes at most about half a second to build; above
+// it the table-free shift router wins on footprint (and is the only
+// option at million-node scale, where the table would need n² ≈ 1 TB).
+// Per run the carried shift state costs 0.75–1.37× the table's one-load
+// gather (plain permutation, median of 15 interleaved pairs, 2-vCPU
+// Xeon, go1.24.0): table vs shift 66 vs 90 µs on B(2,8), 402 vs 467 µs
+// on B(2,10), 875 vs 742 µs on B(3,7), 2356 vs 2016 µs on B(2,12) and
+// 5109 vs 3845 µs on B(2,13). The table is faster only on the smallest
+// graphs, and building it takes 1 ms at B(2,8), 89 ms at B(3,7), 0.47 s
+// at B(2,12) and 2.0 s at B(2,13), on top of 16 and 64 MiB at the last
+// two. Both routers take the same decisions, so the crossover moves
+// only time and memory. Per-run time alone would put it between 1024
+// and 2187 nodes; it stays at 4096, the largest size whose table is
+// still cheap to hold and build.
 const autoShiftNodes = 4096
 
 // netConfig is the option state of one NewNetwork call.

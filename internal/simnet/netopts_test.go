@@ -85,12 +85,18 @@ func TestNewNetworkRoutingModes(t *testing.T) {
 
 // TestShiftRoutingMatchesTableOnNetwork is the network-level
 // differential: the same workload under WithRouting(TableRouting) and
-// WithRouting(ShiftRouting) must produce identical results — the
+// WithRouting(ShiftRouting) must produce identical results on every
+// engine — the lane kernel (one lane and three), the general path
+// (traced, bounded), the fault loop (no plan, a transient fault on
+// every fourth arc that forces deflections, a permanent link-fault pair
+// that forces residual reroutes) and a self-healing session. The
 // shortest-path next arc in congruence form is unique, so the two
-// routers never disagree.
+// routers never disagree, and a carried state made stale by a departure
+// off the shortest path is recomputed before it is read.
 func TestShiftRoutingMatchesTableOnNetwork(t *testing.T) {
 	for _, tc := range []struct{ d, D int }{{2, 6}, {3, 4}, {4, 3}} {
 		g := debruijn.DeBruijn(tc.d, tc.D)
+		n := g.N()
 		tab, err := NewNetwork(g, WithRouting(TableRouting))
 		if err != nil {
 			t.Fatal(err)
@@ -99,17 +105,60 @@ func TestShiftRoutingMatchesTableOnNetwork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		var group []Arc // every fourth arc
+		for u := range n {
+			for k := range g.OutDegree(u) {
+				if (u*tc.d+k)%4 == 0 {
+					group = append(group, Arc{Tail: u, Index: k})
+				}
+			}
+		}
+		arcGroup := NewFaultPlan().LensDown(2, 16, 0, group)
+		linkPair := NewFaultPlan().LinkDown(0, 0, 1, 0).LinkDown(0, 0, n-2, 1)
 		for _, seed := range []int64{1, 9} {
-			a, err := tab.RunOpts(UniformLoad(4*g.N()), WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
+			for _, rc := range []struct {
+				name    string
+				opts    []RunOption
+				reroute bool // the plan must force reroutes
+			}{
+				{"plain", nil, false},
+				{"traced", []RunOption{WithTrace()}, false},
+				{"bounded", []RunOption{WithQueueCapacity(2)}, false},
+				{"shards", []RunOption{WithShards(3)}, false},
+				{"faults_nil", []RunOption{WithFaults(nil)}, false},
+				{"arc_group", []RunOption{WithFaults(arcGroup)}, true},
+				{"link_pair", []RunOption{WithFaults(linkPair)}, true},
+			} {
+				opts := append([]RunOption{WithSeed(seed)}, rc.opts...)
+				a, err := tab.RunOpts(UniformLoad(4*n), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := shf.RunOpts(UniformLoad(4*n), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("B(%d,%d) seed %d %s: shift routing diverged from table routing", tc.d, tc.D, seed, rc.name)
+				}
+				if rc.reroute && b.Reroutes == 0 {
+					t.Fatalf("B(%d,%d) seed %d %s: no reroutes; the fault plan did not force a stale carried state", tc.d, tc.D, seed, rc.name)
+				}
 			}
-			b, err := shf.RunOpts(UniformLoad(4*g.N()), WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
+
+			pkts := UniformRandom(n, 4*n, seed)
+			var heal [2]HealResult
+			for k, nw := range []*Network{tab, shf} {
+				session, err := nw.SelfHeal(arcGroup, HealConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if heal[k], err = session.Run(pkts); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("B(%d,%d) seed %d: shift routing diverged from table routing", tc.d, tc.D, seed)
+			if !reflect.DeepEqual(heal[0], heal[1]) {
+				t.Fatalf("B(%d,%d) seed %d: shift-routed heal session diverged from table routing", tc.d, tc.D, seed)
 			}
 		}
 	}
@@ -350,6 +399,53 @@ func TestQueueBoundReachesFaultEngine(t *testing.T) {
 			}
 			if heal.Holds == 0 && heal.DroppedQueueFull == 0 {
 				t.Fatalf("%s: heal session never held or dropped against the bound: %v", label, heal)
+			}
+		}
+	}
+}
+
+// TestQueueBoundPrecedence pins which queue bound and hold budget a run
+// takes: a per-run WithQueueCapacity or WithHoldBudget first, then an
+// explicit FaultConfig field, then the network default and the Config,
+// with the default hold budget resolved from the bound the run finally
+// takes. Each run is DeepEqual to the same per-run options on an
+// unbounded network.
+func TestQueueBoundPrecedence(t *testing.T) {
+	g := debruijn.DeBruijn(2, 6)
+	open, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		net     []NetworkOption
+		run     RunOption
+		packets int
+	}{
+		// An explicit FaultConfig bound beats a network-default
+		// WithQueueCapacity.
+		{"fault_config_over_default", []NetworkOption{WithQueueCapacity(1)},
+			WithFaultConfig(FaultConfig{QueueCapacity: 4}), 256},
+		// A per-run bound on a Config-bounded network holds for 4·4+16
+		// cycles, not the 4·1+16 of the Config's bound.
+		{"per_run_bound_hold_budget", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 1})},
+			WithQueueCapacity(4), 1024},
+	} {
+		bounded, err := NewNetwork(g, tc.net...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 3; seed++ {
+			want, err := open.RunOpts(UniformLoad(tc.packets), WithSeed(seed), tc.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := bounded.RunOpts(UniformLoad(tc.packets), WithSeed(seed), tc.run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed %d: run %v, on an unbounded network %v", tc.name, seed, got.FaultResult, want.FaultResult)
 			}
 		}
 	}

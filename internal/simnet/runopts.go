@@ -416,12 +416,15 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	}
 
 	if cfg.faults {
+		// A per-run WithQueueCapacity or WithHoldBudget beats an explicit
+		// FaultConfig field, which beats the network default and the
+		// Config (faultConfig fills the fields still zero).
 		fcfg := cfg.faultCfg
-		if cfg.qcapSet {
-			fcfg.QueueCapacity = cfg.qcap
+		if per.qcapSet {
+			fcfg.QueueCapacity = per.qcap
 		}
-		if cfg.holdSet {
-			fcfg.HoldBudget = cfg.hold
+		if per.holdSet {
+			fcfg.HoldBudget = per.hold
 		}
 		res, events, err := nw.runWithFaults(pkts, cfg.plan, fcfg, cfg.traced, admit, rec)
 		if err != nil {
@@ -436,7 +439,6 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	if cfg.holdSet {
 		tun.hold = cfg.hold
 	}
-	tun = tun.withDefaults()
 	tun.admit = admit
 	tun.trace = cfg.traced
 	// The lane kernel runs every plain unbounded run without admission or

@@ -170,14 +170,12 @@ func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 // the same way, through the isomorphism's labels: the paper's OTIS
 // layouts, II(d, d^D) and B_σ.
 //
-// The engines route a witness router's packets without calling NextArc
-// per hop, since its NextArc reads two node labels. A packet carries its
-// destination's remaining letters as one int32 (start, set at
-// injection), and each hop reads the next letter off it (step): on a
-// shortest path the overlap grows by exactly one per hop, so the
-// carried state always equals the recomputed one. A congruence-form
-// router's NextArc is arithmetic on node ids alone, and the engines
-// call it per hop (see carries).
+// The engines route its packets without calling NextArc per hop. A
+// packet carries its destination's remaining letters as one int32
+// (start, the one O(D) call, set at injection), and each hop reads the
+// next letter off it (step, O(1)): on a shortest path the overlap grows
+// by exactly one per hop, so the carried state always equals the
+// recomputed one.
 type DeBruijnRouter struct {
 	d, D int
 	n    int   // d^D, precomputed with an overflow-guarded power
@@ -227,8 +225,8 @@ func NewDeBruijnRouter(d, D int) *DeBruijnRouter {
 	}
 	r := &DeBruijnRouter{d: d, D: D, n: n, pow: pow}
 	// Carried states are int32, so step serves only graphs in the int32
-	// range; larger ones (and the empty word length D = 0) route by
-	// NextArc alone.
+	// range, the only ones a Network admits; larger ones route by NextArc
+	// alone, and the one-node D = 0 has nothing to route.
 	if n <= math.MaxInt32 && D >= 1 {
 		r.lead = newDivisor(pow[D-1])
 		r.top, r.d32 = int32(pow[D-1]), int32(d)
@@ -334,13 +332,6 @@ func (r *DeBruijnRouter) step(at int, t int32) (arc int, next int32) {
 	}
 	return int(letter), next
 }
-
-// carries reports whether the engines route r's packets by carried
-// state (start, then step per hop): true for a witness router, whose
-// NextArc would read two labels per hop; false for a congruence-form
-// router, whose per-hop NextArc reads no memory (DESIGN.md § 6 records
-// the measurement behind that choice), and for nil.
-func (r *DeBruijnRouter) carries() bool { return r != nil && r.label != nil }
 
 // distance returns the fault-free distance from node u to node v in
 // closed form, D − overlap(L(u), L(v)) (0 when u = v) — the ranking the
@@ -507,10 +498,9 @@ type Network struct {
 
 	// shift devirtualizes the native de Bruijn router: non-nil exactly
 	// when router is a *DeBruijnRouter (congruence-form or witness),
-	// letting every engine route without the interface call — stepping
-	// each packet's carried state under a witness router, calling the
-	// arithmetic NextArc directly in congruence form (see carries) — the
-	// table-free routing mode, with closed-form fault-free distances.
+	// letting every engine route without the interface call by stepping
+	// each packet's carried state — the table-free routing mode, with
+	// closed-form fault-free distances.
 	shift *DeBruijnRouter
 
 	// defaults are the network-wide run defaults (RunOptions passed to
@@ -727,10 +717,11 @@ func (t runTuning) withDefaults() runTuning {
 	return t
 }
 
-// baseTuning derives the tuning the Network's own Config implies.
+// baseTuning derives the tuning the Network's own Config implies. It
+// leaves a zero hold budget unresolved: run resolves it from the queue
+// bound it finally runs with, after every per-run override.
 func (nw *Network) baseTuning(budget int) runTuning {
-	t := runTuning{budget: budget, qcap: nw.cfg.QueueCapacity, hold: nw.cfg.HoldBudget}
-	return t.withDefaults()
+	return runTuning{budget: budget, qcap: nw.cfg.QueueCapacity, hold: nw.cfg.HoldBudget}
 }
 
 // enqStatus reports the outcome of a routing-and-enqueue attempt.
@@ -764,9 +755,9 @@ type runState struct {
 	// (nil: dynamic dispatch, e.g. a custom router).
 	tArcs []int8
 	tN    int
-	// shift is the network's DeBruijnRouter; under a witness router each
-	// packet's next arc comes from its carried state in carry (nil unless
-	// shift.carries()).
+	// shift is the network's DeBruijnRouter (nil: not shift-routed);
+	// each packet's next arc then comes from its carried state in carry,
+	// non-nil exactly when shift is.
 	shift    *DeBruijnRouter
 	carry    []int32
 	qcap     int // per-arc queue bound (0: unbounded)
@@ -891,16 +882,16 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 // run is Run with explicit tuning (budget, queue bound, hold budget,
 // admission, tracing, lanes) and recorder; sweeps use it to retune the
 // budget per point while reusing one Network. One setup — the cycle
-// budget, the route-or-drop precheck, each carried state's start and the
-// release order — serves both kernels: a run with unbounded queues, no
-// admission and no trace runs on the lane kernel (runLanes) with
-// tun.shards lanes, every other run on the general path. A recorded run
-// records into the arena's run-local tally with plain stores and merges
-// it into rec once, at the end; every recording site tests the tally
-// against nil, so the uninstrumented path stays allocation-free, and
-// attaching a recorder does not change the kernel (a recorded run must
-// have one lane). A traced run returns the event log, recorded live with
-// each event's cycle; otherwise the log is nil.
+// and hold budgets, the route-or-drop precheck, each carried state's
+// start and the release order — serves both kernels: a run with
+// unbounded queues, no admission and no trace runs on the lane kernel
+// (runLanes) with tun.shards lanes, every other run on the general
+// path. A recorded run records into the arena's run-local tally with
+// plain stores and merges it into rec once, at the end; every recording
+// site tests the tally against nil, so the uninstrumented path stays
+// allocation-free, and attaching a recorder does not change the kernel
+// (a recorded run must have one lane). A traced run returns the event
+// log, recorded live with each event's cycle; otherwise the log is nil.
 //
 // Both kernels are batched arc-major sweeps: per-cycle work is a few
 // linear passes against flat SoA slabs — int32 packet arrays instead of
@@ -913,6 +904,7 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 //lint:hotpath
 func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Result, []Event) {
 	guardIndexInt32(len(packets), "packets")
+	tun = tun.withDefaults()
 	//lint:ignore hotalloc pkts escapes into Result.Packets: one allocation per run, not per cycle
 	pkts := make([]Packet, len(packets))
 	copy(pkts, packets)
@@ -942,13 +934,11 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	guardIndexInt32(maxCycles+nw.cfg.HopLatency+2, "cycles")
 
 	// Devirtualize the built-in routers: the kernels gather next hops
-	// from the table slab, step each packet's carried state under a
-	// witness router, or compute congruence-form next hops with the
-	// closed-form de Bruijn shift, without the interface call (custom
-	// routers, and tables too wide for the int8 slab, keep dynamic
-	// dispatch). shift is the table-free routing mode — no n² slab exists
-	// at all, which is what admits million-node graphs and the
-	// witness-routed OTIS machine.
+	// from the table slab or step each packet's carried de Bruijn shift
+	// state, without the interface call (custom routers, and tables too
+	// wide for the int8 slab, keep dynamic dispatch). shift is the
+	// table-free routing mode — no n² slab exists at all, which is what
+	// admits million-node graphs and the witness-routed OTIS machine.
 	var tArcs []int8
 	tN := 0
 	if tr, ok := nw.router.(*TableRouter); ok {
@@ -956,7 +946,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 	}
 	shift := nw.shift
 	var carry []int32
-	if shift.carries() {
+	if shift != nil {
 		carry = ar.carrySlab(len(pkts))
 	}
 
@@ -991,28 +981,24 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 			res.Delivered++
 			continue
 		}
-		if carry != nil {
+		arc := 0
+		switch {
+		case carry != nil:
 			// Shift routing reaches every dst ≠ src, so there is nothing
 			// to drop: the packet's one O(D) routing call sets its state.
 			carry[i] = shift.start(pkts[i].Src, pkts[i].Dst)
-		} else {
-			var arc int
-			switch {
-			case tArcs != nil:
-				arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
-			case shift != nil:
-				arc = shift.NextArc(pkts[i].Src, pkts[i].Dst)
-			default:
-				arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
+		case tArcs != nil:
+			arc = int(tArcs[pkts[i].Src*tN+pkts[i].Dst])
+		default:
+			arc = nw.router.NextArc(pkts[i].Src, pkts[i].Dst)
+		}
+		if arc < 0 {
+			res.Dropped++
+			if tl != nil {
+				tl.Drop(obs.DropNoRoute)
 			}
-			if arc < 0 {
-				res.Dropped++
-				if tl != nil {
-					tl.Drop(obs.DropNoRoute)
-				}
-				rs.emit(0, EventDrop, i, pkts[i].Src, -1)
-				continue
-			}
+			rs.emit(0, EventDrop, i, pkts[i].Src, -1)
+			continue
 		}
 		order = append(order, int32(i))
 		remaining++

@@ -59,6 +59,26 @@ if [ "$four_lanes" != "$one_lane" ]; then
     exit 1
 fi
 
+echo "== table-vs-shift smoke runs (B(2,12), 4096 nodes) =="
+# Carried shift state must take the table's decisions end to end, at 64x
+# the unit tests' largest size: a plain permutation run and a bounded
+# uniform run must print the same result, queueing and overload lines
+# under -routing shift and -routing table.
+simulate_b212() {
+    go run ./cmd/simulate -topo debruijn -d 2 -diam 12 "$@" |
+        grep -E '^(result|queueing|overload):'
+}
+for run in "-workload permutation" "-workload uniform -packets 16384 -qcap 2"; do
+    # $run is left unquoted so that it splits into its flags.
+    shift_out=$(simulate_b212 $run -routing shift)
+    table_out=$(simulate_b212 $run -routing table)
+    if [ "$shift_out" != "$table_out" ]; then
+        echo "simulate $run: -routing shift and -routing table disagree:" >&2
+        printf 'shift:\n%s\ntable:\n%s\n' "$shift_out" "$table_out" >&2
+        exit 1
+    fi
+done
+
 echo "== OTIS witness-routed smoke run (B(2,14), 16384 nodes, no routing table) =="
 # Table routing here would need a 256 MiB next-hop slab; -routing auto
 # must shift-route through the certified layout witness and print none.
