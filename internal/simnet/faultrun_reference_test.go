@@ -155,7 +155,7 @@ type refFaultAwareRouter struct {
 	state           *refFaultState
 	n               int
 	dist            []int32
-	resHop          *debruijn.NextHopSlab
+	resHop          *refNextHopSlab
 	resDist         []int32
 	fallbackVersion int
 }
@@ -221,10 +221,73 @@ func (r *refFaultAwareRouter) refreshResidual() {
 			}
 		}
 	}
-	r.resHop = debruijn.NewNextHopSlab(residual)
+	r.resHop = refNewNextHopSlab(residual)
 	r.resDist = residual.DistanceSlab()
 	r.fallbackVersion = version
 }
+
+// refNextHopSlab is the frozen debruijn.NextHopSlab: for every ordered
+// pair (u, dst), the first hop on a shortest u→dst path (-1 when
+// unreachable, u when u = dst).
+type refNextHopSlab struct {
+	n    int
+	hops []int32
+}
+
+// refNewNextHopSlab is the frozen debruijn.NewNextHopSlab: one reverse
+// BFS per destination over the reverse CSR, recording each node's hop
+// when the BFS discovers it.
+func refNewNextHopSlab(g *digraph.Digraph) *refNextHopSlab {
+	n := g.N()
+	guardIndexInt32(n, "nodes")
+	guardIndexInt32(g.M(), "arcs")
+	base := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(u) {
+			base[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		base[v+1] += base[v]
+	}
+	revTail := make([]int32, g.M())
+	fill := make([]int32, n)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(u) {
+			revTail[base[v]+fill[v]] = int32(u)
+			fill[v]++
+		}
+	}
+
+	hops := make([]int32, n*n)
+	for i := range hops {
+		hops[i] = -1
+	}
+	seen := make([]int32, n)
+	queue := make([]int32, 0, n)
+	for dst := 0; dst < n; dst++ {
+		epoch := int32(dst + 1)
+		seen[dst] = epoch
+		hops[dst*n+dst] = int32(dst)
+		queue = append(queue[:0], int32(dst))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for idx := base[v]; idx < base[v+1]; idx++ {
+				u := revTail[idx]
+				if seen[u] == epoch {
+					continue
+				}
+				seen[u] = epoch
+				hops[int(u)*n+dst] = v
+				queue = append(queue, u)
+			}
+		}
+	}
+	return &refNextHopSlab{n: n, hops: hops}
+}
+
+// Hop returns the first hop on a shortest u→dst path.
+func (s *refNextHopSlab) Hop(u, dst int) int { return int(s.hops[u*s.n+dst]) }
 
 // refRunWithFaults is the frozen fault run loop (historical
 // Network.runWithFaults). The arena counter is recorded as a fresh
@@ -577,6 +640,7 @@ type faultRefTopology struct {
 }
 
 // faultRefTopologies builds the matrix networks: table-routed B(2,5),
+// B(2,5) behind a custom router the engines cannot devirtualize,
 // shift-routed B(3,3), table-routed Kautz K(2,4) and the OTIS machine
 // wiring B(2,6), table-routed and witness-routed, whose lens groups are
 // the layout's real ones. The non-OTIS digraphs get synthetic lens
@@ -607,6 +671,7 @@ func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 	k24, _ := debruijn.Kautz(2, 4)
 	tops := []faultRefTopology{
 		{name: "B(2,5)_table", nw: mk(b25, NewTableRouter(b25))},
+		{name: "B(2,5)_custom", nw: mk(b25, opaqueRouter{NewTableRouter(b25)})},
 		{name: "B(3,3)_shift", nw: mk(b33, NewDeBruijnRouter(3, 3))},
 		{name: "K(2,4)_table", nw: mk(k24, NewTableRouter(k24))},
 	}

@@ -18,10 +18,184 @@ import (
 // retries, holds, drops and recording — exactly as that engine did, on
 // its own session built from the same plan and config. DeepEqual
 // against SelfHealing.Run, Run after Run, proves the two are observably
-// identical, including the session state a Run leaves behind.
+// identical, including the session state a Run leaves behind. The
+// routing slabs are frozen with it (refHealSession): the pristine slab
+// a session starts from and the per-epoch copies repaired from it.
+
+// refHealSession is a session driven by the frozen loop: the live
+// session's knowledge (event log, floods, suspicion, quarantines) plus
+// the frozen slab state — the pristine fault-free slab (epoch 0), the
+// repaired slab of every epoch routed so far, and the repair count.
+type refHealSession struct {
+	*SelfHealing
+	base    *TableRouter
+	slabs   map[int]*TableRouter
+	repairs int
+}
+
+// newRefHealSession wraps s with the frozen pristine-slab build: the
+// network's router when it is a *TableRouter, else NewTableRouter of
+// the digraph.
+func newRefHealSession(s *SelfHealing) *refHealSession {
+	base, ok := s.nw.router.(*TableRouter)
+	if !ok {
+		base = NewTableRouter(s.nw.g)
+	}
+	return &refHealSession{SelfHealing: s, base: base, slabs: map[int]*TableRouter{}}
+}
+
+// routerFor is the frozen healState.routerFor: the routing slab of the
+// given epoch, repaired from the pristine base on first use.
+func (s *refHealSession) routerFor(e int, rec *obs.Recorder) *TableRouter {
+	if e == 0 {
+		return s.base
+	}
+	if r, ok := s.slabs[e]; ok {
+		return r
+	}
+	r, err := refRepair(s.base, s.heal.g, s.heal.downSet(e))
+	if err != nil {
+		panic(fmt.Sprintf("simnet: heal: epoch %d slab repair: %v", e, err))
+	}
+	s.slabs[e] = r
+	s.repairs++
+	rec.RepairSlabBuild()
+	return r
+}
+
+// refRepair is the frozen TableRouter.Repair: r, the slab
+// NewTableRouter built for g, patched to the residual digraph of g
+// minus the dead arcs by re-running the builder's reverse BFS only for
+// the destinations whose routing tree traverses a dead arc.
+func refRepair(r *TableRouter, g *digraph.Digraph, dead []Arc) (*TableRouter, error) {
+	n := g.N()
+	if r == nil || r.n != n {
+		return nil, fmt.Errorf("simnet: Repair: router does not match the %d-node digraph", n)
+	}
+	guardIndexInt32(n, "nodes")
+	guardIndexInt32(g.M(), "arcs")
+
+	fwdBase := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		fwdBase[u+1] = fwdBase[u] + int32(g.OutDegree(u))
+	}
+	deadMask := make([]bool, g.M())
+	for _, a := range dead {
+		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
+			return nil, fmt.Errorf("simnet: Repair: dead arc (%d#%d) out of range", a.Tail, a.Index)
+		}
+		deadMask[fwdBase[a.Tail]+int32(a.Index)] = true
+	}
+
+	narrow := r.arcs != nil
+	var arcs8 []int8
+	var arcs32 []int32
+	if narrow {
+		arcs8 = make([]int8, len(r.arcs))
+		copy(arcs8, r.arcs)
+	} else {
+		arcs32 = make([]int32, len(r.wide))
+		copy(arcs32, r.wide)
+	}
+
+	affected := make([]bool, n)
+	count := 0
+	for _, a := range dead {
+		if g.Out(a.Tail)[a.Index] == a.Tail {
+			continue // loops never carry shortest paths
+		}
+		if narrow {
+			count += refMarkAffected(r.arcs[a.Tail*n:(a.Tail+1)*n], int8(a.Index), affected)
+		} else {
+			count += refMarkAffected(r.wide[a.Tail*n:(a.Tail+1)*n], int32(a.Index), affected)
+		}
+	}
+	if count == 0 {
+		return &TableRouter{n: n, arcs: arcs8, wide: arcs32}, nil
+	}
+
+	revBase := make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		for _, v := range g.Out(u) {
+			revBase[v+1]++
+		}
+	}
+	for v := 0; v < n; v++ {
+		revBase[v+1] += revBase[v]
+	}
+	revTail := make([]int32, g.M())
+	revArc := make([]int32, g.M())
+	revFlat := make([]int32, g.M())
+	fill := make([]int32, n)
+	for u := 0; u < n; u++ {
+		for k, v := range g.Out(u) {
+			slot := revBase[v] + fill[v]
+			revTail[slot] = int32(u)
+			revArc[slot] = int32(k)
+			revFlat[slot] = fwdBase[u] + int32(k)
+			fill[v]++
+		}
+	}
+
+	seen := make([]int32, n)
+	queue := make([]int32, 0, n)
+	if narrow {
+		refRepatchArcs(arcs8, n, affected, deadMask, revBase, revTail, revArc, revFlat, seen, queue)
+	} else {
+		refRepatchArcs(arcs32, n, affected, deadMask, revBase, revTail, revArc, revFlat, seen, queue)
+	}
+	return &TableRouter{n: n, arcs: arcs8, wide: arcs32}, nil
+}
+
+// refMarkAffected is the frozen markAffected: it marks every
+// destination whose routing row forwards over dead arc index idx,
+// returning how many were newly marked.
+func refMarkAffected[T int8 | int32](row []T, idx T, affected []bool) int {
+	count := 0
+	for dst, arc := range row {
+		if arc == idx && !affected[dst] {
+			affected[dst] = true
+			count++
+		}
+	}
+	return count
+}
+
+// refRepatchArcs is the frozen repatchArcs: the builder's reverse BFS,
+// re-run for every affected destination over the dead-arc-masked
+// reverse CSR, rewriting those destinations' columns in place.
+func refRepatchArcs[T int8 | int32](arcs []T, n int, affected, deadMask []bool, revBase, revTail, revArc, revFlat, seen, queue []int32) {
+	for dst := 0; dst < n; dst++ {
+		if !affected[dst] {
+			continue
+		}
+		for x := 0; x < n; x++ {
+			arcs[x*n+dst] = -1
+		}
+		epoch := int32(dst + 1)
+		seen[dst] = epoch
+		queue = append(queue[:0], int32(dst))
+		for head := 0; head < len(queue); head++ {
+			v := queue[head]
+			for idx := revBase[v]; idx < revBase[v+1]; idx++ {
+				if deadMask[revFlat[idx]] {
+					continue
+				}
+				u := revTail[idx]
+				if seen[u] == epoch {
+					continue
+				}
+				seen[u] = epoch
+				arcs[int(u)*n+dst] = T(revArc[idx])
+				queue = append(queue, u)
+			}
+		}
+	}
+}
 
 // refHealRun is the frozen SelfHealing.Run.
-func refHealRun(s *SelfHealing, packets []Packet) (HealResult, error) {
+func refHealRun(s *refHealSession, packets []Packet) (HealResult, error) {
+
 	nw, cfg, h := s.nw, s.cfg, s.heal
 	n := nw.g.N()
 	m := int(nw.arcBase[n])
@@ -384,7 +558,7 @@ func refHealRun(s *SelfHealing, packets []Packet) (HealResult, error) {
 	res.Packets = pkts
 
 	res.FinalEpoch = len(h.events)
-	res.Repairs = h.repairs
+	res.Repairs = s.repairs
 	res.Converged = h.converged()
 	res.ConvergedCycle = h.convergedCycle()
 	if res.Converged && len(h.events) > 0 && rec != nil {
@@ -394,13 +568,13 @@ func refHealRun(s *SelfHealing, packets []Packet) (HealResult, error) {
 }
 
 // refRouteArc is the frozen SelfHealing.routeArc.
-func refRouteArc(s *SelfHealing, u, dst int, rec *obs.Recorder) int {
+func refRouteArc(s *refHealSession, u, dst int, rec *obs.Recorder) int {
 	h := s.heal
 	usable := func(k int) bool {
 		a := Arc{Tail: u, Index: k}
 		return !s.quarantined[a] && !h.believedDown(u, a)
 	}
-	r := h.routerFor(h.knownEpoch(u), rec)
+	r := s.routerFor(h.knownEpoch(u), rec)
 	arc := r.NextArc(u, dst)
 	if arc >= 0 && usable(arc) {
 		return arc
@@ -520,7 +694,8 @@ func TestHealEngineMatchesReference(t *testing.T) {
 							}
 							return s, rec, mon
 						}
-						ref, recRef, monRef := open()
+						refS, recRef, monRef := open()
+						ref := newRefHealSession(refS)
 						got, recNew, monNew := open()
 						for w, pkts := range waves {
 							want, err := refHealRun(ref, pkts)
