@@ -284,7 +284,6 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 	faultD, faultDiam := 3, 5
 	faultRates := []float64{0, 0.05, 0.2, 0.5}
 	faultPackets := 400
-	repairSizes := size{3, 6}
 	if smoke {
 		routerSizes = []size{{2, 5}}
 		if !comparing {
@@ -296,7 +295,6 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 		faultD, faultDiam = 2, 4
 		faultRates = []float64{0, 0.5}
 		faultPackets = 100
-		repairSizes = size{2, 5}
 	}
 
 	var specs []spec
@@ -520,40 +518,6 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			}
 		},
 	})
-
-	// Incremental repair vs full rebuild: the same single-arc fault,
-	// patched into the pristine slab (repair_patch) versus a
-	// from-scratch NewTableRouter on the residual digraph
-	// (router_rebuild). The pair quantifies what the self-healing layer
-	// saves per committed link-state event; the repair property tests
-	// guarantee the two outputs route identically.
-	rg := debruijn.DeBruijn(repairSizes.d, repairSizes.D)
-	rBase := simnet.NewTableRouter(rg)
-	deadArc := []simnet.Arc{{Tail: 1, Index: 0}}
-	rResidual := rg.RemoveArc(1, rg.Out(1)[0])
-	specs = append(specs,
-		spec{
-			name:  fmt.Sprintf("repair_patch/B(%d,%d)", repairSizes.d, repairSizes.D),
-			nodes: rg.N(),
-			fn: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := rBase.Repair(rg, deadArc); err != nil {
-						b.Fatal(err)
-					}
-				}
-			},
-		},
-		spec{
-			name:  fmt.Sprintf("router_rebuild/B(%d,%d)", repairSizes.d, repairSizes.D),
-			nodes: rg.N(),
-			fn: func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					simnet.NewTableRouter(rResidual)
-				}
-			},
-		})
 
 	fg := debruijn.DeBruijn(faultD, faultDiam)
 	fRouter := simnet.NewTableRouter(fg)

@@ -71,7 +71,7 @@ func main() {
 	faultLens := flag.Int("faultlens", -1,
 		"inject a permanent fault of this lens on the B(d,diam) machine and run the workload")
 	selfheal := flag.Bool("selfheal", false,
-		"run the fault through the self-healing engine (no-oracle detection, gossip, slab repair) and report convergence")
+		"run the fault through the self-healing engine (no-oracle detection, gossip, route repair) and report convergence")
 	quarantine := flag.Bool("quarantine", false,
 		"with -selfheal: wire the per-lens circuit breaker in and report its transitions")
 	saturation := flag.String("saturation", "",
@@ -386,8 +386,8 @@ func runLensFault(d, diam, lens, packets int, seed int64, rec *obs.Recorder, met
 
 // runSelfHeal injects a permanent fault on the B(d, diam) machine and
 // runs the workload through the self-healing engine: nodes discover the
-// dead arcs by NACK timeout, flood link-state events, and patch their
-// routing slabs — no oracle access to the fault plan. With -faultlens
+// dead arcs by NACK timeout, flood link-state events, and route around
+// what they have heard — no oracle access to the fault plan. With -faultlens
 // the fault is a whole lens (whose shadow may silence nodes outright,
 // so full convergence can be physically unattainable); without it a
 // single arc dies, the regime where the network provably converges.
@@ -431,7 +431,7 @@ func runSelfHeal(d, diam, lens int, quarantine bool, packets int, seed int64, re
 	}
 	var res simnet.HealResult
 	// Two waves through one session: the first takes the NACKs and
-	// seeds detection + gossip, the second runs on the repaired slabs.
+	// seeds detection + gossip, the second runs on the repaired routes.
 	for wave := 1; wave <= 2; wave++ {
 		res, err = session.Run(simnet.UniformRandom(m.Nodes(), packets, seed+int64(wave)))
 		if err != nil {
@@ -442,7 +442,7 @@ func runSelfHeal(d, diam, lens int, quarantine bool, packets int, seed int64, re
 	}
 	fmt.Printf("delivered fraction: %.3f (wave 2)\n", res.DeliveredFraction())
 	if res.Converged {
-		fmt.Printf("healing: converged at cycle %d, epoch %d (%d events, %d slab repairs)\n",
+		fmt.Printf("healing: converged at cycle %d, epoch %d (%d events, %d epoch repairs)\n",
 			res.ConvergedCycle, res.FinalEpoch, res.EventsCommitted, res.Repairs)
 	} else {
 		fmt.Printf("healing: NOT converged (%d events committed, epoch %d)\n",
@@ -514,7 +514,7 @@ func buildTopology(topo string, d, diam int, rec *obs.Recorder) (*digraph.Digrap
 	switch topo {
 	case "debruijn":
 		g := debruijn.DeBruijn(d, diam)
-		return g, simnet.NewDeBruijnRouter(d, diam), fmt.Sprintf("B(%d,%d), native self-routing", d, diam)
+		return g, simnet.NewDeBruijnRouter(d, diam), fmt.Sprintf("B(%d,%d)", d, diam)
 	case "otis":
 		layout, ok := otis.OptimalLayout(d, diam)
 		if !ok {
@@ -533,10 +533,10 @@ func buildTopology(topo string, d, diam int, rec *obs.Recorder) (*digraph.Digrap
 			os.Exit(1)
 		}
 		return g, router,
-			fmt.Sprintf("H(%d,%d,%d) = %v, witness self-routing", layout.P(), layout.Q(), d, layout)
+			fmt.Sprintf("H(%d,%d,%d) = %v", layout.P(), layout.Q(), d, layout)
 	case "kautz":
 		g, _ := debruijn.Kautz(d, diam)
-		return g, table(g), fmt.Sprintf("K(%d,%d), table routing", d, diam)
+		return g, table(g), fmt.Sprintf("K(%d,%d)", d, diam)
 	default:
 		fmt.Fprintf(os.Stderr, "simulate: unknown topology %q\n", topo)
 		os.Exit(2)

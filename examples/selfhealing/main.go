@@ -3,8 +3,8 @@
 // omniscient router — it is told which arcs are down. Here the oracle
 // is removed: nodes learn of a dead out-arc only because transmissions
 // onto it time out, spread the news by flooding a link-state event over
-// whatever arcs still work, and patch their routing slabs incrementally
-// per event. The example sweeps every single-arc fault of B(3,3) and
+// whatever arcs still work, and route around what they have heard,
+// epoch by epoch. The example sweeps every single-arc fault of B(3,3) and
 // measures convergence, then demonstrates the optical failure mode on
 // the assembled B(3,4) machine: a transiently dirty lens trips a
 // per-lens circuit breaker, which quarantines the lens's whole arc
@@ -82,7 +82,7 @@ func main() {
 				log.Fatal(err)
 			}
 			// Wave 1 takes the NACKs and spreads the news; wave 2 runs
-			// on the repaired slabs and must be loss- and NACK-free.
+			// on the repaired routes and must be loss- and NACK-free.
 			if _, err := session.Run(allPairs(n, 2, 16)); err != nil {
 				log.Fatal(err)
 			}

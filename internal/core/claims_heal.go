@@ -32,7 +32,7 @@ func init() {
 // self-healing session must converge during a first all-pairs wave and
 // then serve a second wave with zero loss and zero NACKs — the
 // steady-state the omniscient router reaches instantly, reached here by
-// detection, gossip and slab repair alone.
+// detection, gossip and route repair alone.
 func checkSelfHealSingleArc() error {
 	g := debruijn.DeBruijn(3, 3)
 	n := g.N()

@@ -1,12 +1,6 @@
 package debruijn
 
-import (
-	"fmt"
-	"math"
-
-	"repro/internal/digraph"
-	"repro/internal/word"
-)
+import "repro/internal/word"
 
 // Shortest-path routing and broadcasting on B(d, D). The paper motivates
 // de Bruijn networks by their routing and broadcasting literature
@@ -101,117 +95,4 @@ func BroadcastTree(d, D, root int) (parent, depth []int) {
 		}
 	}
 	return parent, depth
-}
-
-// NextHopSlab is the flat shared-slab form of a next-hop routing table:
-// one []int32 holding, for every ordered pair (u, dst), the first hop on
-// a shortest u→dst path (-1 when unreachable, u when u = dst). One
-// contiguous allocation of 4 bytes per pair replaces the n ragged []int
-// rows of the historical [][]int table — a quarter of the memory and one
-// cache-friendly stride — and it is built in a single reverse-BFS pass
-// per destination, with the hop recorded at vertex-discovery time rather
-// than by a post-hoc scan of the out-neighbourhood.
-//
-// When several shortest first hops exist the slab stores the one whose
-// head was dequeued first in the reverse BFS; callers must rely only on
-// the distance class (every stored hop strictly decreases the distance
-// to dst), not on a particular tie-break.
-type NextHopSlab struct {
-	n    int
-	hops []int32
-}
-
-// guardSlabInt32 panics unless count distinct ids fit the slab's int32
-// entries; one call at builder entry dominates every narrowing below it.
-func guardSlabInt32(count int, what string) {
-	if int64(count) > math.MaxInt32 {
-		panic(fmt.Sprintf("debruijn: %d %s exceed the int32 slab entry range", count, what))
-	}
-}
-
-// NewNextHopSlab builds the slab for an arbitrary digraph.
-func NewNextHopSlab(g *digraph.Digraph) *NextHopSlab {
-	n := g.N()
-	guardSlabInt32(n, "nodes")
-	guardSlabInt32(g.M(), "arcs")
-	// CSR of the reverse digraph: revTail lists, for each head vertex v,
-	// the tails u of arcs u→v, so the BFS from dst walks arcs backwards
-	// without materializing a second Digraph.
-	base := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(u) {
-			base[v+1]++
-		}
-	}
-	for v := 0; v < n; v++ {
-		base[v+1] += base[v]
-	}
-	revTail := make([]int32, g.M())
-	fill := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(u) {
-			revTail[base[v]+fill[v]] = int32(u)
-			fill[v]++
-		}
-	}
-
-	hops := make([]int32, n*n)
-	for i := range hops {
-		hops[i] = -1
-	}
-	seen := make([]int32, n) // epoch marks: seen[u] == dst+1 ⇔ visited this pass
-	queue := make([]int32, 0, n)
-	for dst := 0; dst < n; dst++ {
-		epoch := int32(dst + 1)
-		seen[dst] = epoch
-		hops[dst*n+dst] = int32(dst)
-		queue = append(queue[:0], int32(dst))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for idx := base[v]; idx < base[v+1]; idx++ {
-				u := revTail[idx]
-				if seen[u] == epoch {
-					continue
-				}
-				seen[u] = epoch
-				// Discovering u from v means arc u→v starts a shortest
-				// u→dst path: the next hop is v itself.
-				hops[int(u)*n+dst] = v
-				queue = append(queue, u)
-			}
-		}
-	}
-	return &NextHopSlab{n: n, hops: hops}
-}
-
-// N returns the vertex count the slab was built for.
-func (s *NextHopSlab) N() int { return s.n }
-
-// Hop returns the first hop on a shortest u→dst path, -1 when dst is
-// unreachable from u, and u itself when u = dst.
-func (s *NextHopSlab) Hop(u, dst int) int { return int(s.hops[u*s.n+dst]) }
-
-// Footprint returns the bytes held by the slab's table storage.
-func (s *NextHopSlab) Footprint() int { return 4 * len(s.hops) }
-
-// RoutingTable builds next-hop routing tables for an arbitrary strongly
-// connected digraph: table[u][v] is the first hop on a shortest u→v path
-// (table[u][u] = u, -1 when unreachable). Used by the simulator for
-// non-de Bruijn topologies, and by tests to cross-check Route against
-// true shortest paths. It is a compatibility view over NextHopSlab: the
-// rows are slices of one backing slab and any shortest first hop may be
-// reported; prefer NextHopSlab directly in new code.
-func RoutingTable(g *digraph.Digraph) [][]int {
-	s := NewNextHopSlab(g)
-	n := s.n
-	flat := make([]int, n*n)
-	table := make([][]int, n)
-	for u := 0; u < n; u++ {
-		row := flat[u*n : (u+1)*n : (u+1)*n]
-		for v := 0; v < n; v++ {
-			row[v] = int(s.hops[u*n+v])
-		}
-		table[u] = row
-	}
-	return table
 }

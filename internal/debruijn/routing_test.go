@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/digraph"
 	"repro/internal/word"
 )
 
@@ -136,105 +135,5 @@ func TestBroadcastTree(t *testing.T) {
 		if dist[v] != depth[v] {
 			t.Fatalf("depth[%d] = %d, BFS = %d", v, depth[v], dist[v])
 		}
-	}
-}
-
-func TestRoutingTable(t *testing.T) {
-	g := DeBruijn(2, 4)
-	table := RoutingTable(g)
-	n := g.N()
-	dists := make([][]int, n)
-	for u := 0; u < n; u++ {
-		dists[u] = g.BFSFrom(u)
-	}
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			hop := table[u][v]
-			if u == v {
-				if hop != u {
-					t.Fatalf("table[%d][%d] = %d, want %d", u, v, hop, u)
-				}
-				continue
-			}
-			if hop < 0 {
-				t.Fatalf("no hop for reachable pair (%d,%d)", u, v)
-			}
-			if !g.HasArc(u, hop) {
-				t.Fatalf("table hop (%d,%d) not an arc", u, hop)
-			}
-			if dists[hop][v] != dists[u][v]-1 {
-				t.Fatalf("hop does not decrease distance for (%d,%d)", u, v)
-			}
-		}
-	}
-}
-
-func TestRoutingTableDisconnected(t *testing.T) {
-	g := digraph.New(3)
-	g.AddArc(0, 1)
-	table := RoutingTable(g)
-	if table[0][2] != -1 {
-		t.Error("unreachable pair should have hop -1")
-	}
-	if table[0][1] != 1 {
-		t.Error("direct hop wrong")
-	}
-}
-
-func TestNextHopSlabMatchesRoutingTable(t *testing.T) {
-	for _, g := range []*digraph.Digraph{DeBruijn(2, 4), RRK(2, 12), ImaseItoh(3, 10)} {
-		n := g.N()
-		slab := NewNextHopSlab(g)
-		table := RoutingTable(g)
-		if slab.N() != n {
-			t.Fatalf("slab.N() = %d, want %d", slab.N(), n)
-		}
-		if got, want := slab.Footprint(), 4*n*n; got != want {
-			t.Fatalf("Footprint() = %d, want %d", got, want)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if slab.Hop(u, v) != table[u][v] {
-					t.Fatalf("Hop(%d,%d) = %d, table %d", u, v, slab.Hop(u, v), table[u][v])
-				}
-			}
-		}
-	}
-}
-
-func TestNextHopSlabDistanceSlabConsistency(t *testing.T) {
-	g := DeBruijn(3, 3)
-	n := g.N()
-	slab := NewNextHopSlab(g)
-	dist := g.DistanceSlab()
-	for u := 0; u < n; u++ {
-		dd := g.BFSFrom(u)
-		for v := 0; v < n; v++ {
-			if int(dist[u*n+v]) != dd[v] {
-				t.Fatalf("DistanceSlab[%d,%d] = %d, BFS %d", u, v, dist[u*n+v], dd[v])
-			}
-			if u == v {
-				continue
-			}
-			hop := slab.Hop(u, v)
-			if dist[hop*n+v] != dist[u*n+v]-1 {
-				t.Fatalf("Hop(%d,%d) = %d does not decrease distance", u, v, hop)
-			}
-		}
-	}
-}
-
-func TestNextHopSlabDisconnected(t *testing.T) {
-	g := digraph.New(3)
-	g.AddArc(0, 1)
-	slab := NewNextHopSlab(g)
-	if slab.Hop(0, 2) != -1 {
-		t.Error("unreachable pair should have hop -1")
-	}
-	if slab.Hop(0, 1) != 1 {
-		t.Error("direct hop wrong")
-	}
-	if slab.Hop(1, 1) != 1 {
-		t.Error("self hop should be the node itself")
 	}
 }

@@ -277,7 +277,7 @@ func (b *LensBreaker) Transitions() []BreakerTransition {
 
 // SelfHeal opens a self-healing session on the machine's simulator: the
 // plan is physical truth only, and routing recovers by detection,
-// gossip and incremental slab repair (see simnet.SelfHealing). Wire a
+// gossip and per-epoch route repair (see simnet.SelfHealing). Wire a
 // LensBreaker in via cfg.Monitor for lens quarantine.
 func (m *Machine) SelfHeal(plan *simnet.FaultPlan, cfg simnet.HealConfig) (*simnet.SelfHealing, error) {
 	return m.net.SelfHeal(plan, cfg)

@@ -44,8 +44,7 @@ type Machine struct {
 	// it holds no n² routing or distance slab: fault-free distances are
 	// closed-form. Its scratch arenas are shared by every
 	// Run/Broadcast/RunOpts/RunWithFaults/DegradationSweep on this
-	// machine; self-healing sessions build one pristine table slab on
-	// first use and share it.
+	// machine; self-healing sessions build no table either.
 	net *simnet.Network
 
 	// lensOnce guards lensIdx, the lens of every arc on each side,

@@ -269,34 +269,3 @@ func TestMachineIsTableFree(t *testing.T) {
 		t.Fatalf("the machine routes %v, want shift (witness)", m.net.Routing())
 	}
 }
-
-// TestMachineHealSessionsShareOneSlab: self-healing repairs table
-// slabs, which the table-free machine does not hold, so its first
-// session builds the pristine n² slab; every later session shares it
-// and allocates far less than n² bytes.
-func TestMachineHealSessionsShareOneSlab(t *testing.T) {
-	m, err := Build(2, 10, optics.DefaultPitch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := uint64(m.Nodes())
-	plan, err := m.LensFaultPlan(2, 20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	allocs := func() uint64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		if _, err := m.SelfHeal(plan, simnet.HealConfig{}); err != nil {
-			t.Fatal(err)
-		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
-	}
-	if first := allocs(); first < n*n {
-		t.Fatalf("first session allocated %d bytes, less than the %d-byte pristine slab", first, n*n)
-	}
-	if second := allocs(); second > n*n/8 {
-		t.Fatalf("second session allocated %d bytes: it rebuilt the %d-byte pristine slab", second, n*n)
-	}
-}

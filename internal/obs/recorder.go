@@ -423,7 +423,8 @@ func (r *Recorder) HealEvent() {
 	r.healEvents.Inc()
 }
 
-// RepairSlabBuild records one incremental routing-slab repair.
+// RepairSlabBuild records one routing repair: a self-healing epoch's
+// routing built on its first use.
 func (r *Recorder) RepairSlabBuild() {
 	if r == nil {
 		return

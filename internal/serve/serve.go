@@ -9,7 +9,7 @@
 // The shape:
 //
 //   - a Session wraps a persistent simnet.SelfHealing state — the
-//     session clock, epoch slabs and event log survive across requests,
+//     session clock, epoch routing and event log survive across requests,
 //     so every tenant lives in the converged self-healed regime of its
 //     own chaos history. SelfHealing is not thread-safe; the scheduler
 //     serializes each session's requests while running any number of
@@ -150,14 +150,13 @@ type Scheduler struct {
 	tick atomic.Int64 // fallback logical clock when cfg.Now is nil
 }
 
-// New builds a scheduler over its own compiled Network for g, routed by
-// table slabs (TableRouting) so every self-healing session shares the
-// one pristine routing slab instead of compiling its own.
+// New builds a scheduler over its own compiled Network for g, routed as
+// simnet.NewNetwork chooses (AutoRouting).
 func New(g *digraph.Digraph, cfg Config) (*Scheduler, error) {
 	if g == nil {
 		return nil, fmt.Errorf("serve: nil digraph")
 	}
-	nw, err := simnet.NewNetwork(g, simnet.WithRouting(simnet.TableRouting))
+	nw, err := simnet.NewNetwork(g)
 	if err != nil {
 		return nil, err
 	}

@@ -124,10 +124,9 @@ func concurrentRunOpts(t *testing.T, g *digraph.Digraph, rc routingConfig) {
 
 // TestConcurrentSelfHealSessionsSharedNetwork pins the session-service
 // substrate: many independent SelfHealing sessions over ONE compiled
-// Network (sharing its pristine routing slab — on the shift- and
-// witness-routed networks, built by whichever session opens first),
-// each serialized internally but all running concurrently, with
-// per-session exact accounting. This is the invariant cmd/serve's
+// Network (sharing its read-only router, each keeping its own epoch
+// routing), each serialized internally but all running concurrently,
+// with per-session exact accounting. This is the invariant cmd/serve's
 // scheduler builds on.
 func TestConcurrentSelfHealSessionsSharedNetwork(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/digraph"
 	"repro/internal/gossip"
-	"repro/internal/obs"
 )
 
 // Distributed failure knowledge. The fault-aware router of faultroute.go
@@ -14,19 +13,17 @@ import (
 // plan — directly. The self-healing layer removes that oracle. Nodes
 // learn of a downed out-arc only by attempting it and timing out
 // (detect), tell the rest of the network by flooding a link-state event
-// over whatever arcs still work (disseminate), and patch their routing
-// slabs incrementally per event (repair). healState is the knowledge
-// side of that machinery: who has heard which event, and what routing
-// slab a node with a given amount of knowledge uses.
+// over whatever arcs still work (disseminate), and route around what
+// they have heard (repair). healState is the knowledge side of that
+// machinery: who has heard which event.
 //
 // Knowledge is epoch-structured. Committed events are numbered 1, 2, …
 // in commit order, and a node's epoch is the longest contiguous prefix
 // of events it has heard (a later event heard out of order does not
 // advance the epoch, but does feed the believedDown override so the
-// node still avoids the arc). Every epoch has one routing slab — the
-// pristine slab patched by TableRouter.Repair with the believed-down
-// set after that prefix — built lazily and shared by every node at that
-// epoch.
+// node still avoids the arc). Every node at an epoch routes by the
+// residual routing (column.go) of the believed-down set after that
+// prefix.
 
 // linkEvent is one committed link-state update: an arc observed down
 // (or recovered) by its tail, spreading through the network by flood.
@@ -44,28 +41,18 @@ type linkEvent struct {
 
 // healState holds the distributed knowledge of one self-healing
 // session: the committed event log, per-arc suspicion counters, and the
-// lazily repaired per-epoch routing slabs.
+// per-epoch residual routing.
 type healState struct {
-	g    *digraph.Digraph
-	base *TableRouter // pristine fault-free slab: the epoch-0 routing
+	g *digraph.Digraph
 
 	events    []linkEvent
 	suspicion map[Arc]int
 
-	// slabs caches the repaired router per epoch (epoch 0 is base).
-	// Epochs are prefix-indexed, so a new event never invalidates an
-	// older slab.
-	slabs   map[int]*TableRouter
+	// epochs[e] is epoch e's residual routing, built on its first
+	// routing use (a repair, for e ≥ 1). Epochs are prefix-indexed, so a
+	// new event never invalidates an older epoch.
+	epochs  []*residual
 	repairs int
-}
-
-func newHealState(g *digraph.Digraph, base *TableRouter) *healState {
-	return &healState{
-		g:         g,
-		base:      base,
-		suspicion: map[Arc]int{},
-		slabs:     map[int]*TableRouter{},
-	}
 }
 
 // commit appends a link-state event and starts its flood at the
@@ -140,7 +127,7 @@ func (h *healState) activeDown(a Arc) bool {
 }
 
 // downSet returns the believed-down arcs after the first e events,
-// sorted for deterministic repair input.
+// sorted.
 func (h *healState) downSet(e int) []Arc {
 	down := map[Arc]bool{}
 	for i := range h.events[:e] {
@@ -166,27 +153,6 @@ func sortedArcs(set map[Arc]bool) []Arc {
 		return out[i].Index < out[j].Index
 	})
 	return out
-}
-
-// routerFor returns the routing slab of the given epoch, repairing it
-// from the pristine base on first use. Repair input arcs come from
-// committed events, which the engine validated on commit, so a repair
-// error is an internal invariant violation.
-func (h *healState) routerFor(e int, rec *obs.Recorder) *TableRouter {
-	if e == 0 {
-		return h.base
-	}
-	if r, ok := h.slabs[e]; ok {
-		return r
-	}
-	r, err := h.base.Repair(h.g, h.downSet(e))
-	if err != nil {
-		panic(fmt.Sprintf("simnet: heal: epoch %d slab repair: %v", e, err))
-	}
-	h.slabs[e] = r
-	h.repairs++
-	rec.RepairSlabBuild()
-	return r
 }
 
 // converged reports whether every committed event has finished

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"repro/internal/debruijn"
 	"repro/internal/digraph"
 )
 
@@ -19,13 +18,14 @@ import (
 //     a shift-routed primary the distance is the closed form
 //     D − overlap, so no all-pairs slab is built.
 //   - Permanent faults active: exact shortest paths of the residual
-//     digraph, for every pair — the "rebuild the tables" a control plane
-//     does. Local dodging is NOT enough here: a fault-blind primary path
-//     can lead over live arcs into a region silenced downstream (a lens
-//     fault turns whole node blocks into sinks), so the router must be
-//     path-aware, not arc-aware. The residual table is recomputed
-//     lazily whenever a new permanent fault activates. Transient faults
-//     on top of permanent ones deflect by residual distance.
+//     digraph — the "rebuild the tables" a control plane does. Local
+//     dodging is NOT enough here: a fault-blind primary path can lead
+//     over live arcs into a region silenced downstream (a lens fault
+//     turns whole node blocks into sinks), so the router must be
+//     path-aware, not arc-aware. It routes by residual columns
+//     (column.go), kept until another permanent fault activates.
+//     Transient faults on top of permanent ones deflect by residual
+//     distance.
 //   - -1 when the destination is unreachable or every useful out-arc is
 //     down; the run loop answers with bounded retry/backoff and,
 //     eventually, a clean drop.
@@ -38,7 +38,6 @@ type FaultAwareRouter struct {
 	g       *digraph.Digraph
 	primary Router
 	state   *FaultState
-	n       int
 
 	// dist is the flat fault-free distance slab (dist[u*n+v]), for
 	// ranking deflections when no permanent fault is active. It may be
@@ -48,11 +47,10 @@ type FaultAwareRouter struct {
 	dist  []int32
 	shift *DeBruijnRouter
 
-	// Residual tables under the currently active permanent faults,
-	// rebuilt when the version changes: next-hop slab and distances.
-	resHop          *debruijn.NextHopSlab
-	resDist         []int32
-	fallbackVersion int
+	// res routes around the permanent faults active at version
+	// resVersion; it is rebuilt when the version changes.
+	res        *residual
+	resVersion int
 }
 
 // NewFaultAwareRouter builds the router. state may be nil (or empty), in
@@ -68,12 +66,11 @@ func NewFaultAwareRouter(g *digraph.Digraph, primary Router, state *FaultState) 
 }
 
 // newFaultAwareRouterShared is NewFaultAwareRouter with a caller-provided
-// fault-free distance slab (Network.faultFreeDist: nil under a shift
-// primary), so sweeps over one Network build it once and share it
-// read-only across every worker's router.
+// fault-free distance slab (Network.faultFreeDist), which sweeps over
+// one Network build once and share read-only across their routers.
 func newFaultAwareRouterShared(g *digraph.Digraph, primary Router, state *FaultState, dist []int32) *FaultAwareRouter {
 	shift, _ := primary.(*DeBruijnRouter)
-	return &FaultAwareRouter{g: g, primary: primary, state: state, n: g.N(), dist: dist, shift: shift}
+	return &FaultAwareRouter{g: g, primary: primary, state: state, dist: dist, shift: shift}
 }
 
 // NextArc implements Router: the cascade above, or -1.
@@ -91,43 +88,64 @@ func (r *FaultAwareRouter) fromPrimary(at, dst, p int) int {
 	if r.state.Empty() {
 		return p
 	}
+	up := func(k int) bool { return !r.state.ArcDown(at, k) }
 	if r.state.PermanentVersion() == 0 {
 		// Transient faults only: primary, else deflect by fault-free
 		// distance.
-		if p >= 0 && !r.state.ArcDown(at, p) {
+		if p >= 0 && up(p) {
 			return p
 		}
-		return r.deflect(at, dst, p, r.dist)
+		return deflect(r.g, at, p, up, func(v int) int32 { return hopDist(r.dist, r.shift, r.g.N(), v, dst) })
 	}
 	// Permanent faults active: exact residual shortest paths.
-	r.refreshResidual()
-	hop := r.resHop.Hop(at, dst)
-	if hop == at || hop < 0 {
+	res := r.residual()
+	arc := res.route(r.shift, at, dst)
+	if arc < 0 {
 		return -1 // unreachable under the permanent faults: no arc helps
 	}
+	hop := r.g.Out(at)[arc]
 	for k, v := range r.g.Out(at) {
-		if v == hop && !r.state.ArcDown(at, k) {
+		if v == hop && up(k) {
 			return k
 		}
 	}
 	// The residual arc is transiently down too: deflect by residual
 	// distance so the dodge cannot re-enter a silenced region.
-	return r.deflect(at, dst, p, r.resDist)
+	col := res.column(dst)
+	return deflect(r.g, at, p, up, func(v int) int32 { return res.walk(col, v, dst) })
 }
 
 // Primary returns the wrapped router's decision, fault-blind.
 func (r *FaultAwareRouter) Primary(at, dst int) int { return r.primary.NextArc(at, dst) }
 
-// deflect returns the live out-arc (≠ avoid) whose head minimizes
-// dist[head*n+dst] (the closed-form distance when dist is nil), or -1.
-func (r *FaultAwareRouter) deflect(at, dst, avoid int, dist []int32) int {
+// residual returns the routing around the permanent faults active now,
+// rebuilt when one has activated since the last call.
+func (r *FaultAwareRouter) residual() *residual {
+	if version := r.state.PermanentVersion(); r.res == nil || version != r.resVersion {
+		var down []Arc
+		for u := range r.g.N() {
+			for k := range r.g.Out(u) {
+				if r.state.ArcPermanentlyDown(u, k) {
+					down = append(down, Arc{Tail: u, Index: k})
+				}
+			}
+		}
+		r.res, r.resVersion = newResidual(r.g, r.state.arcBase, down), version
+	}
+	return r.res
+}
+
+// deflect returns the out-arc of at, other than avoid and loops, that up
+// accepts and whose head is nearest the destination by dist (the first
+// such arc on a tie), or -1 when no such head reaches it.
+func deflect(g *digraph.Digraph, at, avoid int, up func(k int) bool, dist func(v int) int32) int {
 	best := -1
 	bestDist := int32(-1)
-	for k, v := range r.g.Out(at) {
-		if k == avoid || v == at || r.state.ArcDown(at, k) {
+	for k, v := range g.Out(at) {
+		if k == avoid || v == at || !up(k) {
 			continue
 		}
-		dv := hopDist(dist, r.shift, r.n, v, dst)
+		dv := dist(v)
 		if dv == digraph.Unreachable {
 			continue
 		}
@@ -136,25 +154,4 @@ func (r *FaultAwareRouter) deflect(at, dst, avoid int, dist []int32) int {
 		}
 	}
 	return best
-}
-
-// refreshResidual rebuilds the residual next-hop and distance tables when
-// the active permanent fault set has grown since the last build.
-func (r *FaultAwareRouter) refreshResidual() {
-	version := r.state.PermanentVersion()
-	if version == r.fallbackVersion && r.resHop != nil {
-		return
-	}
-	n := r.g.N()
-	residual := digraph.New(n)
-	for u := 0; u < n; u++ {
-		for k, v := range r.g.Out(u) {
-			if !r.state.ArcPermanentlyDown(u, k) {
-				residual.AddArc(u, v)
-			}
-		}
-	}
-	r.resHop = debruijn.NewNextHopSlab(residual)
-	r.resDist = residual.DistanceSlab()
-	r.fallbackVersion = version
 }

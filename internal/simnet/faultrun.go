@@ -12,7 +12,7 @@ import (
 // schedule instead of deadlocking:
 //
 //   - routing decisions are re-taken at departure time (not enqueue
-//     time) — by a FaultAwareRouter, or by a session's epoch slabs — so
+//     time) — by a FaultAwareRouter, or by a session's epoch routing — so
 //     a packet never commits to a link that has died while it was
 //     queued;
 //   - a packet that finds no live useful out-arc is requeued with
@@ -225,7 +225,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 //   - s != nil is a self-healing session. The FaultState is physical
 //     truth only: each cycle opens with the session's control-plane tick
 //     (monitor, recovery probes, gossip), departures route by the epoch
-//     slab of the node's knowledge (routeArc), and a transmission onto a
+//     of the node's knowledge (routeArc), and a transmission onto a
 //     physically-down arc fails as a NACK that feeds detection. Cycles
 //     are session-absolute (the Run's cycle plus s.clock) wherever the
 //     fault plan or the control plane reads them, and the loop advances

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 
-	"repro/internal/digraph"
 	"repro/internal/obs"
 )
 
@@ -22,9 +21,9 @@ import (
 //     all-port round per cycle over the arcs that still work
 //     (gossip.Flood), piggybacked on the cycle loop. Nodes at a stale
 //     epoch keep routing into dead arcs and pay more timeouts;
-//   - repair: a node at epoch e routes by the pristine slab patched
-//     with the believed-down set of its epoch (TableRouter.Repair) —
-//     an incremental patch per event, never a from-scratch rebuild;
+//   - repair: a node at epoch e routes by shortest paths around the
+//     believed-down set of its epoch, per destination on first use
+//     (SelfHealing.route) — never an all-pairs table;
 //   - recover: tails probe their believed-down out-arcs every
 //     ProbeInterval cycles; a probe that succeeds commits a link-up
 //     event that floods the same way.
@@ -35,7 +34,7 @@ import (
 // fed back to the monitor.
 //
 // The session outlives a single Run: the clock, the event log and the
-// epoch slabs persist, so a second Run on the same session starts with
+// epoch routing persist, so a second Run on the same session starts with
 // everything the network already learned — the converged regime the
 // claim tests compare against the omniscient router.
 
@@ -104,7 +103,8 @@ type HealResult struct {
 	// EventsCommitted counts all link-state events committed this Run,
 	// down and recovery alike.
 	EventsCommitted int
-	// Repairs counts epoch slabs patched so far in the session.
+	// Repairs counts the epochs past 0 whose routing the session has
+	// built so far: one per epoch, on its first routing use.
 	Repairs int
 	// Probes counts recovery and half-open probes sent this Run.
 	Probes int
@@ -128,7 +128,7 @@ func (r HealResult) String() string {
 // SelfHealing is a live self-healing session over a network and a fault
 // plan. Create one with Network.SelfHeal, then call Run one or more
 // times; the session clock, event log, suspicion counters and epoch
-// slabs persist across Runs.
+// routing persist across Runs.
 type SelfHealing struct {
 	nw    *Network
 	state *FaultState
@@ -141,9 +141,6 @@ type SelfHealing struct {
 
 // SelfHeal compiles the plan and opens a self-healing session. The
 // plan is physical truth only — no routing decision ever reads it.
-// Self-healing repairs table slabs, so if the network's router is not a
-// *TableRouter a pristine slab is built on the first SelfHeal and shared
-// read-only by every later session on the network.
 func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
@@ -152,7 +149,7 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 	return &SelfHealing{
 		nw:          nw,
 		state:       state,
-		heal:        newHealState(nw.g, nw.pristineSlab()),
+		heal:        &healState{g: nw.g, suspicion: map[Arc]int{}},
 		cfg:         cfg.withHealDefaults(nw, nw.diameter()),
 		quarantined: map[Arc]bool{},
 	}, nil
@@ -274,38 +271,47 @@ func (s *SelfHealing) transmitted(a Arc, abs int) {
 }
 
 // routeArc is the self-healed routing decision at node u for dst: the
-// epoch slab of u's knowledge, overridden by directly-observed failures
-// and quarantines, with distance-ranked deflection as the fallback.
+// routing of u's epoch, overridden by directly-observed failures and
+// quarantines, with distance-ranked deflection as the fallback.
 func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 	h := s.heal
 	usable := func(k int) bool {
 		a := Arc{Tail: u, Index: k}
 		return !s.quarantined[a] && !h.believedDown(u, a)
 	}
-	r := h.routerFor(h.knownEpoch(u), rec)
-	arc := r.NextArc(u, dst)
+	arc := s.route(h.knownEpoch(u), u, dst, rec)
 	if arc >= 0 && usable(arc) {
 		return arc
 	}
-	// The slab's choice is believed dead or quarantined (or dst is
+	// The epoch's choice is believed dead or quarantined (or dst is
 	// unreachable at this epoch): deflect onto the best usable out-arc
 	// by fault-free distance (closed form on a shift-routed network);
 	// the TTL and retry budgets bound the dodge.
-	dist := s.nw.faultFreeDist()
-	n := s.nw.g.N()
-	best := -1
-	bestDist := int32(-1)
-	for k, v := range s.nw.g.Out(u) {
-		if k == arc || v == u || !usable(k) {
-			continue
+	nw, dist := s.nw, s.nw.faultFreeDist()
+	return deflect(nw.g, u, arc, usable, func(v int) int32 { return hopDist(dist, nw.shift, nw.g.N(), v, dst) })
+}
+
+// route returns the arc node u ≠ dst forwards on toward dst at epoch e
+// (-1: unreachable): the epoch's residual routing, or on a table-routed
+// network at epoch 0 the table itself.
+func (s *SelfHealing) route(e, u, dst int, rec *obs.Recorder) int {
+	nw, h := s.nw, s.heal
+	if tr, ok := nw.router.(*TableRouter); ok && e == 0 {
+		return tr.NextArc(u, dst)
+	}
+	for len(h.epochs) <= e {
+		h.epochs = append(h.epochs, nil)
+	}
+	if h.epochs[e] == nil {
+		// Epoch i is dead once events 1..i+1 have reached every node.
+		for i := 0; i < e && h.events[i].flood.Complete(); i++ {
+			h.epochs[i] = nil
 		}
-		dv := hopDist(dist, s.nw.shift, n, v, dst)
-		if dv == digraph.Unreachable {
-			continue
-		}
-		if best < 0 || dv < bestDist {
-			best, bestDist = k, dv
+		h.epochs[e] = newResidual(nw.g, nw.arcBase, h.downSet(e))
+		if e > 0 {
+			h.repairs++
+			rec.RepairSlabBuild()
 		}
 	}
-	return best
+	return h.epochs[e].route(nw.shift, u, dst)
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/debruijn"
@@ -9,7 +10,7 @@ import (
 // The self-healing claim (CLAIM SELF-HEAL): for every single permanent
 // arc fault of B(3, 3), a network with no FaultPlan visibility — nodes
 // learn of the fault only by failed transmissions, spread what they
-// learned by gossip, and patch their slabs incrementally — converges,
+// learned by gossip, and route around what they have heard — converges,
 // within bounded cycles, to the same residual delivery set as the
 // omniscient FaultAwareRouter. B(3, 3) has λ = d − 1 = 2 arc-disjoint
 // paths per pair, so every single-arc residual is strongly connected
@@ -42,71 +43,74 @@ func TestSelfHealingMatchesOmniscientEverySingleArcFaultB33(t *testing.T) {
 	// 27-node diameter-3 digraph and fails loudly if healing stalls.
 	const convergenceBound = 256
 
-	for tail := 0; tail < n; tail++ {
-		for k := 0; k < g.OutDegree(tail); k++ {
-			plan := NewFaultPlanFor(g).LinkDown(0, 0, tail, k)
-			if err := plan.Err(); err != nil {
-				t.Fatal(err)
-			}
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			session, err := nw.SelfHeal(plan, HealConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Wave 1: all-pairs traffic discovers the fault the hard way.
-			res1, err := session.Run(pkts)
-			if err != nil {
-				t.Fatalf("arc (%d#%d) wave 1: %v", tail, k, err)
-			}
-			if res1.Delivered+res1.Dropped != len(pkts) {
-				t.Fatalf("arc (%d#%d) wave 1: delivered %d + dropped %d != offered %d",
-					tail, k, res1.Delivered, res1.Dropped, len(pkts))
-			}
-			if !res1.Converged {
-				t.Fatalf("arc (%d#%d): not converged after wave 1: %v", tail, k, res1)
-			}
-			if res1.ConvergedCycle > convergenceBound {
-				t.Fatalf("arc (%d#%d): converged at cycle %d > bound %d", tail, k, res1.ConvergedCycle, convergenceBound)
-			}
-			loop := g.Out(tail)[k] == tail
-			used := false
-			for dst := 0; dst < n; dst++ {
-				if base.NextArc(tail, dst) == k {
-					used = true
-					break
+	for _, routing := range []RoutingMode{TableRouting, ShiftRouting} {
+		for tail := 0; tail < n; tail++ {
+			for k := 0; k < g.OutDegree(tail); k++ {
+				name := fmt.Sprintf("%v: arc (%d#%d)", routing, tail, k)
+				plan := NewFaultPlanFor(g).LinkDown(0, 0, tail, k)
+				if err := plan.Err(); err != nil {
+					t.Fatal(err)
 				}
-			}
-			if loop && res1.FinalEpoch != 0 {
-				t.Fatalf("loop arc (%d#%d): committed %d events, want 0 (loops carry no traffic)", tail, k, res1.FinalEpoch)
-			}
-			if used && !loop && (res1.FinalEpoch < 1 || res1.Detections < 1) {
-				t.Fatalf("arc (%d#%d) is on the base routing tree but was never detected: %v", tail, k, res1)
-			}
+				nw, err := NewNetwork(g, WithRouting(routing))
+				if err != nil {
+					t.Fatal(err)
+				}
+				session, err := nw.SelfHeal(plan, HealConfig{})
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			// Wave 2: the converged network must deliver the omniscient
-			// residual delivery set — all pairs, since λ = 2 keeps every
-			// single-arc residual strongly connected.
-			res2, err := session.Run(pkts)
-			if err != nil {
-				t.Fatalf("arc (%d#%d) wave 2: %v", tail, k, err)
-			}
-			if res2.Dropped != 0 {
-				t.Fatalf("arc (%d#%d) wave 2: %d drops after convergence, want 0: %v", tail, k, res2.Dropped, res2)
-			}
-			if res2.Nacks != 0 {
-				t.Fatalf("arc (%d#%d) wave 2: %d NACKs after convergence, want 0 (no node should attempt the dead arc)", tail, k, res2.Nacks)
-			}
+				// Wave 1: all-pairs traffic discovers the fault the hard way.
+				res1, err := session.Run(pkts)
+				if err != nil {
+					t.Fatalf("%s wave 1: %v", name, err)
+				}
+				if res1.Delivered+res1.Dropped != len(pkts) {
+					t.Fatalf("%s wave 1: delivered %d + dropped %d != offered %d",
+						name, res1.Delivered, res1.Dropped, len(pkts))
+				}
+				if !res1.Converged {
+					t.Fatalf("%s: not converged after wave 1: %v", name, res1)
+				}
+				if res1.ConvergedCycle > convergenceBound {
+					t.Fatalf("%s: converged at cycle %d > bound %d", name, res1.ConvergedCycle, convergenceBound)
+				}
+				loop := g.Out(tail)[k] == tail
+				used := false
+				for dst := 0; dst < n; dst++ {
+					if base.NextArc(tail, dst) == k {
+						used = true
+						break
+					}
+				}
+				if loop && res1.FinalEpoch != 0 {
+					t.Fatalf("loop %s: committed %d events, want 0 (loops carry no traffic)", name, res1.FinalEpoch)
+				}
+				if used && !loop && (res1.FinalEpoch < 1 || res1.Detections < 1) {
+					t.Fatalf("%s is on the base routing tree but was never detected: %v", name, res1)
+				}
 
-			// The converged slab must be the omniscient one: the final
-			// epoch's repaired router equals a from-scratch build on the
-			// residual digraph, entry for entry.
-			if res2.FinalEpoch > 0 {
-				healed := session.heal.routerFor(res2.FinalEpoch, nil)
-				repairedEqualsScratch(t, g, healed, session.BelievedDown())
+				// Wave 2: the converged network must deliver the
+				// omniscient residual delivery set — all pairs, since
+				// λ = 2 keeps every single-arc residual strongly
+				// connected.
+				res2, err := session.Run(pkts)
+				if err != nil {
+					t.Fatalf("%s wave 2: %v", name, err)
+				}
+				if res2.Dropped != 0 {
+					t.Fatalf("%s wave 2: %d drops after convergence, want 0: %v", name, res2.Dropped, res2)
+				}
+				if res2.Nacks != 0 {
+					t.Fatalf("%s wave 2: %d NACKs after convergence, want 0 (no node should attempt the dead arc)", name, res2.Nacks)
+				}
+
+				// The converged routing must be the omniscient one: at
+				// every pair the final epoch decides as a from-scratch
+				// table on the residual digraph.
+				routesEqualScratch(t, g, session.BelievedDown(), func(u, dst int) int {
+					return session.route(res2.FinalEpoch, u, dst, nil)
+				})
 			}
 		}
 	}

@@ -34,17 +34,12 @@ type Router interface {
 }
 
 // TableRouter routes by precomputed shortest-path next hops held in one
-// flat arc-index slab: arcs[at*n+dst] is the out-arc to forward
-// on, -1 when dst is unreachable or at = dst. Arc indices are bounded by
-// the out-degree, so the slab stores one int8 per ordered pair whenever
+// flat arc-index slab: arcs[at*n+dst] is the out-arc to forward on, -1
+// when dst is unreachable or at = dst. Arc indices are bounded by the
+// out-degree, so the slab stores one int8 per ordered pair whenever
 // every degree fits (wide stores int32 otherwise — degenerate graphs
-// only): 4× less memory traffic on the run loop's random probes than the
-// int32 slab this layout replaced. One small entry per
-// ordered pair replaces the two ragged n×n []int tables the router
-// historically kept (next-hop vertices plus a memoized arc index —
-// ≈2·n²·8 bytes), and the arc index is derived directly during the
-// reverse-BFS pass instead of by an O(n²·deg) scan afterwards. The slab
-// is immutable after construction and safe to share across goroutines.
+// only). The slab is immutable after construction and safe to share
+// across goroutines.
 type TableRouter struct {
 	n    int
 	arcs []int8  // nil ⇔ some out-degree exceeds math.MaxInt8
@@ -73,80 +68,17 @@ func guardIndexInt32(count int, what string) {
 	}
 }
 
-// NewTableRouter builds the shortest-path arc slab for g.
+// NewTableRouter builds the shortest-path arc slab for g: bfsColumn run
+// once per destination over the whole digraph.
 func NewTableRouter(g *digraph.Digraph) *TableRouter {
-	n := g.N()
-	guardIndexInt32(n, "nodes")
-	guardIndexInt32(g.M(), "arcs")
-	// CSR of the reverse digraph with the forward arc index carried
-	// alongside each reversed arc: entry (u, k) at head v means arc k of
-	// u points to v. Discovering u from v in a reverse BFS rooted at dst
-	// then yields the routing decision (forward on arc k) immediately.
-	base := make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		for _, v := range g.Out(u) {
-			base[v+1]++
+	r := &residual{g: g}
+	r.reverse()
+	for u := range g.N() {
+		if g.OutDegree(u) > math.MaxInt8 {
+			return &TableRouter{n: g.N(), wide: tableOf[int32](r)}
 		}
 	}
-	for v := 0; v < n; v++ {
-		base[v+1] += base[v]
-	}
-	revTail := make([]int32, g.M())
-	revArc := make([]int32, g.M())
-	fill := make([]int32, n)
-	for u := 0; u < n; u++ {
-		for k, v := range g.Out(u) {
-			slot := base[v] + fill[v]
-			revTail[slot] = int32(u)
-			revArc[slot] = int32(k)
-			fill[v]++
-		}
-	}
-
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		if deg := g.OutDegree(u); deg > maxDeg {
-			maxDeg = deg
-		}
-	}
-	narrow := maxDeg <= math.MaxInt8
-	var arcs []int8
-	var wide []int32
-	if narrow {
-		arcs = make([]int8, n*n)
-		for i := range arcs {
-			arcs[i] = -1
-		}
-	} else {
-		wide = make([]int32, n*n)
-		for i := range wide {
-			wide[i] = -1
-		}
-	}
-	seen := make([]int32, n) // epoch marks: seen[u] == dst+1 ⇔ visited this pass
-	queue := make([]int32, 0, n)
-	for dst := 0; dst < n; dst++ {
-		epoch := int32(dst + 1)
-		seen[dst] = epoch
-		queue = append(queue[:0], int32(dst))
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			for idx := base[v]; idx < base[v+1]; idx++ {
-				u := revTail[idx]
-				if seen[u] == epoch {
-					continue
-				}
-				seen[u] = epoch
-				if narrow {
-					arcs[int(u)*n+dst] = int8(revArc[idx])
-				} else {
-					wide[int(u)*n+dst] = revArc[idx]
-				}
-				queue = append(queue, u)
-			}
-		}
-	}
-	return &TableRouter{n: n, arcs: arcs, wide: wide}
+	return &TableRouter{n: g.N(), arcs: tableOf[int8](r)}
 }
 
 // NextArc implements Router.
@@ -157,10 +89,8 @@ func (r *TableRouter) NextArc(at, dst int) int {
 	return int(r.wide[at*r.n+dst])
 }
 
-// Footprint returns the bytes held by the router's table storage — n²
-// (one int8 per pair) on every graph whose out-degrees fit int8, the
-// single surviving table (asserted by tests against the historical
-// double-table layout).
+// Footprint returns the bytes held by the router's table storage: n²
+// on every graph whose out-degrees fit int8.
 func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 
 // DeBruijnRouter routes natively on B(d, D) congruence labels using the
@@ -484,13 +414,6 @@ type Network struct {
 	diamOnce sync.Once
 	diam     int
 
-	// pristine is the fault-free next-arc slab self-healing sessions
-	// repair per epoch: the router itself when it is a *TableRouter,
-	// otherwise built once, on the first SelfHeal, and shared by every
-	// session on the network.
-	pristineOnce sync.Once
-	pristine     *TableRouter
-
 	// rec is the attached metrics recorder (nil: uninstrumented). Every
 	// recording site is nil-guarded so the fast path stays
 	// allocation-free; WithRecorder overrides it per run.
@@ -610,19 +533,6 @@ func hopDist(dist []int32, shift *DeBruijnRouter, n, v, dst int) int32 {
 		return shift.distance(v, dst)
 	}
 	return dist[v*n+dst]
-}
-
-// pristineSlab returns the fault-free next-arc slab self-healing
-// sessions start from, shared by every session on the network.
-func (nw *Network) pristineSlab() *TableRouter {
-	nw.pristineOnce.Do(func() {
-		if tr, ok := nw.router.(*TableRouter); ok {
-			nw.pristine = tr
-			return
-		}
-		nw.pristine = NewTableRouter(nw.g)
-	})
-	return nw.pristine
 }
 
 // diameter returns the digraph's diameter, computed once per Network:

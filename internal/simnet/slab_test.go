@@ -39,33 +39,27 @@ func catalogGraphs(t *testing.T) map[string]*digraph.Digraph {
 }
 
 // TestTableRouterDifferentialCatalog checks, pair by pair on every
-// catalog graph, that the arc slab and the compatibility RoutingTable
-// agree with true shortest-path distances: a routed arc always steps
-// one closer to the destination (the distance class the replaced
-// implementation guaranteed), and -1 appears exactly for unreachable
-// pairs and self-pairs.
+// catalog graph, that the arc slab agrees with the all-pairs distance
+// slab: a routed arc always steps one closer to the destination (the
+// distance class the replaced implementation guaranteed), and -1
+// appears exactly for unreachable pairs and self-pairs.
 func TestTableRouterDifferentialCatalog(t *testing.T) {
 	for name, g := range catalogGraphs(t) {
 		n := g.N()
 		dist := g.DistanceSlab()
 		router := NewTableRouter(g)
-		table := debruijn.RoutingTable(g)
 		for u := 0; u < n; u++ {
 			for dst := 0; dst < n; dst++ {
 				arc := router.NextArc(u, dst)
-				hop := table[u][dst]
 				d := dist[u*n+dst]
 				switch {
 				case u == dst:
 					if arc != -1 {
 						t.Fatalf("%s: NextArc(%d,%d) = %d at destination", name, u, dst, arc)
 					}
-					if hop != u {
-						t.Fatalf("%s: table[%d][%d] = %d, want self", name, u, dst, hop)
-					}
 				case d == digraph.Unreachable:
-					if arc != -1 || hop != -1 {
-						t.Fatalf("%s: unreachable pair (%d,%d) routed arc=%d hop=%d", name, u, dst, arc, hop)
+					if arc != -1 {
+						t.Fatalf("%s: unreachable pair (%d,%d) routed arc=%d", name, u, dst, arc)
 					}
 				default:
 					if arc < 0 || arc >= g.OutDegree(u) {
@@ -75,9 +69,6 @@ func TestTableRouterDifferentialCatalog(t *testing.T) {
 					if dist[v*n+dst] != d-1 {
 						t.Fatalf("%s: arc %d→%d does not decrease distance to %d (%d → %d)",
 							name, u, v, dst, d, dist[v*n+dst])
-					}
-					if hop < 0 || dist[hop*n+dst] != d-1 {
-						t.Fatalf("%s: table hop %d→%d off the distance class to %d", name, u, hop, dst)
 					}
 				}
 			}

@@ -294,7 +294,7 @@ func TestWitnessRoutingMatchesTableRuns(t *testing.T) {
 	if reroutes == 0 {
 		t.Fatal("no fault run deflected: the closed-form ranking went unchecked")
 	}
-	if witness.dist != nil || witness.pristine != nil {
+	if witness.dist != nil {
 		t.Fatal("the witness network built an n² slab for a plain or fault run")
 	}
 
@@ -324,42 +324,5 @@ func TestWitnessRoutingMatchesTableRuns(t *testing.T) {
 	}
 	if witness.dist != nil {
 		t.Fatal("a witness-routed self-healing session built the n² distance slab")
-	}
-}
-
-// TestHealSessionsSharePristineSlab: self-healing repairs table slabs,
-// so a network whose router is not a table builds one pristine slab on
-// the first SelfHeal — and every later session on the network shares
-// it, instead of allocating n² bytes per session.
-func TestHealSessionsSharePristineSlab(t *testing.T) {
-	h, lenses, wr := otisB26Witness(t)
-	nw, err := NewNetwork(h, WithRouter(wr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := NewFaultPlan().LensDown(2, 20, 4, lenses[4])
-	a, err := nw.SelfHeal(plan, HealConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nw.SelfHeal(plan, HealConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.heal.base == nil || a.heal.base != b.heal.base {
-		t.Fatalf("sessions hold distinct pristine slabs %p and %p", a.heal.base, b.heal.base)
-	}
-	// A table-routed network's sessions start from its own router.
-	tab := NewTableRouter(h)
-	tnw, err := NewNetwork(h, WithRouter(tab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := tnw.SelfHeal(plan, HealConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.heal.base != tab {
-		t.Fatal("a table-routed network's session built a second pristine slab")
 	}
 }

@@ -33,7 +33,7 @@
 //     and bufferless deflection routing;
 //   - runtime fault injection and fault-aware rerouting;
 //   - self-healing: oracle-free failure detection, gossip-flooded
-//     link-state events, incremental routing-slab repair, and the
+//     link-state events, per-epoch route repair, and the
 //     per-lens quarantine circuit breaker;
 //   - observability: a stdlib-only metrics registry (counters, gauges,
 //     power-of-two histograms), per-arc and per-lens telemetry, and the
@@ -166,17 +166,9 @@ var (
 	DeBruijnRoute = debruijn.Route
 	// BroadcastTree returns a BFS arborescence of B(d, D).
 	BroadcastTree = debruijn.BroadcastTree
-	// NewNextHopSlab builds the flat shortest-path next-hop table of an
-	// arbitrary digraph (4 bytes per vertex pair, shared read-only).
-	NewNextHopSlab = debruijn.NewNextHopSlab
-	// RoutingTable is the [][]int compatibility view over NewNextHopSlab.
-	RoutingTable = debruijn.RoutingTable
 	// DiameterGain measures the II-vs-RRK degree–diameter advantage.
 	DiameterGain = debruijn.DiameterGain
 )
-
-// NextHopSlab is the flat next-hop routing table built by NewNextHopSlab.
-type NextHopSlab = debruijn.NextHopSlab
 
 // De Bruijn sequences and ring embeddings (the embedding literature [9]).
 var (
@@ -656,15 +648,15 @@ type (
 // runs the fault engine with the oracle removed: the fault plan is
 // physical truth only, and every routing decision works from knowledge
 // the nodes earned — NACK timeouts, flooded link-state events
-// (GossipFlood), and epoch slabs patched incrementally by
-// TableRouter.Repair / RepairNextHopSlab. NewLensBreaker adds the
+// (GossipFlood), and per-epoch shortest paths around the believed-down
+// arcs, built per destination on demand. NewLensBreaker adds the
 // machine-level circuit breaker that quarantines a misbehaving lens's
 // whole arc group with exponential-backoff hysteresis.
 // ---------------------------------------------------------------------------
 
 type (
 	// SelfHealingSession is a live self-healing run context; the clock,
-	// event log and epoch slabs persist across its Run calls.
+	// event log and epoch routing persist across its Run calls.
 	SelfHealingSession = simnet.SelfHealing
 	// HealConfig tunes detection, gossip and probing.
 	HealConfig = simnet.HealConfig
@@ -692,9 +684,6 @@ var (
 	// NewFaultPlanFor returns a fault schedule validated eagerly against
 	// a digraph (errors surface on Err instead of at Compile).
 	NewFaultPlanFor = simnet.NewFaultPlanFor
-	// RepairNextHopSlab patches a NextHopSlab around dead arcs without a
-	// from-scratch rebuild, bit-identical to rebuilding on the residual.
-	RepairNextHopSlab = debruijn.RepairSlab
 	// NewGossipFlood starts a flood of one message from an origin node.
 	NewGossipFlood = gossip.NewFlood
 	// NewLensBreaker builds the per-lens circuit breaker of a machine.

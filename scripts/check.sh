@@ -63,18 +63,25 @@ echo "== table-vs-shift smoke runs (B(2,12), 4096 nodes) =="
 # Carried shift state must take the table's decisions end to end, at 64x
 # the unit tests' largest size: a plain permutation run and a bounded
 # uniform run must print the same result, queueing and overload lines
-# under -routing shift and -routing table.
+# under -routing shift and -routing table, and a table run must not
+# call itself self-routing anywhere in its output.
 simulate_b212() {
-    go run ./cmd/simulate -topo debruijn -d 2 -diam 12 "$@" |
-        grep -E '^(result|queueing|overload):'
+    go run ./cmd/simulate -topo debruijn -d 2 -diam 12 "$@"
 }
 for run in "-workload permutation" "-workload uniform -packets 16384 -qcap 2"; do
     # $run is left unquoted so that it splits into its flags.
-    shift_out=$(simulate_b212 $run -routing shift)
-    table_out=$(simulate_b212 $run -routing table)
+    shift_all=$(simulate_b212 $run -routing shift)
+    table_all=$(simulate_b212 $run -routing table)
+    shift_out=$(printf '%s\n' "$shift_all" | grep -E '^(result|queueing|overload):')
+    table_out=$(printf '%s\n' "$table_all" | grep -E '^(result|queueing|overload):')
     if [ "$shift_out" != "$table_out" ]; then
         echo "simulate $run: -routing shift and -routing table disagree:" >&2
         printf 'shift:\n%s\ntable:\n%s\n' "$shift_out" "$table_out" >&2
+        exit 1
+    fi
+    if printf '%s\n' "$table_all" | grep -q 'self-routing'; then
+        echo "simulate $run -routing table: the output claims self-routing:" >&2
+        printf '%s\n' "$table_all" >&2
         exit 1
     fi
 done
@@ -89,6 +96,26 @@ if ! printf '%s\n' "$otis_out" | grep -qx 'routing:  shift' ||
     printf '%s\n' "$otis_out" >&2
     exit 1
 fi
+
+echo "== permanent faults on the B(2,14) machine (no residual slab) =="
+# A permanent lens fault under oracle routing, and a self-healing session
+# with one permanent arc and two waves. Both route around the fault by
+# per-destination residual columns; all-pairs residual slabs here would
+# take about 2 GiB. Budgets are about 3x the measured wall time of each
+# go run (0.38-0.55 s and 0.34-0.42 s on a 2-vCPU host): 2 s and 1.5 s.
+# Each must finish in budget and print its delivered fraction.
+for run in "2 -faultlens 5" "1.5 -selfheal"; do
+    # $run is left unquoted so that it splits into budget and flags.
+    set -- $run
+    budget=$1
+    shift
+    if ! out=$(timeout "$budget" go run ./cmd/simulate -d 2 -diam 14 "$@" -packets 4000) ||
+        ! printf '%s\n' "$out" | grep -q '^delivered fraction:'; then
+        echo "simulate -d 2 -diam 14 $* -packets 4000: failed, ran past ${budget} s or printed no delivered fraction:" >&2
+        printf '%s\n' "$out" >&2
+        exit 1
+    fi
+done
 
 echo "== chaos smoke (seeded random fault plans) =="
 go test ./internal/simnet -run Chaos -count=1
