@@ -106,12 +106,12 @@ func BenchmarkAblationIsoGenericSearch(b *testing.B) {
 
 func BenchmarkAblationRouterNativeSetupAndRun(b *testing.B) {
 	g := DeBruijn(2, 8)
-	pkts := UniformRandomWorkload(g.N(), 200, 5)
+	pkts := UniformLoad(200).Packets(g.N(), 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		router := NewDeBruijnRouter(2, 8) // O(1) setup
-		nw, _ := NewNetwork(g, router, DefaultSimConfig())
-		if nw.Run(pkts).Delivered != 200 {
+		nw, _ := NewNetwork(g, WithRouter(router))
+		if res, err := nw.RunOpts(FixedWorkload(pkts)); err != nil || res.Delivered != 200 {
 			b.Fatal("undelivered")
 		}
 	}
@@ -119,12 +119,12 @@ func BenchmarkAblationRouterNativeSetupAndRun(b *testing.B) {
 
 func BenchmarkAblationRouterTableSetupAndRun(b *testing.B) {
 	g := DeBruijn(2, 8)
-	pkts := UniformRandomWorkload(g.N(), 200, 5)
+	pkts := UniformLoad(200).Packets(g.N(), 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		router := NewTableRouter(g) // O(n²) setup
-		nw, _ := NewNetwork(g, router, DefaultSimConfig())
-		if nw.Run(pkts).Delivered != 200 {
+		nw, _ := NewNetwork(g, WithRouter(router))
+		if res, err := nw.RunOpts(FixedWorkload(pkts)); err != nil || res.Delivered != 200 {
 			b.Fatal("undelivered")
 		}
 	}

@@ -231,12 +231,12 @@ func BenchmarkLensScalingSeries(b *testing.B) {
 func BenchmarkSimnetTableRouting(b *testing.B) {
 	g := DeBruijn(2, 8)
 	router := NewTableRouter(g)
-	pkts := UniformRandomWorkload(g.N(), 1000, 3)
+	pkts := UniformLoad(1000).Packets(g.N(), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw, _ := NewNetwork(g, router, DefaultSimConfig())
-		res := nw.Run(pkts)
-		if res.Delivered != 1000 {
+		nw, _ := NewNetwork(g, WithRouter(router))
+		res, err := nw.RunOpts(FixedWorkload(pkts))
+		if err != nil || res.Delivered != 1000 {
 			b.Fatalf("delivered %d", res.Delivered)
 		}
 	}
@@ -246,12 +246,12 @@ func BenchmarkSimnetNativeRouting(b *testing.B) {
 	const d, D = 2, 8
 	g := DeBruijn(d, D)
 	router := NewDeBruijnRouter(d, D)
-	pkts := UniformRandomWorkload(g.N(), 1000, 3)
+	pkts := UniformLoad(1000).Packets(g.N(), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw, _ := NewNetwork(g, router, DefaultSimConfig())
-		res := nw.Run(pkts)
-		if res.Delivered != 1000 {
+		nw, _ := NewNetwork(g, WithRouter(router))
+		res, err := nw.RunOpts(FixedWorkload(pkts))
+		if err != nil || res.Delivered != 1000 {
 			b.Fatalf("delivered %d", res.Delivered)
 		}
 	}

@@ -323,12 +323,15 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 
 	for _, sz := range permSizes {
 		g := debruijn.DeBruijn(sz.d, sz.D)
-		nw, err := simnet.New(g, simnet.NewTableRouter(g), simnet.DefaultConfig())
+		nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewTableRouter(g)))
 		if err != nil {
 			return nil, err
 		}
 		pkts := simnet.Permutation(g.N(), 1)
-		probe := nw.Run(pkts)
+		probe, err := nw.RunOpts(simnet.Fixed(pkts))
+		if err != nil {
+			return nil, err
+		}
 		specs = append(specs, spec{
 			name:      fmt.Sprintf("permutation/B(%d,%d)", sz.d, sz.D),
 			nodes:     g.N(),
@@ -336,7 +339,9 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			fn: func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					nw.Run(pkts)
+					if _, err := nw.RunOpts(simnet.Fixed(pkts)); err != nil {
+						b.Fatal(err)
+					}
 				}
 			},
 			metrics: func() (map[string]int64, error) {
@@ -405,7 +410,10 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			if err != nil {
 				return nil, err
 			}
-			probe := nw.Run(pkts)
+			probe, err := nw.RunOpts(simnet.Fixed(pkts))
+			if err != nil {
+				return nil, err
+			}
 			specs = append(specs, spec{
 				name:      fmt.Sprintf("%s/B(%d,%d)", rt.family, sz.d, sz.D),
 				nodes:     g.N(),
@@ -413,7 +421,9 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 				fn: func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
-						nw.Run(pkts)
+						if _, err := nw.RunOpts(simnet.Fixed(pkts)); err != nil {
+							b.Fatal(err)
+						}
 					}
 				},
 			})
@@ -542,7 +552,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 			}
 		},
 		metrics: func() (map[string]int64, error) {
-			fnw, err := simnet.New(fg, fRouter, simnet.DefaultConfig())
+			fnw, err := simnet.NewNetwork(fg, simnet.WithRouter(fRouter))
 			if err != nil {
 				return nil, err
 			}
@@ -574,7 +584,7 @@ func buildSpecs(smoke, comparing bool) ([]spec, error) {
 		satPackets = 200
 	}
 	sg := debruijn.DeBruijn(satD, satDiam)
-	snw, err := simnet.New(sg, simnet.NewTableRouter(sg), simnet.DefaultConfig())
+	snw, err := simnet.NewNetwork(sg, simnet.WithRouter(simnet.NewTableRouter(sg)))
 	if err != nil {
 		return nil, err
 	}

@@ -54,11 +54,12 @@ func main() {
 		m.Lenses(), otis.IILayoutLenses(*d, m.Nodes()))
 
 	// A quick traffic shakedown.
-	res, err := m.Run(simnet.UniformRandom(m.Nodes(), 4*m.Nodes(), 1))
+	rep, err := m.RunOpts(simnet.UniformLoad(4 * m.Nodes()))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "machine:", err)
 		os.Exit(1)
 	}
+	res := rep.Result
 	fmt.Printf("shakedown: %v\n", res)
 	if res.MaxHops > *diam {
 		fmt.Fprintln(os.Stderr, "machine: hop bound violated!")

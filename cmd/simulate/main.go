@@ -172,35 +172,34 @@ func main() {
 		fmt.Fprintf(os.Stderr, "simulate: unknown routing %q\n", *routing)
 		os.Exit(2)
 	}
-	if *shards > 1 {
-		nopts = append(nopts, simnet.WithShards(*shards))
-	}
 	nw, err := simnet.NewNetwork(g, nopts...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("routing:  %v", nw.Routing())
-	if s := nw.Shards(); s > 1 {
-		fmt.Printf(", %d shards", s)
+	if *shards > 1 {
+		fmt.Printf(", %d shards", *shards)
 	}
 	if tr, ok := router.(*simnet.TableRouter); ok && *routing == "auto" {
 		fmt.Printf(", %d-byte next-hop slab", tr.Footprint())
 	}
 	fmt.Println()
 	nw.Observe(rec)
-	var res simnet.Result
-	if opts := overloadOpts(*qcap, *holdBudget, *admit); len(opts) > 0 {
-		rep, err := nw.RunOpts(simnet.Fixed(pkts), opts...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "simulate:", err)
-			os.Exit(1)
-		}
-		res = rep.Result
+	opts := overloadOpts(*qcap, *holdBudget, *admit)
+	overload := len(opts) > 0
+	if *shards > 1 {
+		opts = append(opts, simnet.WithShards(*shards))
+	}
+	rep, err := nw.RunOpts(simnet.Fixed(pkts), opts...)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "simulate:", err)
+		os.Exit(1)
+	}
+	res := rep.Result
+	if overload {
 		fmt.Printf("overload: shed=%d dropQueueFull=%d holds=%d peakResident=%d\n",
 			res.Shed, res.DroppedQueueFull, res.Holds, res.PeakResident)
-	} else {
-		res = nw.Run(pkts)
 	}
 	fmt.Printf("result:   %v\n", res)
 	if allPairs {
@@ -264,7 +263,7 @@ func runDegradation(topo string, d, diam int, rateList string, packets int, seed
 	fmt.Printf("topology: %s — %d nodes, %d arcs\n", name, g.N(), g.M())
 	reportRouter(router)
 	fmt.Printf("degradation sweep: %d packets/point, seed %d\n\n", packets, seed)
-	nw, err := simnet.New(g, router, simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(router))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
@@ -309,7 +308,7 @@ func runSaturation(topo string, d, diam int, multiples string, packets int, seed
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(2)
 	}
-	nw, err := simnet.New(g, router, simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(router))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
@@ -366,12 +365,12 @@ func runLensFault(d, diam, lens, packets int, seed int64, rec *obs.Recorder, met
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
-	res, err := m.RunWithFaults(simnet.UniformRandom(m.Nodes(), packets, seed),
-		plan, simnet.DefaultFaultConfig())
+	rep, err := m.RunOpts(simnet.UniformLoad(packets), simnet.WithSeed(seed), simnet.WithFaults(plan))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulate:", err)
 		os.Exit(1)
 	}
+	res := rep.FaultResult
 	fmt.Printf("result: %v\n", res)
 	fmt.Printf("delivered fraction: %.3f\n", res.DeliveredFraction())
 	if metricsOut != "" {

@@ -37,11 +37,15 @@ func main() {
 }
 
 func runOn(name string, g *repro.Digraph, d int) {
-	nw, err := repro.NewNetwork(g, repro.NewTableRouter(g), repro.DefaultSimConfig())
+	nw, err := repro.NewNetwork(g, repro.WithRouter(repro.NewTableRouter(g)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(repro.BroadcastWorkload(g.N(), 0))
+	rep, err := nw.RunOpts(repro.BroadcastLoad(0))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := rep.Result
 	diam := g.Diameter()
 	fmt.Printf("%s: n=%d diameter=%d — broadcast %v\n", name, g.N(), diam, res)
 	fmt.Printf("  lower bounds: distance %d, root bandwidth %d cycles\n",

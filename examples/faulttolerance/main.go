@@ -38,11 +38,15 @@ func main() {
 	// Static surgery (the old experiment): remove the arc, rebuild the
 	// tables, rerun. This shows the residual GRAPH works…
 	faulty := b.RemoveArc(paths[0][0], paths[0][1])
-	nw, err := repro.NewNetwork(faulty, repro.NewTableRouter(faulty), repro.DefaultSimConfig())
+	nw, err := repro.NewNetwork(faulty, repro.WithRouter(repro.NewTableRouter(faulty)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(repro.UniformRandomWorkload(b.N(), 1000, 11))
+	rep, err := nw.RunOpts(repro.UniformLoad(1000), repro.WithSeed(11))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := rep.Result
 	fmt.Printf("\nstatic surgery, arc (%d,%d) removed: %v\n", paths[0][0], paths[0][1], res)
 	if res.Dropped != 0 {
 		log.Fatal("traffic was dropped despite 2-connectivity")
@@ -51,7 +55,7 @@ func main() {
 	// …but hardware does not pause for a rebuild. Runtime injection: the
 	// same arc dies at cycle 0 DURING the run, on the intact network, and
 	// the fault-aware router deflects around it mid-flight.
-	live, err := repro.NewNetwork(b, repro.NewTableRouter(b), repro.DefaultSimConfig())
+	live, err := repro.NewNetwork(b, repro.WithRouter(repro.NewTableRouter(b)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,11 +67,11 @@ func main() {
 		}
 	}
 	plan := repro.NewFaultPlan().LinkDown(0, 0, paths[0][0], arcIndex)
-	fres, err := live.RunWithFaults(repro.UniformRandomWorkload(b.N(), 1000, 11),
-		plan, repro.DefaultFaultSimConfig())
+	frep, err := live.RunOpts(repro.UniformLoad(1000), repro.WithSeed(11), repro.WithFaults(plan))
 	if err != nil {
 		log.Fatal(err)
 	}
+	fres := frep.FaultResult
 	fmt.Printf("runtime fault, same arc: %v\n", fres)
 	if fres.Dropped != 0 {
 		log.Fatal("runtime rerouting dropped traffic despite 2-connectivity")
@@ -92,11 +96,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tres, err := m.RunWithFaults(repro.UniformRandomWorkload(m.Nodes(), 2000, 5),
-		transient, repro.DefaultFaultSimConfig())
+	trep, err := m.RunOpts(repro.UniformLoad(2000), repro.WithSeed(5), repro.WithFaults(transient))
 	if err != nil {
 		log.Fatal(err)
 	}
+	tres := trep.FaultResult
 	fmt.Printf("transient lens fault (60 cycles): %v\n", tres)
 	if tres.Dropped != 0 {
 		log.Fatal("transient lens fault should lose nothing (blocked packets retry)")
@@ -108,11 +112,11 @@ func main() {
 	}
 	rec := repro.NewRecorder(nil)
 	m.Observe(rec)
-	pres, err := m.RunWithFaults(repro.UniformRandomWorkload(m.Nodes(), 2000, 5),
-		permanent, repro.DefaultFaultSimConfig())
+	prep, err := m.RunOpts(repro.UniformLoad(2000), repro.WithSeed(5), repro.WithFaults(permanent))
 	if err != nil {
 		log.Fatal(err)
 	}
+	pres := prep.FaultResult
 	fmt.Printf("permanent lens fault: %v\n", pres)
 	fmt.Printf("  delivered fraction %.3f — the shadowed block is dark, everyone else is served\n",
 		pres.DeliveredFraction())

@@ -61,11 +61,15 @@ func main() {
 			id++
 		}
 	}
-	nw, err := repro.NewNetwork(h, repro.NewTableRouter(h), repro.DefaultSimConfig())
+	nw, err := repro.NewNetwork(h, repro.WithRouter(repro.NewTableRouter(h)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(pkts)
+	rep, err := nw.RunOpts(repro.FixedWorkload(pkts))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := rep.Result
 	fmt.Printf("one stage on the optical machine: %v\n", res)
 	if res.MaxHops != 1 {
 		log.Fatalf("stage traffic not single-hop on the layout (max %d)", res.MaxHops)

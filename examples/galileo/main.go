@@ -37,11 +37,15 @@ func main() {
 			id++
 		}
 	}
-	nw, err := repro.NewNetwork(b, repro.NewDeBruijnRouter(d, D), repro.DefaultSimConfig())
+	nw, err := repro.NewNetwork(b, repro.WithRouter(repro.NewDeBruijnRouter(d, D)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res := nw.Run(pkts)
+	rep, err := nw.RunOpts(repro.FixedWorkload(pkts))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := rep.Result
 	fmt.Printf("trellis step on B(%d,%d): %v\n", d, D, res)
 	if res.MaxHops != 1 {
 		log.Fatalf("decoder traffic should be single-hop, got max %d", res.MaxHops)
@@ -67,11 +71,15 @@ func main() {
 	for i, p := range pkts {
 		physical[i] = repro.Packet{ID: p.ID, Src: inv[p.Src], Dst: inv[p.Dst]}
 	}
-	nwH, err := repro.NewNetwork(h, repro.NewTableRouter(h), repro.DefaultSimConfig())
+	nwH, err := repro.NewNetwork(h, repro.WithRouter(repro.NewTableRouter(h)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	resH := nwH.Run(physical)
+	repH, err := nwH.RunOpts(repro.FixedWorkload(physical))
+	if err != nil {
+		log.Fatal(err)
+	}
+	resH := repH.Result
 	fmt.Printf("same step on %v: %v\n", layout, resH)
 	if resH.MaxHops != 1 {
 		log.Fatalf("optical layout broke decoder locality: max hops %d", resH.MaxHops)
@@ -81,7 +89,9 @@ func main() {
 		layout.Lenses(), repro.IILayoutLenses(d, b.N()))
 
 	// Sustained decoding: many trellis steps pipelined as Poisson traffic.
-	stream := repro.PoissonWorkload(b.N(), 4000, 0.8, 7)
-	resStream := nw.Run(stream)
-	fmt.Printf("pipelined metric exchange (Poisson, 4000 packets): %v\n", resStream)
+	repStream, err := nw.RunOpts(repro.PoissonLoad(4000, 0.8), repro.WithSeed(7))
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("pipelined metric exchange (Poisson, 4000 packets): %v\n", repStream.Result)
 }

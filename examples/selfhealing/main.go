@@ -68,7 +68,7 @@ func main() {
 	worstConverge, healedArcs := 0, 0
 	for u := 0; u < n; u++ {
 		for k := range g.Out(u) {
-			nw, err := repro.NewNetwork(g, repro.NewTableRouter(g), repro.DefaultSimConfig())
+			nw, err := repro.NewNetwork(g, repro.WithRouter(repro.NewTableRouter(g)))
 			if err != nil {
 				log.Fatal(err)
 			}

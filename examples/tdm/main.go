@@ -39,11 +39,12 @@ func main() {
 	fmt.Println("  slot 0 verified collision-free (it is a permutation)")
 
 	// Bufferless deflection vs buffered store-and-forward.
-	pkts := repro.UniformRandomWorkload(m.Nodes(), 600, 21)
-	buffered, err := m.Run(pkts)
+	pkts := repro.UniformLoad(600).Packets(m.Nodes(), 21)
+	rep, err := m.RunOpts(repro.FixedWorkload(pkts))
 	if err != nil {
 		log.Fatal(err)
 	}
+	buffered := rep.Result
 	deflected, err := m.RunDeflection(pkts)
 	if err != nil {
 		log.Fatal(err)

@@ -21,7 +21,7 @@ func TestFacadeMachine(t *testing.T) {
 	if m.Nodes() != 256 || m.Lenses() != 48 {
 		t.Error("machine shape wrong")
 	}
-	res, err := m.Broadcast(0)
+	res, err := m.RunOpts(BroadcastLoad(0))
 	if err != nil || res.Delivered != 255 {
 		t.Errorf("broadcast: %v %v", res, err)
 	}
@@ -38,7 +38,7 @@ func TestFacadeDeflection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var res DeflectionResult = dn.Run(UniformRandomWorkload(g.N(), 200, 13))
+	var res DeflectionResult = dn.Run(UniformLoad(200).Packets(g.N(), 13))
 	if res.Delivered != 200 {
 		t.Fatalf("deflection: %v", res)
 	}

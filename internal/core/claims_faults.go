@@ -36,7 +36,7 @@ func init() {
 // with bounded stretch for every possible victim arc.
 func checkSingleArcFaults() error {
 	g := debruijn.DeBruijn(3, 3)
-	nw, err := simnet.New(g, simnet.NewTableRouter(g), simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewTableRouter(g)))
 	if err != nil {
 		return err
 	}
@@ -44,7 +44,7 @@ func checkSingleArcFaults() error {
 	for u := 0; u < g.N(); u += 3 {
 		for k := 0; k < g.OutDegree(u); k++ {
 			plan := simnet.NewFaultPlan().LinkDown(0, 0, u, k)
-			res, err := nw.RunWithFaults(pkts, plan, simnet.DefaultFaultConfig())
+			res, err := nw.RunOpts(simnet.Fixed(pkts), simnet.WithFaults(plan))
 			if err != nil {
 				return err
 			}
@@ -93,7 +93,7 @@ func checkLensFaults() error {
 		if err != nil {
 			return err
 		}
-		res, err := m.RunWithFaults(pkts, plan, simnet.DefaultFaultConfig())
+		res, err := m.RunOpts(simnet.Fixed(pkts), simnet.WithFaults(plan))
 		if err != nil {
 			return err
 		}

@@ -52,7 +52,7 @@ func checkSelfHealSingleArc() error {
 	}
 	for u := 0; u < n; u += 3 {
 		for k := 0; k < g.OutDegree(u); k++ {
-			nw, err := simnet.New(g, simnet.NewTableRouter(g), simnet.DefaultConfig())
+			nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewTableRouter(g)))
 			if err != nil {
 				return err
 			}

@@ -23,7 +23,7 @@ func init() {
 			if _, err := m.Audit(); err != nil {
 				return err
 			}
-			res, err := m.Run(simnet.UniformRandom(m.Nodes(), 512, 123))
+			res, err := m.RunOpts(simnet.UniformLoad(512), simnet.WithSeed(123))
 			if err != nil {
 				return err
 			}

@@ -31,7 +31,7 @@ func init() {
 // could not reach Delivered + Dropped + Shed == Offered.
 func checkOverloadSaturation() error {
 	g := debruijn.DeBruijn(3, 5)
-	nw, err := simnet.New(g, simnet.NewTableRouter(g), simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewTableRouter(g)))
 	if err != nil {
 		return err
 	}

@@ -39,13 +39,6 @@ func (m *Machine) LensShadow(lens int) (silencedOut, silencedIn []int, err error
 	return m.Layout.LensShadow(lens)
 }
 
-// RunWithFaults executes a workload (physical ids) under the fault plan,
-// with fault-aware rerouting, bounded retries and TTL; see
-// simnet.FaultConfig for the knobs.
-func (m *Machine) RunWithFaults(pkts []simnet.Packet, plan *simnet.FaultPlan, cfg simnet.FaultConfig) (simnet.FaultResult, error) {
-	return m.net.RunWithFaults(pkts, plan, cfg)
-}
-
 // DegradationSweep measures delivered fraction, latency and reroutes on
 // the physical interconnect as the per-arc fault rate rises; see
 // simnet.DegradationSweep.

@@ -105,7 +105,7 @@ func TestSingleLensFaultServiceability(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkts := simnet.UniformRandom(m.Nodes(), 2000, 37)
-		res, err := m.RunWithFaults(pkts, plan, simnet.DefaultFaultConfig())
+		res, err := m.RunOpts(simnet.Fixed(pkts), simnet.WithFaults(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestTransientLensFaultHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := simnet.UniformRandom(m.Nodes(), 1000, 5)
-	res, err := m.RunWithFaults(pkts, plan, simnet.DefaultFaultConfig())
+	res, err := m.RunOpts(simnet.Fixed(pkts), simnet.WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,9 +42,9 @@ type Machine struct {
 	// routes table-free through the certified witness (shift routing on
 	// the logical labels, each letter mapped to a physical out-arc), so
 	// it holds no n² routing or distance slab: fault-free distances are
-	// closed-form. Its scratch arenas are shared by every
-	// Run/Broadcast/RunOpts/RunWithFaults/DegradationSweep on this
-	// machine; self-healing sessions build no table either.
+	// closed-form. Its scratch arenas are shared by every RunOpts and
+	// DegradationSweep on this machine; self-healing sessions build no
+	// table either.
 	net *simnet.Network
 
 	// lensOnce guards lensIdx, the lens of every arc on each side,
@@ -150,18 +150,6 @@ func (m *Machine) VerifyRoutes(stride int) error {
 		}
 	}
 	return nil
-}
-
-// Run executes a workload (physical ids) on the machine's packet
-// simulator with unit hop latency.
-func (m *Machine) Run(pkts []simnet.Packet) (simnet.Result, error) {
-	return m.net.Run(pkts), nil
-}
-
-// Broadcast runs a one-to-all broadcast from a physical root and returns
-// the result.
-func (m *Machine) Broadcast(rootPhys int) (simnet.Result, error) {
-	return m.Run(simnet.Broadcast(m.Nodes(), rootPhys))
 }
 
 // RunDeflection executes a workload under bufferless hot-potato routing —

@@ -120,7 +120,7 @@ func TestRunWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Run(simnet.UniformRandom(m.Nodes(), 500, 99))
+	res, err := m.RunOpts(simnet.UniformLoad(500), simnet.WithSeed(99))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestRunWorkload(t *testing.T) {
 
 func TestBroadcast(t *testing.T) {
 	m, _ := Build(2, 5, optics.DefaultPitch)
-	res, err := m.Broadcast(0)
+	res, err := m.RunOpts(simnet.BroadcastLoad(0))
 	if err != nil {
 		t.Fatal(err)
 	}

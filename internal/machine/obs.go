@@ -15,15 +15,17 @@ import (
 // shared failure domain) of a whole arc group.
 
 // Observe attaches a metrics recorder to the machine's packet simulator.
-// Subsequent Run/Broadcast/RunOpts/RunWithFaults calls record into it.
-// Passing nil detaches.
+// Subsequent RunOpts calls, self-healing sessions and degradation sweeps
+// record into it. Passing nil detaches.
 func (m *Machine) Observe(rec *obs.Recorder) {
 	m.net.Observe(rec)
 }
 
 // RunOpts executes a workload on the machine's simulator under
-// functional options — the machine-level mirror of simnet's unified
-// entry point. Workload node ids are physical.
+// functional options — the machine-level mirror of simnet's one run
+// entry point: simnet.Fixed(pkts) for a packet list, WithFaults(plan)
+// for a fault run, BroadcastLoad(root) for a one-to-all broadcast.
+// Workload node ids are physical.
 func (m *Machine) RunOpts(w simnet.Workload, opts ...simnet.RunOption) (simnet.RunReport, error) {
 	return m.net.RunOpts(w, opts...)
 }

@@ -44,7 +44,7 @@ func randomChaosPlan(rng *rand.Rand, g interface {
 
 func TestChaosRandomFaultPlans(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 				Release: rng.Intn(50),
 			}
 		}
-		res, events, err := nw.TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
+		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
 		if err != nil {
 			t.Fatalf("seed %d: run failed: %v", seed, err)
 		}
@@ -68,7 +68,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 			t.Fatalf("seed %d: delivered %d + dropped %d != offered %d (%v)",
 				seed, res.Delivered, res.Dropped, len(pkts), res)
 		}
-		if err := VerifyTrace(g, res.Packets, events); err != nil {
+		if err := VerifyTrace(g, res.Packets, res.Events); err != nil {
 			t.Fatalf("seed %d: inconsistent trace: %v", seed, err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestChaosRandomFaultPlans(t *testing.T) {
 // detection, gossip and repair in the loop.
 func TestChaosSelfHealingInvariant(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}

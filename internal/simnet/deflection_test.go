@@ -73,8 +73,8 @@ func TestDeflectionVsStoreAndForward(t *testing.T) {
 	dn, _ := NewDeflection(g, 2)
 	defRes := dn.Run(pkts)
 
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	sfRes := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	sfRes := runFixed(t, nw, pkts)
 
 	if defRes.Delivered != 400 || sfRes.Delivered != 400 {
 		t.Fatalf("deliveries: deflection %d, SF %d", defRes.Delivered, sfRes.Delivered)

@@ -45,9 +45,9 @@ func (p DegradationPoint) String() string {
 // DegradationSweep measures the delivered fraction, latency and reroute
 // counts of a uniform workload as the per-arc fault rate rises; see the
 // Network method of the same name for the semantics. This free function
-// builds the Network and delegates.
+// builds the Network (NewNetwork with WithRouter) and delegates.
 func DegradationSweep(g *digraph.Digraph, router Router, rates []float64, packets int, seed int64, workers int) ([]DegradationPoint, error) {
-	nw, err := New(g, router, DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(router))
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +132,7 @@ func (nw *Network) degradationPoint(rate float64, packets int, seed, point int64
 			}
 		}
 	}
-	res, err := nw.RunWithFaults(UniformRandom(g.N(), packets, seed), plan, DefaultFaultConfig())
+	res, _, err := nw.runWithFaults(UniformRandom(g.N(), packets, seed), plan, FaultConfig{}, false, nil, nw.rec)
 	if err != nil {
 		return DegradationPoint{}, err
 	}

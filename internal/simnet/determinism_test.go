@@ -24,7 +24,7 @@ func TestSeededRunIsByteIdentical(t *testing.T) {
 	runOnce := func() (string, []byte) {
 		t.Helper()
 		g := debruijn.DeBruijn(3, 5)
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +79,7 @@ func TestSeededHealSessionIsByteIdentical(t *testing.T) {
 	runOnce := func() (string, []byte) {
 		t.Helper()
 		g, lenses := otisB26(t)
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -65,7 +65,7 @@ func TestEngineBehaviourGolden(t *testing.T) {
 			name: "plain_permutation",
 			run: func(t *testing.T) (RunReport, []byte) {
 				g := debruijn.DeBruijn(3, 4)
-				nw, err := New(g, NewTableRouter(g), DefaultConfig())
+				nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -92,7 +92,7 @@ func TestEngineBehaviourGolden(t *testing.T) {
 			name: "bounded_admission",
 			run: func(t *testing.T) (RunReport, []byte) {
 				g := debruijn.DeBruijn(2, 5)
-				nw, err := New(g, NewTableRouter(g), DefaultConfig())
+				nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -129,7 +129,7 @@ func TestEngineBehaviourGolden(t *testing.T) {
 			name: "fault_bounded",
 			run: func(t *testing.T) (RunReport, []byte) {
 				g := debruijn.DeBruijn(3, 4)
-				nw, err := New(g, NewTableRouter(g), DefaultConfig())
+				nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +166,7 @@ func TestEngineBehaviourGolden(t *testing.T) {
 			name: "plain_truncated",
 			run: func(t *testing.T) (RunReport, []byte) {
 				g := debruijn.DeBruijn(2, 5)
-				nw, err := New(g, NewTableRouter(g), Config{HopLatency: 2, MaxCycles: 7})
+				nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)), WithHopLatency(2), WithMaxCycles(7))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -335,17 +335,18 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 		// midPath requires some packet to be dropped after a hop.
 		midPath bool
 	}
-	mkGraph := func(g *digraph.Digraph, r Router) func() (*Network, *Network, error) {
+	mkGraph := func(g *digraph.Digraph, r Router, opts ...NetworkOption) func() (*Network, *Network, error) {
 		return func() (*Network, *Network, error) {
-			a, err := New(g, r, DefaultConfig())
+			opts := append([]NetworkOption{WithRouter(r)}, opts...)
+			a, err := NewNetwork(g, opts...)
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := New(g, r, DefaultConfig())
+			b, err := NewNetwork(g, opts...)
 			return a, b, err
 		}
 	}
-	mkDB := func(d, D int, table bool, cfg Config) func() (*Network, *Network, error) {
+	mkDB := func(d, D int, table bool, opts ...NetworkOption) func() (*Network, *Network, error) {
 		return func() (*Network, *Network, error) {
 			g := debruijn.DeBruijn(d, D)
 			var r Router
@@ -354,42 +355,32 @@ func TestArcMajorKernelMatchesReference(t *testing.T) {
 			} else {
 				r = NewDeBruijnRouter(d, D)
 			}
-			a, err := New(g, r, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := New(g, r, cfg)
-			return a, b, err
+			return mkGraph(g, r, opts...)()
 		}
 	}
-	mkWitness := func(cfg Config) func() (*Network, *Network, error) {
+	mkWitness := func(opts ...NetworkOption) func() (*Network, *Network, error) {
 		return func() (*Network, *Network, error) {
 			h, _, r := otisB26Witness(t)
-			a, err := New(h, r, cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := New(h, r, cfg)
-			return a, b, err
+			return mkGraph(h, r, opts...)()
 		}
 	}
 	nets := []netCase{
-		{name: "B(2,5)_table", build: mkDB(2, 5, true, DefaultConfig())},
-		{name: "B(3,3)_word", build: mkDB(3, 3, false, DefaultConfig())},
-		{name: "B(2,4)_lat3", build: mkDB(2, 4, true, Config{HopLatency: 3})},
-		{name: "B(2,4)_trunc", build: mkDB(2, 4, true, Config{HopLatency: 1, MaxCycles: 6})},
-		{name: "OTIS_B(2,6)_witness", build: mkWitness(DefaultConfig())},
-		{name: "OTIS_B(2,6)_witness_lat2", build: mkWitness(Config{HopLatency: 2})},
-		{name: "OTIS_B(2,6)_witness_trunc", build: mkWitness(Config{HopLatency: 1, MaxCycles: 9})},
-		{name: "B(3,3)_word_lat4", build: mkDB(3, 3, false, Config{HopLatency: 4})},
+		{name: "B(2,5)_table", build: mkDB(2, 5, true)},
+		{name: "B(3,3)_word", build: mkDB(3, 3, false)},
+		{name: "B(2,4)_lat3", build: mkDB(2, 4, true, WithHopLatency(3))},
+		{name: "B(2,4)_trunc", build: mkDB(2, 4, true, WithMaxCycles(6))},
+		{name: "OTIS_B(2,6)_witness", build: mkWitness()},
+		{name: "OTIS_B(2,6)_witness_lat2", build: mkWitness(WithHopLatency(2))},
+		{name: "OTIS_B(2,6)_witness_trunc", build: mkWitness(WithMaxCycles(9))},
+		{name: "B(3,3)_word_lat4", build: mkDB(3, 3, false, WithHopLatency(4))},
 		{name: "multigraph_table", build: func() (*Network, *Network, error) {
 			g := parallelLoopMultigraph()
 			r := NewTableRouter(g)
-			a, err := New(g, r, DefaultConfig())
+			a, err := NewNetwork(g, WithRouter(r))
 			if err != nil {
 				return nil, nil, err
 			}
-			b, err := New(g, r, DefaultConfig())
+			b, err := NewNetwork(g, WithRouter(r))
 			return a, b, err
 		}},
 		{name: "B(2,5)_refusing", build: mkGraph(debruijn.DeBruijn(2, 5), refusingRouter{NewTableRouter(debruijn.DeBruijn(2, 5))}), midPath: true},

@@ -6,10 +6,10 @@ import (
 	"repro/internal/obs"
 )
 
-// The fault-aware run loop, shared by RunWithFaults and self-healing
-// sessions. Structurally a store-and-forward simulation like
-// Network.Run, with three changes that make it survive a hostile fault
-// schedule instead of deadlocking:
+// The fault-aware run loop, shared by fault runs (RunOpts with
+// WithFaults) and self-healing sessions. Structurally a
+// store-and-forward simulation like a plain run, with three changes that
+// make it survive a hostile fault schedule instead of deadlocking:
 //
 //   - routing decisions are re-taken at departure time (not enqueue
 //     time) — by a FaultAwareRouter, or by a session's epoch routing — so
@@ -28,12 +28,13 @@ import (
 // Delivered + Dropped == Offered holds unconditionally — the invariant
 // the property tests exercise with adversarial release schedules.
 
-// FaultConfig tunes RunWithFaults. The zero value selects defaults.
+// FaultConfig tunes a fault run (WithFaultConfig). The zero value
+// selects defaults; negative fields are invalid (validate).
 type FaultConfig struct {
 	// HopLatency is the wire time of one hop in cycles (0: the
-	// Network's Config.HopLatency).
+	// Network's, WithHopLatency).
 	HopLatency int
-	// MaxCycles aborts the run (0: the Network's Config.MaxCycles, and
+	// MaxCycles aborts the run (0: the Network's, WithMaxCycles, and
 	// when that is 0 too, a generous bound).
 	MaxCycles int
 	// TTL is the per-packet hop budget (0: 4·diameter+8, or 2n when the
@@ -51,45 +52,52 @@ type FaultConfig struct {
 	// the exact historical ladder).
 	BackoffJitterSeed int64
 	// QueueCapacity bounds each node's hold queue at QueueCapacity
-	// packets per out-arc (0: the Network's; unbounded when it has none).
-	// A full downstream node is not forwarded to: the packet holds in
-	// place upstream (credit-based backpressure) until space opens or its
-	// hold budget runs out.
+	// packets per out-arc (0: unbounded; a per-run WithQueueCapacity
+	// wins). A full downstream node is not forwarded to: the packet holds
+	// in place upstream (credit-based backpressure) until space opens or
+	// its hold budget runs out.
 	QueueCapacity int
 	// HoldBudget is the lifetime number of hold-in-place cycles a packet
 	// may spend against full downstream nodes before dropping as
-	// DroppedQueueFull (0: the Network's, and when that is 0 too,
-	// 4·QueueCapacity+16).
+	// DroppedQueueFull (0: 4·QueueCapacity+16, from the bound the run
+	// takes; a per-run WithHoldBudget wins).
 	HoldBudget int
 }
 
-// DefaultFaultConfig returns the default fault-run tuning.
-func DefaultFaultConfig() FaultConfig { return FaultConfig{} }
+// validate reports the first negative field of c as an *OptionError
+// naming option; zero fields select their documented defaults.
+func (c FaultConfig) validate(option string) error {
+	var reason string
+	switch {
+	case c.HopLatency < 0:
+		reason = fmt.Sprintf("HopLatency must be >= 0, got %d", c.HopLatency)
+	case c.MaxCycles < 0:
+		reason = fmt.Sprintf("MaxCycles must be >= 0, got %d", c.MaxCycles)
+	case c.TTL < 0:
+		reason = fmt.Sprintf("TTL must be >= 0 (0 selects the default), got %d", c.TTL)
+	case c.MaxRetries < 0:
+		reason = fmt.Sprintf("MaxRetries must be >= 0, got %d", c.MaxRetries)
+	case c.BackoffBase < 0 || c.BackoffCap < 0:
+		reason = fmt.Sprintf("backoff base/cap must be >= 0, got %d/%d", c.BackoffBase, c.BackoffCap)
+	case c.QueueCapacity < 0:
+		reason = fmt.Sprintf("QueueCapacity must be >= 0, got %d", c.QueueCapacity)
+	case c.HoldBudget < 0:
+		reason = fmt.Sprintf("HoldBudget must be >= 0, got %d", c.HoldBudget)
+	default:
+		return nil
+	}
+	return &OptionError{Option: option, Reason: reason}
+}
 
 // faultConfig resolves the tuning of a fault run or a self-healing
 // session on nw: a field c sets explicitly wins, a zero HopLatency or
-// MaxCycles takes the Network's Config, a zero QueueCapacity or
-// HoldBudget the Network's network-default WithQueueCapacity or
-// WithHoldBudget, else its Config (so every Network setting reaches
-// every engine), and withDefaults fills the rest.
+// MaxCycles takes the Network's, and withDefaults fills the rest.
 func (nw *Network) faultConfig(c FaultConfig, diameter int) FaultConfig {
 	if c.HopLatency < 1 {
 		c.HopLatency = nw.cfg.HopLatency
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = nw.cfg.MaxCycles
-	}
-	if c.QueueCapacity == 0 {
-		c.QueueCapacity = nw.cfg.QueueCapacity
-		if nw.defaults.qcapSet {
-			c.QueueCapacity = nw.defaults.qcap
-		}
-	}
-	if c.HoldBudget == 0 {
-		c.HoldBudget = nw.cfg.HoldBudget
-		if nw.defaults.holdSet {
-			c.HoldBudget = nw.defaults.hold
-		}
 	}
 	return c.withDefaults(nw.g.N(), diameter)
 }
@@ -113,9 +121,6 @@ func (c FaultConfig) withDefaults(n, diameter int) FaultConfig {
 	}
 	if c.BackoffCap < 1 {
 		c.BackoffCap = 64
-	}
-	if c.QueueCapacity < 0 {
-		c.QueueCapacity = 0
 	}
 	if c.QueueCapacity > 0 && c.HoldBudget < 1 {
 		c.HoldBudget = 4*c.QueueCapacity + 16
@@ -175,30 +180,6 @@ type pktMeta struct {
 	retries int
 	readyAt int
 	holds   int
-}
-
-// RunWithFaults simulates the workload under the fault plan. The
-// network's router is wrapped in a FaultAwareRouter; see FaultConfig for
-// the retry/TTL semantics. A nil plan degenerates to a fault-free run of
-// the fault engine (useful for differential tests).
-//
-// Deprecated: use RunOpts with WithFaults, which unifies the run entry
-// points behind functional options. RunWithFaults remains a thin
-// wrapper and is not going away.
-func (nw *Network) RunWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig) (FaultResult, error) {
-	res, _, err := nw.runWithFaults(packets, plan, cfg, false, nil, nw.rec)
-	return res, err
-}
-
-// TracedRunWithFaults is RunWithFaults with a full event log: inject,
-// depart, arrive, deliver, plus the fault-path kinds reroute and drop,
-// each recorded live with its cycle.
-//
-// Deprecated: use RunOpts with WithFaults and WithTrace. The method
-// remains a thin wrapper and is not going away.
-func (nw *Network) TracedRunWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig) (FaultResult, []Event, error) {
-	res, events, err := nw.runWithFaults(packets, plan, cfg, true, nil, nw.rec)
-	return res, events, err
 }
 
 // runWithFaults runs the fault loop under the oracle routing policy. The

@@ -650,7 +650,7 @@ type faultRefTopology struct {
 // the closed form to the slab ranking.
 func faultRefTopologies(t interface{ Fatal(...any) }) []faultRefTopology {
 	mk := func(g *digraph.Digraph, r Router) *Network {
-		nw, err := New(g, r, DefaultConfig())
+		nw, err := NewNetwork(g, WithRouter(r))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,7 +15,7 @@ import (
 func faultNet(t *testing.T, d, D int) (*Network, *Network) {
 	t.Helper()
 	g := debruijn.DeBruijn(d, D)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,12 @@ func TestFaultStateSpans(t *testing.T) {
 
 func TestRunWithFaultsMatchesFaultFree(t *testing.T) {
 	// With a nil plan the fault engine is just a (departure-time-routed)
-	// simulator: everything delivers with the same hop counts as Run.
+	// simulator: everything delivers with the same hop counts as a plain
+	// run.
 	nw, _ := faultNet(t, 2, 4)
 	pkts := UniformRandom(16, 300, 7)
-	base := nw.Run(pkts)
-	res, err := nw.RunWithFaults(pkts, nil, DefaultFaultConfig())
+	base := runFixed(t, nw, pkts)
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestPermanentLinkFaultRerouted(t *testing.T) {
 	// B(3,3): λ = 2, so one dead link costs nothing but a detour.
 	nw, _ := faultNet(t, 3, 3)
 	plan := NewFaultPlan().LinkDown(0, 0, 5, 1)
-	res, err := nw.RunWithFaults(UniformRandom(27, 500, 80), plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(UniformRandom(27, 500, 80)), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestTransientFaultHealsAndRetries(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		pkts = append(pkts, Packet{ID: i, Src: 5, Dst: (i*7)%27 + (i % 2), Release: 0})
 	}
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestNodeFaultDropsInFlight(t *testing.T) {
 	nw, _ := faultNet(t, 3, 3)
 	plan := NewFaultPlan().NodeDown(0, 0, 5)
 	pkts := UniformRandom(27, 400, 9)
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,10 +190,8 @@ func TestNodeFaultDropsInFlight(t *testing.T) {
 
 func TestTTLDropsLoopingPackets(t *testing.T) {
 	nw, _ := faultNet(t, 2, 3)
-	cfg := DefaultFaultConfig()
-	cfg.TTL = 1
 	pkts := []Packet{{ID: 0, Src: 0, Dst: 7, Release: 0}} // distance 3 > TTL
-	res, err := nw.RunWithFaults(pkts, NewFaultPlan(), cfg)
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(NewFaultPlan()), WithFaultConfig(FaultConfig{TTL: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +204,7 @@ func TestTotalBlackoutTerminatesCleanly(t *testing.T) {
 	// 100% fault rate: every arc permanently dead from cycle 0. Every
 	// packet must drop via the retry ladder — no deadlock, nothing stuck.
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +221,7 @@ func TestTotalBlackoutTerminatesCleanly(t *testing.T) {
 			moving++
 		}
 	}
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +299,7 @@ func TestFaultRouterNeverForwardsOntoDownedArc(t *testing.T) {
 
 func TestTracedRunWithFaultsVerifies(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +309,18 @@ func TestTracedRunWithFaultsVerifies(t *testing.T) {
 		LinkDown(2, 6, 11, 0). // transient link
 		NodeDown(0, 0, 7)      // permanent node
 	pkts := UniformRandom(27, 300, 13)
-	res, events, err := nw.TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTrace(g, pkts, events); err != nil {
+	if err := VerifyTrace(g, pkts, res.Events); err != nil {
 		t.Fatalf("trace under faults rejected: %v", err)
 	}
 	if res.Delivered+res.Dropped+res.Stuck != len(pkts) {
 		t.Fatalf("unaccounted packets: %v", res)
 	}
 	kinds := map[EventKind]int{}
-	for _, e := range events {
+	for _, e := range res.Events {
 		kinds[e.Kind]++
 	}
 	if res.Reroutes > 0 && kinds[EventReroute] != res.Reroutes {
@@ -421,7 +420,7 @@ func TestLensFaultPartialService(t *testing.T) {
 	// serviceable pairs) must keep 100% delivery, the rest must drop with
 	// accounting — never hang.
 	g := debruijn.DeBruijn(3, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +445,7 @@ func TestLensFaultPartialService(t *testing.T) {
 
 	plan := NewFaultPlan().LensDown(0, 0, 1, arcs)
 	pkts := UniformRandom(27, 600, 21)
-	res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,10 +13,10 @@ import (
 // (delete arcs, rebuild, re-route) only show that the residual graph is
 // usable; this engine models faults as *events on the running network*:
 // a FaultPlan schedules link, node and lens faults at given cycles, and
-// Network.RunWithFaults applies them mid-flight without rebuilding the
-// digraph. A lens fault is the OTIS-specific correlated failure: one
-// lens carries a whole group of beams (arcs), computed by the otis
-// layer, and all of them die together.
+// a fault run (RunOpts with WithFaults) applies them mid-flight without
+// rebuilding the digraph. A lens fault is the OTIS-specific correlated
+// failure: one lens carries a whole group of beams (arcs), computed by
+// the otis layer, and all of them die together.
 
 // FaultKind classifies scheduled faults.
 type FaultKind int

@@ -20,11 +20,11 @@ func TestSingleArcFailureRerouted(t *testing.T) {
 	if faulty.M() != g.M()-1 {
 		t.Fatal("arc removal failed")
 	}
-	nw, err := New(faulty, NewTableRouter(faulty), DefaultConfig())
+	nw, err := NewNetwork(faulty, WithRouter(NewTableRouter(faulty)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run(UniformRandom(g.N(), 500, 80))
+	res := runFixed(t, nw, UniformRandom(g.N(), 500, 80))
 	if res.Dropped != 0 || res.Delivered != 500 {
 		t.Fatalf("arc failure dropped traffic: %v", res)
 	}
@@ -40,7 +40,7 @@ func TestVertexFailurePartialService(t *testing.T) {
 	// the failed region must still flow.
 	g := debruijn.DeBruijn(2, 4)
 	faulty := g.RemoveVertex(5)
-	nw, err := New(faulty, NewTableRouter(faulty), DefaultConfig())
+	nw, err := NewNetwork(faulty, WithRouter(NewTableRouter(faulty)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,14 +51,14 @@ func TestVertexFailurePartialService(t *testing.T) {
 			filtered = append(filtered, p)
 		}
 	}
-	res := nw.Run(filtered)
+	res := runFixed(t, nw, filtered)
 	if res.Delivered+res.Dropped != len(filtered) {
 		t.Fatal("packets lost without accounting")
 	}
 	// At degree 3 the same failure leaves everything routable.
 	g3 := debruijn.DeBruijn(3, 3)
 	faulty3 := g3.RemoveVertex(5)
-	nw3, _ := New(faulty3, NewTableRouter(faulty3), DefaultConfig())
+	nw3, _ := NewNetwork(faulty3, WithRouter(NewTableRouter(faulty3)))
 	pkts3 := UniformRandom(g3.N(), 400, 82)
 	var filtered3 []Packet
 	for _, p := range pkts3 {
@@ -66,7 +66,7 @@ func TestVertexFailurePartialService(t *testing.T) {
 			filtered3 = append(filtered3, p)
 		}
 	}
-	res3 := nw3.Run(filtered3)
+	res3 := runFixed(t, nw3, filtered3)
 	if res3.Dropped != 0 {
 		t.Errorf("B(3,3) minus one vertex dropped %d packets (κ = 2 promises none)", res3.Dropped)
 	}

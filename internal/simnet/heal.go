@@ -6,12 +6,12 @@ import (
 	"repro/internal/obs"
 )
 
-// Self-healing sessions. RunWithFaults hands its router the compiled
-// FaultState — an oracle no real network has. A SelfHealing session runs
-// the same cycle loop (faultLoop) with the oracle removed: the fault
-// plan is consulted only as physical truth (does this transmission
-// succeed? is this node alive?), never as routing input. Everything the
-// control plane knows it learned the hard way:
+// Self-healing sessions. A fault run (WithFaults) hands its router the
+// compiled FaultState — an oracle no real network has. A SelfHealing
+// session runs the same cycle loop (faultLoop) with the oracle removed:
+// the fault plan is consulted only as physical truth (does this
+// transmission succeed? is this node alive?), never as routing input.
+// Everything the control plane knows it learned the hard way:
 //
 //   - detect: a transmission onto a downed arc fails; the sender times
 //     out (DetectLatency cycles), bumps a per-arc suspicion counter,
@@ -57,9 +57,10 @@ type HealMonitor interface {
 }
 
 // HealConfig tunes a self-healing session. The zero value selects
-// defaults. The embedded FaultConfig keeps its RunWithFaults meaning
-// (hop latency, TTL, retry/backoff budget, queue bound, cycle bound per
-// Run), resolved against the Network the same way.
+// defaults; negative fields are invalid. The embedded FaultConfig keeps
+// its fault-run meaning (hop latency, TTL, retry/backoff budget, queue
+// bound, cycle bound per Run), resolved against the Network the same
+// way.
 type HealConfig struct {
 	FaultConfig
 	// DetectLatency is the timeout a sender pays for a failed
@@ -75,6 +76,26 @@ type HealConfig struct {
 	// Monitor, when non-nil, is consulted every cycle and may
 	// quarantine arc groups (see HealMonitor).
 	Monitor HealMonitor
+}
+
+// validate reports the first negative field of c as an *OptionError
+// naming SelfHeal, under the same rule as WithFaultConfig.
+func (c HealConfig) validate() error {
+	if err := c.FaultConfig.validate("SelfHeal"); err != nil {
+		return err
+	}
+	var reason string
+	switch {
+	case c.DetectLatency < 0:
+		reason = fmt.Sprintf("DetectLatency must be >= 0, got %d", c.DetectLatency)
+	case c.SuspectThreshold < 0:
+		reason = fmt.Sprintf("SuspectThreshold must be >= 0, got %d", c.SuspectThreshold)
+	case c.ProbeInterval < 0:
+		reason = fmt.Sprintf("ProbeInterval must be >= 0, got %d", c.ProbeInterval)
+	default:
+		return nil
+	}
+	return &OptionError{Option: "SelfHeal", Reason: reason}
 }
 
 func (c HealConfig) withHealDefaults(nw *Network, diameter int) HealConfig {
@@ -140,8 +161,13 @@ type SelfHealing struct {
 }
 
 // SelfHeal compiles the plan and opens a self-healing session. The
-// plan is physical truth only — no routing decision ever reads it.
+// plan is physical truth only — no routing decision ever reads it. A
+// negative cfg field fails with an *OptionError before anything runs.
+// The session records into the recorder attached with Observe.
 func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return nil, err

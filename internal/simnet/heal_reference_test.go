@@ -676,7 +676,7 @@ func TestHealEngineMatchesReference(t *testing.T) {
 					for _, monitored := range []bool{false, true} {
 						name := fmt.Sprintf("%s/seed%d/%s/%s/monitor=%v", top.name, seed, pc.name, cc.name, monitored)
 						open := func() (*SelfHealing, *obs.Recorder, *callLog) {
-							nw, err := New(g, router, DefaultConfig())
+							nw, err := NewNetwork(g, WithRouter(router))
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -125,11 +125,11 @@ func TestSelfHealingOmniscientBaseline(t *testing.T) {
 	pkts := allPairsWorkload(g.N())
 	for _, arc := range []Arc{{Tail: 1, Index: 0}, {Tail: 14, Index: 2}} {
 		plan := NewFaultPlanFor(g).LinkDown(0, 0, arc.Tail, arc.Index)
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := nw.RunWithFaults(pkts, plan, DefaultFaultConfig())
+		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ found:
 		}
 	}
 	plan := NewFaultPlanFor(g).LinkDown(0, 60, fault.Tail, fault.Index)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ found:
 func TestSelfHealingTruncatedRunAccounting(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	plan := NewFaultPlanFor(g).LinkDown(0, 0, 1, 0)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSelfHealingQuarantineStopsTraffic(t *testing.T) {
 		}
 	}
 	mon := &quarMonitor{arc: target, at: 0}
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,24 +7,18 @@ import (
 	"repro/internal/digraph"
 )
 
-// Network construction behind functional options. Historically a Network
-// was assembled positionally — New(g, router, cfg) — which forced every
-// caller to build a router by hand (almost always NewTableRouter(g)) and
-// to thread a Config struct even for the defaults. NewNetwork folds
-// router selection, Config fields and network-wide run defaults into one
-// option set:
+// Network construction behind functional options. A Network fixes what
+// every run on it shares — its digraph, its router, the wire time of one
+// hop and the cycle budget — and nothing else: a run takes RunOptions,
+// a self-healing session its HealConfig, and a recorder is attached with
+// Observe.
 //
 //	nw, err := simnet.NewNetwork(g,
 //	        simnet.WithRouting(simnet.ShiftRouting),
-//	        simnet.WithHopLatency(2),
-//	        simnet.WithShards(8))
+//	        simnet.WithHopLatency(2))
 //
-// Construction-only options (routing mode, router, hop latency, max
-// cycles) are netOption values; every RunOption is also a NetworkOption,
-// applied as a network-wide default that individual RunOpts calls
-// override field by field. Invalid options and combinations fail eagerly
-// with *OptionError values, before any table or slab is built. The old
-// positional New remains as a thin deprecated wrapper.
+// Invalid options and combinations fail eagerly with *OptionError
+// values, before any table or slab is built.
 
 // RoutingMode selects how a Network routes packets.
 type RoutingMode int
@@ -85,15 +79,13 @@ const autoShiftNodes = 4096
 
 // netConfig is the option state of one NewNetwork call.
 type netConfig struct {
-	cfg       Config
+	cfg       config
 	hopSet    bool
 	cyclesSet bool
-	cfgSet    bool
 	mode      RoutingMode
 	modeSet   bool
 	router    Router
 	routerSet bool
-	run       runConfig // network-wide run defaults (RunOptions)
 	errs      []error
 }
 
@@ -102,23 +94,9 @@ func (c *netConfig) fail(option, format string, args ...any) {
 	c.errs = append(c.errs, &OptionError{Option: option, Reason: fmt.Sprintf(format, args...)})
 }
 
-// NetworkOption configures one NewNetwork call. Both construction-only
-// options (WithRouting, WithRouter, WithHopLatency, WithMaxCycles,
-// WithConfig) and every RunOption satisfy it; a RunOption passed to
-// NewNetwork becomes the network-wide default for that run knob.
-type NetworkOption interface {
-	applyNetwork(*netConfig)
-}
-
-// netOption is a construction-only NetworkOption.
-type netOption func(*netConfig)
-
-func (o netOption) applyNetwork(c *netConfig) { o(c) }
-
-// applyNetwork makes every RunOption a NetworkOption: applied at
-// construction it seeds the network-wide run defaults, which RunOpts
-// merges under any per-run options.
-func (o RunOption) applyNetwork(c *netConfig) { o(&c.run) }
+// NetworkOption configures one NewNetwork call: WithRouting, WithRouter,
+// WithHopLatency or WithMaxCycles.
+type NetworkOption func(*netConfig)
 
 // WithRouting selects the routing mode. Only AutoRouting, TableRouting
 // and ShiftRouting are selectable (CustomRouting is what WithRouter
@@ -126,7 +104,7 @@ func (o RunOption) applyNetwork(c *netConfig) { o(&c.run) }
 // de Bruijn B(d, D) fails eagerly at NewNetwork. Duplicate WithRouting
 // options conflict, as does combining WithRouting with WithRouter.
 func WithRouting(mode RoutingMode) NetworkOption {
-	return netOption(func(c *netConfig) {
+	return func(c *netConfig) {
 		if c.modeSet {
 			c.fail("WithRouting", "conflicting duplicate option (two routing modes on one network)")
 			return
@@ -142,7 +120,7 @@ func WithRouting(mode RoutingMode) NetworkOption {
 		}
 		c.mode = mode
 		c.modeSet = true
-	})
+	}
 }
 
 // WithRouter supplies the Router directly, bypassing mode selection
@@ -151,7 +129,7 @@ func WithRouting(mode RoutingMode) NetworkOption {
 // otherwise). A nil router and duplicate WithRouter options fail
 // eagerly, as does combining WithRouter with WithRouting.
 func WithRouter(r Router) NetworkOption {
-	return netOption(func(c *netConfig) {
+	return func(c *netConfig) {
 		if c.routerSet {
 			c.fail("WithRouter", "conflicting duplicate option (two routers on one network)")
 			return
@@ -162,13 +140,13 @@ func WithRouter(r Router) NetworkOption {
 		}
 		c.router = r
 		c.routerSet = true
-	})
+	}
 }
 
-// WithHopLatency sets the wire time of one hop in cycles (Config
-// .HopLatency, default 1). Latencies below 1 fail eagerly.
+// WithHopLatency sets the wire time of one hop in cycles (default 1).
+// Latencies below 1 fail eagerly.
 func WithHopLatency(cycles int) NetworkOption {
-	return netOption(func(c *netConfig) {
+	return func(c *netConfig) {
 		if c.hopSet {
 			c.fail("WithHopLatency", "conflicting duplicate option (two hop latencies on one network)")
 			return
@@ -179,14 +157,13 @@ func WithHopLatency(cycles int) NetworkOption {
 		}
 		c.cfg.HopLatency = cycles
 		c.hopSet = true
-	})
+	}
 }
 
 // WithMaxCycles caps every run of the network at the given cycle budget
-// (Config.MaxCycles; 0 keeps the generous per-run default). Negative
-// budgets fail eagerly.
+// (0 keeps the generous per-run default). Negative budgets fail eagerly.
 func WithMaxCycles(cycles int) NetworkOption {
-	return netOption(func(c *netConfig) {
+	return func(c *netConfig) {
 		if c.cyclesSet {
 			c.fail("WithMaxCycles", "conflicting duplicate option (two cycle budgets on one network)")
 			return
@@ -197,37 +174,7 @@ func WithMaxCycles(cycles int) NetworkOption {
 		}
 		c.cfg.MaxCycles = cycles
 		c.cyclesSet = true
-	})
-}
-
-// WithConfig folds a whole legacy Config into the option set — the
-// bridge the deprecated positional constructors ride through. Field
-// validation matches New; combining WithConfig with the per-field
-// options (WithHopLatency, WithMaxCycles) conflicts.
-func WithConfig(cfg Config) NetworkOption {
-	return netOption(func(c *netConfig) {
-		if c.cfgSet {
-			c.fail("WithConfig", "conflicting duplicate option (two configs on one network)")
-			return
-		}
-		if c.hopSet || c.cyclesSet {
-			c.fail("WithConfig", "conflicts with WithHopLatency/WithMaxCycles (pick one style)")
-			return
-		}
-		switch {
-		case cfg.HopLatency < 1:
-			c.fail("WithConfig", "HopLatency must be >= 1, got %d", cfg.HopLatency)
-			return
-		case cfg.QueueCapacity < 0:
-			c.fail("WithConfig", "QueueCapacity must be >= 0, got %d", cfg.QueueCapacity)
-			return
-		case cfg.HoldBudget < 0:
-			c.fail("WithConfig", "HoldBudget must be >= 0, got %d", cfg.HoldBudget)
-			return
-		}
-		c.cfg = cfg
-		c.cfgSet = true
-	})
+	}
 }
 
 // routingModeOf reports the mode a concrete router implies.
@@ -242,25 +189,22 @@ func routingModeOf(r Router) RoutingMode {
 }
 
 // NewNetwork creates a network simulation over g, configured by
-// functional options. With no options it is New(g, NewTableRouter(g),
-// DefaultConfig()) for small graphs; large congruence-form de Bruijn
-// graphs route table-free (AutoRouting). All validation is eager: the
-// first invalid option or combination is returned as an *OptionError
-// before any routing table is built.
+// functional options. With no options it has unit hop latency and the
+// generous default cycle budget, and routes by the shortest-path table
+// (NewTableRouter) on small graphs and table-free on large
+// congruence-form de Bruijn graphs (AutoRouting). All validation is
+// eager: the first invalid option or combination is returned as an
+// *OptionError before any routing table is built.
 func NewNetwork(g *digraph.Digraph, opts ...NetworkOption) (*Network, error) {
 	if g == nil || g.N() == 0 {
 		return nil, fmt.Errorf("simnet: empty digraph")
 	}
-	nc := netConfig{cfg: DefaultConfig()}
+	nc := netConfig{cfg: config{HopLatency: 1}}
 	for _, o := range opts {
-		o.applyNetwork(&nc)
+		o(&nc)
 	}
-	nc.errs = append(nc.errs, nc.run.errs...)
 	if nc.routerSet && nc.modeSet {
 		nc.fail("WithRouter", "conflicts with WithRouting (the supplied router fixes the routing mode)")
-	}
-	if nc.run.shardsSet && nc.run.shards > g.N() {
-		nc.fail("WithShards", "shard count %d exceeds the %d-node digraph", nc.run.shards, g.N())
 	}
 	if len(nc.errs) > 0 {
 		return nil, nc.errs[0]
@@ -286,9 +230,7 @@ func NewNetwork(g *digraph.Digraph, opts ...NetworkOption) (*Network, error) {
 			router = NewTableRouter(g)
 		}
 	}
-	nw := newNetwork(g, router, nc.cfg)
-	nw.defaults = nc.run
-	return nw, nil
+	return newNetwork(g, router, nc.cfg), nil
 }
 
 // Routing reports the network's resolved routing mode: TableRouting or
@@ -296,12 +238,3 @@ func NewNetwork(g *digraph.Digraph, opts ...NetworkOption) (*Network, error) {
 // constructed — AutoRouting resolves at NewNetwork and is never
 // reported), CustomRouting for a caller-supplied Router.
 func (nw *Network) Routing() RoutingMode { return routingModeOf(nw.router) }
-
-// Shards reports the network-wide default shard count (WithShards at
-// NewNetwork; 1 when unset — the lane kernel on one lane).
-func (nw *Network) Shards() int {
-	if nw.defaults.shardsSet {
-		return nw.defaults.shards
-	}
-	return 1
-}

@@ -10,50 +10,6 @@ import (
 	"repro/internal/otis"
 )
 
-// TestNewNetworkEquivalentToNew pins the deprecated positional
-// constructor to the options API: New(g, router, cfg) and
-// NewNetwork(g, WithRouter(router), WithConfig(cfg)) must produce
-// DeepEqual results on the same workloads, across configs and routers.
-func TestNewNetworkEquivalentToNew(t *testing.T) {
-	g := debruijn.DeBruijn(3, 3)
-	cases := []struct {
-		name   string
-		router Router
-		cfg    Config
-	}{
-		{"table/default", NewTableRouter(g), DefaultConfig()},
-		{"shift/default", NewDeBruijnRouter(3, 3), DefaultConfig()},
-		{"table/hop2", NewTableRouter(g), Config{HopLatency: 2}},
-		{"table/bounded", NewTableRouter(g), Config{HopLatency: 1, QueueCapacity: 2, HoldBudget: 8}},
-		{"table/capped", NewTableRouter(g), Config{HopLatency: 1, MaxCycles: 40}},
-	}
-	for _, tc := range cases {
-		old, err := New(g, tc.router, tc.cfg)
-		if err != nil {
-			t.Fatalf("%s: New: %v", tc.name, err)
-		}
-		nu, err := NewNetwork(g, WithRouter(tc.router), WithConfig(tc.cfg))
-		if err != nil {
-			t.Fatalf("%s: NewNetwork: %v", tc.name, err)
-		}
-		pkts := UniformRandom(g.N(), 3*g.N(), 17)
-		if want, got := old.Run(pkts), nu.Run(pkts); !reflect.DeepEqual(want, got) {
-			t.Fatalf("%s: Run diverged between New and NewNetwork", tc.name)
-		}
-		a, err := old.RunOpts(PermutationLoad(), WithSeed(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := nu.RunOpts(PermutationLoad(), WithSeed(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: RunOpts diverged between New and NewNetwork", tc.name)
-		}
-	}
-}
-
 // TestNewNetworkRoutingModes pins mode resolution: explicit table and
 // shift selection, the CustomRouting report for WithRouter, and the
 // AutoRouting crossover (small graphs keep the table, large
@@ -185,10 +141,6 @@ func TestNewNetworkOptionErrors(t *testing.T) {
 		{"hop latency 0", []NetworkOption{WithHopLatency(0)}, g, "WithHopLatency"},
 		{"duplicate hop latency", []NetworkOption{WithHopLatency(2), WithHopLatency(3)}, g, "WithHopLatency"},
 		{"negative max cycles", []NetworkOption{WithMaxCycles(-1)}, g, "WithMaxCycles"},
-		{"bad config", []NetworkOption{WithConfig(Config{})}, g, "WithConfig"},
-		{"config+hop", []NetworkOption{WithHopLatency(2), WithConfig(DefaultConfig())}, g, "WithConfig"},
-		{"bad run default", []NetworkOption{WithQueueCapacity(0)}, g, "WithQueueCapacity"},
-		{"shards beyond nodes", []NetworkOption{WithShards(g.N() + 1)}, g, "WithShards"},
 	}
 	for _, tc := range cases {
 		_, err := NewNetwork(tc.graph, tc.opts...)
@@ -202,67 +154,13 @@ func TestNewNetworkOptionErrors(t *testing.T) {
 	}
 }
 
-// TestNetworkRunDefaults pins the merge rule: RunOptions given to
-// NewNetwork act as defaults for every run, overridden field by field
-// by per-run options.
-func TestNetworkRunDefaults(t *testing.T) {
-	g := debruijn.DeBruijn(2, 5)
-	plain, err := NewNetwork(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed default at construction: RunOpts with no options uses it.
-	seeded, err := NewNetwork(g, WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := plain.RunOpts(UniformLoad(64), WithSeed(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := seeded.RunOpts(UniformLoad(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("network-default WithSeed(7) not applied")
-	}
-	// Per-run override wins.
-	want, err = plain.RunOpts(UniformLoad(64), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = seeded.RunOpts(UniformLoad(64), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("per-run WithSeed(3) did not override the network default")
-	}
-	// A qcap default changes engine behaviour for plain Run too.
-	bounded, err := NewNetwork(g, WithQueueCapacity(1), WithHoldBudget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := UniformRandom(g.N(), 6*g.N(), 5)
-	wantB, err := plain.RunOpts(Fixed(pkts), WithQueueCapacity(1), WithHoldBudget(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotB := bounded.Run(pkts); !reflect.DeepEqual(wantB.Result, gotB) {
-		t.Fatalf("network-default queue bound not applied by Run")
-	}
-	if wantB.Holds == 0 && wantB.DroppedQueueFull == 0 {
-		t.Fatalf("bounded default produced no backpressure; test not exercising the bound")
-	}
-}
-
 // TestNetworkConfigReachesEveryEngine is the agreement property behind a
-// Network's Config: with unbounded queues, a plain RunOpts, a fault run
-// with no plan (WithFaults(nil)) and a fresh self-healing session with
-// an empty plan must deliver every packet at the same cycle after the
-// same hops, at every HopLatency the Network is built with — the fault
-// and heal tunings leave HopLatency zero, so they take the Network's.
+// Network's hop latency: with unbounded queues, a plain RunOpts, a fault
+// run with no plan (WithFaults(nil)) and a fresh self-healing session
+// with an empty plan must deliver every packet at the same cycle after
+// the same hops, at every WithHopLatency the Network is built with — the
+// fault and heal tunings leave HopLatency zero, so they take the
+// Network's.
 // MaxQueue and HotNode are left out: the fault loop reports node-FIFO
 // depth (Result.MaxQueue).
 func TestNetworkConfigReachesEveryEngine(t *testing.T) {
@@ -334,118 +232,39 @@ func sameDeliveries(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestQueueBoundReachesFaultEngine: a Network's queue bound and hold
-// budget — from its Config or from network-default WithQueueCapacity and
-// WithHoldBudget — reach fault runs and self-healing sessions that leave
-// FaultConfig.QueueCapacity and HoldBudget at 0. Each is DeepEqual to the
-// same engine bounded explicitly on an unbounded network, and the bound
-// bites: packets hold or drop.
-func TestQueueBoundReachesFaultEngine(t *testing.T) {
-	g := debruijn.DeBruijn(2, 6)
-	open, err := NewNetwork(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		opts     []NetworkOption
-		explicit FaultConfig
-	}{
-		{"Config", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 1})}, FaultConfig{QueueCapacity: 1}},
-		{"Config+hold", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 2, HoldBudget: 3})},
-			FaultConfig{QueueCapacity: 2, HoldBudget: 3}},
-		{"options", []NetworkOption{WithQueueCapacity(1), WithHoldBudget(2)}, FaultConfig{QueueCapacity: 1, HoldBudget: 2}},
-	} {
-		bounded, err := NewNetwork(g, tc.opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for seed := int64(1); seed <= 3; seed++ {
-			label := tc.name + "/seed=" + itoa(int(seed))
-			pkts := UniformRandom(g.N(), 256, seed)
-			got, err := bounded.RunOpts(Fixed(pkts), WithFaults(nil))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := open.RunOpts(Fixed(pkts), WithFaultConfig(tc.explicit))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: fault run %v, explicitly bounded %v", label, got.FaultResult, want.FaultResult)
-			}
-			if got.Holds == 0 && got.DroppedQueueFull == 0 {
-				t.Fatalf("%s: fault run never held or dropped against the bound: %v", label, got.FaultResult)
-			}
-
-			session, err := bounded.SelfHeal(nil, HealConfig{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			heal, err := session.Run(pkts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			session, err = open.SelfHeal(nil, HealConfig{FaultConfig: tc.explicit})
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantHeal, err := session.Run(pkts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(heal, wantHeal) {
-				t.Fatalf("%s: heal session %v, explicitly bounded %v", label, heal, wantHeal)
-			}
-			if heal.Holds == 0 && heal.DroppedQueueFull == 0 {
-				t.Fatalf("%s: heal session never held or dropped against the bound: %v", label, heal)
-			}
-		}
-	}
-}
-
 // TestQueueBoundPrecedence pins which queue bound and hold budget a run
-// takes: a per-run WithQueueCapacity or WithHoldBudget first, then an
-// explicit FaultConfig field, then the network default and the Config,
-// with the default hold budget resolved from the bound the run finally
-// takes. Each run is DeepEqual to the same per-run options on an
-// unbounded network.
+// takes: a per-run WithQueueCapacity beats the FaultConfig's bound, and
+// the default hold budget is resolved from the bound the run finally
+// takes. Each run is DeepEqual to the FaultConfig that spells out what
+// it must resolve to.
 func TestQueueBoundPrecedence(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
-	open, err := NewNetwork(g)
+	nw, err := NewNetwork(g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	overridden := []RunOption{WithFaultConfig(FaultConfig{QueueCapacity: 1}), WithQueueCapacity(4)}
 	for _, tc := range []struct {
 		name    string
-		net     []NetworkOption
-		run     RunOption
+		want    FaultConfig
 		packets int
 	}{
-		// An explicit FaultConfig bound beats a network-default
-		// WithQueueCapacity.
-		{"fault_config_over_default", []NetworkOption{WithQueueCapacity(1)},
-			WithFaultConfig(FaultConfig{QueueCapacity: 4}), 256},
-		// A per-run bound on a Config-bounded network holds for 4·4+16
-		// cycles, not the 4·1+16 of the Config's bound.
-		{"per_run_bound_hold_budget", []NetworkOption{WithConfig(Config{HopLatency: 1, QueueCapacity: 1})},
-			WithQueueCapacity(4), 1024},
+		{"per_run_bound_over_fault_config", FaultConfig{QueueCapacity: 4}, 256},
+		// Holds for 4·4+16 cycles, not the 4·1+16 of the FaultConfig's
+		// bound.
+		{"per_run_bound_hold_budget", FaultConfig{QueueCapacity: 4, HoldBudget: 4*4 + 16}, 1024},
 	} {
-		bounded, err := NewNetwork(g, tc.net...)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for seed := int64(1); seed <= 3; seed++ {
-			want, err := open.RunOpts(UniformLoad(tc.packets), WithSeed(seed), tc.run)
+			want, err := nw.RunOpts(UniformLoad(tc.packets), WithSeed(seed), WithFaultConfig(tc.want))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := bounded.RunOpts(UniformLoad(tc.packets), WithSeed(seed), tc.run)
+			got, err := nw.RunOpts(UniformLoad(tc.packets), append(overridden, WithSeed(seed))...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: run %v, on an unbounded network %v", tc.name, seed, got.FaultResult, want.FaultResult)
+				t.Fatalf("%s seed %d: run %v, spelled out %v", tc.name, seed, got.FaultResult, want.FaultResult)
 			}
 		}
 	}

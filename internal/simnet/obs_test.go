@@ -15,19 +15,19 @@ func TestInstrumentedRunMatchesUninstrumented(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	pkts := UniformRandom(g.N(), 800, 17)
 
-	plain, err := New(g, NewTableRouter(g), DefaultConfig())
+	plain, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := plain.Run(pkts)
+	bare := runFixed(t, plain, pkts)
 
-	instr, err := New(g, NewTableRouter(g), DefaultConfig())
+	instr, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(nil)
 	instr.Observe(rec)
-	observed := instr.Run(pkts)
+	observed := runFixed(t, instr, pkts)
 
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("instrumented run diverged:\nbare:     %+v\nobserved: %+v", bare, observed)
@@ -39,13 +39,13 @@ func TestInstrumentedRunMatchesUninstrumented(t *testing.T) {
 // per-packet hop counts must all agree.
 func TestArcTraversalsSumToHops(t *testing.T) {
 	g := debruijn.DeBruijn(3, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(nil)
 	nw.Observe(rec)
-	res := nw.Run(Permutation(g.N(), 3))
+	res := runFixed(t, nw, Permutation(g.N(), 3))
 
 	var hops int64
 	for _, p := range res.Packets {
@@ -77,7 +77,7 @@ func TestArcTraversalsSumToHops(t *testing.T) {
 // drain accounting against the recorder's cause buckets.
 func TestFaultRunRecorderMatchesResult(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestFaultRunRecorderMatchesResult(t *testing.T) {
 		plan.LinkDown(0, 0, 0, k)
 		plan.LinkDown(0, 0, 1, k)
 	}
-	res, err := nw.RunWithFaults(UniformRandom(g.N(), 600, 3), plan, DefaultFaultConfig())
+	res, err := nw.RunOpts(Fixed(UniformRandom(g.N(), 600, 3)), WithFaults(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,90 +119,11 @@ func TestFaultRunRecorderMatchesResult(t *testing.T) {
 	}
 }
 
-// TestRunOptsSubsumesWrappers: the functional-options entry point must
-// reproduce each deprecated wrapper exactly.
-func TestRunOptsSubsumesWrappers(t *testing.T) {
-	g := debruijn.DeBruijn(2, 5)
-	mk := func() *Network {
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return nw
-	}
-	pkts := UniformRandom(g.N(), 300, 9)
-
-	// Plain run.
-	want := mk().Run(pkts)
-	rep, err := mk().RunOpts(Fixed(pkts))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep.Result, want) {
-		t.Errorf("RunOpts plain diverged from Run")
-	}
-
-	// Workload generation matches the generator called directly.
-	rep2, err := mk().RunOpts(UniformLoad(300), WithSeed(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rep2.Result, want) {
-		t.Errorf("UniformLoad+WithSeed diverged from UniformRandom")
-	}
-
-	// Fault run.
-	plan := NewFaultPlan()
-	plan.LinkDown(0, 0, 0, 0)
-	wantF, err := mk().RunWithFaults(pkts, plan, DefaultFaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repF, err := mk().RunOpts(Fixed(pkts), WithFaults(plan))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repF.FaultResult, wantF) {
-		t.Errorf("RunOpts(WithFaults) diverged from RunWithFaults")
-	}
-	if repF.Events != nil {
-		t.Errorf("untraced run carries events")
-	}
-
-	// Traced fault run.
-	wantR, wantEv, err := mk().TracedRunWithFaults(pkts, plan, DefaultFaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	repT, err := mk().RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repT.FaultResult, wantR) || !reflect.DeepEqual(repT.Events, wantEv) {
-		t.Errorf("RunOpts(WithFaults, WithTrace) diverged from TracedRunWithFaults")
-	}
-
-	// Traced fault-free run.
-	wantP, wantPEv := mk().TracedRun(pkts)
-	repP, err := mk().RunOpts(Fixed(pkts), WithTrace())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(repP.Result, wantP) || !reflect.DeepEqual(repP.Events, wantPEv) {
-		t.Errorf("RunOpts(WithTrace) diverged from TracedRun")
-	}
-
-	// Nil workload is an error, not a panic.
-	if _, err := mk().RunOpts(nil); err == nil {
-		t.Error("RunOpts(nil) accepted")
-	}
-}
-
 // TestRunOptsWithRecorderOverride: WithRecorder records the run without
 // touching the network's attached recorder.
 func TestRunOptsWithRecorderOverride(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +153,7 @@ func TestRunOptsWithRecorderOverride(t *testing.T) {
 // certification of the obs hot path.
 func TestSweepSharedRecorder(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,12 @@ import (
 )
 
 // Overload protection: admission control at injection and the
-// saturation instrumentation around it. Bounded queues (Config/RunOpts
-// QueueCapacity) and credit-based backpressure live in the run loops;
-// this file holds the source regulator that decides which offered
-// packets enter the network at all, and the sweep that measures how a
-// topology degrades as offered load crosses its saturation throughput.
+// saturation instrumentation around it. Bounded queues
+// (WithQueueCapacity, FaultConfig.QueueCapacity) and credit-based
+// backpressure live in the run loops; this file holds the source
+// regulator that decides which offered packets enter the network at
+// all, and the sweep that measures how a topology degrades as offered
+// load crosses its saturation throughput.
 //
 // Accounting contract: a packet refused by admission is *shed*, never
 // dropped — Shed is its own bucket so Delivered + Dropped + Shed ==
@@ -134,7 +135,8 @@ func (p SaturationPoint) String() string {
 // degrades. The options are applied to every point — typically
 // WithQueueCapacity to bound memory and WithAdmission to shed at the
 // sources; the same seed is used at every multiple so points differ
-// only in release schedule density.
+// only in release schedule density. The sweep passes WithSeed(seed)
+// itself, so opts carrying a WithSeed fail as a duplicate.
 func (nw *Network) SaturationSweep(multiples []float64, packets int, seed int64, opts ...RunOption) ([]SaturationPoint, error) {
 	sat, ok := SaturationRate(nw.g)
 	if !ok {

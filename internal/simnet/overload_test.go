@@ -22,7 +22,7 @@ import (
 // under bounded queues and checks every leg of the claim.
 func TestClaimXOverload(t *testing.T) {
 	g := debruijn.DeBruijn(3, 5)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestSaturationCatalogAccounting(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no saturation rate", name)
 		}
-		nw, err := New(g, NewTableRouter(g), DefaultConfig())
+		nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -152,7 +152,7 @@ func TestChaosOverload(t *testing.T) {
 	if !ok {
 		t.Fatal("B(2,4) not strongly connected?")
 	}
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestChaosOverload(t *testing.T) {
 // queues — accounting exact, queue bound respected, deterministic.
 func TestHealOverload(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,11 +227,11 @@ func TestHealOverload(t *testing.T) {
 	}
 }
 
-// TestRunOptsValidation: invalid options and workloads fail eagerly
-// with *OptionError, before any simulation work.
+// TestRunOptsValidation: invalid options, workloads and self-healing
+// configs fail eagerly with *OptionError, before any simulation work.
 func TestRunOptsValidation(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,32 +241,50 @@ func TestRunOptsValidation(t *testing.T) {
 		w      Workload
 		opts   []RunOption
 		option string // expected OptionError.Option
+		// heal, when set, opens a self-healing session with it instead
+		// of running w.
+		heal *HealConfig
 	}{
-		{"queue capacity zero", ok, []RunOption{WithQueueCapacity(0)}, "WithQueueCapacity"},
-		{"queue capacity negative", ok, []RunOption{WithQueueCapacity(-3)}, "WithQueueCapacity"},
-		{"hold budget zero", ok, []RunOption{WithHoldBudget(0)}, "WithHoldBudget"},
-		{"admission rate zero", ok, []RunOption{WithAdmission(AdmissionConfig{})}, "WithAdmission"},
-		{"admission burst negative", ok, []RunOption{WithAdmission(AdmissionConfig{Rate: 1, Burst: -1})}, "WithAdmission"},
-		{"admission delay negative", ok, []RunOption{WithAdmission(AdmissionConfig{Rate: 1, MaxDelay: -1})}, "WithAdmission"},
+		{"queue capacity zero", ok, []RunOption{WithQueueCapacity(0)}, "WithQueueCapacity", nil},
+		{"queue capacity negative", ok, []RunOption{WithQueueCapacity(-3)}, "WithQueueCapacity", nil},
+		{"hold budget zero", ok, []RunOption{WithHoldBudget(0)}, "WithHoldBudget", nil},
+		{"admission rate zero", ok, []RunOption{WithAdmission(AdmissionConfig{})}, "WithAdmission", nil},
+		{"admission burst negative", ok, []RunOption{WithAdmission(AdmissionConfig{Rate: 1, Burst: -1})}, "WithAdmission", nil},
+		{"admission delay negative", ok, []RunOption{WithAdmission(AdmissionConfig{Rate: 1, MaxDelay: -1})}, "WithAdmission", nil},
 		{"duplicate admission", ok, []RunOption{
-			WithAdmission(AdmissionConfig{Rate: 1}), WithAdmission(AdmissionConfig{Rate: 2})}, "WithAdmission"},
-		{"duplicate fault plans", ok, []RunOption{WithFaults(nil), WithFaults(nil)}, "WithFaults"},
+			WithAdmission(AdmissionConfig{Rate: 1}), WithAdmission(AdmissionConfig{Rate: 2})}, "WithAdmission", nil},
+		{"duplicate fault plans", ok, []RunOption{WithFaults(nil), WithFaults(nil)}, "WithFaults", nil},
 		{"duplicate fault configs", ok, []RunOption{
-			WithFaultConfig(FaultConfig{}), WithFaultConfig(FaultConfig{})}, "WithFaultConfig"},
-		{"duplicate recorders", ok, []RunOption{WithRecorder(nil), WithRecorder(nil)}, "WithRecorder"},
-		{"negative TTL", ok, []RunOption{WithFaultConfig(FaultConfig{TTL: -1})}, "WithFaultConfig"},
-		{"negative retries", ok, []RunOption{WithFaultConfig(FaultConfig{MaxRetries: -1})}, "WithFaultConfig"},
-		{"negative backoff", ok, []RunOption{WithFaultConfig(FaultConfig{BackoffBase: -1})}, "WithFaultConfig"},
-		{"negative queue capacity in config", ok, []RunOption{WithFaultConfig(FaultConfig{QueueCapacity: -1})}, "WithFaultConfig"},
-		{"negative hold budget in config", ok, []RunOption{WithFaultConfig(FaultConfig{HoldBudget: -1})}, "WithFaultConfig"},
-		{"poisson rate zero", PoissonLoad(10, 0), nil, "PoissonLoad"},
-		{"poisson rate above one", PoissonLoad(10, 1.5), nil, "PoissonLoad"},
-		{"poisson negative count", PoissonLoad(-1, 0.5), nil, "PoissonLoad"},
-		{"rated rate zero", RatedLoad(10, 0), nil, "RatedLoad"},
-		{"rated negative count", RatedLoad(-1, 2), nil, "RatedLoad"},
+			WithFaultConfig(FaultConfig{}), WithFaultConfig(FaultConfig{})}, "WithFaultConfig", nil},
+		{"duplicate recorders", ok, []RunOption{WithRecorder(nil), WithRecorder(nil)}, "WithRecorder", nil},
+		{"negative TTL", ok, []RunOption{WithFaultConfig(FaultConfig{TTL: -1})}, "WithFaultConfig", nil},
+		{"negative retries", ok, []RunOption{WithFaultConfig(FaultConfig{MaxRetries: -1})}, "WithFaultConfig", nil},
+		{"negative backoff", ok, []RunOption{WithFaultConfig(FaultConfig{BackoffBase: -1})}, "WithFaultConfig", nil},
+		{"negative queue capacity in config", ok, []RunOption{WithFaultConfig(FaultConfig{QueueCapacity: -1})}, "WithFaultConfig", nil},
+		{"negative hold budget in config", ok, []RunOption{WithFaultConfig(FaultConfig{HoldBudget: -1})}, "WithFaultConfig", nil},
+		{"poisson rate zero", PoissonLoad(10, 0), nil, "PoissonLoad", nil},
+		{"poisson rate above one", PoissonLoad(10, 1.5), nil, "PoissonLoad", nil},
+		{"poisson negative count", PoissonLoad(-1, 0.5), nil, "PoissonLoad", nil},
+		{"rated rate zero", RatedLoad(10, 0), nil, "RatedLoad", nil},
+		{"rated negative count", RatedLoad(-1, 2), nil, "RatedLoad", nil},
+		{"duplicate seeds", ok, []RunOption{WithSeed(1), WithSeed(2)}, "WithSeed", nil},
+		{"duplicate queue capacities", ok, []RunOption{WithQueueCapacity(1), WithQueueCapacity(4)}, "WithQueueCapacity", nil},
+		{"duplicate hold budgets", ok, []RunOption{
+			WithQueueCapacity(2), WithHoldBudget(3), WithHoldBudget(8)}, "WithHoldBudget", nil},
+		{name: "heal negative max cycles", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{MaxCycles: -1}}},
+		{name: "heal negative queue capacity", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{QueueCapacity: -1}}},
+		{name: "heal negative TTL", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{TTL: -1}}},
+		{name: "heal negative detect latency", option: "SelfHeal", heal: &HealConfig{DetectLatency: -1}},
+		{name: "heal negative suspect threshold", option: "SelfHeal", heal: &HealConfig{SuspectThreshold: -1}},
+		{name: "heal negative probe interval", option: "SelfHeal", heal: &HealConfig{ProbeInterval: -1}},
 	}
 	for _, tc := range cases {
-		_, err := nw.RunOpts(tc.w, tc.opts...)
+		var err error
+		if tc.heal != nil {
+			_, err = nw.SelfHeal(nil, *tc.heal)
+		} else {
+			_, err = nw.RunOpts(tc.w, tc.opts...)
+		}
 		var oe *OptionError
 		if !errors.As(err, &oe) {
 			t.Errorf("%s: error %v, want *OptionError", tc.name, err)
@@ -285,6 +303,18 @@ func TestRunOptsValidation(t *testing.T) {
 	if _, err := nw.RunOpts(ok, WithQueueCapacity(2), WithHoldBudget(8),
 		WithAdmission(AdmissionConfig{Rate: 0.5})); err != nil {
 		t.Errorf("valid overload options rejected: %v", err)
+	}
+	// A nil workload is an error, not a panic.
+	if _, err := nw.RunOpts(nil); err == nil {
+		t.Error("RunOpts(nil) accepted")
+	}
+	// A workload runs the packets its generator makes for the run's seed.
+	want, err := nw.RunOpts(Fixed(UniformRandom(g.N(), 10, 9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := nw.RunOpts(ok, WithSeed(9)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("UniformLoad(10) at WithSeed(9) diverged from UniformRandom(n, 10, 9): %v", err)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPeakQueueSurfacesAgree(t *testing.T) {
 	}
 	for _, tc := range tunings {
 		for seed := int64(1); seed <= 3; seed++ {
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
+			nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +73,7 @@ func TestPeakQueueSurfacesAgree(t *testing.T) {
 
 			// Brute-force witness: the frozen historical engine replays
 			// the same workload and must see the same peak.
-			nwRef, err := New(g, NewTableRouter(g), DefaultConfig())
+			nwRef, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -110,11 +110,11 @@ func BenchmarkDeBruijnNextArc(b *testing.B) {
 func TestDeBruijnRouterMatchesTableRouter(t *testing.T) {
 	for _, tc := range []struct{ d, D int }{{2, 6}, {3, 4}, {3, 5}} {
 		g := debruijn.DeBruijn(tc.d, tc.D)
-		nwWord, err := New(g, NewDeBruijnRouter(tc.d, tc.D), DefaultConfig())
+		nwWord, err := NewNetwork(g, WithRouter(NewDeBruijnRouter(tc.d, tc.D)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		nwTable, err := New(g, NewTableRouter(g), DefaultConfig())
+		nwTable, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatal(err)
 		}

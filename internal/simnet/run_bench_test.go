@@ -15,7 +15,7 @@ func BenchmarkPermutationRun(b *testing.B) {
 	for _, sz := range []struct{ d, D int }{{3, 5}, {3, 6}, {3, 7}} {
 		b.Run(fmt.Sprintf("B(%d,%d)", sz.d, sz.D), func(b *testing.B) {
 			g := debruijn.DeBruijn(sz.d, sz.D)
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
+			nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -23,7 +23,7 @@ func BenchmarkPermutationRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res := nw.Run(pkts)
+				res := runFixed(b, nw, pkts)
 				if res.Delivered == 0 {
 					b.Fatal("nothing delivered")
 				}
@@ -41,7 +41,7 @@ func BenchmarkReferencePermutationRun(b *testing.B) {
 	for _, sz := range []struct{ d, D int }{{3, 5}, {3, 6}, {3, 7}} {
 		b.Run(fmt.Sprintf("B(%d,%d)", sz.d, sz.D), func(b *testing.B) {
 			g := debruijn.DeBruijn(sz.d, sz.D)
-			nw, err := New(g, NewTableRouter(g), DefaultConfig())
+			nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -6,18 +6,16 @@ import (
 	"repro/internal/obs"
 )
 
-// The unified run entry point. Historically the Network grew three
-// parallel entry points — Run, RunWithFaults, TracedRunWithFaults —
-// each with its own positional signature; every new cross-cutting
-// concern (tracing, fault plans, now metrics recording) multiplied the
-// surface. RunOpts collapses them behind functional options:
+// The one run entry point: a Workload plus functional options, every
+// one of them per run.
 //
 //	rep, err := nw.RunOpts(simnet.UniformLoad(5000),
 //	        simnet.WithSeed(7),
 //	        simnet.WithFaults(plan),
 //	        simnet.WithRecorder(rec))
 //
-// The old names remain as thin deprecated wrappers.
+// A literal packet list runs as Fixed(pkts). Each option may appear once
+// per call; a duplicate fails eagerly like any invalid option.
 
 // Workload produces the packets of one run, given the network size and
 // a seed. Deterministic generators ignore the seed.
@@ -124,50 +122,12 @@ type runConfig struct {
 	recOverride bool
 	seed        int64
 	seedSet     bool
-	qcap        int
-	qcapSet     bool
-	hold        int
-	holdSet     bool
+	qcap        int // per-run queue bound (0: none given)
+	hold        int // per-run hold budget (0: none given)
 	admission   AdmissionConfig
 	admit       bool
-	shards      int
-	shardsSet   bool
+	shards      int // requested lane count (0: none given)
 	errs        []error
-}
-
-// overriddenBy returns base with every option the per-run config set
-// layered on top — the merge rule of network-wide run defaults
-// (NewNetwork with RunOptions) under per-run options: per-run wins field
-// by field, untouched defaults persist.
-func (c runConfig) overriddenBy(per runConfig) runConfig {
-	out := c
-	out.faults = c.faults || per.faults
-	out.traced = c.traced || per.traced
-	if per.planSet {
-		out.plan, out.planSet = per.plan, true
-	}
-	if per.faultCfgSet {
-		out.faultCfg, out.faultCfgSet = per.faultCfg, true
-	}
-	if per.recOverride {
-		out.rec, out.recOverride = per.rec, true
-	}
-	if per.seedSet {
-		out.seed, out.seedSet = per.seed, true
-	}
-	if per.qcapSet {
-		out.qcap, out.qcapSet = per.qcap, true
-	}
-	if per.holdSet {
-		out.hold, out.holdSet = per.hold, true
-	}
-	if per.admit {
-		out.admission, out.admit = per.admission, true
-	}
-	if per.shardsSet {
-		out.shards, out.shardsSet = per.shards, true
-	}
-	return out
 }
 
 // fail records an eager option error, surfaced by RunOpts.
@@ -204,21 +164,8 @@ func WithFaultConfig(cfg FaultConfig) RunOption {
 			c.fail("WithFaultConfig", "conflicting duplicate option (two fault configs on one run)")
 			return
 		}
-		switch {
-		case cfg.HopLatency < 0:
-			c.fail("WithFaultConfig", "HopLatency must be >= 0, got %d", cfg.HopLatency)
-		case cfg.MaxCycles < 0:
-			c.fail("WithFaultConfig", "MaxCycles must be >= 0, got %d", cfg.MaxCycles)
-		case cfg.TTL < 0:
-			c.fail("WithFaultConfig", "TTL must be >= 0 (0 selects the default), got %d", cfg.TTL)
-		case cfg.MaxRetries < 0:
-			c.fail("WithFaultConfig", "MaxRetries must be >= 0, got %d", cfg.MaxRetries)
-		case cfg.BackoffBase < 0 || cfg.BackoffCap < 0:
-			c.fail("WithFaultConfig", "backoff base/cap must be >= 0, got %d/%d", cfg.BackoffBase, cfg.BackoffCap)
-		case cfg.QueueCapacity < 0:
-			c.fail("WithFaultConfig", "QueueCapacity must be >= 0, got %d", cfg.QueueCapacity)
-		case cfg.HoldBudget < 0:
-			c.fail("WithFaultConfig", "HoldBudget must be >= 0, got %d", cfg.HoldBudget)
+		if err := cfg.validate("WithFaultConfig"); err != nil {
+			c.errs = append(c.errs, err)
 		}
 		c.faults = true
 		c.faultCfg = cfg
@@ -233,11 +180,12 @@ func WithTrace() RunOption {
 
 // WithRecorder records metrics into rec for this run only, overriding
 // (or, when the network has none, supplying) the recorder attached with
-// Observe. WithRecorder(nil) forces an uninstrumented run. The run
-// records into a run-local tally and merges it into rec once, when it
-// ends, so a recorded run takes the same kernel as an unrecorded one —
-// except that a sharded run runs one lane. Duplicate WithRecorder
-// options conflict and fail eagerly.
+// Observe, which every run, heal session and sweep reads otherwise.
+// WithRecorder(nil) forces an uninstrumented run. The run records into
+// a run-local tally and merges it into rec once, when it ends, so a
+// recorded run takes the same kernel as an unrecorded one — except that
+// a sharded run runs one lane. Duplicate WithRecorder options conflict
+// and fail eagerly.
 func WithRecorder(rec *obs.Recorder) RunOption {
 	return func(c *runConfig) {
 		if c.recOverride {
@@ -249,9 +197,14 @@ func WithRecorder(rec *obs.Recorder) RunOption {
 	}
 }
 
-// WithSeed seeds the workload generator (default 1).
+// WithSeed seeds the workload generator (default 1). Duplicate WithSeed
+// options conflict and fail eagerly.
 func WithSeed(seed int64) RunOption {
 	return func(c *runConfig) {
+		if c.seedSet {
+			c.fail("WithSeed", "conflicting duplicate option (two seeds on one run)")
+			return
+		}
 		c.seed = seed
 		c.seedSet = true
 	}
@@ -267,11 +220,10 @@ func WithSeed(seed int64) RunOption {
 // a trace; a recorded one runs one lane, and runs with faults, tracing,
 // bounded queues or admission control take their one engine (fault loop
 // or general path). s must be at least 1 and at most the node count;
-// out-of-range counts and duplicate WithShards options fail eagerly. As a
-// NetworkOption it sets the network-wide default shard count.
+// out-of-range counts and duplicate WithShards options fail eagerly.
 func WithShards(s int) RunOption {
 	return func(c *runConfig) {
-		if c.shardsSet {
+		if c.shards != 0 {
 			c.fail("WithShards", "conflicting duplicate option (two shard counts on one run)")
 			return
 		}
@@ -280,39 +232,46 @@ func WithShards(s int) RunOption {
 			return
 		}
 		c.shards = s
-		c.shardsSet = true
 	}
 }
 
 // WithQueueCapacity bounds every output queue of this run at cap
-// packets per arc (fault and heal engines bound each node's hold queue
-// at cap packets per out-arc), overriding the Network Config. A full
+// packets per arc (the fault engine bounds each node's hold queue at cap
+// packets per out-arc), overriding a FaultConfig's QueueCapacity. A full
 // downstream queue holds the packet upstream — credit-based
 // backpressure — until its hold budget (WithHoldBudget) runs out. cap
-// must be at least 1; zero or negative capacities fail eagerly.
+// must be at least 1; zero or negative capacities and duplicate
+// WithQueueCapacity options fail eagerly.
 func WithQueueCapacity(cap int) RunOption {
 	return func(c *runConfig) {
+		if c.qcap != 0 {
+			c.fail("WithQueueCapacity", "conflicting duplicate option (two queue bounds on one run)")
+			return
+		}
 		if cap < 1 {
 			c.fail("WithQueueCapacity", "capacity must be >= 1, got %d", cap)
 			return
 		}
 		c.qcap = cap
-		c.qcapSet = true
 	}
 }
 
 // WithHoldBudget sets the lifetime number of hold-in-place cycles a
 // packet may spend against full queues before dropping as
-// DroppedQueueFull (default 4·QueueCapacity+16). Only meaningful with a
-// queue bound; budget must be at least 1.
+// DroppedQueueFull (default 4·QueueCapacity+16), overriding a
+// FaultConfig's HoldBudget. Only meaningful with a queue bound; budget
+// must be at least 1, and duplicate WithHoldBudget options fail eagerly.
 func WithHoldBudget(budget int) RunOption {
 	return func(c *runConfig) {
+		if c.hold != 0 {
+			c.fail("WithHoldBudget", "conflicting duplicate option (two hold budgets on one run)")
+			return
+		}
 		if budget < 1 {
 			c.fail("WithHoldBudget", "budget must be >= 1, got %d", budget)
 			return
 		}
 		c.hold = budget
-		c.holdSet = true
 	}
 }
 
@@ -348,21 +307,21 @@ func WithAdmission(cfg AdmissionConfig) RunOption {
 type RunReport struct {
 	FaultResult
 	Events []Event
-	// ShardFallback reports that the run requested several lanes
-	// (WithShards > 1) but ran on one: a recorder keeps the lane kernel
-	// at one lane, and faults, tracing, bounded queues or admission
-	// control take the fault loop or the general path (the dispatch rule
-	// WithShards documents). The run is still correct — the result does
-	// not depend on the lane count — but did not use the requested
-	// parallelism. Also counted as obs metric "shard_fallback" when a
-	// recorder is attached.
+	// ShardFallback reports that the run asked for several lanes
+	// (WithShards(s), s > 1) but ran on one: a recorder keeps the lane
+	// kernel at one lane, and faults, tracing, bounded queues or
+	// admission control take the fault loop or the general path (the
+	// dispatch rule WithShards documents). The run is still correct —
+	// the result does not depend on the lane count — but did not use the
+	// requested parallelism. Also counted as obs metric "shard_fallback"
+	// when a recorder is attached.
 	ShardFallback bool
 }
 
-// RunOpts generates the workload and runs it under the given options,
-// subsuming Run (no options), RunWithFaults (WithFaults) and
-// TracedRunWithFaults (WithFaults + WithTrace). Plain unbounded runs
-// take the allocation-free lane kernel; fault, bounded, admission-
+// RunOpts generates the workload and runs it under the given options:
+// a plain run with none, the fault engine under WithFaults or
+// WithFaultConfig, and the event log under WithTrace. Plain unbounded
+// runs take the allocation-free lane kernel; fault, bounded, admission-
 // controlled and traced runs use their engines.
 // Invalid options and workloads fail eagerly, before any simulation
 // work, with *OptionError values.
@@ -370,22 +329,16 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	if w == nil {
 		return RunReport{}, fmt.Errorf("simnet: RunOpts needs a workload")
 	}
-	var per runConfig
+	cfg := runConfig{seed: 1}
 	for _, opt := range opts {
-		opt(&per)
+		opt(&cfg)
 	}
-	if len(per.errs) > 0 {
-		return RunReport{}, per.errs[0]
+	if len(cfg.errs) > 0 {
+		return RunReport{}, cfg.errs[0]
 	}
-	// Per-run options override the network-wide defaults (NewNetwork run
-	// options, already validated there) field by field.
-	cfg := nw.defaults.overriddenBy(per)
-	if !cfg.seedSet {
-		cfg.seed = 1
-	}
-	if per.shardsSet && per.shards > nw.g.N() {
+	if cfg.shards > nw.g.N() {
 		return RunReport{}, &OptionError{Option: "WithShards",
-			Reason: fmt.Sprintf("shard count %d exceeds the %d-node digraph", per.shards, nw.g.N())}
+			Reason: fmt.Sprintf("shard count %d exceeds the %d-node digraph", cfg.shards, nw.g.N())}
 	}
 	if ew, ok := w.(interface{ Err() error }); ok {
 		if err := ew.Err(); err != nil {
@@ -406,7 +359,7 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	// A sharded run was requested; whether dispatch honors it is decided
 	// below. Every one-lane return past this point is a fallback worth
 	// surfacing (RunReport.ShardFallback + the shard_fallback counter).
-	shardReq := cfg.shardsSet && cfg.shards > 1
+	shardReq := cfg.shards > 1
 	fallback := func(rep RunReport) RunReport {
 		if shardReq {
 			rep.ShardFallback = true
@@ -416,15 +369,14 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	}
 
 	if cfg.faults {
-		// A per-run WithQueueCapacity or WithHoldBudget beats an explicit
-		// FaultConfig field, which beats the network default and the
-		// Config (faultConfig fills the fields still zero).
+		// A per-run WithQueueCapacity or WithHoldBudget beats the
+		// FaultConfig field (faultConfig fills the fields still zero).
 		fcfg := cfg.faultCfg
-		if per.qcapSet {
-			fcfg.QueueCapacity = per.qcap
+		if cfg.qcap > 0 {
+			fcfg.QueueCapacity = cfg.qcap
 		}
-		if per.holdSet {
-			fcfg.HoldBudget = per.hold
+		if cfg.hold > 0 {
+			fcfg.HoldBudget = cfg.hold
 		}
 		res, events, err := nw.runWithFaults(pkts, cfg.plan, fcfg, cfg.traced, admit, rec)
 		if err != nil {
@@ -432,15 +384,7 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 		}
 		return fallback(RunReport{FaultResult: res, Events: events}), nil
 	}
-	tun := nw.baseTuning(0)
-	if cfg.qcapSet {
-		tun.qcap = cfg.qcap
-	}
-	if cfg.holdSet {
-		tun.hold = cfg.hold
-	}
-	tun.admit = admit
-	tun.trace = cfg.traced
+	tun := runTuning{qcap: cfg.qcap, hold: cfg.hold, admit: admit, trace: cfg.traced}
 	// The lane kernel runs every plain unbounded run without admission or
 	// a trace; it spreads one over the requested lanes unless a recorder
 	// is attached. Anything else runs one lane or the general path

@@ -20,14 +20,14 @@ func TestMillionNodePermutation(t *testing.T) {
 		t.Skip("million-node run skipped in -short mode")
 	}
 	g := debruijn.DeBruijn(2, 20)
-	nw, err := NewNetwork(g, WithShards(8))
+	nw, err := NewNetwork(g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := nw.Routing(); got != ShiftRouting {
 		t.Fatalf("AutoRouting on B(2,20) resolved to %v, want ShiftRouting", got)
 	}
-	rep, err := nw.RunOpts(PermutationLoad(), WithSeed(1))
+	rep, err := nw.RunOpts(PermutationLoad(), WithSeed(1), WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func TestShardRunMatchesSequential(t *testing.T) {
 				continue
 			}
 			pkts := wl.w(g.N())
-			want := refRun(nw, pkts, nw.baseTuning(0), nil)
+			want := refRun(nw, pkts, runTuning{}, nil)
 			counts := tp.shards
 			if counts == nil {
 				counts = []int{1, 2, 3, 4, 7, 8}
@@ -106,7 +106,7 @@ func TestShardRunMatchesSequential(t *testing.T) {
 				if shards > g.N() {
 					continue
 				}
-				got := shardRun(nw, pkts, nw.baseTuning(0), shards, shardWorkers(shards))
+				got := shardRun(nw, pkts, runTuning{}, shards, shardWorkers(shards))
 				resultsEqual(t, tp.name+"/"+wl.name+"/shards="+itoa(shards), want, got)
 			}
 		}
@@ -134,9 +134,9 @@ func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkts := UniformRandom(tc.g.N(), 5*tc.g.N(), 13)
-		want := refRun(nw, pkts, nw.baseTuning(0), nil)
+		want := refRun(nw, pkts, runTuning{}, nil)
 		for _, shards := range []int{1, 2, 5} {
-			got := shardRun(nw, pkts, nw.baseTuning(0), shards, shardWorkers(shards))
+			got := shardRun(nw, pkts, runTuning{}, shards, shardWorkers(shards))
 			resultsEqual(t, tc.name+"/shards="+itoa(shards), want, got)
 		}
 	}
@@ -147,8 +147,8 @@ func TestShardRunMatchesSequentialHopLatency(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := Permutation(g.N(), 5)
-	want := refRun(custom, pkts, custom.baseTuning(0), nil)
-	got := shardRun(custom, pkts, custom.baseTuning(0), 4, shardWorkers(4))
+	want := refRun(custom, pkts, runTuning{}, nil)
+	got := shardRun(custom, pkts, runTuning{}, 4, shardWorkers(4))
 	resultsEqual(t, "customRouter/shards=4", want, got)
 }
 
@@ -176,7 +176,7 @@ func TestShardRunTruncation(t *testing.T) {
 			t.Fatal(err)
 		}
 		pkts := UniformRandom(tc.g.N(), 8*tc.g.N(), 9)
-		tun := nw.baseTuning(5) // 5 cycles: most packets still in flight
+		tun := runTuning{budget: 5} // 5 cycles: most packets still in flight
 		want := refRun(nw, pkts, tun, nil)
 		for _, shards := range []int{2, 4} {
 			// Twice: the pooled engine must not carry a truncated run's
@@ -204,10 +204,10 @@ func TestShardWorkerCountDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	pkts := UniformRandom(g.N(), 6*g.N(), 21)
-	want := refRun(nw, pkts, nw.baseTuning(0), nil)
+	want := refRun(nw, pkts, runTuning{}, nil)
 	for _, workers := range []int{1, 2, 4, 8} {
 		for rerun := 0; rerun < 2; rerun++ {
-			got := shardRun(nw, pkts, nw.baseTuning(0), 8, workers)
+			got := shardRun(nw, pkts, runTuning{}, 8, workers)
 			resultsEqual(t, "workers="+itoa(workers)+"/rerun="+itoa(rerun), want, got)
 		}
 	}
@@ -243,10 +243,8 @@ func TestShardFaultRunsStayDeterministic(t *testing.T) {
 	}
 }
 
-// TestWithShardsDispatch pins the RunOpts dispatch rules: sharding
-// engages for plain runs (network default or per-run), per-run
-// overrides the network default, and instrumented runs fall back
-// sequentially with identical results.
+// TestWithShardsDispatch pins the RunOpts dispatch rule for plain runs:
+// WithShards(4) and WithShards(1) both give the sequential result.
 func TestWithShardsDispatch(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	plain, err := NewNetwork(g)
@@ -257,36 +255,14 @@ func TestWithShardsDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Network-wide default via NewNetwork(WithShards) + deprecated Run.
-	sharded, err := NewNetwork(g, WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sharded.Shards(); got != 4 {
-		t.Fatalf("Shards() = %d, want 4", got)
-	}
-	pkts := Permutation(g.N(), 2)
-	if got := sharded.Run(pkts); !reflect.DeepEqual(seq.Result, got) {
-		t.Fatalf("Run on a WithShards(4) network diverged from the sequential result")
-	}
-
-	// Per-run option on a plain network.
-	rep, err := plain.RunOpts(PermutationLoad(), WithSeed(2), WithShards(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, rep) {
-		t.Fatalf("per-run WithShards(4) diverged from the sequential result")
-	}
-
-	// Per-run override of the network default.
-	rep, err = sharded.RunOpts(PermutationLoad(), WithSeed(2), WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, rep) {
-		t.Fatalf("WithShards(1) override diverged from the sequential result")
+	for _, shards := range []int{4, 1} {
+		rep, err := plain.RunOpts(PermutationLoad(), WithSeed(2), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(seq, rep) {
+			t.Fatalf("per-run WithShards(%d) diverged from the sequential result", shards)
+		}
 	}
 }
 
@@ -310,16 +286,12 @@ func TestWithShardsValidation(t *testing.T) {
 			_, err := nw.RunOpts(PermutationLoad(), WithShards(-3))
 			return err
 		}},
-		{"shards beyond nodes (run)", func() error {
+		{"shards beyond nodes", func() error {
 			_, err := nw.RunOpts(PermutationLoad(), WithShards(g.N()+1))
 			return err
 		}},
 		{"duplicate shards", func() error {
 			_, err := nw.RunOpts(PermutationLoad(), WithShards(2), WithShards(4))
-			return err
-		}},
-		{"shards beyond nodes (network)", func() error {
-			_, err := NewNetwork(g, WithShards(g.N()+1))
 			return err
 		}},
 	}

@@ -292,27 +292,15 @@ type Packet struct {
 	Hops      int
 }
 
-// Config tunes the simulation.
-type Config struct {
+// config is what a Network fixes for every run on it (WithHopLatency,
+// WithMaxCycles at NewNetwork).
+type config struct {
 	// HopLatency is the wire time of one hop in cycles (≥ 1).
 	HopLatency int
 	// MaxCycles aborts the run (0 means 64·n·HopLatency + total packets,
 	// a generous bound).
 	MaxCycles int
-	// QueueCapacity bounds every per-arc output queue (0: unbounded,
-	// the historical behaviour). With a bound, a packet whose next queue
-	// is full is not dropped silently — it holds in place upstream
-	// (credit-based backpressure) until space opens or its hold budget
-	// runs out, at which point it drops as DroppedQueueFull.
-	QueueCapacity int
-	// HoldBudget is the lifetime number of hold-in-place cycles a packet
-	// may spend against full queues before it is dropped
-	// (0: 4·QueueCapacity+16; meaningful only with QueueCapacity > 0).
-	HoldBudget int
 }
-
-// DefaultConfig returns unit hop latency.
-func DefaultConfig() Config { return Config{HopLatency: 1} }
 
 // Result summarizes a simulation run.
 type Result struct {
@@ -327,8 +315,8 @@ type Result struct {
 	// MaxQueue is the deepest any queue got during the run — the buffer
 	// size a hardware implementation would need to avoid drops. It
 	// measures one of two queue models, by engine: a plain run (RunOpts
-	// without WithFaults, Run) reports the deepest per-arc output queue;
-	// a fault run (WithFaults, RunWithFaults) and a self-healing session
+	// without WithFaults) reports the deepest per-arc output queue; a
+	// fault run (RunOpts with WithFaults) and a self-healing session
 	// report the deepest node FIFO, which holds every packet waiting at
 	// a node whatever its out-arc, so on the same traffic it can exceed
 	// the plain run's figure. DESIGN.md § 6 records why both remain.
@@ -348,8 +336,9 @@ type Result struct {
 	Holds int
 	// PeakResident is the most packets simultaneously buffered in the
 	// network (arc queues plus link pipelines) — the aggregate buffer
-	// memory a hardware realization needs. With QueueCapacity set it is
-	// bounded by topology alone, independent of offered load.
+	// memory a hardware realization needs. With a queue bound
+	// (WithQueueCapacity) it is bounded by topology alone, independent
+	// of offered load.
 	PeakResident int
 	Packets      []Packet
 }
@@ -382,8 +371,9 @@ func (r *Result) aggregate(pkts []Packet, hopLatency int) {
 	r.Packets = pkts
 }
 
-// Network binds a digraph, a router and a config into a runnable
-// simulation. A Network is safe for concurrent Run/RunWithFaults calls:
+// Network binds a digraph, a router, a hop latency and a cycle budget
+// into a runnable simulation. A Network is safe for concurrent RunOpts
+// calls:
 // the compiled router and distance slab are shared read-only, while each
 // run checks a scratch arena out of a pool so repeated runs (sweeps)
 // reuse their queue/pipeline/metadata storage instead of reallocating it
@@ -391,7 +381,7 @@ func (r *Result) aggregate(pkts []Packet, hopLatency int) {
 type Network struct {
 	g      *digraph.Digraph
 	router Router
-	cfg    Config
+	cfg    config
 
 	// arcBase[u] is the flat index of node u's first out-arc: queues and
 	// pipelines live in M-length slabs addressed by arcBase[u]+k.
@@ -426,10 +416,6 @@ type Network struct {
 	// closed-form fault-free distances.
 	shift *DeBruijnRouter
 
-	// defaults are the network-wide run defaults (RunOptions passed to
-	// NewNetwork), merged under each RunOpts call's own options.
-	defaults runConfig
-
 	scratch sync.Pool // *arena
 }
 
@@ -449,31 +435,9 @@ func (nw *Network) Observe(rec *obs.Recorder) {
 // index a Recorder's per-arc slabs are addressed by.
 func (nw *Network) ArcIndex(tail, k int) int { return int(nw.arcBase[tail]) + k }
 
-// New creates a network simulation over g.
-//
-// Deprecated: use NewNetwork, which folds router selection and Config
-// fields into one functional-option set (New(g, router, cfg) is
-// NewNetwork(g, WithRouter(router), WithConfig(cfg))). New remains a
-// thin equivalent wrapper and is not going away.
-func New(g *digraph.Digraph, router Router, cfg Config) (*Network, error) {
-	if g.N() == 0 {
-		return nil, fmt.Errorf("simnet: empty digraph")
-	}
-	if cfg.HopLatency < 1 {
-		return nil, fmt.Errorf("simnet: HopLatency must be >= 1, got %d", cfg.HopLatency)
-	}
-	if cfg.QueueCapacity < 0 {
-		return nil, fmt.Errorf("simnet: QueueCapacity must be >= 0, got %d", cfg.QueueCapacity)
-	}
-	if cfg.HoldBudget < 0 {
-		return nil, fmt.Errorf("simnet: HoldBudget must be >= 0, got %d", cfg.HoldBudget)
-	}
-	return newNetwork(g, router, cfg), nil
-}
-
 // newNetwork builds the derived state for already-validated inputs
-// (New and NewNetwork validate, then call it).
-func newNetwork(g *digraph.Digraph, router Router, cfg Config) *Network {
+// (NewNetwork validates, then calls it).
+func newNetwork(g *digraph.Digraph, router Router, cfg config) *Network {
 	n := g.N()
 	guardIndexInt32(n, "nodes")
 	arcBase := arcBaseOf(g)
@@ -585,25 +549,6 @@ func (nw *Network) defaultBudget(pkts, hopLatency int) int {
 	return 64*nw.g.N()*hopLatency + 16*pkts + 1024
 }
 
-// Run simulates until every packet is delivered or dropped, or MaxCycles
-// elapses. The packets slice is copied; releases may be in any order.
-// Network-wide run defaults (RunOptions passed to NewNetwork, e.g.
-// WithShards) apply; on a network constructed without them Run is the
-// plain one-lane run it always was.
-//
-// Deprecated: use RunOpts, which unifies the run entry points behind
-// functional options (Run(pkts) is RunOpts(Fixed(pkts))). Run remains a
-// thin wrapper and is not going away.
-func (nw *Network) Run(packets []Packet) Result {
-	rep, err := nw.RunOpts(Fixed(packets))
-	if err != nil {
-		// Unreachable for a valid Network: Fixed never fails and the
-		// network-wide defaults were validated at construction.
-		panic(fmt.Sprintf("simnet: Run: %v", err))
-	}
-	return rep.Result
-}
-
 // runTuning is the per-run tuning threaded through run: the cycle
 // budget, the per-arc queue bound, the lifetime per-packet hold budget,
 // the admission regulator and event tracing. The zero value reproduces
@@ -625,13 +570,6 @@ func (t runTuning) withDefaults() runTuning {
 		t.hold = 4*t.qcap + 16
 	}
 	return t
-}
-
-// baseTuning derives the tuning the Network's own Config implies. It
-// leaves a zero hold budget unresolved: run resolves it from the queue
-// bound it finally runs with, after every per-run override.
-func (nw *Network) baseTuning(budget int) runTuning {
-	return runTuning{budget: budget, qcap: nw.cfg.QueueCapacity, hold: nw.cfg.HoldBudget}
 }
 
 // enqStatus reports the outcome of a routing-and-enqueue attempt.
@@ -789,9 +727,11 @@ func (rs *runState) holdOrDrop(pkt, budget int) bool {
 	return true
 }
 
-// run is Run with explicit tuning (budget, queue bound, hold budget,
-// admission, tracing, lanes) and recorder; sweeps use it to retune the
-// budget per point while reusing one Network. One setup — the cycle
+// run simulates until every packet is delivered or dropped, or the
+// cycle budget elapses, under explicit tuning (budget, queue bound, hold
+// budget, admission, tracing, lanes) and recorder; RunOpts and the
+// sweeps call it. The packets slice is copied; releases may be in any
+// order. One setup — the cycle
 // and hold budgets, the route-or-drop precheck, each carried state's
 // start and the release order — serves both kernels: a run with
 // unbounded queues, no admission and no trace runs on the lane kernel

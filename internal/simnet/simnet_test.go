@@ -7,23 +7,33 @@ import (
 	"repro/internal/digraph"
 )
 
+// runFixed runs pkts as a plain RunOpts call, failing tb on an error.
+func runFixed(tb testing.TB, nw *Network, pkts []Packet) Result {
+	tb.Helper()
+	rep, err := nw.RunOpts(Fixed(pkts))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rep.Result
+}
+
 func TestConfigValidation(t *testing.T) {
 	g := digraph.Circuit(3)
-	if _, err := New(g, NewTableRouter(g), Config{HopLatency: 0}); err == nil {
+	if _, err := NewNetwork(g, WithRouter(NewTableRouter(g)), WithHopLatency(0)); err == nil {
 		t.Error("zero hop latency accepted")
 	}
-	if _, err := New(digraph.New(0), nil, DefaultConfig()); err == nil {
+	if _, err := NewNetwork(digraph.New(0)); err == nil {
 		t.Error("empty digraph accepted")
 	}
 }
 
 func TestSinglePacketOnCircuit(t *testing.T) {
 	g := digraph.Circuit(4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run([]Packet{{ID: 0, Src: 0, Dst: 3}})
+	res := runFixed(t, nw, []Packet{{ID: 0, Src: 0, Dst: 3}})
 	if res.Delivered != 1 || res.Dropped != 0 {
 		t.Fatalf("result %v", res)
 	}
@@ -38,8 +48,8 @@ func TestSinglePacketOnCircuit(t *testing.T) {
 
 func TestHopLatencyScales(t *testing.T) {
 	g := digraph.Circuit(4)
-	nw, _ := New(g, NewTableRouter(g), Config{HopLatency: 5})
-	res := nw.Run([]Packet{{ID: 0, Src: 0, Dst: 2}})
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)), WithHopLatency(5))
+	res := runFixed(t, nw, []Packet{{ID: 0, Src: 0, Dst: 2}})
 	p := res.Packets[0]
 	if p.Delivered != 10 {
 		t.Errorf("latency = %d, want 10 (2 hops × 5 cycles)", p.Delivered)
@@ -51,8 +61,8 @@ func TestHopLatencyScales(t *testing.T) {
 
 func TestSelfPacket(t *testing.T) {
 	g := digraph.Circuit(3)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run([]Packet{{ID: 0, Src: 1, Dst: 1, Release: 7}})
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, []Packet{{ID: 0, Src: 1, Dst: 1, Release: 7}})
 	if res.Delivered != 1 || res.Packets[0].Delivered != 7 || res.Packets[0].Hops != 0 {
 		t.Errorf("self packet mishandled: %+v", res.Packets[0])
 	}
@@ -62,8 +72,8 @@ func TestUnreachableDropped(t *testing.T) {
 	g := digraph.New(2)
 	g.AddArc(0, 1)
 	g.AddArc(1, 1) // give node 1 an out-arc so the router has a column
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run([]Packet{{ID: 0, Src: 1, Dst: 0}})
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, []Packet{{ID: 0, Src: 1, Dst: 0}})
 	if res.Dropped != 1 || res.Delivered != 0 {
 		t.Errorf("result %v", res)
 	}
@@ -76,9 +86,9 @@ func TestContentionSerializes(t *testing.T) {
 	g.AddArc(0, 2)
 	g.AddArc(1, 2)
 	g.AddArc(2, 2)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	// Both packets from 0 to 2 share link (0,2).
-	res := nw.Run([]Packet{
+	res := runFixed(t, nw, []Packet{
 		{ID: 0, Src: 0, Dst: 2},
 		{ID: 1, Src: 0, Dst: 2},
 	})
@@ -129,8 +139,8 @@ func TestDeBruijnNetworkHopBound(t *testing.T) {
 	// regardless of congestion.
 	d, D := 2, 6
 	g := debruijn.DeBruijn(d, D)
-	nw, _ := New(g, NewDeBruijnRouter(d, D), DefaultConfig())
-	res := nw.Run(UniformRandom(g.N(), 500, 42))
+	nw, _ := NewNetwork(g, WithRouter(NewDeBruijnRouter(d, D)))
+	res := runFixed(t, nw, UniformRandom(g.N(), 500, 42))
 	if res.Delivered != 500 {
 		t.Fatalf("delivered %d/500 (%v)", res.Delivered, res)
 	}
@@ -149,8 +159,8 @@ func TestMeanHopsMatchesMeanDistanceUnderPermutation(t *testing.T) {
 	d, D := 2, 5
 	g := debruijn.DeBruijn(d, D)
 	pkts := Permutation(g.N(), 7)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, pkts)
 	if res.Delivered != len(pkts) {
 		t.Fatalf("delivered %d/%d", res.Delivered, len(pkts))
 	}
@@ -170,8 +180,8 @@ func TestBroadcastWorkload(t *testing.T) {
 	if len(pkts) != g.N()-1 {
 		t.Fatalf("broadcast size %d", len(pkts))
 	}
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, pkts)
 	if res.Delivered != len(pkts) {
 		t.Fatalf("delivered %d/%d", res.Delivered, len(pkts))
 	}
@@ -191,8 +201,8 @@ func TestAllToAllCompletes(t *testing.T) {
 	if len(pkts) != 8*7 {
 		t.Fatalf("all-to-all size %d", len(pkts))
 	}
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, pkts)
 	if res.Delivered != len(pkts) || res.Dropped != 0 {
 		t.Fatalf("result %v", res)
 	}
@@ -253,8 +263,8 @@ func TestQueueOccupancyStats(t *testing.T) {
 	// two queues: MaxQueue must be large (≈ n/d at the root) and the hot
 	// node must be the root.
 	g := debruijn.DeBruijn(2, 5)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run(Broadcast(g.N(), 7))
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, Broadcast(g.N(), 7))
 	if res.MaxQueue < g.N()/4 {
 		t.Errorf("MaxQueue = %d, expected a deep root queue", res.MaxQueue)
 	}
@@ -262,7 +272,7 @@ func TestQueueOccupancyStats(t *testing.T) {
 		t.Errorf("hot node %d, want the broadcast root 7", res.HotNode)
 	}
 	// A single packet never queues more than one deep.
-	res = nw.Run([]Packet{{ID: 0, Src: 0, Dst: 9}})
+	res = runFixed(t, nw, []Packet{{ID: 0, Src: 0, Dst: 9}})
 	if res.MaxQueue > 1 {
 		t.Errorf("single packet MaxQueue = %d", res.MaxQueue)
 	}
@@ -282,8 +292,8 @@ func TestBitReversalWorkload(t *testing.T) {
 	// On B(2,4), bit-reversal traffic is adversarial but bounded by the
 	// diameter; everything still delivers.
 	g := debruijn.DeBruijn(2, 4)
-	nw, _ := New(g, NewDeBruijnRouter(2, 4), DefaultConfig())
-	res := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewDeBruijnRouter(2, 4)))
+	res := runFixed(t, nw, pkts)
 	if res.Delivered != len(pkts) || res.MaxHops > 4 {
 		t.Fatalf("bit reversal on B(2,4): %v", res)
 	}
@@ -304,8 +314,8 @@ func TestComplementaryWorkload(t *testing.T) {
 	// exactly D); alternating words overlap heavily (distance 1). Both
 	// extremes must appear, and everything delivers within the diameter.
 	g := debruijn.DeBruijn(2, 4)
-	nw, _ := New(g, NewTableRouter(g), DefaultConfig())
-	res := nw.Run(pkts)
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	res := runFixed(t, nw, pkts)
 	if res.Delivered != 16 {
 		t.Fatalf("complementary: %v", res)
 	}
@@ -323,8 +333,8 @@ func TestComplementaryWorkload(t *testing.T) {
 
 func TestMaxCyclesAborts(t *testing.T) {
 	g := digraph.Circuit(8)
-	nw, _ := New(g, NewTableRouter(g), Config{HopLatency: 1, MaxCycles: 2})
-	res := nw.Run([]Packet{{ID: 0, Src: 0, Dst: 7}})
+	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)), WithMaxCycles(2))
+	res := runFixed(t, nw, []Packet{{ID: 0, Src: 0, Dst: 7}})
 	if res.Delivered != 0 {
 		t.Error("packet delivered despite 2-cycle budget for a 7-hop path")
 	}
@@ -334,14 +344,14 @@ func TestOffLoadLatencyEqualsDistanceTimesLatency(t *testing.T) {
 	// One packet at a time: latency = distance × HopLatency exactly.
 	d, D := 2, 4
 	g := debruijn.DeBruijn(d, D)
-	nw, _ := New(g, NewDeBruijnRouter(d, D), Config{HopLatency: 3})
+	nw, _ := NewNetwork(g, WithRouter(NewDeBruijnRouter(d, D)), WithHopLatency(3))
 	for src := 0; src < g.N(); src += 3 {
 		dist := g.BFSFrom(src)
 		for dst := 0; dst < g.N(); dst += 5 {
 			if src == dst {
 				continue
 			}
-			res := nw.Run([]Packet{{ID: 0, Src: src, Dst: dst}})
+			res := runFixed(t, nw, []Packet{{ID: 0, Src: src, Dst: dst}})
 			if res.Delivered != 1 {
 				t.Fatalf("(%d,%d) undelivered", src, dst)
 			}

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -128,7 +129,7 @@ func checkFaultAccounting(t *testing.T, res FaultResult, offered int) {
 func TestFaultAccountingAdversarialReleases(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	n := g.N()
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,14 +159,13 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			plan.NodeDown(rng.Intn(30), 1+rng.Intn(10), rng.Intn(n))
 		}
-		cfg := DefaultFaultConfig()
-		cfg.MaxCycles = 30 + rng.Intn(40)
-		res, events, err := nw.TracedRunWithFaults(pkts, plan, cfg)
+		cfg := FaultConfig{MaxCycles: 30 + rng.Intn(40)}
+		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithFaultConfig(cfg), WithTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkFaultAccounting(t, res, len(pkts))
-		if err := VerifyTrace(g, pkts, events); err != nil {
+		checkFaultAccounting(t, res.FaultResult, len(pkts))
+		if err := VerifyTrace(g, pkts, res.Events); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
@@ -177,7 +177,7 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 // the accounting. It must now land in DroppedHorizon.
 func TestHorizonPacketsDropped(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,13 +185,11 @@ func TestHorizonPacketsDropped(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 3, Release: 0},
 		{ID: 1, Src: 1, Dst: 4, Release: 5000}, // beyond the budget
 	}
-	cfg := DefaultFaultConfig()
-	cfg.MaxCycles = 20
-	res, err := nw.RunWithFaults(pkts, nil, cfg)
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil), WithFaultConfig(FaultConfig{MaxCycles: 20}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkFaultAccounting(t, res, len(pkts))
+	checkFaultAccounting(t, res.FaultResult, len(pkts))
 	if res.Delivered != 1 {
 		t.Fatalf("delivered %d, want 1", res.Delivered)
 	}
@@ -231,38 +229,38 @@ func TestDegradationSweepDeterministicAcrossWorkers(t *testing.T) {
 // shared-slab/arena safety proof.
 func TestSharedNetworkConcurrentRuns(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, err := New(g, NewTableRouter(g), DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	const goroutines = 8
 	sequential := make([]Result, goroutines)
 	for i := range sequential {
-		sequential[i] = nw.Run(Permutation(g.N(), int64(i)))
+		sequential[i] = runFixed(t, nw, Permutation(g.N(), int64(i)))
 	}
-	seqFault, err := nw.RunWithFaults(UniformRandom(g.N(), 100, 3), nil, DefaultFaultConfig())
+	seqFault, err := nw.RunOpts(Fixed(UniformRandom(g.N(), 100, 3)), WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	results := make([]Result, goroutines)
-	faults := make([]FaultResult, goroutines)
+	errs := make([]error, 2*goroutines)
+	results := make([]RunReport, goroutines)
+	faults := make([]RunReport, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = nw.Run(Permutation(g.N(), int64(i)))
-			faults[i], errs[i] = nw.RunWithFaults(UniformRandom(g.N(), 100, 3), nil, DefaultFaultConfig())
+			results[i], errs[2*i] = nw.RunOpts(Fixed(Permutation(g.N(), int64(i))))
+			faults[i], errs[2*i+1] = nw.RunOpts(Fixed(UniformRandom(g.N(), 100, 3)), WithFaults(nil))
 		}(i)
 	}
 	wg.Wait()
 	for i := 0; i < goroutines; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+		if err := errors.Join(errs[2*i], errs[2*i+1]); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(results[i], sequential[i]) {
+		if !reflect.DeepEqual(results[i].Result, sequential[i]) {
 			t.Fatalf("goroutine %d: concurrent run diverged from sequential", i)
 		}
 		if !reflect.DeepEqual(faults[i], seqFault) {
@@ -276,18 +274,18 @@ func TestSharedNetworkConcurrentRuns(t *testing.T) {
 // recycled scratch must never leak state between runs.
 func TestArenaReuseKeepsRunsIndependent(t *testing.T) {
 	g := debruijn.DeBruijn(3, 3)
-	shared, err := New(g, NewTableRouter(g), DefaultConfig())
+	shared, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 6; seed++ {
-		fresh, err := New(g, NewTableRouter(g), DefaultConfig())
+		fresh, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		pkts := PoissonArrivals(g.N(), 120, 0.4, seed)
-		got := shared.Run(pkts)
-		want := fresh.Run(pkts)
+		got := runFixed(t, shared, pkts)
+		want := runFixed(t, fresh, pkts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: arena-reusing run diverged from fresh network", seed)
 		}

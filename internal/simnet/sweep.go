@@ -41,7 +41,7 @@ func (p SweepPoint) String() string {
 // runs terminate and are flagged. All points run on one Network, so the
 // compiled router and the scratch arena are built once and reused.
 func LoadSweep(g *digraph.Digraph, router Router, rates []float64, packets int, seed int64) ([]SweepPoint, error) {
-	nw, err := New(g, router, DefaultConfig())
+	nw, err := NewNetwork(g, WithRouter(router))
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func LoadSweep(g *digraph.Digraph, router Router, rates []float64, packets int, 
 		// Budget: the ideal drain time plus ample slack; saturated loads
 		// blow through it and get flagged rather than running forever.
 		budget := int(float64(packets)/rate)*4 + 64*g.N()
-		res, _ := nw.run(PoissonArrivals(g.N(), packets, rate, seed), nw.baseTuning(budget), nw.rec)
+		res, _ := nw.run(PoissonArrivals(g.N(), packets, rate, seed), runTuning{budget: budget}, nil)
 		pt := SweepPoint{
 			Rate:      rate,
 			Delivered: res.Delivered,

@@ -68,27 +68,14 @@ func (e Event) String() string {
 	return fmt.Sprintf("c=%d %s pkt=%d @%d", e.Cycle, e.Kind, e.Packet, e.Node)
 }
 
-// TracedRun is Run with the full event log — inject, depart, arrive,
-// deliver and drop — recorded live as the run takes each step, so every
-// event carries its cycle and the log is in simulation order. It is
-// RunOpts(Fixed(packets), WithTrace()), so network-wide run defaults
-// apply as they do to Run.
-func (nw *Network) TracedRun(packets []Packet) (Result, []Event) {
-	rep, err := nw.RunOpts(Fixed(packets), WithTrace())
-	if err != nil {
-		// Unreachable for a valid Network, as in Run.
-		panic(fmt.Sprintf("simnet: TracedRun: %v", err))
-	}
-	return rep.Result, rep.Events
-}
-
 // VerifyTrace checks a trace against the digraph: every depart/arrive
 // pair follows an arc, each packet's walk is connected from source to
 // destination, reroutes announce a real arc at the packet's position,
 // and a dropped packet never moves (or delivers) afterwards. It also
 // checks causality: a packet's event cycles never decrease, and each
-// arrive is later than the depart before it. Traces from TracedRun and
-// TracedRunWithFaults both satisfy it.
+// arrive is later than the depart before it. The event log of every
+// traced run (RunOpts with WithTrace, with or without WithFaults)
+// satisfies it.
 func VerifyTrace(g *digraph.Digraph, packets []Packet, events []Event) error {
 	byPacket := map[int][]Event{}
 	for _, e := range events {

@@ -9,26 +9,33 @@ import (
 )
 
 // TestTracedRunMatchesPlainRun: a traced run is the plain run plus its
-// live event log, on a default network and on one whose network-wide
-// run defaults bound its queues (which the traced run must obey too).
+// live event log, unbounded and with bounded queues (which the traced
+// run must obey too).
 func TestTracedRunMatchesPlainRun(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	plainNet, _ := New(g, NewTableRouter(g), DefaultConfig())
-	boundedNet, err := NewNetwork(g, WithQueueCapacity(1), WithHoldBudget(2))
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	bounded := []RunOption{WithQueueCapacity(1), WithHoldBudget(2)}
 	for _, tc := range []struct {
 		name string
-		nw   *Network
+		opts []RunOption
 		pkts []Packet
 	}{
-		{"default", plainNet, UniformRandom(g.N(), 100, 101)},
-		{"bounded", boundedNet, UniformRandom(g.N(), 192, 5)},
+		{"default", nil, UniformRandom(g.N(), 100, 101)},
+		{"bounded", bounded, UniformRandom(g.N(), 192, 5)},
 	} {
-		plain := tc.nw.Run(tc.pkts)
-		traced, events := tc.nw.TracedRun(tc.pkts)
-		if !reflect.DeepEqual(plain, traced) {
+		plain, err := nw.RunOpts(Fixed(tc.pkts), tc.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := nw.RunOpts(Fixed(tc.pkts), append(tc.opts, WithTrace())...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced, events := rep.Result, rep.Events
+		if !reflect.DeepEqual(plain.Result, traced) {
 			t.Fatalf("%s: traced run diverged: %v vs %v", tc.name, plain, traced)
 		}
 		if len(events) == 0 {
@@ -53,17 +60,25 @@ func TestTracedRunMatchesPlainRun(t *testing.T) {
 			}
 		}
 	}
-	// The bound bites on the bounded network: the case is not a repeat.
-	if res := boundedNet.Run(UniformRandom(g.N(), 192, 5)); res.DroppedQueueFull == 0 || res.MaxQueue != 1 {
-		t.Fatalf("bounded network: %d queue-full drops, MaxQueue %d; want drops at MaxQueue 1", res.DroppedQueueFull, res.MaxQueue)
+	// The bound bites on the bounded runs: the case is not a repeat.
+	res, err := nw.RunOpts(Fixed(UniformRandom(g.N(), 192, 5)), bounded...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.DroppedQueueFull == 0 || res.MaxQueue != 1 {
+		t.Fatalf("bounded run: %d queue-full drops, MaxQueue %d; want drops at MaxQueue 1", res.DroppedQueueFull, res.MaxQueue)
 	}
 }
 
 func TestTraceEventCounts(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
-	nw, _ := New(g, NewDeBruijnRouter(2, 4), DefaultConfig())
+	nw, _ := NewNetwork(g, WithRouter(NewDeBruijnRouter(2, 4)))
 	pkts := []Packet{{ID: 0, Src: 1, Dst: 9}}
-	res, events := nw.TracedRun(pkts)
+	rep, err := nw.RunOpts(Fixed(pkts), WithTrace())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, events := rep.Result, rep.Events
 	if res.Delivered != 1 {
 		t.Fatal("undelivered")
 	}

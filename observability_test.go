@@ -23,7 +23,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 // this document.
 func TestRunMetricsGolden(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := simnet.New(g, simnet.NewDeBruijnRouter(2, 3), simnet.DefaultConfig())
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewDeBruijnRouter(2, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestFacadeObservabilityExports(t *testing.T) {
 		t.Fatal("NewRecorder ignored the registry")
 	}
 	g := DeBruijn(2, 4)
-	nw, err := NewNetwork(g, NewTableRouterObserved(g, rec), DefaultSimConfig())
+	nw, err := NewNetwork(g, WithRouter(NewTableRouterObserved(g, rec)))
 	if err != nil {
 		t.Fatal(err)
 	}

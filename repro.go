@@ -27,7 +27,7 @@
 //     Corollaries 4.2–4.6, OptimalLayout, and the Table 1 search;
 //   - the optical bench simulation: NewBench, beam tracing, power budgets
 //     and diffraction feasibility;
-//   - the packet-level network simulator: NewNetworkOpts and the
+//   - the packet-level network simulator: NewNetwork and the
 //     Network.RunOpts functional-options entry points, table-free shift
 //     routing, the prefix-sharded cycle engine, workloads, load sweeps
 //     and bufferless deflection routing;
@@ -55,8 +55,8 @@
 //
 //	rec := repro.NewRecorder(repro.NewMetricsRegistry())
 //	g := repro.DeBruijn(2, 8)
-//	nw, err := repro.NewNetwork(g, repro.NewTableRouterObserved(g, rec),
-//		repro.DefaultSimConfig())
+//	nw, err := repro.NewNetwork(g,
+//		repro.WithRouter(repro.NewTableRouterObserved(g, rec)))
 //	nw.Observe(rec)
 //	rep, err := nw.RunOpts(repro.UniformLoad(10_000), repro.WithSeed(1))
 //	doc, err := rec.Snapshot().MarshalIndent() // stable OBS_run/v1 JSON
@@ -64,9 +64,8 @@
 // Million-node scale (table-free shift routing, prefix-sharded engine):
 //
 //	g := repro.DeBruijn(2, 20) // 1,048,576 nodes
-//	nw, err := repro.NewNetworkOpts(g,
-//		repro.WithRouting(repro.ShiftRouting), repro.WithShards(8))
-//	rep, err := nw.RunOpts(repro.PermutationLoad())
+//	nw, err := repro.NewNetwork(g, repro.WithRouting(repro.ShiftRouting))
+//	rep, err := nw.RunOpts(repro.PermutationLoad(), repro.WithShards(8))
 package repro
 
 import (
@@ -400,14 +399,12 @@ const DefaultWavelength = optics.DefaultWavelength
 // ---------------------------------------------------------------------------
 // Packet-level network simulation.
 //
-// NewNetworkOpts is the unified constructor: a Digraph plus functional
-// options (WithRouting, WithRouter, WithHopLatency, WithShards, and any
-// RunOption as a network-wide default). Network.RunOpts is the unified
-// run entry point: a Workload plus functional options (WithSeed,
-// WithFaults, WithTrace, WithRecorder, WithShards). The older positional
-// NewNetwork(g, router, cfg) constructor and the Network.Run,
-// Network.RunWithFaults and Network.TracedRunWithFaults methods are
-// retained as thin deprecated wrappers.
+// NewNetwork is the one constructor: a Digraph plus the options a
+// Network fixes (WithRouting, WithRouter, WithHopLatency, WithMaxCycles;
+// Network.Observe attaches a recorder). Network.RunOpts is the one run
+// entry point: a Workload plus per-run options (WithSeed, WithFaults,
+// WithTrace, WithRecorder, WithShards, …); FixedWorkload runs a literal
+// packet list, and Workload.Packets yields one for DeflectionNetwork.Run.
 //
 // At scale, WithRouting(ShiftRouting) routes table-free on
 // congruence-form de Bruijn digraphs (O(D) state instead of an O(n²)
@@ -420,8 +417,6 @@ type (
 	Network = simnet.Network
 	// Packet is one simulated datagram.
 	Packet = simnet.Packet
-	// SimConfig tunes the network simulation.
-	SimConfig = simnet.Config
 	// SimResult summarizes a simulation run.
 	SimResult = simnet.Result
 	// Router chooses packet next hops.
@@ -430,13 +425,11 @@ type (
 	Workload = simnet.Workload
 	// WorkloadFunc adapts a plain generator function to Workload.
 	WorkloadFunc = simnet.WorkloadFunc
-	// RunOption is a functional option for Network.RunOpts. Every
-	// RunOption is also a NetworkOption: passed to NewNetworkOpts it
-	// becomes the network-wide default, overridden per run.
+	// RunOption is a functional option for Network.RunOpts.
 	RunOption = simnet.RunOption
 	// RunReport is the uniform result envelope of Network.RunOpts.
 	RunReport = simnet.RunReport
-	// NetworkOption is a functional option for NewNetworkOpts.
+	// NetworkOption is a functional option for NewNetwork.
 	NetworkOption = simnet.NetworkOption
 	// RoutingMode selects how a Network resolves next arcs.
 	RoutingMode = simnet.RoutingMode
@@ -457,8 +450,8 @@ const (
 )
 
 var (
-	// NewNetworkOpts creates a Network configured by functional options.
-	NewNetworkOpts = simnet.NewNetwork
+	// NewNetwork creates a Network configured by functional options.
+	NewNetwork = simnet.NewNetwork
 	// WithRouting selects the routing mode at construction.
 	WithRouting = simnet.WithRouting
 	// WithRouter supplies an explicit Router implementation.
@@ -467,8 +460,6 @@ var (
 	WithHopLatency = simnet.WithHopLatency
 	// WithMaxCycles caps the simulation length.
 	WithMaxCycles = simnet.WithMaxCycles
-	// WithSimConfig applies a whole SimConfig at construction.
-	WithSimConfig = simnet.WithConfig
 	// WithShards partitions the cycle engine into prefix shards; plain
 	// runs execute on a worker pool, identical results at any count.
 	WithShards = simnet.WithShards
@@ -478,19 +469,10 @@ var (
 )
 
 var (
-	// NewNetwork binds a digraph, router and config.
-	//
-	// Deprecated: NewNetwork(g, router, cfg) is
-	// NewNetworkOpts(g, WithRouter(router), WithSimConfig(cfg)); the
-	// options constructor also resolves routing modes and network-wide
-	// run defaults. NewNetwork remains a thin equivalent wrapper.
-	NewNetwork = simnet.New
 	// NewTableRouter routes by precomputed shortest paths.
 	NewTableRouter = simnet.NewTableRouter
 	// NewDeBruijnRouter routes natively on B(d, D) labels.
 	NewDeBruijnRouter = simnet.NewDeBruijnRouter
-	// DefaultSimConfig returns unit hop latency.
-	DefaultSimConfig = simnet.DefaultConfig
 )
 
 // Workloads for Network.RunOpts. Each returns a Workload whose Packets
@@ -555,26 +537,6 @@ type (
 	OptionError = simnet.OptionError
 )
 
-// Deprecated: the raw packet-slice generators below predate the Workload
-// interface. Prefer Network.RunOpts with UniformLoad, PermutationLoad,
-// BroadcastLoad, AllToAllLoad or PoissonLoad; wrap an explicit slice with
-// FixedWorkload. They remain for callers that want a bare []Packet.
-var (
-	// UniformRandomWorkload generates n uniformly random packets.
-	UniformRandomWorkload = simnet.UniformRandom
-	// PermutationWorkload generates a random-permutation pattern.
-	PermutationWorkload = simnet.Permutation
-	// BroadcastWorkload generates a one-to-all pattern.
-	BroadcastWorkload = simnet.Broadcast
-	// AllToAllWorkload generates every ordered pair once.
-	AllToAllWorkload = simnet.AllToAll
-	// PoissonWorkload generates Poisson arrivals.
-	PoissonWorkload = simnet.PoissonArrivals
-	// RatedWorkload generates fixed-rate uniform traffic (rates may
-	// exceed one packet per cycle).
-	RatedWorkload = simnet.RatedUniform
-)
-
 // Load–latency characterization.
 var (
 	// LoadSweep measures mean latency across offered Poisson loads.
@@ -609,8 +571,6 @@ var (
 	NewFaultPlan = simnet.NewFaultPlan
 	// NewFaultAwareRouter wraps a router with fault awareness.
 	NewFaultAwareRouter = simnet.NewFaultAwareRouter
-	// DefaultFaultSimConfig returns the default TTL/retry/backoff tuning.
-	DefaultFaultSimConfig = simnet.DefaultFaultConfig
 	// DegradationSweep measures delivery and latency vs. fault rate.
 	DegradationSweep = simnet.DegradationSweep
 )
@@ -628,7 +588,7 @@ type (
 	FaultState = simnet.FaultState
 	// FaultAwareRouter reroutes around the faults of a FaultState.
 	FaultAwareRouter = simnet.FaultAwareRouter
-	// FaultSimConfig tunes RunWithFaults (TTL, retries, backoff).
+	// FaultSimConfig tunes a fault run (TTL, retries, backoff).
 	FaultSimConfig = simnet.FaultConfig
 	// FaultSimResult extends SimResult with fault-path accounting.
 	FaultSimResult = simnet.FaultResult

@@ -56,11 +56,14 @@ func TestEndToEndLayout(t *testing.T) {
 	if got := h.Diameter(); got != D {
 		t.Fatalf("H diameter = %d, want %d", got, D)
 	}
-	nw, err := NewNetwork(h, NewTableRouter(h), DefaultSimConfig())
+	nw, err := NewNetwork(h, WithRouter(NewTableRouter(h)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := nw.Run(UniformRandomWorkload(h.N(), 2000, 1))
+	res, err := nw.RunOpts(UniformLoad(2000))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Delivered != 2000 || res.Dropped != 0 {
 		t.Fatalf("result %v", res)
 	}
@@ -245,19 +248,19 @@ func TestFacadeIsomorphismSearch(t *testing.T) {
 }
 
 func TestFacadeWorkloads(t *testing.T) {
-	if len(PermutationWorkload(16, 1)) != 16 {
+	if len(PermutationLoad().Packets(16, 1)) != 16 {
 		t.Error("permutation workload size")
 	}
-	if len(BroadcastWorkload(16, 3)) != 15 {
+	if len(BroadcastLoad(3).Packets(16, 1)) != 15 {
 		t.Error("broadcast workload size")
 	}
-	if len(AllToAllWorkload(4)) != 12 {
+	if len(AllToAllLoad().Packets(4, 1)) != 12 {
 		t.Error("all-to-all workload size")
 	}
-	if len(PoissonWorkload(16, 10, 0.5, 1)) != 10 {
+	if len(PoissonLoad(10, 0.5).Packets(16, 1)) != 10 {
 		t.Error("poisson workload size")
 	}
-	if len(UniformRandomWorkload(16, 10, 1)) != 10 {
+	if len(UniformLoad(10).Packets(16, 1)) != 10 {
 		t.Error("uniform workload size")
 	}
 }
@@ -272,17 +275,20 @@ func TestFacadeNativeRouterOnLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := DeBruijn(d, D)
-	nw, err := NewNetwork(b, NewDeBruijnRouter(d, D), DefaultSimConfig())
+	nw, err := NewNetwork(b, WithRouter(NewDeBruijnRouter(d, D)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Translate an H-space workload to B-space through the witness.
-	pkts := UniformRandomWorkload(b.N(), 500, 2)
+	pkts := UniformLoad(500).Packets(b.N(), 2)
 	for i := range pkts {
 		pkts[i].Src = mapping[pkts[i].Src]
 		pkts[i].Dst = mapping[pkts[i].Dst]
 	}
-	res := nw.Run(pkts)
+	res, err := nw.RunOpts(FixedWorkload(pkts))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Delivered != 500 {
 		t.Fatalf("delivered %d/500", res.Delivered)
 	}

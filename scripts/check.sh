@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh — the repository's development gate. Runs formatting, vet,
-# build, the repo-specific static-analysis suite (reprolint) plus its
-# fixture self-check, the race detector over every internal package, the
-# seeded determinism double-run, and short runs of the benchmark that
-# check its golden digests.
+# build, the example programs, the repo-specific static-analysis suite
+# (reprolint) plus its fixture self-check, the race detector over every
+# internal package, the seeded determinism double-run, and short runs of
+# the benchmark that check its golden digests.
 #
 # Usage: sh scripts/check.sh
 # POSIX sh only; no bashisms.
@@ -25,6 +25,22 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+echo "== example programs (each of examples/* and cmd/machine runs to exit 0) =="
+# go build only compiles them; they drive the public facade end to end
+# and each takes well under a second.
+examples_bin=$(mktemp -d /tmp/examples.XXXXXX)
+for dir in examples/*/ cmd/machine/; do
+    name=$(basename "$dir")
+    go build -o "$examples_bin/$name" "./$dir"
+    if ! out=$("$examples_bin/$name" 2>&1); then
+        echo "$dir: exited non-zero:" >&2
+        printf '%s\n' "$out" >&2
+        rm -rf "$examples_bin"
+        exit 1
+    fi
+done
+rm -rf "$examples_bin"
 
 echo "== reprolint =="
 go run ./cmd/reprolint ./...
