@@ -32,6 +32,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -98,7 +99,7 @@ func main() {
 
 	mux := http.DefaultServeMux
 	registerAPI(mux, sched, g.N())
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serve: B(%d,%d), %d nodes, listening on %s\n", *d, *diam, g.N(), *addr)
@@ -140,6 +141,20 @@ func emitSLO(sched *serve.Scheduler) {
 	}
 }
 
+// Request limits, checked before a request reaches the scheduler.
+const (
+	// maxRunPackets bounds a /v1/run request's packet count, far above
+	// the 32–256 packets clients send, so one request cannot size an
+	// arbitrary packet table before admission sees it.
+	maxRunPackets = 1 << 16
+	// maxBodyBytes bounds every JSON request body; each request object
+	// is a few hundred bytes.
+	maxBodyBytes = 1 << 12
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers.
+	readHeaderTimeout = 10 * time.Second
+)
+
 // API wire types.
 type createReq struct {
 	Tenant         string  `json:"tenant"`
@@ -164,8 +179,7 @@ type sessionRef struct {
 func registerAPI(mux *http.ServeMux, sched *serve.Scheduler, n int) {
 	mux.HandleFunc("POST /v1/session", func(w http.ResponseWriter, r *http.Request) {
 		var req createReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
+		if !decode(w, r, &req) {
 			return
 		}
 		tc := serve.TenantConfig{
@@ -187,12 +201,15 @@ func registerAPI(mux *http.ServeMux, sched *serve.Scheduler, n int) {
 	})
 	mux.HandleFunc("POST /v1/run", func(w http.ResponseWriter, r *http.Request) {
 		var req runReq
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
+		if !decode(w, r, &req) {
 			return
 		}
 		if req.Packets <= 0 {
 			req.Packets = 64
+		}
+		if req.Packets > maxRunPackets {
+			httpErr(w, http.StatusBadRequest, fmt.Errorf("packets %d exceeds the limit of %d per run", req.Packets, maxRunPackets))
+			return
 		}
 		out, err := sched.Submit(req.Session, simnet.UniformRandom(n, req.Packets, req.Seed))
 		if err != nil {
@@ -203,8 +220,7 @@ func registerAPI(mux *http.ServeMux, sched *serve.Scheduler, n int) {
 	})
 	mux.HandleFunc("POST /v1/close", func(w http.ResponseWriter, r *http.Request) {
 		var req sessionRef
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
+		if !decode(w, r, &req) {
 			return
 		}
 		if err := sched.CloseSession(req.Session); err != nil {
@@ -242,6 +258,23 @@ func registerAPI(mux *http.ServeMux, sched *serve.Scheduler, n int) {
 	})
 }
 
+// decode reads one JSON request body of at most maxBodyBytes into v.
+// On failure it writes the error response itself, 413 for an oversized
+// body and 400 for a malformed one, and returns false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	httpErr(w, code, err)
+	return false
+}
+
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
@@ -270,7 +303,7 @@ func runSmoke(sched *serve.Scheduler, n int) error {
 	}
 	mux := http.NewServeMux()
 	registerAPI(mux, sched, n)
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()

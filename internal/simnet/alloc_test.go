@@ -75,3 +75,32 @@ func TestFaultAndHealAllocationScalesLinearly(t *testing.T) {
 		t.Errorf("heal session allocation grew %.1f× from B(2,10) to B(2,12), want ≤ 8×", float64(heal12)/float64(heal10))
 	}
 }
+
+// TestRunOptsAllocatesLikeRun: RunOpts keeps its option state on the
+// stack, so a plain run through it allocates exactly what the kernel
+// call it dispatches to does (the packet table its Result keeps), with
+// or without options.
+func TestRunOptsAllocatesLikeRun(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := debruijn.DeBruijn(2, 8)
+	nw, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := Permutation(g.N(), 1)
+	w, seed, shards := Fixed(pkts), WithSeed(1), WithShards(1)
+	run := testing.AllocsPerRun(50, func() { nw.run(pkts, runTuning{}, nil) })
+	for _, tc := range []struct {
+		name string
+		opts []RunOption
+	}{{"no options", nil}, {"WithSeed, WithShards(1)", []RunOption{seed, shards}}} {
+		got := testing.AllocsPerRun(50, func() {
+			if _, err := nw.RunOpts(w, tc.opts...); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != run {
+			t.Errorf("RunOpts (%s) allocates %.0f times per run, Network.run %.0f", tc.name, got, run)
+		}
+	}
+}

@@ -64,17 +64,18 @@ func (m RoutingMode) String() string {
 // (4096² = 16 MB) and takes at most about half a second to build; above
 // it the table-free shift router wins on footprint (and is the only
 // option at million-node scale, where the table would need n² ≈ 1 TB).
-// Per run the carried shift state costs 0.75–1.37× the table's one-load
+// Per run the carried shift state costs 0.69–1.12× the table's one-load
 // gather (plain permutation, median of 15 interleaved pairs, 2-vCPU
-// Xeon, go1.24.0): table vs shift 66 vs 90 µs on B(2,8), 402 vs 467 µs
-// on B(2,10), 875 vs 742 µs on B(3,7), 2356 vs 2016 µs on B(2,12) and
-// 5109 vs 3845 µs on B(2,13). The table is faster only on the smallest
-// graphs, and building it takes 1 ms at B(2,8), 89 ms at B(3,7), 0.47 s
-// at B(2,12) and 2.0 s at B(2,13), on top of 16 and 64 MiB at the last
-// two. Both routers take the same decisions, so the crossover moves
-// only time and memory. Per-run time alone would put it between 1024
-// and 2187 nodes; it stays at 4096, the largest size whose table is
-// still cheap to hold and build.
+// Xeon, go1.24.0): table vs shift 39 vs 44 µs on B(2,8), 288 vs 313 µs
+// on B(2,10), 525 vs 451 µs on B(3,7), 1962 vs 1622 µs on B(2,12) and
+// 3821 vs 2653 µs on B(2,13). The table is faster only on the smallest
+// graphs (a second set of 15 pairs read 1.22× on B(2,8) and 0.94× on
+// B(2,10)), and building it takes 0.6 ms at B(2,8), 85 ms at B(3,7),
+// 0.49 s at B(2,12) and 1.9 s at B(2,13), on top of 16 and 64 MiB at
+// the last two. Both routers take the same decisions, so the crossover
+// moves only time and memory. Per-run time alone would put it near
+// 1024 nodes; it stays at 4096, the largest size whose table is still
+// cheap to hold and build.
 const autoShiftNodes = 4096
 
 // netConfig is the option state of one NewNetwork call.

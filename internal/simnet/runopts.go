@@ -135,22 +135,24 @@ func (c *runConfig) fail(option, format string, args ...any) {
 	c.errs = append(c.errs, &OptionError{Option: option, Reason: fmt.Sprintf(format, args...)})
 }
 
-// RunOption configures one RunOpts call.
-type RunOption func(*runConfig)
+// RunOption configures one RunOpts call. It takes and returns the
+// option state by value, so RunOpts keeps that state on its stack.
+type RunOption func(runConfig) runConfig
 
 // WithFaults runs the workload through the fault-aware engine under the
 // given plan (nil: the fault engine with no scheduled faults — still
 // useful for its TTL/retry semantics and Delivered+Dropped accounting).
 // Two WithFaults options on one call conflict and fail eagerly.
 func WithFaults(plan *FaultPlan) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.planSet {
 			c.fail("WithFaults", "conflicting duplicate option (two fault plans on one run)")
-			return
+			return c
 		}
 		c.faults = true
 		c.plan = plan
 		c.planSet = true
+		return c
 	}
 }
 
@@ -159,10 +161,10 @@ func WithFaults(plan *FaultPlan) RunOption {
 // Negative fields fail eagerly; zero fields keep selecting their
 // documented defaults. Duplicate WithFaultConfig options conflict.
 func WithFaultConfig(cfg FaultConfig) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.faultCfgSet {
 			c.fail("WithFaultConfig", "conflicting duplicate option (two fault configs on one run)")
-			return
+			return c
 		}
 		if err := cfg.validate("WithFaultConfig"); err != nil {
 			c.errs = append(c.errs, err)
@@ -170,12 +172,13 @@ func WithFaultConfig(cfg FaultConfig) RunOption {
 		c.faults = true
 		c.faultCfg = cfg
 		c.faultCfgSet = true
+		return c
 	}
 }
 
 // WithTrace records the full event log of the run into the report.
 func WithTrace() RunOption {
-	return func(c *runConfig) { c.traced = true }
+	return func(c runConfig) runConfig { c.traced = true; return c }
 }
 
 // WithRecorder records metrics into rec for this run only, overriding
@@ -187,26 +190,28 @@ func WithTrace() RunOption {
 // a sharded run runs one lane. Duplicate WithRecorder options conflict
 // and fail eagerly.
 func WithRecorder(rec *obs.Recorder) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.recOverride {
 			c.fail("WithRecorder", "conflicting duplicate option (two recorders on one run)")
-			return
+			return c
 		}
 		c.rec = rec
 		c.recOverride = true
+		return c
 	}
 }
 
 // WithSeed seeds the workload generator (default 1). Duplicate WithSeed
 // options conflict and fail eagerly.
 func WithSeed(seed int64) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.seedSet {
 			c.fail("WithSeed", "conflicting duplicate option (two seeds on one run)")
-			return
+			return c
 		}
 		c.seed = seed
 		c.seedSet = true
+		return c
 	}
 }
 
@@ -222,16 +227,17 @@ func WithSeed(seed int64) RunOption {
 // or general path). s must be at least 1 and at most the node count;
 // out-of-range counts and duplicate WithShards options fail eagerly.
 func WithShards(s int) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.shards != 0 {
 			c.fail("WithShards", "conflicting duplicate option (two shard counts on one run)")
-			return
+			return c
 		}
 		if s < 1 {
 			c.fail("WithShards", "shard count must be >= 1, got %d", s)
-			return
+			return c
 		}
 		c.shards = s
+		return c
 	}
 }
 
@@ -243,16 +249,17 @@ func WithShards(s int) RunOption {
 // must be at least 1; zero or negative capacities and duplicate
 // WithQueueCapacity options fail eagerly.
 func WithQueueCapacity(cap int) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.qcap != 0 {
 			c.fail("WithQueueCapacity", "conflicting duplicate option (two queue bounds on one run)")
-			return
+			return c
 		}
 		if cap < 1 {
 			c.fail("WithQueueCapacity", "capacity must be >= 1, got %d", cap)
-			return
+			return c
 		}
 		c.qcap = cap
+		return c
 	}
 }
 
@@ -262,16 +269,17 @@ func WithQueueCapacity(cap int) RunOption {
 // FaultConfig's HoldBudget. Only meaningful with a queue bound; budget
 // must be at least 1, and duplicate WithHoldBudget options fail eagerly.
 func WithHoldBudget(budget int) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.hold != 0 {
 			c.fail("WithHoldBudget", "conflicting duplicate option (two hold budgets on one run)")
-			return
+			return c
 		}
 		if budget < 1 {
 			c.fail("WithHoldBudget", "budget must be >= 1, got %d", budget)
-			return
+			return c
 		}
 		c.hold = budget
+		return c
 	}
 }
 
@@ -283,10 +291,10 @@ func WithHoldBudget(budget int) RunOption {
 // exact. Invalid configurations and duplicate WithAdmission options
 // fail eagerly.
 func WithAdmission(cfg AdmissionConfig) RunOption {
-	return func(c *runConfig) {
+	return func(c runConfig) runConfig {
 		if c.admit {
 			c.fail("WithAdmission", "conflicting duplicate option (two admission configs on one run)")
-			return
+			return c
 		}
 		switch {
 		case cfg.Rate <= 0:
@@ -298,6 +306,7 @@ func WithAdmission(cfg AdmissionConfig) RunOption {
 		}
 		c.admission = cfg
 		c.admit = true
+		return c
 	}
 }
 
@@ -331,7 +340,7 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	}
 	cfg := runConfig{seed: 1}
 	for _, opt := range opts {
-		opt(&cfg)
+		cfg = opt(cfg)
 	}
 	if len(cfg.errs) > 0 {
 		return RunReport{}, cfg.errs[0]

@@ -98,7 +98,8 @@ func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 // self-routing the de Bruijn literature advertises. A witness router
 // (NewWitnessRouter) routes any digraph certified isomorphic to B(d, D)
 // the same way, through the isomorphism's labels: the paper's OTIS
-// layouts, II(d, d^D) and B_σ.
+// layouts, II(d, d^D) and B_σ. Labels are int32, like every Network's
+// node ids, so a router serves d^D ≤ math.MaxInt32 and no more.
 //
 // The engines route its packets without calling NextArc per hop. A
 // packet carries its destination's remaining letters as one int32
@@ -108,8 +109,8 @@ func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 // recomputed one.
 type DeBruijnRouter struct {
 	d, D int
-	n    int   // d^D, precomputed with an overflow-guarded power
-	pow  []int // pow[i] = d^i for i in [0, D]
+	n    int     // d^D ≤ math.MaxInt32
+	pow  []int32 // pow[i] = d^i for i in [0, D]
 
 	// label maps a physical node to its B(d, D) label, and
 	// letterArc[u·d+α] is the out-arc of physical node u that shifts in
@@ -118,9 +119,10 @@ type DeBruijnRouter struct {
 	label     []int32
 	letterArc []int8
 
-	// lead divides by top = d^(D−1) without a division instruction: step
-	// reads a carried state's leading digit with it (both unset when d^D
-	// exceeds the int32 range, which no Network admits, or D = 0).
+	// lead divides by top = d^(D−1) without a division instruction:
+	// step reads a carried state's leading digit with it, and overlap
+	// drops a label's leading digit with it (both unset only for the
+	// one-node D = 0, which has nothing to route).
 	lead     divisor
 	top, d32 int32
 }
@@ -129,7 +131,9 @@ type DeBruijnRouter struct {
 // for every x < 2^31, ⌊x/p⌋ = (x·recip) >> shift with
 // recip = ⌈2^(31+ℓ)/p⌉, shift = 31+ℓ and ℓ = ⌈log2 p⌉ (Granlund and
 // Montgomery's round-up method; the product stays below 2^63). p = 1
-// needs no case of its own: recip = 2^31, shift = 31.
+// needs no case of its own: recip = 2^31, shift = 31. A router's labels
+// and states are below d^D ≤ math.MaxInt32, so one divisor by d^(D−1)
+// serves every routing decision.
 type divisor struct {
 	recip uint64
 	shift uint
@@ -140,26 +144,30 @@ func newDivisor(p int) divisor {
 	return divisor{recip: (uint64(1)<<(31+l) + uint64(p) - 1) / uint64(p), shift: 31 + l}
 }
 
-// quo returns ⌊x/p⌋ for x ≥ 0.
+// quo returns ⌊x/p⌋ for x ≥ 0. The shift is at most 62; masking it
+// tells the compiler so, which drops its out-of-range shift handling.
 //
 //lint:hotpath
-func (v divisor) quo(x int32) int32 { return int32((uint64(x) * v.recip) >> v.shift) }
+func (v divisor) quo(x int32) int32 { return int32((uint64(x) * v.recip) >> (v.shift & 63)) }
 
-// NewDeBruijnRouter returns the native router for B(d, D).
+// NewDeBruijnRouter returns the native router for B(d, D). Its labels
+// and carried states are int32, so it serves exactly the graphs a
+// Network can hold, d^D ≤ math.MaxInt32, and panics above (word.Pow
+// panics first where d^D overflows int).
 func NewDeBruijnRouter(d, D int) *DeBruijnRouter {
 	n := word.Pow(d, D) // overflow-guarded, so the partial powers are safe
-	pow := make([]int, D+1)
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("simnet: B(%d,%d) has %d labels, beyond the int32 label range", d, D, n))
+	}
+	pow := make([]int32, D+1)
 	pow[0] = 1
 	for i := 1; i <= D; i++ {
-		pow[i] = pow[i-1] * d
+		pow[i] = pow[i-1] * int32(d)
 	}
 	r := &DeBruijnRouter{d: d, D: D, n: n, pow: pow}
-	// Carried states are int32, so step serves only graphs in the int32
-	// range, the only ones a Network admits; larger ones route by NextArc
-	// alone, and the one-node D = 0 has nothing to route.
-	if n <= math.MaxInt32 && D >= 1 {
-		r.lead = newDivisor(pow[D-1])
-		r.top, r.d32 = int32(pow[D-1]), int32(d)
+	if D >= 1 {
+		r.lead = newDivisor(int(pow[D-1]))
+		r.top, r.d32 = pow[D-1], int32(d)
 	}
 	return r
 }
@@ -188,64 +196,69 @@ func NewWitnessRouter(g *digraph.Digraph, toLogical []int) (*DeBruijnRouter, err
 // logical returns physical node u's B(d, D) label.
 //
 //lint:hotpath
-func (r *DeBruijnRouter) logical(u int) int {
+func (r *DeBruijnRouter) logical(u int) int32 {
 	if r.label != nil {
-		return int(r.label[u])
+		return r.label[u]
 	}
-	return u
+	//lint:ignore slabindex a node id is below n ≤ math.MaxInt32, which NewDeBruijnRouter bounds
+	return int32(u)
 }
 
-// overlap returns the largest k < D such that a's low-order k digits
-// equal b's high-order k digits — a ≡ ⌊b/d^(D−k)⌋ (mod d^k) — for
-// logical labels a ≠ b. The shortest path from a to b shifts in b's
-// remaining D−k letters, so dist(a, b) = D − k.
+// overlap returns, for logical labels a ≠ b, the largest k < D such that
+// a's low-order k digits equal b's high-order k digits, and
+// rest = b mod d^(D−k), the D−k letters the shortest path from a to b
+// shifts in, so dist(a, b) = D − k (k = 0 and rest = b when no digits
+// match). One shift-and-compare per candidate k, from k = D−1 down, with
+// no division: x holds a's low k digits left-aligned (lead reads the
+// leading digit to drop, the multiply by d shifts the rest up), and the
+// digits match exactly when 0 ≤ b − x < d^(D−k), where b − x is the
+// remainder itself. x and rest stay below d^D ≤ math.MaxInt32.
 //
 //lint:hotpath
-func (r *DeBruijnRouter) overlap(a, b int) int {
-	pow := r.pow
-	k := r.D - 1
-	for ; k > 0; k-- {
-		if a%pow[k] == b/pow[r.D-k] {
-			break
+func (r *DeBruijnRouter) overlap(a, b int32) (k int, rest int32) {
+	lead, d, n := r.lead, r.d32, r.top*r.d32
+	pow := r.pow[:r.D]
+	x := a
+	for j := 1; j < len(pow); j++ { // j = D − k letters left to shift in
+		// (x − q·d^(D−1))·d for x's leading digit q, multiplied out so
+		// that x·d leaves the loop's dependency chain.
+		//lint:ignore overflowguard x·d may wrap in int32, but x·d − q·d^D is below d^D ≤ math.MaxInt32, so the difference is exact
+		x = x*d - lead.quo(x)*n
+		if rest = b - x; uint32(rest) < uint32(pow[j]) {
+			return r.D - j, rest
 		}
 	}
-	return k
+	return 0, b
 }
 
 // NextArc implements Router. In congruence form the successor via letter α
 // is (d·u + α) mod d^D, which is adjacency position α; the canonical
-// shortest path shifts in the destination's remaining letters. The first
-// such letter falls out of pure digit arithmetic: with k the overlap of
-// at and dst, the letter to shift in next is dst's digit at position
-// D−k−1. A witness router does the same on the logical labels and maps
-// the letter to a physical arc. O(D) integer ops, no allocation.
+// shortest path shifts in the destination's remaining letters, so the
+// letter to shift in next is the leading digit of the state start
+// returns, and NextArc is the arc of step(at, start(at, dst)). A witness
+// router does the same on the logical labels and maps the letter to a
+// physical arc. At most D−1 shift-and-compare steps, no division, no
+// allocation.
 //
 //lint:hotpath
 func (r *DeBruijnRouter) NextArc(at, dst int) int {
 	if at == dst {
 		return -1
 	}
-	b := r.logical(dst)
-	letter := (b / r.pow[r.D-r.overlap(r.logical(at), b)-1]) % r.d
-	if r.letterArc != nil {
-		return int(r.letterArc[at*r.d+letter])
-	}
-	return letter
+	arc, _ := r.step(at, r.start(at, dst))
+	return arc
 }
 
 // start returns the state a packet at node at ≠ dst carries: dst's
 // logical label with the overlap already shifted out, left-aligned —
-// L(dst)·d^k mod d^D for k the overlap of L(at) and L(dst). The one O(D)
-// routing call of a packet's life on a shortest path; the caller
-// guarantees n fits int32 (every Network does).
+// L(dst)·d^k mod d^D for k the overlap of L(at) and L(dst), always below
+// d^D ≤ math.MaxInt32. The one O(D) routing call of a packet's life on a
+// shortest path.
 //
 //lint:hotpath
 func (r *DeBruijnRouter) start(at, dst int) int32 {
-	b := r.logical(dst)
-	k := r.overlap(r.logical(at), b)
-	rest := r.D - k
-	//lint:ignore slabindex the state is below d^D = n, which newNetwork's guardIndexInt32 bounds
-	return int32(b % r.pow[rest] * r.pow[k])
+	k, rest := r.overlap(r.logical(at), r.logical(dst))
+	return rest * r.pow[k]
 }
 
 // step routes one hop from node at for a packet carrying state t: the
@@ -270,8 +283,9 @@ func (r *DeBruijnRouter) distance(u, v int) int32 {
 	if u == v {
 		return 0
 	}
+	k, _ := r.overlap(r.logical(u), r.logical(v))
 	//lint:ignore slabindex a distance is at most D, far below the int32 range
-	return int32(r.D - r.overlap(r.logical(u), r.logical(v)))
+	return int32(r.D - k)
 }
 
 // diameter returns the diameter of B(d, D): D, or 0 for the one-node

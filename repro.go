@@ -471,7 +471,9 @@ var (
 var (
 	// NewTableRouter routes by precomputed shortest paths.
 	NewTableRouter = simnet.NewTableRouter
-	// NewDeBruijnRouter routes natively on B(d, D) labels.
+	// NewDeBruijnRouter routes natively on B(d, D) labels. Labels are
+	// int32, so it serves d^D ≤ math.MaxInt32, every graph a Network
+	// can hold, and panics above.
 	NewDeBruijnRouter = simnet.NewDeBruijnRouter
 )
 

@@ -75,31 +75,34 @@ if [ "$four_lanes" != "$one_lane" ]; then
     exit 1
 fi
 
-echo "== table-vs-shift smoke runs (B(2,12), 4096 nodes) =="
+echo "== table-vs-shift smoke runs (B(2,12), 4096 nodes; B(3,7), 2187 nodes) =="
 # Carried shift state must take the table's decisions end to end, at 64x
 # the unit tests' largest size: a plain permutation run and a bounded
 # uniform run must print the same result, queueing and overload lines
 # under -routing shift and -routing table, and a table run must not
-# call itself self-routing anywhere in its output.
-simulate_b212() {
-    go run ./cmd/simulate -topo debruijn -d 2 -diam 12 "$@"
+# call itself self-routing anywhere in its output. B(3,7) adds an
+# alphabet whose powers the router's reciprocal does not divide exactly.
+simulate_debruijn() {
+    go run ./cmd/simulate -topo debruijn "$@"
 }
-for run in "-workload permutation" "-workload uniform -packets 16384 -qcap 2"; do
-    # $run is left unquoted so that it splits into its flags.
-    shift_all=$(simulate_b212 $run -routing shift)
-    table_all=$(simulate_b212 $run -routing table)
-    shift_out=$(printf '%s\n' "$shift_all" | grep -E '^(result|queueing|overload):')
-    table_out=$(printf '%s\n' "$table_all" | grep -E '^(result|queueing|overload):')
-    if [ "$shift_out" != "$table_out" ]; then
-        echo "simulate $run: -routing shift and -routing table disagree:" >&2
-        printf 'shift:\n%s\ntable:\n%s\n' "$shift_out" "$table_out" >&2
-        exit 1
-    fi
-    if printf '%s\n' "$table_all" | grep -q 'self-routing'; then
-        echo "simulate $run -routing table: the output claims self-routing:" >&2
-        printf '%s\n' "$table_all" >&2
-        exit 1
-    fi
+for size in "-d 2 -diam 12" "-d 3 -diam 7"; do
+    for run in "-workload permutation" "-workload uniform -packets 16384 -qcap 2"; do
+        # $size and $run are left unquoted so that they split into flags.
+        shift_all=$(simulate_debruijn $size $run -routing shift)
+        table_all=$(simulate_debruijn $size $run -routing table)
+        shift_out=$(printf '%s\n' "$shift_all" | grep -E '^(result|queueing|overload):')
+        table_out=$(printf '%s\n' "$table_all" | grep -E '^(result|queueing|overload):')
+        if [ "$shift_out" != "$table_out" ]; then
+            echo "simulate $size $run: -routing shift and -routing table disagree:" >&2
+            printf 'shift:\n%s\ntable:\n%s\n' "$shift_out" "$table_out" >&2
+            exit 1
+        fi
+        if printf '%s\n' "$table_all" | grep -q 'self-routing'; then
+            echo "simulate $size $run -routing table: the output claims self-routing:" >&2
+            printf '%s\n' "$table_all" >&2
+            exit 1
+        fi
+    done
 done
 
 echo "== OTIS witness-routed smoke run (B(2,14), 16384 nodes, no routing table) =="
