@@ -99,7 +99,7 @@ func main() {
 
 	mux := http.DefaultServeMux
 	registerAPI(mux, sched, g.N())
-	srv := &http.Server{Addr: *addr, Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := newServer(*addr, mux)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "serve: B(%d,%d), %d nodes, listening on %s\n", *d, *diam, g.N(), *addr)
@@ -151,9 +151,33 @@ const (
 	// is a few hundred bytes.
 	maxBodyBytes = 1 << 12
 	// readHeaderTimeout bounds how long a client may take to send its
-	// request headers.
+	// request headers, and readTimeout the whole request, body included:
+	// a body is at most maxBodyBytes, so a client trickling it is cut off.
 	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	// writeTimeout bounds a request from the end of its headers to the
+	// end of its response, the run included, so it must exceed the
+	// slowest run the limits above admit: a maxRunPackets run on the
+	// default B(2,8) session with chaos on took 1.8–4.1 s over three
+	// chaos seeds on a 2-vCPU Xeon, so a minute leaves room for a
+	// slower host.
+	writeTimeout = time.Minute
+	// idleTimeout closes a keep-alive connection that sends no request.
+	idleTimeout = time.Minute
 )
+
+// newServer returns the HTTP server for handler at addr with every
+// timeout above set.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
 
 // API wire types.
 type createReq struct {
@@ -303,7 +327,7 @@ func runSmoke(sched *serve.Scheduler, n int) error {
 	}
 	mux := http.NewServeMux()
 	registerAPI(mux, sched, n)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: readHeaderTimeout}
+	srv := newServer("", mux)
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	base := "http://" + ln.Addr().String()

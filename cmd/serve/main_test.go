@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -9,6 +11,44 @@ import (
 	"repro/internal/debruijn"
 	"repro/internal/serve"
 )
+
+// TestNewServerTimeouts: the server both modes build sets every timeout,
+// the write timeout outlasts the read timeouts (it covers the run), and
+// a request served through it on a loopback listener completes.
+func TestNewServerTimeouts(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /ping", func(w http.ResponseWriter, r *http.Request) { _, _ = io.WriteString(w, "pong") })
+	srv := newServer("127.0.0.1:0", mux)
+	if srv.Addr != "127.0.0.1:0" || srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Fatalf("newServer leaves a timeout unset: %+v", srv)
+	}
+	if srv.WriteTimeout <= srv.ReadTimeout || srv.ReadTimeout < srv.ReadHeaderTimeout {
+		t.Fatalf("timeouts out of order: header %v, read %v, write %v", srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	resp, err := http.Get("http://" + ln.Addr().String() + "/ping")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if cerr := resp.Body.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil || string(body) != "pong" {
+		t.Fatalf("GET /ping: %q, %v", body, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+}
 
 // TestRunRequestLimits drives the HTTP API in process: a run asking for
 // more than maxRunPackets packets is refused with 400 before any packet

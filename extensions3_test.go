@@ -33,8 +33,12 @@ func TestFacadeMachine(t *testing.T) {
 
 func TestFacadeDeflection(t *testing.T) {
 	g := DeBruijn(2, 5)
+	nw, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var dn *DeflectionNetwork
-	dn, err := NewDeflection(g, 2)
+	dn, err = NewDeflection(nw)
 	if err != nil {
 		t.Fatal(err)
 	}

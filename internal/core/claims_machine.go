@@ -39,7 +39,11 @@ func init() {
 		Statement: "bufferless hot-potato routing delivers everything on B(d,D)",
 		Check: func() error {
 			g := debruijn.DeBruijn(2, 5)
-			dn, err := simnet.NewDeflection(g, 2)
+			nw, err := simnet.NewNetwork(g)
+			if err != nil {
+				return err
+			}
+			dn, err := simnet.NewDeflection(nw)
 			if err != nil {
 				return err
 			}

@@ -43,8 +43,8 @@ type Machine struct {
 	// the logical labels, each letter mapped to a physical out-arc), so
 	// it holds no n² routing or distance slab: fault-free distances are
 	// closed-form. Its scratch arenas are shared by every RunOpts and
-	// DegradationSweep on this machine; self-healing sessions build no
-	// table either.
+	// DegradationSweep on this machine; self-healing sessions and
+	// deflection runs build no table either.
 	net *simnet.Network
 
 	// lensOnce guards lensIdx, the lens of every arc on each side,
@@ -153,9 +153,12 @@ func (m *Machine) VerifyRoutes(stride int) error {
 }
 
 // RunDeflection executes a workload under bufferless hot-potato routing —
-// the regime of a machine whose nodes have no optical buffers.
+// the regime of a machine whose nodes have no optical buffers. It runs
+// on the machine's witness-routed network, so outputs rank by the
+// closed-form de Bruijn distance, the run builds no distance table, and
+// it records into the recorder attached with Observe.
 func (m *Machine) RunDeflection(pkts []simnet.Packet) (simnet.DeflectionResult, error) {
-	dn, err := simnet.NewDeflection(m.Physical, m.Degree)
+	dn, err := simnet.NewDeflection(m.net)
 	if err != nil {
 		return simnet.DeflectionResult{}, err
 	}

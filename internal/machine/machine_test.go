@@ -229,11 +229,13 @@ func TestRunOptsShardsPassThrough(t *testing.T) {
 }
 
 // TestMachineIsTableFree pins the machine's memory budget: Build(2,12),
-// one plain permutation and one lens-fault run allocate at most 16 MiB
-// in total — less than the n² next-hop slab alone (16 MiB at 4096
-// nodes), let alone the 64 MiB all-pairs distance slab the first fault
-// run used to add. The machine routes table-free through its certified
-// witness, with closed-form fault-free distances.
+// one plain permutation, one lens-fault run and one 600-packet
+// deflection run allocate at most 16 MiB in total — less than the n²
+// next-hop slab alone (16 MiB at 4096 nodes), let alone the 64 MiB
+// all-pairs distance slab the first fault run used to add or the n
+// forward-BFS rows (256 MiB) a deflection run used to build. The
+// machine routes table-free through its certified witness, with
+// closed-form fault-free distances.
 func TestMachineIsTableFree(t *testing.T) {
 	const budget = 16 << 20
 	var before, after runtime.MemStats
@@ -255,14 +257,19 @@ func TestMachineIsTableFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	deflected, err := m.RunDeflection(simnet.UniformLoad(600).Packets(m.Nodes(), 21))
+	if err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&after)
-	if plain.Delivered != m.Nodes() || faulted.Delivered+faulted.Dropped != m.Nodes() || faulted.Reroutes == 0 {
-		t.Fatalf("degenerate runs: plain %v, faulted %v", plain.FaultResult, faulted.FaultResult)
+	if plain.Delivered != m.Nodes() || faulted.Delivered+faulted.Dropped != m.Nodes() || faulted.Reroutes == 0 ||
+		deflected.Delivered != 600 || deflected.Deflections == 0 {
+		t.Fatalf("degenerate runs: plain %v, faulted %v, deflection %v", plain.FaultResult, faulted.FaultResult, deflected)
 	}
 	alloc := after.TotalAlloc - before.TotalAlloc
-	t.Logf("Build(2,12) + a plain and a lens-fault run allocated %.1f MiB", float64(alloc)/(1<<20))
+	t.Logf("Build(2,12) + a plain, a lens-fault and a deflection run allocated %.1f MiB", float64(alloc)/(1<<20))
 	if alloc > budget {
-		t.Fatalf("Build(2,12) + a plain and a lens-fault run allocated %.1f MiB, budget %d MiB",
+		t.Fatalf("Build(2,12) + a plain, a lens-fault and a deflection run allocated %.1f MiB, budget %d MiB",
 			float64(alloc)/(1<<20), budget>>20)
 	}
 	if m.net.Routing() != simnet.ShiftRouting {

@@ -346,13 +346,21 @@ func (s *Scheduler) CloseSession(sid int64) error {
 // completed or was shed. The returned Outcome always accounts every
 // packet: either a HealResult (Delivered+Dropped == offered) or a shed
 // with its cause. The error is non-nil only for unknown sessions and
-// misuse — load-induced refusals are Outcomes, not errors.
+// misuse — an empty workload, or a packet whose Src or Dst lies outside
+// the network's nodes, refused before anything is offered; load-induced
+// refusals are Outcomes, not errors.
 func (s *Scheduler) Submit(sid int64, pkts []simnet.Packet) (Outcome, error) {
 	if !s.started.Load() {
 		return Outcome{}, fmt.Errorf("serve: scheduler not started")
 	}
 	if len(pkts) == 0 {
 		return Outcome{}, fmt.Errorf("serve: empty workload")
+	}
+	nodes := s.g.N()
+	for _, p := range pkts {
+		if p.Src < 0 || p.Src >= nodes || p.Dst < 0 || p.Dst >= nodes {
+			return Outcome{}, fmt.Errorf("serve: packet %d runs %d→%d, outside the network's nodes [0, %d)", p.ID, p.Src, p.Dst, nodes)
+		}
 	}
 	s.mu.Lock()
 	sess := s.sessions[sid]

@@ -88,6 +88,37 @@ func TestSubmitDeliversAndAccounts(t *testing.T) {
 	}
 }
 
+// TestSubmitRefusesPacketsOutsideTheNetwork: a workload with a Src or a
+// Dst outside [0, n) is misuse. Submit returns an error before counting
+// anything offered, and the session keeps serving valid work.
+func TestSubmitRefusesPacketsOutsideTheNetwork(t *testing.T) {
+	s := newTestScheduler(t, Config{ChaosRate: -1})
+	if err := s.Start(1); err != nil {
+		t.Fatal(err)
+	}
+	sid := mustSession(t, s, TenantConfig{Tenant: "acme"})
+	n := s.g.N()
+	for _, bad := range []simnet.Packet{{Src: 99, Dst: 1}, {Src: 1, Dst: n}, {Src: -1, Dst: 1}, {Src: 1, Dst: -1}} {
+		pkts := append(workload(s, 8, 1), bad)
+		if _, err := s.Submit(sid, pkts); err == nil || !strings.Contains(err.Error(), "outside the network") {
+			t.Errorf("Submit with packet %d→%d: error %v, want a refusal", bad.Src, bad.Dst, err)
+		}
+	}
+	if got := s.Tenant("acme").offered.Value(); got != 0 {
+		t.Errorf("refused workloads counted %d packets offered, want 0", got)
+	}
+	out, err := s.Submit(sid, workload(s, 8, 2))
+	if err != nil || out.Status != StatusOK || out.Heal.Delivered+out.Heal.Dropped != 8 {
+		t.Fatalf("valid Submit after the refusals: %+v, %v", out, err)
+	}
+	if got := s.Tenant("acme").offered.Value(); got != 8 {
+		t.Errorf("offered = %d after one valid 8-packet Submit, want 8", got)
+	}
+	if _, err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSessionStatePersistsAcrossRuns(t *testing.T) {
 	// The whole point of sessions: the self-healing clock keeps
 	// counting across Submits, so chaos with session-absolute starts

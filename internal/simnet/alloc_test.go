@@ -76,6 +76,33 @@ func TestFaultAndHealAllocationScalesLinearly(t *testing.T) {
 	}
 }
 
+// TestTransientFaultRunBuildsNoDistanceTable: the first transient-fault
+// run on a table-routed B(2,12) ranks its deflections by walking the
+// router's own slab, so beyond the table NewNetwork built it allocates
+// under 4 MiB; the 4n²-byte all-pairs distance table alone would take
+// 64 MiB.
+func TestTransientFaultRunBuildsNoDistanceTable(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	g := debruijn.DeBruijn(2, 12)
+	nw, err := NewNetwork(g, WithRouting(TableRouting))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := NewFaultPlan().LinkDown(0, 20, 1, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := nw.RunOpts(PermutationLoad(), WithSeed(1), WithFaults(plan))
+	runtime.ReadMemStats(&after)
+	if err != nil || rep.Reroutes == 0 {
+		t.Fatalf("transient fault run: %v, %d reroutes (the ranking went unchecked)", err, rep.Reroutes)
+	}
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first transient-fault run allocated %.2f MiB", float64(alloc)/(1<<20))
+	if alloc >= 4<<20 {
+		t.Errorf("first transient-fault run allocated %.1f MiB, budget 4 MiB", float64(alloc)/(1<<20))
+	}
+}
+
 // TestRunOptsAllocatesLikeRun: RunOpts keeps its option state on the
 // stack, so a plain run through it allocates exactly what the kernel
 // call it dispatches to does (the packet table its Result keeps), with

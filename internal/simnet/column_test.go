@@ -108,6 +108,44 @@ func columnCatalog(t *testing.T) map[string]columnCase {
 	return out
 }
 
+// TestCustomRouterDistanceMatchesSlab: under a custom router the
+// fault-free distance deflections rank by is the walk of dst's column
+// over the intact digraph, built on first use; it matches the all-pairs
+// distance slab on every pair of the column catalog and of three
+// digraphs with unreachable pairs.
+func TestCustomRouterDistanceMatchesSlab(t *testing.T) {
+	path := digraph.New(3) // 0 → 1 → 2: nothing returns
+	path.AddArc(0, 1)
+	path.AddArc(1, 2)
+	split := digraph.New(4) // two 2-cycles with a one-way bridge
+	split.AddArc(0, 1)
+	split.AddArc(1, 0)
+	split.AddArc(2, 3)
+	split.AddArc(3, 2)
+	split.AddArc(1, 2)
+	loop := digraph.New(1)
+	loop.AddArc(0, 0)
+	graphs := map[string]*digraph.Digraph{"path(3)": path, "split(4)": split, "loop(1)": loop}
+	for name, c := range columnCatalog(t) {
+		graphs[name] = c.g
+	}
+	for name, g := range graphs {
+		n := g.N()
+		dist := g.DistanceSlab()
+		src := distSource{g: g, router: opaqueRouter{NewTableRouter(g)}}
+		for dst := 0; dst < n; dst++ {
+			for v := 0; v < n; v++ {
+				if got, want := src.dist(v, dst), dist[v*n+dst]; got != want {
+					t.Fatalf("%s: distance from %d to %d is %d, slab %d", name, v, dst, got, want)
+				}
+			}
+		}
+		if src.cols == nil || len(src.cols.cols) != n {
+			t.Fatalf("%s: the custom router's source built no columns over the intact digraph", name)
+		}
+	}
+}
+
 // TestResidualColumnsEverySingleArc: with no arc down every column is
 // the table's, and for every single-arc fault of every catalog graph
 // every column equals the from-scratch residual router.

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 
-	"repro/internal/digraph"
 	"repro/internal/obs"
 )
 
@@ -64,38 +63,36 @@ func (r DeflectionResult) DeliveredFraction() float64 {
 	return float64(r.Delivered) / float64(r.Offered)
 }
 
-// DeflectionNetwork simulates hot-potato routing on a d-regular digraph.
+// DeflectionNetwork simulates hot-potato routing on a Network whose
+// digraph is d-regular. It reads the Network the way every other engine
+// does: outputs rank by its router's fault-free distance, arc
+// traversals record at ArcIndex into the recorder attached with
+// Observe, and its cycle budget bounds the run.
 type DeflectionNetwork struct {
-	g     *digraph.Digraph
-	d     int
-	dist  [][]int // dist[u][v]: shortest distance, for output ranking
+	nw    *Network
 	limit int
-	rec   *obs.Recorder // nil: uninstrumented
 }
 
-// NewDeflection builds the simulator. The digraph must be d-out-regular
-// and strongly connected.
-func NewDeflection(g *digraph.Digraph, d int) (*DeflectionNetwork, error) {
-	if !g.IsOutRegular(d) {
-		return nil, fmt.Errorf("simnet: digraph is not %d-out-regular", d)
+// NewDeflection builds the simulator on nw. The digraph must be
+// d-out-regular for some d and strongly connected, and the hop latency
+// 1 (a bufferless packet moves every cycle). The cycle limit is nw's
+// WithMaxCycles budget, or 64·n when none is set.
+func NewDeflection(nw *Network) (*DeflectionNetwork, error) {
+	g := nw.g
+	if !g.IsOutRegular(nw.maxDeg) {
+		return nil, fmt.Errorf("simnet: deflection needs an out-regular digraph")
 	}
 	if !g.IsStronglyConnected() {
 		return nil, fmt.Errorf("simnet: deflection needs strong connectivity")
 	}
-	n := g.N()
-	dist := make([][]int, n)
-	for u := 0; u < n; u++ {
-		dist[u] = g.BFSFrom(u)
+	if nw.cfg.HopLatency != 1 {
+		return nil, fmt.Errorf("simnet: deflection needs hop latency 1, got %d", nw.cfg.HopLatency)
 	}
-	return &DeflectionNetwork{g: g, d: d, dist: dist, limit: 64 * n}, nil
-}
-
-// Observe attaches a metrics recorder: runs record per-arc traversals
-// (flat index u*d + k on the d-regular digraph), deflections, latency
-// and hop histograms. Passing nil detaches.
-func (dn *DeflectionNetwork) Observe(rec *obs.Recorder) {
-	rec.SizeArcs(dn.g.N() * dn.d)
-	dn.rec = rec
+	limit := nw.cfg.MaxCycles
+	if limit == 0 {
+		limit = 64 * g.N()
+	}
+	return &DeflectionNetwork{nw: nw, limit: limit}, nil
 }
 
 // deflectionRun is the mutable state of one run, threaded through step.
@@ -103,10 +100,11 @@ func (dn *DeflectionNetwork) Observe(rec *obs.Recorder) {
 // every step; their append growth amortizes to zero in steady state.
 type deflectionRun struct {
 	pkts      []Packet
-	at        [][]int // packets currently held at each node (≤ d)
-	pendingAt [][]int // injected but not yet admitted
-	next      [][]int // next cycle's holdings; swapped with at each step
-	taken     []bool  // per-node output-assignment marks, d entries
+	at        [][]int    // packets currently held at each node (≤ d)
+	pendingAt [][]int    // injected but not yet admitted
+	next      [][]int    // next cycle's holdings; swapped with at each step
+	taken     []bool     // per-node output-assignment marks, d entries
+	faultFree distSource // ranks outputs; the run owns its columns
 	remaining int
 	res       *DeflectionResult
 }
@@ -129,7 +127,7 @@ func (st *deflectionRun) deliver(i, cycle int, rec *obs.Recorder) {
 //
 //lint:hotpath
 func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorder) {
-	n := dn.g.N()
+	n := dn.nw.g.N()
 	pkts := st.pkts
 
 	// Absorb arrivals.
@@ -147,7 +145,7 @@ func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorde
 	// Inject where capacity allows (transiting packets have priority
 	// for outputs; a node holds at most d packets after injection).
 	for u := 0; u < n; u++ {
-		for len(st.pendingAt[u]) > 0 && len(st.at[u]) < dn.d {
+		for len(st.pendingAt[u]) > 0 && len(st.at[u]) < dn.nw.maxDeg {
 			i := st.pendingAt[u][0]
 			if pkts[i].Release > cycle {
 				break // queued by release order; later packets wait
@@ -168,26 +166,27 @@ func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorde
 		}
 		group := st.at[u]
 		sortByReleaseID(group, pkts)
-		outs := dn.g.Out(u)
+		outs := dn.nw.g.Out(u)
 		taken := st.taken[:len(outs)]
 		for k := range taken {
 			taken[k] = false
 		}
 		for _, i := range group {
 			// Rank outputs by resulting distance to destination.
-			best, bestDist := -1, 0
+			dst := pkts[i].Dst
+			best, bestDist := -1, int32(0)
 			for k, v := range outs {
 				if taken[k] {
 					continue
 				}
-				dv := dn.dist[v][pkts[i].Dst]
+				dv := st.faultFree.dist(v, dst)
 				if best == -1 || dv < bestDist {
 					best, bestDist = k, dv
 				}
 			}
 			taken[best] = true
 			v := outs[best]
-			if dn.dist[v][pkts[i].Dst] >= dn.dist[u][pkts[i].Dst] {
+			if bestDist >= st.faultFree.dist(u, dst) {
 				st.res.Deflections++
 				if rec != nil {
 					rec.Deflect()
@@ -195,7 +194,7 @@ func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorde
 			}
 			pkts[i].Hops++
 			if rec != nil {
-				rec.ArcTraverse(u*dn.d + best)
+				rec.ArcTraverse(dn.nw.ArcIndex(u, best))
 			}
 			next[v] = append(next[v], i)
 		}
@@ -226,8 +225,8 @@ func sortByReleaseID(group []int, pkts []Packet) {
 func (dn *DeflectionNetwork) Run(packets []Packet) DeflectionResult {
 	pkts := make([]Packet, len(packets))
 	copy(pkts, packets)
-	n := dn.g.N()
-	rec := dn.rec
+	n := dn.nw.g.N()
+	rec := dn.nw.rec
 	res := DeflectionResult{Offered: len(pkts)}
 
 	st := &deflectionRun{
@@ -235,7 +234,8 @@ func (dn *DeflectionNetwork) Run(packets []Packet) DeflectionResult {
 		at:        make([][]int, n),
 		pendingAt: make([][]int, n),
 		next:      make([][]int, n),
-		taken:     make([]bool, dn.d),
+		taken:     make([]bool, dn.nw.maxDeg),
+		faultFree: distSource{g: dn.nw.g, router: dn.nw.router},
 		res:       &res,
 	}
 	for i := range pkts {

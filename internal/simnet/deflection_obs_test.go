@@ -12,10 +12,7 @@ import (
 // stuck and horizon buckets.
 func TestDeflectionDrainInvariant(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	dn, err := NewDeflection(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dn := deflectionOn(t, g)
 
 	// Completed run: nothing dropped.
 	res := dn.Run(UniformRandom(g.N(), 100, 7))
@@ -82,12 +79,16 @@ func TestDeflectionDrainInvariant(t *testing.T) {
 // counters matching the result.
 func TestDeflectionObserved(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	dn, err := NewDeflection(g, 2)
+	nw, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := NewDeflection(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(nil)
-	dn.Observe(rec)
+	nw.Observe(rec)
 	res := dn.Run(UniformRandom(g.N(), 500, 11))
 	if res.Delivered != 500 {
 		t.Fatalf("undelivered: %v", res)
@@ -114,8 +115,7 @@ func TestDeflectionObserved(t *testing.T) {
 	}
 
 	// Instrumented and uninstrumented runs agree.
-	dn2, _ := NewDeflection(g, 2)
-	bare := dn2.Run(UniformRandom(g.N(), 500, 11))
+	bare := deflectionOn(t, g).Run(UniformRandom(g.N(), 500, 11))
 	if bare.Delivered != res.Delivered || bare.TotalHops != res.TotalHops ||
 		bare.Deflections != res.Deflections || bare.Cycles != res.Cycles {
 		t.Errorf("instrumented deflection diverged:\nbare: %+v\nobs:  %+v", bare, res)

@@ -7,28 +7,65 @@ import (
 	"repro/internal/digraph"
 )
 
+// deflectionOn builds the deflection simulator on NewNetwork(g, opts...).
+func deflectionOn(t *testing.T, g *digraph.Digraph, opts ...NetworkOption) *DeflectionNetwork {
+	t.Helper()
+	nw, err := NewNetwork(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dn, err := NewDeflection(nw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dn
+}
+
+// TestNewDeflectionValidation: NewDeflection refuses an irregular
+// digraph, one that is not strongly connected and a hop latency other
+// than 1, and bounds its runs by the Network's WithMaxCycles budget.
 func TestNewDeflectionValidation(t *testing.T) {
 	g := digraph.New(3)
 	g.AddArc(0, 1)
-	if _, err := NewDeflection(g, 2); err == nil {
-		t.Error("irregular digraph accepted")
-	}
 	p := digraph.New(2)
 	p.AddArc(0, 1)
 	p.AddArc(0, 1)
 	p.AddArc(1, 1)
 	p.AddArc(1, 1)
-	if _, err := NewDeflection(p, 2); err == nil {
-		t.Error("non-strongly-connected digraph accepted")
+	for _, c := range []struct {
+		name string
+		g    *digraph.Digraph
+		opts []NetworkOption
+	}{
+		{"irregular digraph", g, nil},
+		{"non-strongly-connected digraph", p, nil},
+		{"hop latency 2", debruijn.DeBruijn(2, 3), []NetworkOption{WithHopLatency(2)}},
+	} {
+		nw, err := NewNetwork(c.g, c.opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewDeflection(nw); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+	}
+
+	dn := deflectionOn(t, debruijn.DeBruijn(2, 3), WithMaxCycles(20))
+	if dn.limit != 20 {
+		t.Fatalf("cycle limit %d, want the WithMaxCycles budget 20", dn.limit)
+	}
+	res := dn.Run([]Packet{{ID: 0, Src: 0, Dst: 3}, {ID: 1, Src: 1, Dst: 5, Release: 21}})
+	if res.Delivered != 1 || res.DroppedHorizon != 1 {
+		t.Fatalf("a release past the WithMaxCycles budget must drop at the horizon: %+v", res)
+	}
+	if got := deflectionOn(t, debruijn.DeBruijn(2, 3)).limit; got != 64*8 {
+		t.Fatalf("default cycle limit %d, want 64·n = %d", got, 64*8)
 	}
 }
 
 func TestDeflectionSinglePacketTakesShortestPath(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
-	dn, err := NewDeflection(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dn := deflectionOn(t, g)
 	dist := g.BFSFrom(3)
 	res := dn.Run([]Packet{{ID: 0, Src: 3, Dst: 17}})
 	if res.Delivered != 1 {
@@ -44,10 +81,7 @@ func TestDeflectionSinglePacketTakesShortestPath(t *testing.T) {
 
 func TestDeflectionDeliversUnderLoad(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
-	dn, err := NewDeflection(g, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dn := deflectionOn(t, g)
 	res := dn.Run(UniformRandom(g.N(), 800, 91))
 	if res.Delivered != 800 {
 		t.Fatalf("delivered %d/800: %v", res.Delivered, res)
@@ -70,7 +104,7 @@ func TestDeflectionVsStoreAndForward(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
 	pkts := UniformRandom(g.N(), 400, 92)
 
-	dn, _ := NewDeflection(g, 2)
+	dn := deflectionOn(t, g)
 	defRes := dn.Run(pkts)
 
 	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
@@ -87,7 +121,7 @@ func TestDeflectionVsStoreAndForward(t *testing.T) {
 
 func TestDeflectionSelfPacket(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	dn, _ := NewDeflection(g, 2)
+	dn := deflectionOn(t, g)
 	res := dn.Run([]Packet{{ID: 0, Src: 2, Dst: 2, Release: 5}})
 	if res.Delivered != 1 || res.Packets[0].Delivered != 5 {
 		t.Errorf("self packet mishandled: %+v", res.Packets[0])
@@ -99,7 +133,7 @@ func TestDeflectionConservation(t *testing.T) {
 	// at the end everything is delivered (the digraph is strongly
 	// connected and assignment always moves packets).
 	g := debruijn.DeBruijn(3, 3)
-	dn, _ := NewDeflection(g, 3)
+	dn := deflectionOn(t, g)
 	res := dn.Run(UniformRandom(g.N(), 300, 93))
 	if res.Delivered != 300 {
 		t.Fatalf("lost packets: %v", res)

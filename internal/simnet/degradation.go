@@ -58,8 +58,9 @@ func DegradationSweep(g *digraph.Digraph, router Router, rates []float64, packet
 // lie in [0, 1]; packets per point and the rng seed are fixed so the
 // sweep is deterministic. Points are independent, so they are run by a
 // pool of up to workers goroutines (workers <= 0 selects GOMAXPROCS)
-// sharing this network's compiled router, distance slab and arena pool;
-// results are ordered like rates regardless of scheduling.
+// sharing this network's compiled router and arena pool (each point's
+// fault-aware router owns its distance source, so workers share nothing
+// mutable); results are ordered like rates regardless of scheduling.
 //
 // Every point offers the SAME workload — UniformRandom(n, packets, seed),
 // unmixed with the point index — while the fault sample is drawn from
@@ -82,10 +83,6 @@ func (nw *Network) DegradationSweep(rates []float64, packets int, seed int64, wo
 	if workers > len(rates) {
 		workers = len(rates)
 	}
-	// Build the shared distance slab before the workers race to use it
-	// (none on a shift-routed network: deflections rank in closed form).
-	_ = nw.faultFreeDist()
-
 	points := make([]DegradationPoint, len(rates))
 	var next atomic.Int64
 	var firstErr atomic.Value

@@ -14,9 +14,9 @@ import (
 //     deflection onto the best live alternate out-arc ranked by
 //     fault-free distance — the d−1 arc-disjoint alternatives every de
 //     Bruijn node offers. Transients heal, so a locally-greedy dodge
-//     (bounded by the run loop's TTL and retry budget) is enough. Under
-//     a shift-routed primary the distance is the closed form
-//     D − overlap, so no all-pairs slab is built.
+//     (bounded by the run loop's TTL and retry budget) is enough. The
+//     primary router answers the distance (distSource): in closed form
+//     under shift routing, by a walk of its slab under a table.
 //   - Permanent faults active: exact shortest paths of the residual
 //     digraph — the "rebuild the tables" a control plane does. Local
 //     dodging is NOT enough here: a fault-blind primary path can lead
@@ -39,13 +39,10 @@ type FaultAwareRouter struct {
 	primary Router
 	state   *FaultState
 
-	// dist is the flat fault-free distance slab (dist[u*n+v]), for
-	// ranking deflections when no permanent fault is active. It may be
-	// shared read-only with other routers over the same digraph. It is
-	// nil when the primary is a *DeBruijnRouter (shift), whose closed
-	// form ranks instead.
-	dist  []int32
-	shift *DeBruijnRouter
+	// faultFree ranks deflections when no permanent fault is active by
+	// the primary's fault-free distance; the router owns it.
+	faultFree distSource
+	shift     *DeBruijnRouter
 
 	// res routes around the permanent faults active at version
 	// resVersion; it is rebuilt when the version changes.
@@ -54,23 +51,11 @@ type FaultAwareRouter struct {
 }
 
 // NewFaultAwareRouter builds the router. state may be nil (or empty), in
-// which case decisions are exactly the primary's. A shift-routed primary
-// ranks deflections in closed form; any other builds the fault-free
-// distance slab here.
+// which case decisions are exactly the primary's. Deflections rank by
+// the primary's own fault-free distance; no all-pairs table is built.
 func NewFaultAwareRouter(g *digraph.Digraph, primary Router, state *FaultState) *FaultAwareRouter {
-	var dist []int32
-	if _, ok := primary.(*DeBruijnRouter); !ok {
-		dist = g.DistanceSlab()
-	}
-	return newFaultAwareRouterShared(g, primary, state, dist)
-}
-
-// newFaultAwareRouterShared is NewFaultAwareRouter with a caller-provided
-// fault-free distance slab (Network.faultFreeDist), which sweeps over
-// one Network build once and share read-only across their routers.
-func newFaultAwareRouterShared(g *digraph.Digraph, primary Router, state *FaultState, dist []int32) *FaultAwareRouter {
 	shift, _ := primary.(*DeBruijnRouter)
-	return &FaultAwareRouter{g: g, primary: primary, state: state, dist: dist, shift: shift}
+	return &FaultAwareRouter{g: g, primary: primary, state: state, faultFree: distSource{g: g, router: primary}, shift: shift}
 }
 
 // NextArc implements Router: the cascade above, or -1.
@@ -95,7 +80,7 @@ func (r *FaultAwareRouter) fromPrimary(at, dst, p int) int {
 		if p >= 0 && up(p) {
 			return p
 		}
-		return deflect(r.g, at, p, up, func(v int) int32 { return hopDist(r.dist, r.shift, r.g.N(), v, dst) })
+		return deflect(r.g, at, p, up, func(v int) int32 { return r.faultFree.dist(v, dst) })
 	}
 	// Permanent faults active: exact residual shortest paths.
 	res := r.residual()

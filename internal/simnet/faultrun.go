@@ -182,17 +182,13 @@ type pktMeta struct {
 	holds   int
 }
 
-// runWithFaults runs the fault loop under the oracle routing policy. The
-// TTL default's diameter is read off the fault-free distance slab the
-// oracle ranks its deflections by (built once per Network and shared
-// read-only), not re-derived by a second all-pairs BFS — or, on a
-// shift-routed network, which has no such slab, taken in closed form.
+// runWithFaults runs the fault loop under the oracle routing policy.
 func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	cfg = nw.faultConfig(cfg, nw.diameterFrom(nw.faultFreeDist()))
+	cfg = nw.faultConfig(cfg, nw.diameter())
 	res, events, err := nw.faultLoop(packets, state, nil, cfg, traced, admit, rec)
 	return res.FaultResult, events, err
 }
@@ -218,7 +214,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	var oracle *FaultAwareRouter
 	start := 0
 	if s == nil {
-		oracle = newFaultAwareRouterShared(nw.g, nw.router, state, nw.faultFreeDist())
+		oracle = NewFaultAwareRouter(nw.g, nw.router, state)
 	} else {
 		start = s.clock
 	}

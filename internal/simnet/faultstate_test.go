@@ -178,35 +178,3 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 		t.Fatal("nil FaultState must report no faults")
 	}
 }
-
-// TestSlabDiameterMatchesBFS pins the diameter the fault engine reads
-// off the distance slab to g.Diameter() on every catalog family, on a
-// digraph that is not strongly connected, and on a single node.
-func TestSlabDiameterMatchesBFS(t *testing.T) {
-	graphs := catalogGraphs(t)
-	path := digraph.New(3) // 0 → 1 → 2: nothing returns
-	path.AddArc(0, 1)
-	path.AddArc(1, 2)
-	graphs["path(3)"] = path
-	split := digraph.New(4) // two 2-cycles with a one-way bridge
-	split.AddArc(0, 1)
-	split.AddArc(1, 0)
-	split.AddArc(2, 3)
-	split.AddArc(3, 2)
-	split.AddArc(1, 2)
-	graphs["split(4)"] = split
-	loop := digraph.New(1)
-	loop.AddArc(0, 0)
-	graphs["loop(1)"] = loop
-	for name, g := range graphs {
-		if got, want := slabDiameter(g.DistanceSlab()), g.Diameter(); got != want {
-			t.Fatalf("%s: slab diameter %d, BFS diameter %d", name, got, want)
-		}
-	}
-	if got := slabDiameter(nil); got != digraph.Unreachable {
-		t.Fatalf("empty slab: diameter %d, want Unreachable", got)
-	}
-	if slabDiameter(path.DistanceSlab()) != digraph.Unreachable {
-		t.Fatal("path(3) must be reported unreachable")
-	}
-}

@@ -157,6 +157,10 @@ type SelfHealing struct {
 	cfg   HealConfig
 	clock int
 
+	// faultFree ranks deflections by the router's fault-free distance;
+	// the session owns it.
+	faultFree distSource
+
 	quarantined map[Arc]bool
 }
 
@@ -177,6 +181,7 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 		state:       state,
 		heal:        &healState{g: nw.g, suspicion: map[Arc]int{}},
 		cfg:         cfg.withHealDefaults(nw, nw.diameter()),
+		faultFree:   distSource{g: nw.g, router: nw.router},
 		quarantined: map[Arc]bool{},
 	}, nil
 }
@@ -311,10 +316,9 @@ func (s *SelfHealing) routeArc(u, dst int, rec *obs.Recorder) int {
 	}
 	// The epoch's choice is believed dead or quarantined (or dst is
 	// unreachable at this epoch): deflect onto the best usable out-arc
-	// by fault-free distance (closed form on a shift-routed network);
-	// the TTL and retry budgets bound the dodge.
-	nw, dist := s.nw, s.nw.faultFreeDist()
-	return deflect(nw.g, u, arc, usable, func(v int) int32 { return hopDist(dist, nw.shift, nw.g.N(), v, dst) })
+	// by fault-free distance, as the router answers it; the TTL and
+	// retry budgets bound the dodge.
+	return deflect(s.nw.g, u, arc, usable, func(v int) int32 { return s.faultFree.dist(v, dst) })
 }
 
 // route returns the arc node u ≠ dst forwards on toward dst at epoch e

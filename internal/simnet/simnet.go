@@ -93,6 +93,21 @@ func (r *TableRouter) NextArc(at, dst int) int {
 // on every graph whose out-degrees fit int8.
 func (r *TableRouter) Footprint() int { return len(r.arcs) + 4*len(r.wide) }
 
+// distance returns the fault-free distance from v to dst over g, the
+// digraph the table was built for, by walking the table's shortest-path
+// tree toward dst (at most diameter steps), or digraph.Unreachable.
+func (r *TableRouter) distance(g *digraph.Digraph, v, dst int) int32 {
+	d := int32(0)
+	for ; v != dst; d++ {
+		arc := r.NextArc(v, dst)
+		if arc < 0 {
+			return digraph.Unreachable
+		}
+		v = g.Out(v)[arc]
+	}
+	return d
+}
+
 // DeBruijnRouter routes natively on B(d, D) congruence labels using the
 // left-shift rule — no tables, O(D) work per decision, exactly the
 // self-routing the de Bruijn literature advertises. A witness router
@@ -277,8 +292,7 @@ func (r *DeBruijnRouter) step(at int, t int32) (arc int, next int32) {
 }
 
 // distance returns the fault-free distance from node u to node v in
-// closed form, D − overlap(L(u), L(v)) (0 when u = v) — the ranking the
-// fault-aware deflections read in place of an all-pairs slab.
+// closed form, D − overlap(L(u), L(v)) (0 when u = v).
 func (r *DeBruijnRouter) distance(u, v int) int32 {
 	if u == v {
 		return 0
@@ -387,11 +401,9 @@ func (r *Result) aggregate(pkts []Packet, hopLatency int) {
 
 // Network binds a digraph, a router, a hop latency and a cycle budget
 // into a runnable simulation. A Network is safe for concurrent RunOpts
-// calls:
-// the compiled router and distance slab are shared read-only, while each
-// run checks a scratch arena out of a pool so repeated runs (sweeps)
-// reuse their queue/pipeline/metadata storage instead of reallocating it
-// per point.
+// calls: the compiled router is shared read-only, while each run checks
+// a scratch arena out of a pool so repeated runs (sweeps) reuse their
+// queue/pipeline/metadata storage instead of reallocating it per point.
 type Network struct {
 	g      *digraph.Digraph
 	router Router
@@ -407,13 +419,6 @@ type Network struct {
 	arcTail []int32
 	maxDeg  int
 
-	// dist is the fault-free all-pairs distance slab, built on first use
-	// and then shared read-only by every fault-aware run and sweep worker
-	// — never on a shift-routed network, where the closed form replaces
-	// it (faultFreeDist).
-	distOnce sync.Once
-	dist     []int32
-
 	// diam caches the diameter, which fault runs consult for TTL defaults.
 	diamOnce sync.Once
 	diam     int
@@ -426,8 +431,7 @@ type Network struct {
 	// shift devirtualizes the native de Bruijn router: non-nil exactly
 	// when router is a *DeBruijnRouter (congruence-form or witness),
 	// letting every engine route without the interface call by stepping
-	// each packet's carried state — the table-free routing mode, with
-	// closed-form fault-free distances.
+	// each packet's carried state — the table-free routing mode.
 	shift *DeBruijnRouter
 
 	scratch sync.Pool // *arena
@@ -485,34 +489,6 @@ func arcBaseOf(g *digraph.Digraph) []int32 {
 	return arcBase
 }
 
-// distSlab returns the fault-free all-pairs distance slab, building it
-// exactly once per Network; callers share it read-only.
-func (nw *Network) distSlab() []int32 {
-	nw.distOnce.Do(func() { nw.dist = nw.g.DistanceSlab() })
-	return nw.dist
-}
-
-// faultFreeDist returns what deflections rank live out-arcs by: the
-// fault-free distance slab, or nil on a shift-routed network, whose
-// fault-free distance is the closed form D − overlap
-// (DeBruijnRouter.distance) — so no n² slab is ever built there.
-func (nw *Network) faultFreeDist() []int32 {
-	if nw.shift != nil {
-		return nil
-	}
-	return nw.distSlab()
-}
-
-// hopDist is the fault-free distance from v to dst that ranks a
-// deflection onto v: dist's entry, or the closed form when dist is nil
-// (faultFreeDist on a shift-routed network).
-func hopDist(dist []int32, shift *DeBruijnRouter, n, v, dst int) int32 {
-	if dist == nil {
-		return shift.distance(v, dst)
-	}
-	return dist[v*n+dst]
-}
-
 // diameter returns the digraph's diameter, computed once per Network:
 // in closed form on a shift-routed network, by g.Diameter() otherwise.
 func (nw *Network) diameter() int {
@@ -526,36 +502,31 @@ func (nw *Network) diameter() int {
 	return nw.diam
 }
 
-// diameterFrom is diameter for a caller already holding faultFreeDist's
-// result: the first call reads the diameter off the slab instead of
-// running g.Diameter's all-pairs BFS (nil, on a shift-routed network,
-// takes the closed form). The derivations agree, so whichever reaches
-// the Once first fixes the same value.
-func (nw *Network) diameterFrom(dist []int32) int {
-	if dist == nil {
-		return nw.diameter()
-	}
-	nw.diamOnce.Do(func() { nw.diam = slabDiameter(dist) })
-	return nw.diam
+// distSource is the fault-free distance deflections rank their out-arcs
+// by, asked of the router, so no engine holds an all-pairs table: a
+// shift or witness router answers in closed form, a TableRouter walks
+// its own slab, and any other router walks dst's column over the intact
+// digraph. The run, session or deflection run that ranks by it owns it,
+// and with it the columns it builds on first use.
+type distSource struct {
+	g      *digraph.Digraph
+	router Router
+	cols   *residual // the intact digraph's columns; nil until first used
 }
 
-// slabDiameter returns the diameter recorded in an all-pairs distance
-// slab: its largest entry, or digraph.Unreachable when some pair is
-// unreachable (or the slab is empty) — what g.Diameter() returns.
-func slabDiameter(dist []int32) int {
-	if len(dist) == 0 {
-		return digraph.Unreachable
+// dist returns the fault-free distance from v to dst, or
+// digraph.Unreachable.
+func (s *distSource) dist(v, dst int) int32 {
+	switch r := s.router.(type) {
+	case *DeBruijnRouter:
+		return r.distance(v, dst)
+	case *TableRouter:
+		return r.distance(s.g, v, dst)
 	}
-	diam := int32(0)
-	for _, d := range dist {
-		if d == digraph.Unreachable {
-			return digraph.Unreachable
-		}
-		if d > diam {
-			diam = d
-		}
+	if s.cols == nil {
+		s.cols = &residual{g: s.g}
 	}
-	return int(diam)
+	return s.cols.walk(s.cols.column(dst), v, dst)
 }
 
 // defaultBudget is the generous cycle bound used when MaxCycles is 0.

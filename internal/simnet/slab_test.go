@@ -42,8 +42,9 @@ func catalogGraphs(t *testing.T) map[string]*digraph.Digraph {
 // TestTableRouterDifferentialCatalog checks, pair by pair on every
 // catalog graph, that the arc slab agrees with the all-pairs distance
 // slab: a routed arc always steps one closer to the destination (the
-// distance class the replaced implementation guaranteed), and -1
-// appears exactly for unreachable pairs and self-pairs.
+// distance class the replaced implementation guaranteed), -1 appears
+// exactly for unreachable pairs and self-pairs, and the walk of the
+// slab that ranks deflections returns the pair's distance.
 func TestTableRouterDifferentialCatalog(t *testing.T) {
 	for name, g := range catalogGraphs(t) {
 		n := g.N()
@@ -53,6 +54,9 @@ func TestTableRouterDifferentialCatalog(t *testing.T) {
 			for dst := 0; dst < n; dst++ {
 				arc := router.NextArc(u, dst)
 				d := dist[u*n+dst]
+				if got := router.distance(g, u, dst); got != d {
+					t.Fatalf("%s: the table walk from %d to %d reads %d, distance %d", name, u, dst, got, d)
+				}
 				switch {
 				case u == dst:
 					if arc != -1 {

