@@ -23,6 +23,13 @@ import (
 // the workload uses, every two-Run heal session on the B(2,10) machine
 // allocates less than n²/8 bytes beyond the Runs' own packet copies —
 // an eighth of the n² next-hop slab sessions used to start from.
+//
+// A Run whose arena checkout misses the pool (the warmed arena sits in
+// another P's private slot, as happens when other test binaries share
+// the CPUs) allocates a fresh arena inside the measured window. A miss
+// does not recur while an n² structure would on every session, so a
+// session over budget is measured twice more and judged by the least of
+// its three readings.
 func TestMachineHealSessionsBuildNoSlab(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	m, err := Build(2, 10, optics.DefaultPitch)
@@ -43,7 +50,10 @@ func TestMachineHealSessionsBuildNoSlab(t *testing.T) {
 		t.Fatal(err)
 	}
 	copies := uint64(2*len(pkts)) * uint64(unsafe.Sizeof(simnet.Packet{}))
-	for session := 1; session <= 2; session++ {
+	budget := uint64(n * n / 8)
+	// session runs one two-Run heal session and returns the bytes it
+	// allocated beyond the packet copies.
+	session := func() uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		s, err := m.SelfHeal(plan, simnet.HealConfig{})
@@ -57,12 +67,20 @@ func TestMachineHealSessionsBuildNoSlab(t *testing.T) {
 		}
 		runtime.ReadMemStats(&after)
 		if s.Epoch() == 0 {
-			t.Fatalf("session %d never detected the fault on arc (%d#%d)", session, path[0], k)
+			t.Fatalf("session never detected the fault on arc (%d#%d)", path[0], k)
 		}
-		alloc := after.TotalAlloc - before.TotalAlloc - copies
-		t.Logf("session %d: %d bytes beyond the packet copies", session, alloc)
-		if alloc >= uint64(n*n/8) {
-			t.Fatalf("session %d allocated %d bytes beyond its packet copies, at least n²/8 = %d", session, alloc, n*n/8)
+		return after.TotalAlloc - before.TotalAlloc - copies
+	}
+	for i := 1; i <= 2; i++ {
+		alloc := session()
+		t.Logf("session %d: %d bytes beyond the packet copies", i, alloc)
+		for again := 0; again < 2 && alloc >= budget; again++ {
+			retry := session()
+			t.Logf("session %d re-measured: %d bytes", i, retry)
+			alloc = min(alloc, retry)
+		}
+		if alloc >= budget {
+			t.Fatalf("session %d allocated %d bytes beyond its packet copies on each of three readings, at least n²/8 = %d", i, alloc, budget)
 		}
 	}
 }

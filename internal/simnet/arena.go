@@ -18,10 +18,8 @@ import (
 // arena is the scratch state of one in-progress run. Network.scratch
 // pools arenas; concurrent runs each check out their own.
 type arena struct {
-	waiting [][]int32 // per-node hold queues (fault loop)
-	order   []int32   // packet indices sorted by (Release, index)
-	holdq   []int32   // source-held packets (bounded-queue backpressure)
-	meta    []pktMeta // per-packet bookkeeping (retries, holds)
+	order []int32 // packet indices sorted by (Release, index)
+	holdq []int32 // source-held packets (bounded-queue backpressure)
 
 	// SoA packet slabs of the arc-major run engine, parallel by packet
 	// index: destination, release cycle (clamped to the horizon), delivery
@@ -37,7 +35,7 @@ type arena struct {
 	pCarry []int32
 
 	// The links, in two flat slabs of segCap·M entries. The general path
-	// and the fault loop cut them into fixed-capacity pipe segments per
+	// and the fault kernel cut them into fixed-capacity pipe segments per
 	// arc (packet index and ready cycle, pipeLen entries in use). A pipe
 	// holds at most HopLatency in-flight packets when nothing holds on
 	// the link (one departure per cycle, each resident exactly
@@ -47,8 +45,8 @@ type arena struct {
 	// buckets of M (packet, arc) entries.
 	pipePkt, pipeReady, pipeLen []int32
 
-	// A routing batch (arrivalBatch): the packets entering a node this
-	// cycle, their nodes and their arcs.
+	// The one-lane kernel's routing batch (arrivalBatch): the packets
+	// entering a node this cycle, their nodes and their arcs.
 	arrPkt, arrNode, arrArc []int32
 
 	// Intrusive linked queues of the plain engines (see arcQueues): a
@@ -59,19 +57,12 @@ type arena struct {
 	qEnds []queueEnds
 	qLink []int32
 
-	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets,
+	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets, and
 	// aBits bit a set ⇔ arc a has in-flight (or held) pipe entries
-	// (general path and fault loop), and nodeBits bit u set ⇔ node u has
-	// waiting packets (fault loop). The per-cycle sweeps walk set bits
-	// in ascending order instead of scanning all M arcs (or N nodes),
-	// which is what makes ns/packet flat in network size.
-	qBits, aBits, nodeBits []uint64
-
-	// busy marks out-arcs already used this (node, cycle): busy[k] equals
-	// the current busyToken. Bumping the token invalidates every mark in
-	// O(1), replacing a per-node-per-cycle []bool allocation.
-	busy      []int64
-	busyToken int64
+	// (general path and fault kernel). The per-cycle sweeps walk set bits
+	// in ascending order instead of scanning all M arcs, which is what
+	// makes ns/packet flat in network size.
+	qBits, aBits []uint64
 
 	// tally is the run-local telemetry of a recorded run: the kernels
 	// record into it with plain stores and fold it into the recorder
@@ -80,6 +71,10 @@ type arena struct {
 
 	// lanes is the lane kernel's state, partitioned on first use.
 	lanes laneRun
+
+	// fault is the fault kernel's state: per-packet records and node
+	// FIFOs, sized on first use (see faultRun).
+	fault faultRun
 }
 
 // getArena checks a scratch arena out of the pool, reset and sized for
@@ -92,25 +87,18 @@ func (nw *Network) getArena() (*arena, bool) {
 	ar, ok := nw.scratch.Get().(*arena)
 	if !ok {
 		ar = &arena{
-			waiting:  make([][]int32, n),
-			pipeLen:  make([]int32, m),
-			qBits:    make([]uint64, (m+63)/64),
-			aBits:    make([]uint64, (m+63)/64),
-			nodeBits: make([]uint64, (n+63)/64),
-			busy:     make([]int64, nw.maxDeg),
+			pipeLen: make([]int32, m),
+			qBits:   make([]uint64, (m+63)/64),
+			aBits:   make([]uint64, (m+63)/64),
 		}
 		return ar, false
-	}
-	for i := range ar.waiting {
-		ar.waiting[i] = ar.waiting[i][:0]
 	}
 	clearInt32(ar.pipeLen)
 	clearBits(ar.qBits)
 	clearBits(ar.aBits)
-	clearBits(ar.nodeBits)
 	ar.holdq = ar.holdq[:0]
-	// order and meta are resized by the run; busy stays valid because the
-	// token only ever grows.
+	// order is resized by the run, and the fault kernel resets its own
+	// state (faultRun.setup).
 	return ar, true
 }
 
@@ -170,10 +158,9 @@ func (ar *arena) carrySlab(p int) []int32 {
 	return ar.pCarry
 }
 
-// arrivalBatch returns the three buffers of a routing batch (packet
-// index, node, arc), each with room for p entries — at most every offered
-// packet can enter a node in one cycle: the one-lane kernel's batch and
-// the fault loop's entry batch.
+// arrivalBatch returns the three buffers of the one-lane kernel's routing
+// batch (packet index, node, arc), each with room for p entries — at most
+// every offered packet can enter a node in one cycle.
 func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	if cap(ar.arrPkt) < p {
 		ar.arrPkt = make([]int32, p)
@@ -282,20 +269,6 @@ func (ar *arena) departureRing(m, hopLat int) (pkt, arc []int32) {
 
 // putArena returns a run's scratch to the pool.
 func (nw *Network) putArena(ar *arena) { nw.scratch.Put(ar) }
-
-// metaFor returns the per-packet bookkeeping slice, zeroed, reusing the
-// arena's backing storage when it is large enough.
-func (ar *arena) metaFor(n int) []pktMeta {
-	if cap(ar.meta) < n {
-		ar.meta = make([]pktMeta, n)
-	} else {
-		ar.meta = ar.meta[:n]
-		for i := range ar.meta {
-			ar.meta[i] = pktMeta{}
-		}
-	}
-	return ar.meta
-}
 
 // sortByRelease orders packet indices by (Release, index): the injection
 // schedule a single cursor can walk, replacing the historical per-cycle

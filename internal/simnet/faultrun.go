@@ -174,8 +174,9 @@ func (r FaultResult) DeliveredFraction() float64 {
 	return float64(r.Delivered) / float64(offered)
 }
 
-// pktMeta is the per-packet run bookkeeping: the retry budget state and
-// the hold-in-place budget spent against full bounded queues.
+// pktMeta is a packet's retry and hold bookkeeping as retryPolicy.charge
+// reads and advances it: retries spent, the cycle the packet may try
+// again, and hold-in-place cycles spent.
 type pktMeta struct {
 	retries int
 	readyAt int
@@ -208,482 +209,683 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 //     fault plan or the control plane reads them, and the loop advances
 //     s.clock past the Run.
 //
+// A cycle is three phase sweeps over flat slabs, like the lane kernel's:
+// inject (source-held packets, then the release cursor through the
+// admission regulator), arrive (the in-flight bitmap in ascending arc
+// order) and depart (the waiting-node bitmap in ascending node order,
+// each node's FIFO in order). Every run mode goes through these same
+// functions: the routing policy (s), bounded queues (qcap > 0),
+// admission (admit), the event log (traced) and telemetry (tl) are
+// per-run flags each phase tests, not copies of the cycle. A packet's
+// per-hop state is one faultPkt record; its primary (fault-blind) arc is
+// gathered once, when it enters a node, and a departure takes it after
+// one bit test of the FaultState's per-cycle view unless that arc is
+// down now or absent, or a permanent fault is active — only then does it
+// ask the FaultAwareRouter (fromPrimary).
+//
 // A session's control-plane counters go straight to rec; per-hop
 // telemetry goes through the run-local tally under both policies.
 func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (HealResult, []Event, error) {
-	var oracle *FaultAwareRouter
 	start := 0
-	if s == nil {
-		oracle = NewFaultAwareRouter(nw.g, nw.router, state)
-	} else {
+	if s != nil {
 		start = s.clock
 	}
-
-	n := nw.g.N()
-	m := int(nw.arcBase[n])
-	guardIndexInt32(len(packets), "packets")
-	policy := newRetryPolicy(cfg)
-	maxCycles := cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = nw.defaultBudget(len(packets), cfg.HopLatency)
-		// Room for every retry of the backoff ladder to play out.
-		maxCycles += cfg.MaxRetries * cfg.BackoffCap
-		if admit != nil {
-			// Room for the regulator to trickle the whole workload in.
-			maxCycles += int(float64(len(packets))/admit.rate) + admit.maxDelay
-		}
-	}
-	// Pipe ready cycles are narrowed into an int32 slab; one guard at
-	// entry dominates every stamp below.
-	guardIndexInt32(maxCycles+cfg.HopLatency+2, "cycles")
-
 	pkts := make([]Packet, len(packets))
 	copy(pkts, packets)
 
 	ar, reused := nw.getArena()
 	defer nw.putArena(ar)
-	tl := ar.tallyFor(rec, m)
+	tl := ar.tallyFor(rec, int(nw.arcBase[nw.g.N()]))
 	if tl != nil {
 		tl.Arena(reused)
 	}
-	meta := ar.metaFor(len(pkts))
-	// Each packet's primary (fault-blind) arc is gathered once, when the
-	// packet enters a node: entPkt and entNode collect this cycle's
-	// injections and arrivals with their nodes, and one batched pass
-	// after the arrival sweep fills prim (indexed by packet) before any
-	// departure reads it.
-	entPkt, entNode, prim := ar.arrivalBatch(len(pkts))
-	var tArcs []int8
-	tN := 0
-	if tr, ok := nw.router.(*TableRouter); ok {
-		tArcs, tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
+	fr := &ar.fault
+	maxCycles := fr.setup(nw, ar, pkts, cfg, admit)
+	fr.state, fr.s, fr.rec, fr.tl, fr.traced = state, s, rec, tl, traced
+	if s == nil {
+		fr.oracle = NewFaultAwareRouter(nw.g, nw.router, state)
 	}
-	// Under shift routing the gather steps each packet's carried state
-	// (see gatherPrimary). Every state starts stale, so the gather at the
-	// source computes it.
-	var carry []int32
-	if nw.shift != nil {
-		carry = ar.carrySlab(len(pkts))
-		for i := range carry {
-			carry[i] = staleCarry
-		}
-	}
-	// waiting[u] is the FIFO of packet indices held at node u. Links are
-	// the general plain path's SoA pipe segments: one departure per arc
-	// per cycle, each in flight exactly HopLatency cycles, so HopLatency
-	// slots per arc suffice. (Not the lane kernel's departure ring: packets
-	// leave a node in FIFO order, not ascending arc order, and arrivals
-	// must be swept in arc order.) nodeBits (bit u ⇔ waiting[u]
-	// non-empty) and aBits (bit a ⇔ arc a has packets in flight) let the
-	// per-cycle sweeps walk only active nodes and arcs, in the same
-	// ascending order as the historical full scans.
-	waiting := ar.waiting
-	segCap := cfg.HopLatency
-	hopLat := int32(cfg.HopLatency)
-	pipePkt, pipeReady, pipeLen := ar.pipeSegments(m, segCap)
-	nodeBits, aBits := ar.nodeBits, ar.aBits
-
-	var events []Event
-	emit := func(e Event) {
-		if traced {
-			events = append(events, e)
-		}
-	}
-
-	res := HealResult{}
-	drop := func(i, cycle, node int, bucket *int, cause obs.DropCause) {
-		*bucket++
-		res.Dropped++
-		if tl != nil {
-			tl.Drop(cause)
-		}
-		emit(Event{Cycle: cycle, Kind: EventDrop, Packet: pkts[i].ID, Node: node, Peer: -1})
-	}
-
-	remaining := 0
-	order := ar.order[:0]
-	for i := range pkts {
-		pkts[i].Delivered = -1
-		pkts[i].Hops = 0
-		if pkts[i].Src == pkts[i].Dst {
-			pkts[i].Delivered = pkts[i].Release
-			res.Delivered++
-			continue
-		}
-		order = append(order, int32(i))
-		remaining++
-	}
-	sortByRelease(order, pkts)
-	ar.order = order
-	cursor := 0
-
-	// Overload protection: nodeFull bounds each node's hold queue at
-	// QueueCapacity packets per out-arc; hold charges one hold-in-place
-	// cycle to a packet's lifetime budget (false: exhausted, caller
-	// drops); enter/resident track the peak in-network buffer occupancy.
-	qcap := cfg.QueueCapacity
-	nodeFull := func(v int) bool {
-		return qcap > 0 && len(waiting[v]) >= qcap*int(nw.arcBase[v+1]-nw.arcBase[v])
-	}
-	hold := func(i, depth int) bool {
-		meta[i].holds++
-		if meta[i].holds > cfg.HoldBudget {
-			return false
-		}
-		res.Holds++
-		if tl != nil {
-			tl.Hold(depth)
-		}
-		return true
-	}
-	resident := 0
-	enter := func() {
-		resident++
-		if resident > res.PeakResident {
-			res.PeakResident = resident
-		}
-	}
-	holdq := ar.holdq[:0]
-	heldLast := false // congestion signal: a hold happened last cycle
-	entered := 0      // packets that entered a node this cycle (entPkt/entNode)
-
-	// inject offers packet i to its source at cycle. A full source holds
-	// it outside the network against its hold budget (true) or, once the
-	// budget runs out, drops it.
-	inject := func(i32 int32, cycle int) (held bool) {
-		i := int(i32)
-		src := pkts[i].Src
-		if nodeFull(src) {
-			if hold(i, len(waiting[src])) {
-				return true
-			}
-			drop(i, cycle, src, &res.DroppedQueueFull, obs.DropQueueFull)
-			remaining--
-			return false
-		}
-		waiting[src] = append(waiting[src], i32)
-		nodeBits[src>>6] |= 1 << (uint(src) & 63)
-		entPkt[entered], entNode[entered] = i32, int32(src)
-		entered++
-		enter()
-		emit(Event{Cycle: cycle, Kind: EventInject, Packet: pkts[i].ID, Node: src, Peer: -1})
-		return false
-	}
+	defer fr.release(ar)
 
 	var cycle int
-	for cycle = 0; remaining > 0 && cycle <= maxCycles; cycle++ {
-		cycle32 := int32(cycle)
+	heldLast := false // congestion signal: a hold happened last cycle
+	for cycle = 0; fr.remaining > 0 && cycle <= maxCycles; cycle++ {
 		state.Advance(start + cycle)
 		if s != nil {
-			if err := s.tick(start+cycle, &res, rec); err != nil {
-				return res, nil, err
+			if err := s.tick(start+cycle, &fr.res, rec); err != nil {
+				return fr.res, nil, err
 			}
 		}
-		holdsBefore := res.Holds
-		entered = 0
+		holdsBefore := fr.res.Holds
 		if admit != nil {
 			admit.refill(heldLast)
 		}
-
-		// Inject: source-held packets (admitted earlier, source full)
-		// retry first, then the release cursor drains through the
-		// admission regulator.
-		if len(holdq) > 0 {
-			nh := holdq[:0]
-			for _, i32 := range holdq {
-				if inject(i32, cycle) {
-					nh = append(nh, i32)
-				}
-			}
-			holdq = nh
+		fr.inject(cycle)
+		fr.arrive(cycle)
+		if err := fr.depart(cycle, start); err != nil {
+			return fr.res, nil, err
 		}
-		for cursor < len(order) && pkts[order[cursor]].Release <= cycle {
-			i := int(order[cursor])
-			if admit != nil {
-				if cycle-pkts[i].Release > admit.maxDelay {
-					cursor++
-					res.Shed++
-					if tl != nil {
-						tl.Shed()
-					}
-					emit(Event{Cycle: cycle, Kind: EventDrop, Packet: pkts[i].ID, Node: pkts[i].Src, Peer: -1})
-					remaining--
-					continue
-				}
-				if !admit.take() {
-					break // out of tokens: the head waits in release order
-				}
-			}
-			cursor++
-			if inject(int32(i), cycle) {
-				holdq = append(holdq, int32(i))
-			}
-		}
-
-		// Arrivals: wire time completes; a downed node loses the packet.
-		// Swept over the in-flight bitmap in ascending flat-arc order —
-		// identical to the historical nested (node, arc) scan — and
-		// compacted in place in each arc's segment.
-		for w := range aBits {
-			bits := aBits[w]
-			for bits != 0 {
-				a := w<<6 + trailingZeros64(bits)
-				bits &= bits - 1
-				base := a * segCap
-				cnt := int(pipeLen[a])
-				u := int(nw.arcTail[a])
-				v := int(nw.arcHead[a])
-				keep := 0
-				for j := 0; j < cnt; j++ {
-					pk, rdy := pipePkt[base+j], pipeReady[base+j]
-					if rdy > cycle32 {
-						pipePkt[base+keep], pipeReady[base+keep] = pk, rdy
-						keep++
-						continue
-					}
-					i := int(pk)
-					p := &pkts[i]
-					p.Hops++
-					if tl != nil {
-						tl.ArcTraverse(a)
-					}
-					emit(Event{Cycle: cycle, Kind: EventArrive, Packet: p.ID, Node: v, Peer: u})
-					if state.NodeDown(v) {
-						drop(i, cycle, v, &res.DroppedFault, obs.DropFault)
-						remaining--
-						resident--
-						continue
-					}
-					if v == p.Dst {
-						p.Delivered = cycle
-						res.Delivered++
-						remaining--
-						resident--
-						if cycle > res.Cycles {
-							res.Cycles = cycle
-						}
-						if tl != nil {
-							tl.Deliver(cycle-p.Release, p.Hops)
-						}
-						emit(Event{Cycle: cycle, Kind: EventDeliver, Packet: p.ID, Node: v, Peer: -1})
-						continue
-					}
-					waiting[v] = append(waiting[v], pk)
-					nodeBits[v>>6] |= 1 << (uint(v) & 63)
-					entPkt[entered], entNode[entered] = pk, int32(v)
-					entered++
-				}
-				pipeLen[a] = int32(keep)
-				if keep == 0 {
-					aBits[w] &^= 1 << (uint(a) & 63)
-				}
-			}
-		}
-
-		nw.gatherPrimary(entPkt[:entered], entNode[:entered], pkts, prim, carry, tArcs, tN)
-
-		// Departures: each node forwards its waiting packets in FIFO
-		// order; each arc accepts one attempt per cycle. busy marks are
-		// invalidated per node by bumping the arena's stamp token. Swept
-		// over the waiting-node bitmap in ascending node order —
-		// identical to the historical 0..n-1 scan over all nodes.
-		for w := range nodeBits {
-			wbits := nodeBits[w]
-			for wbits != 0 {
-				u := w<<6 + trailingZeros64(wbits)
-				wbits &= wbits - 1
-				depth := len(waiting[u]) // MaxQueue is node-FIFO depth here
-				if depth > res.MaxQueue {
-					res.MaxQueue = depth
-					res.HotNode = u
-				}
-				if tl != nil {
-					tl.NodeQueueDepth(depth)
-				}
-				ar.busyToken++
-				token := ar.busyToken
-				busy := ar.busy
-				keep := waiting[u][:0]
-				for _, i32 := range waiting[u] {
-					i := int(i32)
-					p := &pkts[i]
-					if meta[i].readyAt > cycle {
-						keep = append(keep, i32)
-						continue
-					}
-					if p.Hops >= cfg.TTL {
-						drop(i, cycle, u, &res.DroppedTTL, obs.DropTTL)
-						remaining--
-						resident--
-						continue
-					}
-					primary := int(prim[i])
-					var arc int
-					if s == nil {
-						arc = oracle.fromPrimary(u, p.Dst, primary)
-					} else {
-						arc = s.routeArc(u, p.Dst, rec)
-					}
-					if arc < 0 {
-						if !policy.charge(&meta[i], cycle, p.ID) {
-							drop(i, cycle, u, &res.DroppedNoRoute, obs.DropNoRoute)
-							remaining--
-							resident--
-							continue
-						}
-						res.Retries++
-						if tl != nil {
-							tl.Retry()
-						}
-						keep = append(keep, i32)
-						continue
-					}
-					if busy[arc] == token {
-						keep = append(keep, i32) // link occupied this cycle: queue
-						continue
-					}
-					flat := int(nw.arcBase[u]) + arc
-					next := int(nw.arcHead[flat])
-					if next != p.Dst && nodeFull(next) {
-						// Credit-based backpressure: the downstream node is
-						// full (delivery always absorbs), so the packet holds
-						// in place instead of deepening next's queue.
-						if !hold(i, len(waiting[next])) {
-							drop(i, cycle, u, &res.DroppedQueueFull, obs.DropQueueFull)
-							remaining--
-							resident--
-							continue
-						}
-						keep = append(keep, i32)
-						continue
-					}
-					busy[arc] = token
-					if s != nil {
-						// The attempt consumed the link slot. Onto a
-						// physically-down arc it fails: the packet stays
-						// queued for DetectLatency cycles while its NACK
-						// feeds the tail's suspicion — the only way the
-						// control plane ever learns of a fault.
-						a := Arc{Tail: u, Index: arc}
-						if state.ArcDown(u, arc) {
-							if err := s.nack(a, start+cycle, &res, rec); err != nil {
-								return res, nil, err
-							}
-							meta[i].readyAt = cycle + s.cfg.DetectLatency
-							keep = append(keep, i32)
-							continue
-						}
-						s.transmitted(a, start+cycle)
-					}
-					if primary != arc {
-						if carry != nil {
-							// Off the primary arc the packet leaves the
-							// shortest path its state describes: the
-							// next gather recomputes it.
-							carry[i] = staleCarry
-						}
-						res.Reroutes++
-						if tl != nil {
-							tl.Reroute()
-						}
-						emit(Event{Cycle: cycle, Kind: EventReroute, Packet: p.ID, Node: u, Peer: next})
-					}
-					emit(Event{Cycle: cycle, Kind: EventDepart, Packet: p.ID, Node: u, Peer: next})
-					slot := flat*segCap + int(pipeLen[flat])
-					pipePkt[slot], pipeReady[slot] = i32, cycle32+hopLat
-					pipeLen[flat]++
-					aBits[flat>>6] |= 1 << (uint(flat) & 63)
-				}
-				waiting[u] = keep
-				if len(keep) == 0 {
-					nodeBits[w] &^= 1 << (uint(u) & 63)
-				}
-			}
-		}
-
-		heldLast = res.Holds > holdsBefore
+		heldLast = fr.res.Holds > holdsBefore
 	}
 	if s != nil {
 		s.clock = start + cycle
 	}
+	fr.drain(cycle)
 
-	// Exit drain: the cycle budget ran out with work outstanding. Every
-	// survivor is dropped with a cause so Delivered + Dropped == Offered
-	// holds on truncated runs too. Order is deterministic: node queues,
-	// then link pipelines (at their tails), then never-injected packets.
-	if remaining > 0 {
-		for u := 0; u < n; u++ {
-			for _, i32 := range waiting[u] {
-				drop(int(i32), cycle, u, &res.Stuck, obs.DropStuck)
-			}
-			waiting[u] = waiting[u][:0]
-		}
-		for a := 0; a < m; a++ {
-			for _, pk := range pipePkt[a*segCap : a*segCap+int(pipeLen[a])] {
-				drop(int(pk), cycle, int(nw.arcTail[a]), &res.Stuck, obs.DropStuck)
-			}
-			pipeLen[a] = 0
-		}
-		// Source-held packets (admitted but never accepted by their full
-		// source) drain under the queue-full bucket, distinct from Stuck.
-		for _, i32 := range holdq {
-			i := int(i32)
-			drop(i, cycle, pkts[i].Src, &res.DroppedQueueFull, obs.DropQueueFull)
-		}
-		holdq = holdq[:0]
-		// Packets whose Release exceeded the horizon were never injected:
-		// drop them at their source under their own bucket.
-		for ; cursor < len(order); cursor++ {
-			i := int(order[cursor])
-			drop(i, cycle, pkts[i].Src, &res.DroppedHorizon, obs.DropHorizon)
+	// Scatter the per-hop records into the packet table. Deliveries are
+	// tallied here rather than in the arrival sweep: the same (latency,
+	// hops) observations, read once in order.
+	for _, i := range fr.order {
+		p := &pkts[i]
+		p.Hops = int(fr.hot[i].hops)
+		if tl != nil && p.Delivered >= 0 {
+			tl.Deliver(p.Delivered-p.Release, p.Hops)
 		}
 	}
-	ar.holdq = holdq
-
+	res, events := fr.res, fr.events
 	res.aggregate(pkts, cfg.HopLatency)
 	rec.Merge(tl)
 	return res, events, nil
 }
 
 // staleCarry marks a carried shift state the fault loop must recompute:
-// the packet has not been gathered yet, or left its shortest path.
+// the packet has not been routed yet, or left its shortest path.
 const staleCarry int32 = -1
 
-// gatherPrimary caches the primary router's arc for every packet that
-// entered a node this cycle: prim[pkt[k]] is the fault-blind arc out of
-// node[k] toward the packet's destination. Under table routing it is one
-// dense pass of independent slab loads, like the lane kernel's routing
-// pass; the departure sweep then starts each decision from the cached
-// arc instead of re-reading the slab on every attempt. Under shift
-// routing it steps the packet's carried state — recomputing it first
-// (the one O(D) call) only when stale — and leaves carry holding the
-// state after the primary hop, which a departure on the primary arc
-// keeps and any other departure marks stale.
+// faultPkt is a packet's state in the fault loop: every field a hop
+// reads or writes, in one 32-byte record, so a departure decision loads
+// one record per packet.
+type faultPkt struct {
+	dst  int32
+	hops int32
+	// readyAt is the first cycle the packet may try to leave again
+	// (retry backoff, NACK timeout), clamped to the run's horizon.
+	readyAt int32
+	// prim is the primary router's fault-blind arc out of the packet's
+	// node, gathered when it entered the node.
+	prim int32
+	// carry is the shift state after the primary hop (staleCarry:
+	// recompute at the next node); unused unless the run is shift-routed.
+	carry int32
+	// link is the packet's successor in its node FIFO.
+	link int32
+	// retries and holds count the retries and hold-in-place cycles the
+	// packet has spent (rarely touched; they pad the record to 32 bytes,
+	// so no record straddles a cache line).
+	retries, holds int32
+}
+
+// nodeFIFO is one node's hold queue of n packets, threaded through their
+// faultPkt links from head to tail.
+type nodeFIFO struct{ head, tail, n int32 }
+
+// faultRun is the state of one fault-loop run, kept in the run's arena
+// so its slabs are reused across runs. The links are the general path's
+// SoA pipe segments: one departure per arc per cycle, each in flight
+// exactly HopLatency cycles, so HopLatency slots per arc suffice (not
+// the lane kernel's departure ring: packets leave a node in FIFO order,
+// not ascending arc order, and arrivals must be swept in arc order).
+// nodeBits (bit u ⇔ node u's FIFO is non-empty) and aBits (bit a ⇔ arc a
+// has packets in flight) let the sweeps walk only active nodes and arcs.
+type faultRun struct {
+	nw     *Network
+	state  *FaultState
+	oracle *FaultAwareRouter // the routing policy of an oracle run
+	s      *SelfHealing      // the routing policy of a session (nil: oracle)
+	admit  *admitState       // nil: no admission control
+	rec    *obs.Recorder
+	tl     *obs.Tally // nil: the run records nothing
+	traced bool
+	events []Event
+
+	ttl, hopLat, horizon     int32
+	segCap, qcap, holdBudget int
+	policy                   retryPolicy
+
+	// Devirtualized primary routing, as in runState.
+	tArcs []int8
+	tN    int
+	shift *DeBruijnRouter
+
+	pkts []Packet // the run's packet table: IDs, sources, releases, deliveries
+	hot  []faultPkt
+	fifo []nodeFIFO
+
+	pipePkt, pipeReady, pipeLen []int32
+	aBits, nodeBits             []uint64
+
+	// busy marks out-arcs already used this (node, cycle): busy[k] equals
+	// the current busyToken. Bumping the token invalidates every mark in
+	// O(1).
+	busy      []int64
+	busyToken int64
+
+	order  []int32 // routed packets by (Release, index)
+	cursor int     // next packet of order to release
+	holdq  []int32 // source-held packets (bounded-queue backpressure)
+
+	res                 HealResult
+	remaining, resident int
+}
+
+// setup prepares fr for a run of pkts on nw and returns its cycle
+// budget: resolves the per-run constants, sizes and resets the slabs,
+// settles self-addressed packets and orders the rest by release.
+func (fr *faultRun) setup(nw *Network, ar *arena, pkts []Packet, cfg FaultConfig, admit *admitState) (maxCycles int) {
+	n := nw.g.N()
+	m := int(nw.arcBase[n])
+	p := len(pkts)
+	guardIndexInt32(p, "packets")
+	maxCycles = cfg.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = nw.defaultBudget(p, cfg.HopLatency)
+		// Room for every retry of the backoff ladder to play out.
+		maxCycles += cfg.MaxRetries * cfg.BackoffCap
+		if admit != nil {
+			// Room for the regulator to trickle the whole workload in.
+			maxCycles += int(float64(p)/admit.rate) + admit.maxDelay
+		}
+	}
+	// Pipe ready cycles and retry-ready cycles are narrowed into int32
+	// slabs; this guard dominates every stamp, and a packet past the
+	// horizon (maxCycles+1) can no longer move, so ready cycles clamp to
+	// it and a TTL above it is never reached.
+	guardIndexInt32(maxCycles+cfg.HopLatency+2, "cycles")
+	fr.nw, fr.pkts, fr.admit = nw, pkts, admit
+	fr.ttl, fr.hopLat, fr.horizon = int32(min(cfg.TTL, maxCycles+1)), int32(cfg.HopLatency), int32(maxCycles+1)
+	fr.segCap, fr.qcap, fr.holdBudget = cfg.HopLatency, cfg.QueueCapacity, cfg.HoldBudget
+	fr.policy = newRetryPolicy(cfg)
+	fr.tArcs, fr.tN, fr.shift = nil, 0, nw.shift
+	if tr, ok := nw.router.(*TableRouter); ok {
+		fr.tArcs, fr.tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
+	}
+	if cap(fr.hot) < p {
+		fr.hot = make([]faultPkt, p)
+	}
+	fr.hot = fr.hot[:p]
+	if len(fr.fifo) != n {
+		fr.fifo, fr.nodeBits, fr.busy = make([]nodeFIFO, n), make([]uint64, (n+63)/64), make([]int64, nw.maxDeg)
+	}
+	// A run cut short by an error leaves FIFOs and bits behind; busy
+	// stays valid because the token only ever grows.
+	clear(fr.fifo)
+	clearBits(fr.nodeBits)
+	fr.pipePkt, fr.pipeReady, fr.pipeLen = ar.pipeSegments(m, fr.segCap)
+	fr.aBits = ar.aBits
+	fr.holdq = ar.holdq[:0]
+	fr.res, fr.events, fr.remaining, fr.resident, fr.cursor = HealResult{}, nil, 0, 0, 0
+
+	order := ar.order[:0]
+	for i := range pkts {
+		pk := &pkts[i]
+		pk.Delivered = -1
+		pk.Hops = 0
+		if pk.Src == pk.Dst {
+			pk.Delivered = pk.Release
+			fr.res.Delivered++
+			continue
+		}
+		fr.hot[i] = faultPkt{dst: int32(pk.Dst), carry: staleCarry}
+		order = append(order, int32(i))
+	}
+	sortByRelease(order, pkts)
+	ar.order, fr.order = order, order
+	fr.remaining = len(order)
+	return maxCycles
+}
+
+// release detaches the run from fr, so the pooled arena keeps its slabs
+// but nothing of the run: not the packet table (the Result's), the event
+// log, the fault state or the session.
+func (fr *faultRun) release(ar *arena) {
+	ar.holdq = fr.holdq
+	fr.nw, fr.state, fr.oracle, fr.s, fr.admit, fr.rec, fr.tl = nil, nil, nil, nil, nil, nil, nil
+	fr.pkts, fr.events, fr.order = nil, nil, nil
+}
+
+// inject is the cycle's injection phase: source-held packets retry
+// first, then the release cursor drains through the admission regulator.
 //
 //lint:hotpath
-func (nw *Network) gatherPrimary(pkt, node []int32, pkts []Packet, prim, carry []int32, tArcs []int8, tN int) {
-	if tArcs != nil {
-		for k, p := range pkt {
-			prim[p] = int32(tArcs[int(node[k])*tN+pkts[p].Dst])
-		}
-		return
-	}
-	if carry != nil {
-		shift := nw.shift
-		for k, p := range pkt {
-			at := int(node[k])
-			t := carry[p]
-			if t == staleCarry {
-				t = shift.start(at, pkts[p].Dst)
+func (fr *faultRun) inject(cycle int) {
+	if len(fr.holdq) > 0 {
+		nh := fr.holdq[:0]
+		for _, i := range fr.holdq {
+			if fr.offer(i, cycle) {
+				nh = append(nh, i)
 			}
-			arc, next := shift.step(at, t)
-			//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-			prim[p], carry[p] = int32(arc), next
 		}
+		fr.holdq = nh
+	}
+	order, pkts, admit := fr.order, fr.pkts, fr.admit
+	for fr.cursor < len(order) && pkts[order[fr.cursor]].Release <= cycle {
+		i := order[fr.cursor]
+		if admit != nil {
+			if cycle-pkts[i].Release > admit.maxDelay {
+				fr.cursor++
+				fr.res.Shed++
+				if fr.tl != nil {
+					fr.tl.Shed()
+				}
+				if fr.traced {
+					fr.emit(cycle, EventDrop, i, pkts[i].Src, -1)
+				}
+				fr.remaining--
+				continue
+			}
+			if !admit.take() {
+				break // out of tokens: the head waits in release order
+			}
+		}
+		fr.cursor++
+		if fr.offer(i, cycle) {
+			fr.holdq = append(fr.holdq, i)
+		}
+	}
+}
+
+// offer hands packet i to its source at cycle. A full source holds it
+// outside the network against its hold budget (true) or, once the budget
+// runs out, drops it.
+func (fr *faultRun) offer(i int32, cycle int) (held bool) {
+	src := fr.pkts[i].Src
+	if fr.full(src) {
+		if fr.holdIn(i, int(fr.fifo[src].n)) {
+			return true
+		}
+		fr.drop(i, cycle, src, &fr.res.DroppedQueueFull, obs.DropQueueFull)
+		fr.remaining--
+		return false
+	}
+	//lint:ignore slabindex a node id, below n, which newNetwork's guardIndexInt32 bounds
+	fr.enter(i, int32(src))
+	fr.resident++
+	fr.res.PeakResident = max(fr.res.PeakResident, fr.resident)
+	if fr.traced {
+		fr.emit(cycle, EventInject, i, src, -1)
+	}
+	return false
+}
+
+// enter appends packet pk to node v's FIFO and gathers its primary arc
+// out of v: under table routing one slab load, under shift routing one
+// step of its carried state (recomputed first, the one O(D) call, only
+// when stale), leaving carry at the state after the primary hop, which a
+// departure on the primary arc keeps and any other marks stale.
+//
+//lint:hotpath
+func (fr *faultRun) enter(pk, v int32) {
+	f := &fr.fifo[v]
+	if f.n == 0 {
+		f.head = pk
+		fr.nodeBits[v>>6] |= 1 << (uint32(v) & 63)
+	} else {
+		fr.hot[f.tail].link = pk
+	}
+	f.tail = pk
+	f.n++
+	h := &fr.hot[pk]
+	switch {
+	case fr.tArcs != nil:
+		h.prim = int32(fr.tArcs[int(v)*fr.tN+int(h.dst)])
+	case fr.shift != nil:
+		t := h.carry
+		if t == staleCarry {
+			t = fr.shift.start(int(v), int(h.dst))
+		}
+		arc, next := fr.shift.step(int(v), t)
+		//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+		h.prim, h.carry = int32(arc), next
+	default:
+		//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+		h.prim = int32(fr.nw.router.NextArc(int(v), int(h.dst)))
+	}
+}
+
+// arrive is the cycle's arrival phase: wire time completes, swept over
+// the in-flight bitmap in ascending arc order, each arc's segment
+// compacted in place. Each hop is counted; a downed node loses the
+// packet, its destination absorbs it, any other node queues it and
+// gathers its primary arc (enter).
+//
+//lint:hotpath
+func (fr *faultRun) arrive(cycle int) {
+	//lint:ignore slabindex cycle ≤ maxCycles, dominated by setup's guardIndexInt32
+	cycle32 := int32(cycle)
+	pipePkt, pipeReady, pipeLen, aBits := fr.pipePkt, fr.pipeReady, fr.pipeLen, fr.aBits
+	arcTail, arcHead := fr.nw.arcTail, fr.nw.arcHead
+	hot, pkts, fifo, nodeBits := fr.hot, fr.pkts, fr.fifo, fr.nodeBits
+	tl, segCap, traced := fr.tl, fr.segCap, fr.traced
+	tArcs, tN, shift, router := fr.tArcs, fr.tN, fr.shift, fr.nw.router
+	state := fr.state
+	nodeFaults := state.nodeDown != nil
+	delivered := 0
+	for w := range aBits {
+		bits := aBits[w]
+		for bits != 0 {
+			a := w<<6 + trailingZeros64(bits)
+			bits &= bits - 1
+			base := a * segCap
+			cnt := int(pipeLen[a])
+			v := arcHead[a]
+			keep := 0
+			for j := 0; j < cnt; j++ {
+				pk, rdy := pipePkt[base+j], pipeReady[base+j]
+				if rdy > cycle32 {
+					pipePkt[base+keep], pipeReady[base+keep] = pk, rdy
+					keep++
+					continue
+				}
+				h := &hot[pk]
+				h.hops++
+				if tl != nil {
+					tl.ArcTraverse(a)
+				}
+				if traced {
+					fr.emit(cycle, EventArrive, pk, int(v), int(arcTail[a]))
+				}
+				if nodeFaults && state.NodeDown(int(v)) {
+					fr.drop(pk, cycle, int(v), &fr.res.DroppedFault, obs.DropFault)
+					fr.remaining--
+					fr.resident--
+					continue
+				}
+				if v == h.dst {
+					pkts[pk].Delivered = cycle
+					delivered++
+					if traced {
+						fr.emit(cycle, EventDeliver, pk, int(v), -1)
+					}
+					continue
+				}
+				// enter, inlined with its slabs hoisted: as a call it
+				// costs 3–4% of a lens-faulted run.
+				f := &fifo[v]
+				if f.n == 0 {
+					f.head = pk
+					nodeBits[v>>6] |= 1 << (uint32(v) & 63)
+				} else {
+					hot[f.tail].link = pk
+				}
+				f.tail = pk
+				f.n++
+				switch {
+				case tArcs != nil:
+					h.prim = int32(tArcs[int(v)*tN+int(h.dst)])
+				case shift != nil:
+					t := h.carry
+					if t == staleCarry {
+						t = shift.start(int(v), int(h.dst))
+					}
+					arc, next := shift.step(int(v), t)
+					//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+					h.prim, h.carry = int32(arc), next
+				default:
+					//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+					h.prim = int32(router.NextArc(int(v), int(h.dst)))
+				}
+			}
+			//lint:ignore slabindex keep ≤ pipeLen[a], an int32
+			pipeLen[a] = int32(keep)
+			if keep == 0 {
+				aBits[w] &^= 1 << (uint(a) & 63)
+			}
+		}
+	}
+	if delivered > 0 {
+		fr.res.Delivered += delivered
+		fr.remaining -= delivered
+		fr.resident -= delivered
+		fr.res.Cycles = cycle
+	}
+}
+
+// depart is the cycle's departure phase: each node forwards its waiting
+// packets in FIFO order, each out-arc accepting one attempt per cycle,
+// swept over the waiting-node bitmap in ascending node order. Packets
+// that stay are relinked in order; MaxQueue is the deepest node FIFO.
+// start is the session clock at the Run's cycle 0.
+//
+//lint:hotpath
+func (fr *faultRun) depart(cycle, start int) error {
+	//lint:ignore slabindex cycle ≤ maxCycles, dominated by setup's guardIndexInt32
+	cycle32 := int32(cycle)
+	ready := cycle32 + fr.hopLat
+	nw, s, oracle, tl := fr.nw, fr.s, fr.oracle, fr.tl
+	arcBase, arcHead := nw.arcBase, nw.arcHead
+	hot, fifo, nodeBits, busy := fr.hot, fr.fifo, fr.nodeBits, fr.busy
+	pipePkt, pipeReady, pipeLen, aBits := fr.pipePkt, fr.pipeReady, fr.pipeLen, fr.aBits
+	segCap, ttl, qcap, traced := fr.segCap, fr.ttl, fr.qcap, fr.traced
+	down, permanent := fr.state.arcDown, fr.state.version > 0
+	for w := range nodeBits {
+		wbits := nodeBits[w]
+		for wbits != 0 {
+			u := w<<6 + trailingZeros64(wbits)
+			wbits &= wbits - 1
+			f := &fifo[u]
+			depth := f.n
+			if int(depth) > fr.res.MaxQueue {
+				fr.res.MaxQueue, fr.res.HotNode = int(depth), u
+			}
+			if tl != nil {
+				tl.NodeQueueDepth(int(depth))
+			}
+			fr.busyToken++
+			token := fr.busyToken
+			base := arcBase[u]
+			var head, tail, kept int32
+			next := f.head
+			for j := int32(0); j < depth; j++ {
+				i := next
+				h := &hot[i]
+				next = h.link
+				if h.readyAt <= cycle32 {
+					if h.hops >= ttl {
+						fr.drop(i, cycle, u, &fr.res.DroppedTTL, obs.DropTTL)
+						fr.remaining--
+						fr.resident--
+						continue
+					}
+					arc := h.prim
+					if s != nil {
+						//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+						arc = int32(s.routeArc(u, int(h.dst), fr.rec))
+					} else if arc < 0 || permanent || (down != nil && down[(base+arc)>>6]&(1<<(uint32(base+arc)&63)) != 0) {
+						// fromPrimary's first branch — the primary arc when it
+						// is up and no permanent fault is active — is the bit
+						// test above; anything else takes the cascade.
+						//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+						arc = int32(oracle.fromPrimary(u, int(h.dst), int(arc)))
+					}
+					if arc < 0 {
+						if !fr.retry(i, cycle) {
+							fr.drop(i, cycle, u, &fr.res.DroppedNoRoute, obs.DropNoRoute)
+							fr.remaining--
+							fr.resident--
+							continue
+						}
+					} else if busy[arc] != token {
+						flat := base + arc
+						to := arcHead[flat]
+						sent := false
+						switch {
+						case qcap > 0 && to != h.dst && fr.full(int(to)):
+							// Credit-based backpressure: the downstream node is
+							// full (delivery always absorbs), so the packet holds
+							// in place instead of deepening to's queue.
+							if !fr.holdIn(i, int(fifo[to].n)) {
+								fr.drop(i, cycle, u, &fr.res.DroppedQueueFull, obs.DropQueueFull)
+								fr.remaining--
+								fr.resident--
+								continue
+							}
+						case s != nil:
+							busy[arc] = token
+							var err error
+							if sent, err = fr.attempt(i, u, int(arc), cycle, start); err != nil {
+								return err
+							}
+						default:
+							busy[arc] = token
+							sent = true
+						}
+						if sent {
+							if arc != h.prim {
+								// Off the primary arc the packet leaves the
+								// shortest path its carried state describes:
+								// the next node recomputes it.
+								h.carry = staleCarry
+								fr.res.Reroutes++
+								if tl != nil {
+									tl.Reroute()
+								}
+								if traced {
+									fr.emit(cycle, EventReroute, i, u, int(to))
+								}
+							}
+							if traced {
+								fr.emit(cycle, EventDepart, i, u, int(to))
+							}
+							slot := int(flat)*segCap + int(pipeLen[flat])
+							pipePkt[slot], pipeReady[slot] = i, ready
+							pipeLen[flat]++
+							aBits[flat>>6] |= 1 << (uint32(flat) & 63)
+							continue
+						}
+					}
+				}
+				// i stays queued: relink it behind the packets kept so far.
+				if kept == 0 {
+					head = i
+				} else {
+					hot[tail].link = i
+				}
+				tail = i
+				kept++
+			}
+			f.head, f.tail, f.n = head, tail, kept
+			if kept == 0 {
+				nodeBits[w] &^= 1 << (uint(u) & 63)
+			}
+		}
+	}
+	return nil
+}
+
+// attempt is a session's transmission of packet i on out-arc k of node
+// u, which has consumed the link slot. Onto a physically-down arc it
+// fails: the packet stays queued for DetectLatency cycles while its NACK
+// feeds the tail's suspicion — the only way the control plane ever
+// learns of a fault.
+func (fr *faultRun) attempt(i int32, u, k, cycle, start int) (sent bool, err error) {
+	s := fr.s
+	a := Arc{Tail: u, Index: k}
+	if fr.state.ArcDown(u, k) {
+		if err := s.nack(a, start+cycle, &fr.res, fr.rec); err != nil {
+			return false, err
+		}
+		//lint:ignore slabindex clamped to the horizon, dominated by setup's guardIndexInt32
+		fr.hot[i].readyAt = int32(min(cycle+s.cfg.DetectLatency, int(fr.horizon)))
+		return false, nil
+	}
+	s.transmitted(a, start+cycle)
+	return true, nil
+}
+
+// full reports whether node v's FIFO is at its bound of QueueCapacity
+// packets per out-arc (never, with unbounded queues).
+func (fr *faultRun) full(v int) bool {
+	return fr.qcap > 0 && int(fr.fifo[v].n) >= fr.qcap*int(fr.nw.arcBase[v+1]-fr.nw.arcBase[v])
+}
+
+// holdIn charges one hold-in-place cycle to packet i's lifetime budget,
+// recorded at the refusing FIFO's depth; false: the budget is exhausted
+// and the caller drops the packet.
+func (fr *faultRun) holdIn(i int32, depth int) bool {
+	h := &fr.hot[i]
+	h.holds++
+	if int(h.holds) > fr.holdBudget {
+		return false
+	}
+	fr.res.Holds++
+	if fr.tl != nil {
+		fr.tl.Hold(depth)
+	}
+	return true
+}
+
+// retry spends one retry of packet i, which found no live useful
+// out-arc, and sets the cycle it may try again; false: the budget is
+// exhausted and the caller drops the packet.
+func (fr *faultRun) retry(i int32, cycle int) bool {
+	h := &fr.hot[i]
+	m := pktMeta{retries: int(h.retries)}
+	if !fr.policy.charge(&m, cycle, fr.pkts[i].ID) {
+		return false
+	}
+	//lint:ignore slabindex a packet retries at most once a cycle, and cycles are dominated by setup's guardIndexInt32
+	h.retries = int32(m.retries)
+	//lint:ignore slabindex clamped to the horizon, dominated by setup's guardIndexInt32
+	h.readyAt = int32(min(m.readyAt, int(fr.horizon)))
+	fr.res.Retries++
+	if fr.tl != nil {
+		fr.tl.Retry()
+	}
+	return true
+}
+
+// drop accounts packet i lost at node under bucket and cause.
+func (fr *faultRun) drop(i int32, cycle, node int, bucket *int, cause obs.DropCause) {
+	*bucket++
+	fr.res.Dropped++
+	if fr.tl != nil {
+		fr.tl.Drop(cause)
+	}
+	if fr.traced {
+		fr.emit(cycle, EventDrop, i, node, -1)
+	}
+}
+
+// emit appends an event for packet index i to a traced run's log.
+func (fr *faultRun) emit(cycle int, kind EventKind, i int32, node, peer int) {
+	fr.events = append(fr.events, Event{Cycle: cycle, Kind: kind, Packet: fr.pkts[i].ID, Node: node, Peer: peer})
+}
+
+// drain is the exit path when the cycle budget ran out with work
+// outstanding: every survivor is dropped with a cause, so Delivered +
+// Dropped == Offered holds on truncated runs too. Order is
+// deterministic: node FIFOs, then link pipelines (at their tails), then
+// source-held packets, then never-injected ones.
+func (fr *faultRun) drain(cycle int) {
+	if fr.remaining == 0 {
 		return
 	}
-	for k, p := range pkt {
-		//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-		prim[p] = int32(nw.router.NextArc(int(node[k]), pkts[p].Dst))
+	for u := range fr.fifo {
+		f := &fr.fifo[u]
+		i := f.head
+		for j := int32(0); j < f.n; j++ {
+			fr.drop(i, cycle, u, &fr.res.Stuck, obs.DropStuck)
+			i = fr.hot[i].link
+		}
+		f.n = 0
+	}
+	for a := range fr.pipeLen {
+		base := a * fr.segCap
+		for _, i := range fr.pipePkt[base : base+int(fr.pipeLen[a])] {
+			fr.drop(i, cycle, int(fr.nw.arcTail[a]), &fr.res.Stuck, obs.DropStuck)
+		}
+		fr.pipeLen[a] = 0
+	}
+	// Source-held packets (admitted but never accepted by their full
+	// source) drain under the queue-full bucket, distinct from Stuck.
+	for _, i := range fr.holdq {
+		fr.drop(i, cycle, fr.pkts[i].Src, &fr.res.DroppedQueueFull, obs.DropQueueFull)
+	}
+	fr.holdq = fr.holdq[:0]
+	// Packets whose Release exceeded the horizon were never injected:
+	// drop them at their source under their own bucket.
+	for ; fr.cursor < len(fr.order); fr.cursor++ {
+		i := fr.order[fr.cursor]
+		fr.drop(i, cycle, fr.pkts[i].Src, &fr.res.DroppedHorizon, obs.DropHorizon)
 	}
 }

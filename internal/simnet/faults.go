@@ -2,6 +2,8 @@ package simnet
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/digraph"
@@ -225,10 +227,17 @@ func (s span) contains(cycle int) bool {
 // advances. The intervals live in flat CSR slabs — the spans of flat arc
 // f (the simulator's arcBase[tail]+index layout) are
 // arcSpans[arcSpanAt[f]:arcSpanAt[f+1]], node u's are
-// nodeSpans[nodeSpanAt[u]:nodeSpanAt[u+1]] — so "is this arc/node down
-// right now?" is two slab reads plus a scan of that arc's or node's
-// spans, with no hashing. A version counter over the set of *active
-// permanent* faults tells routers when to recompute residual paths.
+// nodeSpans[nodeSpanAt[u]:nodeSpanAt[u+1]] — with no hashing. A version
+// counter over the set of *active permanent* faults tells routers when
+// to recompute residual paths.
+//
+// On top of the spans sits the fault view of the current cycle: a bitmap
+// of the arcs down now, one of the nodes down now, and the permanent
+// version now. Which spans contain a cycle changes only at a span's
+// start or end, so the view holds over the whole window between the two
+// boundaries around the cycle, and Advance rebuilds it only when the
+// cycle leaves that window (in either direction). ArcDown, NodeDown and
+// PermanentVersion answer from it with one bit test or one field read.
 type FaultState struct {
 	arcBase    []int32 // arcBase[u]: flat index of node u's first out-arc
 	arcSpanAt  []int32 // nil ⇔ no arc spans
@@ -239,6 +248,19 @@ type FaultState struct {
 	// PermanentVersion is the count of starts <= current cycle.
 	permStarts []int
 	cycle      int
+
+	// spanArcs and spanNodes list the flat arcs and nodes that have
+	// spans, and bounds the distinct span starts and ends, sorted: what a
+	// view rebuild scans and where the views change.
+	spanArcs, spanNodes []int32
+	bounds              []int
+	// The view of cycle: arcDown bit f ⇔ flat arc f is down, nodeDown bit
+	// u ⇔ a node fault is active on u (each nil when no span of its kind
+	// exists), and version the permanent version. It is valid for every
+	// cycle in [viewLo, viewHi).
+	arcDown, nodeDown []uint64
+	version           int
+	viewLo, viewHi    int
 }
 
 // flatSpan is one compiled down interval keyed by its flat arc or node
@@ -252,7 +274,7 @@ type flatSpan struct {
 // to their arc groups: a node fault downs all out-arcs and in-arcs of
 // the node, a lens fault downs its listed group.
 func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
-	st := &FaultState{cycle: -1}
+	st := &FaultState{cycle: -1, viewLo: math.MinInt, viewHi: math.MaxInt}
 	if p == nil {
 		return st, nil
 	}
@@ -317,7 +339,35 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 	st.arcSpanAt, st.arcSpans = bucketSpans(arcs, g.M())
 	st.nodeSpanAt, st.nodeSpans = bucketSpans(nodes, n)
 	sort.Ints(st.permStarts)
+	st.spanArcs, st.arcDown = spanKeys(st.arcSpanAt)
+	st.spanNodes, st.nodeDown = spanKeys(st.nodeSpanAt)
+	for _, spans := range [][]span{st.arcSpans, st.nodeSpans} {
+		for _, sp := range spans {
+			st.bounds = append(st.bounds, sp.start)
+			if sp.end >= 0 {
+				st.bounds = append(st.bounds, sp.end)
+			}
+		}
+	}
+	slices.Sort(st.bounds)
+	st.bounds = slices.Compact(st.bounds)
+	st.rebuildView()
 	return st, nil
+}
+
+// spanKeys lists the keys that have spans in a CSR offset slab and
+// returns a bitmap with one bit per key (both nil when at is).
+func spanKeys(at []int32) (keys []int32, bits []uint64) {
+	if at == nil {
+		return nil, nil
+	}
+	for k := range len(at) - 1 {
+		if at[k] < at[k+1] {
+			//lint:ignore slabindex a key is an arc or node id, dominated by arcBaseOf's and newNetwork's guardIndexInt32
+			keys = append(keys, int32(k))
+		}
+	}
+	return keys, make([]uint64, (len(at)-1+63)/64)
 }
 
 // bucketSpans sorts spans into CSR form over keys [0, keys): a stable
@@ -349,8 +399,53 @@ func (s *FaultState) Empty() bool {
 	return s == nil || (len(s.arcSpans) == 0 && len(s.nodeSpans) == 0)
 }
 
-// Advance sets the current cycle.
-func (s *FaultState) Advance(cycle int) { s.cycle = cycle }
+// Advance sets the current cycle, rebuilding the fault view when the
+// cycle leaves the window the view holds over.
+func (s *FaultState) Advance(cycle int) {
+	s.cycle = cycle
+	if cycle < s.viewLo || cycle >= s.viewHi {
+		s.rebuildView()
+	}
+}
+
+// rebuildView recomputes the view at s.cycle from the spans and the
+// window [viewLo, viewHi) between the span boundaries around it: the
+// bitmaps' words plus each faulted arc's and node's spans, not all M
+// arcs.
+func (s *FaultState) rebuildView() {
+	c := s.cycle
+	clearBits(s.arcDown)
+	for _, f := range s.spanArcs {
+		if spansContain(s.arcSpans[s.arcSpanAt[f]:s.arcSpanAt[f+1]], c) {
+			s.arcDown[f>>6] |= 1 << (uint32(f) & 63)
+		}
+	}
+	clearBits(s.nodeDown)
+	for _, u := range s.spanNodes {
+		if spansContain(s.nodeSpans[s.nodeSpanAt[u]:s.nodeSpanAt[u+1]], c) {
+			s.nodeDown[u>>6] |= 1 << (uint32(u) & 63)
+		}
+	}
+	s.version = sort.SearchInts(s.permStarts, c+1)
+	k := sort.SearchInts(s.bounds, c+1) // bounds[k-1] <= c < bounds[k]
+	s.viewLo, s.viewHi = math.MinInt, math.MaxInt
+	if k > 0 {
+		s.viewLo = s.bounds[k-1]
+	}
+	if k < len(s.bounds) {
+		s.viewHi = s.bounds[k]
+	}
+}
+
+// spansContain reports whether any of spans contains cycle.
+func spansContain(spans []span, cycle int) bool {
+	for _, sp := range spans {
+		if sp.contains(cycle) {
+			return true
+		}
+	}
+	return false
+}
 
 // Cycle returns the current cycle.
 func (s *FaultState) Cycle() int { return s.cycle }
@@ -369,38 +464,29 @@ func (s *FaultState) arcSpansOf(tail, index int) []span {
 }
 
 // ArcDown reports whether the arc at (tail, index) is down at the
-// current cycle.
+// current cycle: one bit test of the view.
 func (s *FaultState) ArcDown(tail, index int) bool {
-	if s == nil {
+	if s == nil || s.arcDown == nil || tail < 0 || tail+1 >= len(s.arcBase) || index < 0 {
 		return false
 	}
-	return s.ArcDownAt(tail, index, s.cycle)
+	f := int(s.arcBase[tail]) + index
+	return f < int(s.arcBase[tail+1]) && s.arcDown[f>>6]&(1<<(uint(f)&63)) != 0
 }
 
 // ArcDownAt reports whether the arc at (tail, index) is down at the
 // given cycle.
 func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
-	for _, sp := range s.arcSpansOf(tail, index) {
-		if sp.contains(cycle) {
-			return true
-		}
-	}
-	return false
+	return spansContain(s.arcSpansOf(tail, index), cycle)
 }
 
 // NodeDown reports whether a node fault is active on node at the current
 // cycle. (Arc faults touching the node are reported by ArcDown, not
 // here.)
 func (s *FaultState) NodeDown(node int) bool {
-	if s == nil || len(s.nodeSpans) == 0 || node < 0 || node+1 >= len(s.nodeSpanAt) {
+	if s == nil || s.nodeDown == nil || node < 0 || node+1 >= len(s.nodeSpanAt) {
 		return false
 	}
-	for _, sp := range s.nodeSpans[s.nodeSpanAt[node]:s.nodeSpanAt[node+1]] {
-		if sp.contains(s.cycle) {
-			return true
-		}
-	}
-	return false
+	return s.nodeDown[node>>6]&(1<<(uint(node)&63)) != 0
 }
 
 // ArcPermanentlyDown reports whether a permanent fault covering the arc
@@ -421,5 +507,5 @@ func (s *FaultState) PermanentVersion() int {
 	if s == nil {
 		return 0
 	}
-	return sort.SearchInts(s.permStarts, s.cycle+1)
+	return s.version
 }

@@ -8,10 +8,11 @@ import (
 	"repro/internal/digraph"
 )
 
-// Tests for the flat compiled fault state and the slab-derived
-// diameter: every FaultState query must agree with a brute-force scan
-// of the plan's faults, at any cycle and in any order of Advance calls,
-// and the diameter read off a distance slab must be g.Diameter().
+// Tests for the flat compiled fault state and the diameter that
+// defaults a fault run's TTL: every FaultState query, and the per-cycle
+// fault view the fault kernel's departure sweep reads, must agree with a
+// brute-force scan of the plan's faults, at any cycle and in any order
+// of Advance calls, and a Network's diameter must be g.Diameter().
 
 // bruteCovers reports whether fault f, expanded as Compile expands it,
 // covers the arc at (u, k) of g.
@@ -176,5 +177,115 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 	if !nilState.Empty() || nilState.ArcDown(0, 0) || nilState.NodeDown(0) ||
 		nilState.ArcPermanentlyDown(0, 0) || nilState.PermanentVersion() != 0 {
 		t.Fatal("nil FaultState must report no faults")
+	}
+}
+
+// viewPlan is randomFaultPlan with the edges of the cycle range forced:
+// besides random link, node and lens faults, transient and permanent,
+// with overlapping spans, it adds a fault starting at 0 and one
+// starting at horizon, each transient or permanent by coin flip.
+func viewPlan(g *digraph.Digraph, rng *rand.Rand, horizon int) *FaultPlan {
+	p := randomFaultPlan(g, rng)
+	for _, start := range []int{0, horizon} {
+		dur := rng.Intn(2) * (1 + rng.Intn(5))
+		u := rng.Intn(g.N())
+		switch rng.Intn(3) {
+		case 0:
+			p.LinkDown(start, dur, u, rng.Intn(g.OutDegree(u)))
+		case 1:
+			p.NodeDown(start, dur, u)
+		default:
+			p.LensDown(start, dur, 99, []Arc{{Tail: u, Index: 0}, {Tail: (u + 1) % g.N(), Index: g.OutDegree((u+1)%g.N()) - 1}})
+		}
+	}
+	return p
+}
+
+// TestFaultViewMatchesSpans is the property test of the per-cycle fault
+// view: after every Advance — through every cycle of [-1, horizon+2] in
+// order, then backwards, then at random — the view's arc bitmap, node
+// bitmap and permanent version, read raw as the departure sweep reads
+// them, equal a direct scan of the compiled spans at that cycle. A view not rebuilt when the cycle crosses a span boundary
+// fails it.
+func TestFaultViewMatchesSpans(t *testing.T) {
+	kautz, _ := debruijn.Kautz(2, 3)
+	graphs := map[string]*digraph.Digraph{
+		"B(2,4)": debruijn.DeBruijn(2, 4),
+		"B(3,3)": debruijn.DeBruijn(3, 3),
+		"K(2,3)": kautz,
+	}
+	const horizon = 24
+	for name, g := range graphs {
+		m := g.M()
+		for seed := int64(1); seed <= 60; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			st, err := viewPlan(g, rng, horizon).Compile(g)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			check := func(cycle int) {
+				st.Advance(cycle)
+				arcs, permanent := st.arcDown, st.version > 0
+				version := 0
+				for _, sp := range st.arcSpans {
+					if sp.end < 0 && cycle >= sp.start {
+						version++
+					}
+				}
+				if st.version != version || permanent != (version > 0) {
+					t.Fatalf("%s seed %d cycle %d: view version %d (permanent %v), spans give %d", name, seed, cycle, st.version, permanent, version)
+				}
+				for f := 0; f < m; f++ {
+					want := spansContain(st.arcSpans[st.arcSpanAt[f]:st.arcSpanAt[f+1]], cycle)
+					if got := arcs[f>>6]&(1<<(uint(f)&63)) != 0; got != want {
+						t.Fatalf("%s seed %d cycle %d: view says flat arc %d down=%v, spans say %v", name, seed, cycle, f, got, want)
+					}
+				}
+				for u := 0; u < g.N(); u++ {
+					want := st.nodeSpanAt != nil && spansContain(st.nodeSpans[st.nodeSpanAt[u]:st.nodeSpanAt[u+1]], cycle)
+					if got := st.nodeDown != nil && st.nodeDown[u>>6]&(1<<(uint(u)&63)) != 0; got != want {
+						t.Fatalf("%s seed %d cycle %d: view says node %d down=%v, spans say %v", name, seed, cycle, u, got, want)
+					}
+				}
+			}
+			for c := -1; c <= horizon+2; c++ {
+				check(c)
+			}
+			for c := horizon + 2; c >= -1; c-- {
+				check(c)
+			}
+			for step := 0; step < 40; step++ {
+				check(rng.Intn(horizon+4) - 1)
+			}
+		}
+	}
+}
+
+// TestNetworkDiameterMatchesBFS: the diameter a Network defaults a fault
+// run's TTL from equals g.Diameter() on table-routed catalog graphs
+// (congruence-form de Bruijn graphs take it from their recognition, the
+// rest from breadth-first search), on a Kautz graph, on the one-node
+// B(1,1) and on shift-routed de Bruijn graphs.
+func TestNetworkDiameterMatchesBFS(t *testing.T) {
+	graphs := catalogGraphs(t)
+	graphs["B(2,8)"] = debruijn.DeBruijn(2, 8)
+	graphs["B(3,5)"] = debruijn.DeBruijn(3, 5)
+	graphs["B(1,1)"] = debruijn.DeBruijn(1, 1)
+	kautz, _ := debruijn.Kautz(3, 3)
+	graphs["K(3,3)"] = kautz
+	for name, g := range graphs {
+		modes := []RoutingMode{TableRouting}
+		if _, _, ok := debruijn.Recognize(g); ok && g.N() > 1 {
+			modes = append(modes, ShiftRouting)
+		}
+		for _, mode := range modes {
+			nw, err := NewNetwork(g, WithRouting(mode))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, want := nw.diameter(), g.Diameter(); got != want {
+				t.Errorf("%s under %v: diameter %d, g.Diameter() %d", name, mode, got, want)
+			}
+		}
 	}
 }

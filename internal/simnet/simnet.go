@@ -490,14 +490,24 @@ func arcBaseOf(g *digraph.Digraph) []int32 {
 }
 
 // diameter returns the digraph's diameter, computed once per Network:
-// in closed form on a shift-routed network, by g.Diameter() otherwise.
+// in closed form on a shift-routed network, as D when any other network
+// runs on a congruence-form B(d, D) (one O(M) recognition pass, 0 for
+// the one-node B(1, 1)), and by g.Diameter()'s n breadth-first searches
+// otherwise.
 func (nw *Network) diameter() int {
 	nw.diamOnce.Do(func() {
 		if nw.shift != nil {
 			nw.diam = nw.shift.diameter()
 			return
 		}
-		nw.diam = nw.g.Diameter()
+		switch _, D, ok := debruijn.Recognize(nw.g); {
+		case ok && nw.g.N() == 1:
+			nw.diam = 0
+		case ok:
+			nw.diam = D
+		default:
+			nw.diam = nw.g.Diameter()
+		}
 	})
 	return nw.diam
 }

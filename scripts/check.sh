@@ -152,6 +152,9 @@ go run ./cmd/simulate -d 3 -diam 4 -selfheal -packets 300 > /dev/null
 go run ./cmd/simulate -d 3 -diam 4 -faultlens 2 -selfheal -quarantine \
     -packets 300 > /dev/null
 
+echo "== lens-fault kernel benchmark (one iteration: fault/plain on the B(2,12) machine) =="
+go test -run '^$' -bench LensFaultRun -benchtime 1x ./internal/machine
+
 echo "== shared-network concurrency (-race, many goroutines, one Network) =="
 go test -race ./internal/simnet -run Concurrent -count=1
 
