@@ -2,6 +2,10 @@ package repro
 
 import (
 	"testing"
+
+	"repro/internal/debruijn"
+	"repro/internal/digraph"
+	"repro/internal/otis"
 )
 
 // Ablation benches: quantify the design choices DESIGN.md calls out.
@@ -47,7 +51,7 @@ func searchNaive(d, diam, minN, maxN int) []TableRow {
 
 func BenchmarkAblationSearchPruned(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(SearchDegreeDiameter(2, 6, 60, 96)) == 0 {
+		if len(otis.SearchDegreeDiameter(2, 6, 60, 96)) == 0 {
 			b.Fatal("no rows")
 		}
 	}
@@ -62,7 +66,7 @@ func BenchmarkAblationSearchNaive(b *testing.B) {
 }
 
 func TestAblationSearchesAgree(t *testing.T) {
-	pruned := SearchDegreeDiameter(2, 6, 60, 96)
+	pruned := otis.SearchDegreeDiameter(2, 6, 60, 96)
 	naive := searchNaive(2, 6, 60, 96)
 	if len(pruned) != len(naive) {
 		t.Fatalf("row counts differ: %d vs %d", len(pruned), len(naive))
@@ -96,7 +100,7 @@ func BenchmarkAblationIsoGenericSearch(b *testing.B) {
 	target := DeBruijn(2, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok := FindIsomorphism(h, target); !ok {
+		if _, ok := digraph.FindIsomorphism(h, target); !ok {
 			b.Fatal("not isomorphic")
 		}
 	}
@@ -143,7 +147,7 @@ func BenchmarkAblationSequenceHierholzer(b *testing.B) {
 
 func BenchmarkAblationSequenceFKM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		seq, err := DeBruijnSequenceFKM(2, 14)
+		seq, err := debruijn.SequenceFKM(2, 14)
 		if err != nil || len(seq) != 1<<14 {
 			b.Fatal("bad sequence")
 		}

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/simnet"
 )
@@ -17,7 +19,9 @@ import (
 //   - zero deadline misses at rated load (the timeout is sized to the
 //     worst queueing the configuration allows);
 //   - graceful drain within the configured deadline while chaos is
-//     active, submits racing the shutdown.
+//     active, submits racing the shutdown;
+//   - no goroutine left behind: after the drain the process runs as
+//     many goroutines as before Start.
 //
 // Run under -race by scripts/check.sh: any shared mutable state across
 // sessions (arenas, routing slabs, registries, the scheduler itself)
@@ -41,6 +45,7 @@ func TestThousandConcurrentSessions(t *testing.T) {
 		ChaosRate:     4,
 		ChaosSeed:     7,
 	})
+	goroutines := runtime.NumGoroutine()
 	if err := s.Start(8); err != nil {
 		t.Fatal(err)
 	}
@@ -101,6 +106,7 @@ func TestThousandConcurrentSessions(t *testing.T) {
 	if stats.Sessions != sessions {
 		t.Errorf("drained %d sessions, want %d", stats.Sessions, sessions)
 	}
+	waitForGoroutines(t, goroutines)
 
 	rep := s.SLOReport()
 	data, err := rep.MarshalIndent()
@@ -187,6 +193,20 @@ func TestDrainUnderFire(t *testing.T) {
 	}
 	if tn.offered.Value() != submitters*20*16 {
 		t.Fatalf("offered %d, want %d", tn.offered.Value(), submitters*20*16)
+	}
+}
+
+// waitForGoroutines polls until no more than want goroutines run: an
+// exited goroutine may take a moment to leave the count, a leaked one
+// never does.
+func waitForGoroutines(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the drain, %d before Start", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -322,24 +322,28 @@ func (s *Scheduler) CreateSession(tc TenantConfig) (int64, error) {
 func (s *Scheduler) CloseSession(sid int64) error {
 	s.mu.Lock()
 	sess := s.sessions[sid]
+	s.mu.Unlock()
 	if sess == nil {
-		s.mu.Unlock()
 		return fmt.Errorf("serve: no session %d", sid)
 	}
-	already := sess.closed.Swap(true)
-	if !already {
-		s.live--
-		sess.tenant.sessionDelta(-1)
-	}
-	s.mu.Unlock()
-	if already {
-		return nil
-	}
 	// Wake the session so a worker sheds anything still queued.
-	if sess.scheduled.CompareAndSwap(false, true) {
+	if s.markClosed(sess) && sess.scheduled.CompareAndSwap(false, true) {
 		s.notify(sess)
 	}
 	return nil
+}
+
+// markClosed closes sess and frees its session-table slot, reporting
+// whether this call closed it.
+func (s *Scheduler) markClosed(sess *Session) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if sess.closed.Swap(true) {
+		return false
+	}
+	s.live--
+	sess.tenant.sessionDelta(-1)
+	return true
 }
 
 // Submit offers a workload to a session and blocks until the request
@@ -430,7 +434,18 @@ func (s *Scheduler) execute(sess *Session, req *request) {
 	var hr simnet.HealResult
 	var err error
 	for attempt := 0; ; attempt++ {
-		hr, err = sess.heal.Run(req.pkts)
+		var crash any
+		hr, crash, err = runRecovered(sess.heal, req.pkts)
+		if crash != nil {
+			// The run stopped partway through the session's healing
+			// state, and none of its packets were counted: shed them
+			// all, and close the session rather than run on torn state.
+			s.markClosed(sess)
+			out := t.shedOutcome(ShedFailed, n)
+			out.Err = fmt.Sprintf("serve: session %d: run panicked: %v", sess.id, crash)
+			req.done <- out
+			return
+		}
 		if err == nil || attempt >= t.maxRetries {
 			break
 		}
@@ -471,6 +486,14 @@ func (s *Scheduler) execute(sess *Session, req *request) {
 		out.Err = err.Error()
 	}
 	req.done <- out
+}
+
+// runRecovered runs pkts on heal and turns a panic into its value, so
+// one failing session cannot take down the worker serving every other.
+func runRecovered(heal *simnet.SelfHealing, pkts []simnet.Packet) (hr simnet.HealResult, crash any, err error) {
+	defer func() { crash = recover() }()
+	hr, err = heal.Run(pkts)
+	return hr, nil, err
 }
 
 // Shutdown drains the scheduler: no new work is accepted, in-flight

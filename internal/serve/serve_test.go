@@ -293,6 +293,75 @@ func TestCloseSessionShedsAndFreesSlot(t *testing.T) {
 	}
 }
 
+// panicRouter is a custom Router whose every decision panics.
+type panicRouter struct{}
+
+func (panicRouter) NextArc(at, dst int) int { panic("serve_test: router fault") }
+
+// TestPanickingRunShedsAndClosesOnlyItsSession: a session whose Run
+// panics sheds that request as failed and closes, while a session of
+// another tenant on the same scheduler keeps delivering, every tenant's
+// accounting stays exact, and the drain completes.
+func TestPanickingRunShedsAndClosesOnlyItsSession(t *testing.T) {
+	s := newTestScheduler(t, Config{ChaosRate: -1})
+	healthy := s.nw
+	broken, err := simnet.NewNetwork(s.g, simnet.WithRouter(panicRouter{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.nw = broken
+	bad := mustSession(t, s, TenantConfig{Tenant: "bad"})
+	s.nw = healthy
+	good := mustSession(t, s, TenantConfig{Tenant: "good"})
+	if err := s.Start(1); err != nil {
+		t.Fatal(err)
+	}
+
+	const pkts = 16
+	submit := func(sid int64, seed int64) Outcome {
+		t.Helper()
+		out, err := s.Submit(sid, workload(s, pkts, seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	if out := submit(bad, 1); out.Status != StatusShed || out.Cause != "failed" || out.Shed != pkts || out.Err == "" {
+		t.Fatalf("panicking run: %+v, want all %d packets shed as failed with an error", out, pkts)
+	}
+	if out := submit(good, 2); out.Status != StatusOK || out.Heal.Delivered != pkts {
+		t.Fatalf("healthy session after a panic elsewhere: %+v", out)
+	}
+	if out := submit(bad, 3); out.Status != StatusShed || out.Cause != "closed" {
+		t.Fatalf("request to the panicked session: %+v, want shed as closed", out)
+	}
+	if st, err := s.Status(bad); err != nil || !st.Closed {
+		t.Fatalf("panicked session status %+v (%v), want closed", st, err)
+	}
+	if _, err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+
+	rep := s.SLOReport()
+	if rep.Sessions != 1 {
+		t.Errorf("%d live sessions after the panic, want 1", rep.Sessions)
+	}
+	for _, e := range rep.Tenants {
+		if e.Delivered+e.Dropped+e.Shed != e.Offered {
+			t.Errorf("tenant %q: delivered %d + dropped %d + shed %d != offered %d",
+				e.Tenant, e.Delivered, e.Dropped, e.Shed, e.Offered)
+		}
+	}
+	if tot := rep.Total; tot.Offered != 3*pkts || tot.Delivered+tot.Dropped+tot.Shed != tot.Offered {
+		t.Errorf("aggregate: delivered %d + dropped %d + shed %d, offered %d (want %d)",
+			tot.Delivered, tot.Dropped, tot.Shed, tot.Offered, 3*pkts)
+	}
+	if tn := s.Tenant("bad"); tn.shedBy[ShedFailed].Value() != pkts || tn.shedBy[ShedClosed].Value() != pkts {
+		t.Errorf("tenant bad shed %d failed and %d closed, want %d each",
+			tn.shedBy[ShedFailed].Value(), tn.shedBy[ShedClosed].Value(), pkts)
+	}
+}
+
 func TestGracefulDrainExactAccounting(t *testing.T) {
 	s := newTestScheduler(t, Config{ChaosRate: 5})
 	if err := s.Start(2); err != nil {

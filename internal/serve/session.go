@@ -74,8 +74,9 @@ const (
 	ShedDraining
 	// ShedClosed: the session was closed.
 	ShedClosed
-	// ShedFailed: the run errored out after the retry budget; the
-	// packets the failed run did not account are shed here.
+	// ShedFailed: the run errored out after the retry budget, or
+	// panicked; the packets the failed run did not account are shed
+	// here (all of them after a panic, which also closes the session).
 	ShedFailed
 
 	numShedCauses

@@ -145,21 +145,23 @@ func TestMachineLensUtilization(t *testing.T) {
 	}
 }
 
-// TestFacadeObservabilityExports drives the facade's observability
-// re-exports end to end, the way an external consumer would.
+// TestFacadeObservabilityExports drives the recorder wiring end to end,
+// the way an external consumer would: an observed table-router build, a
+// recorder attached to the network and passed per run, and the counters
+// and gauges of the snapshot.
 func TestFacadeObservabilityExports(t *testing.T) {
-	reg := NewMetricsRegistry()
-	rec := NewRecorder(reg)
+	reg := obs.NewRegistry()
+	rec := obs.NewRecorder(reg)
 	if rec.Registry() != reg {
 		t.Fatal("NewRecorder ignored the registry")
 	}
-	g := DeBruijn(2, 4)
-	nw, err := NewNetwork(g, WithRouter(NewTableRouterObserved(g, rec)))
+	g := debruijn.DeBruijn(2, 4)
+	nw, err := simnet.NewNetwork(g, simnet.WithRouter(simnet.NewTableRouterObserved(g, rec)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nw.Observe(rec)
-	rep, err := nw.RunOpts(UniformLoad(200), WithSeed(3), WithRecorder(rec))
+	rep, err := nw.RunOpts(simnet.UniformLoad(200), simnet.WithSeed(3), simnet.WithRecorder(rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +169,13 @@ func TestFacadeObservabilityExports(t *testing.T) {
 		t.Fatalf("delivered %d", rep.Delivered)
 	}
 	snap := rec.Snapshot()
-	if snap.Schema != ObsRunSchema {
+	if snap.Schema != obs.RunMetricsSchema {
 		t.Errorf("schema %q", snap.Schema)
 	}
-	if snap.Counters[MetricDelivered] != 200 {
+	if snap.Counters[obs.MetricDelivered] != 200 {
 		t.Errorf("counters: %v", snap.Counters)
 	}
-	if snap.Gauges[MetricRouterBytes] == 0 {
+	if snap.Gauges[obs.MetricRouterBytes] == 0 {
 		t.Errorf("observed router build missing: %v", snap.Gauges)
 	}
 }

@@ -26,16 +26,23 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
-echo "== example programs (each of examples/* and cmd/machine runs to exit 0) =="
+echo "== example programs (each of examples/* and cmd/machine prints its golden stdout) =="
 # go build only compiles them; they drive the public facade end to end
-# and each takes well under a second.
+# and each takes well under a second. Each must exit 0 and print exactly
+# testdata/examples/<name>.out: the programs are seeded and print no
+# timings, so any difference is a change in behaviour.
 examples_bin=$(mktemp -d /tmp/examples.XXXXXX)
 for dir in examples/*/ cmd/machine/; do
     name=$(basename "$dir")
     go build -o "$examples_bin/$name" "./$dir"
-    if ! out=$("$examples_bin/$name" 2>&1); then
-        echo "$dir: exited non-zero:" >&2
-        printf '%s\n' "$out" >&2
+    if ! "$examples_bin/$name" > "$examples_bin/$name.out"; then
+        echo "$dir: exited non-zero; stdout:" >&2
+        cat "$examples_bin/$name.out" >&2
+        rm -rf "$examples_bin"
+        exit 1
+    fi
+    if ! diff -u "testdata/examples/$name.out" "$examples_bin/$name.out" >&2; then
+        echo "$dir: stdout differs from testdata/examples/$name.out" >&2
         rm -rf "$examples_bin"
         exit 1
     fi

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"repro/internal/debruijn"
+	"repro/internal/otis"
 )
 
 // Full reproduction of Table 1: the degree–diameter search for OTIS
@@ -54,7 +57,7 @@ func tableWant10() []TableRow {
 
 func runTable(t *testing.T, diam, minN int, want []TableRow) {
 	t.Helper()
-	rows := SearchDegreeDiameter(2, diam, minN, MooreBound(2, diam))
+	rows := otis.SearchDegreeDiameter(2, diam, minN, MooreBound(2, diam))
 	if testing.Verbose() {
 		fmt.Printf("Table 1, D = %d (n from %d to Moore bound %d):\n",
 			diam, minN, MooreBound(2, diam))
@@ -90,8 +93,8 @@ func TestKautzLargestEachDiameter(t *testing.T) {
 		if !ok {
 			t.Fatalf("no OTIS digraph of diameter %d", diam)
 		}
-		if row.N != KautzOrder(2, diam) {
-			t.Errorf("D=%d: largest n = %d, want Kautz %d", diam, row.N, KautzOrder(2, diam))
+		if row.N != debruijn.KautzOrder(2, diam) {
+			t.Errorf("D=%d: largest n = %d, want Kautz %d", diam, row.N, debruijn.KautzOrder(2, diam))
 		}
 	}
 }
