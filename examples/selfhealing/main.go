@@ -132,7 +132,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	session, err := m.SelfHeal(plan, repro.HealConfig{ProbeInterval: 16, Monitor: breaker})
+	session, err := m.SelfHeal(plan, repro.HealConfig{Monitor: breaker})
 	if err != nil {
 		log.Fatal(err)
 	}

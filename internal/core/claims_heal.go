@@ -102,7 +102,7 @@ func checkLensBreakerHysteresis() error {
 	if err != nil {
 		return err
 	}
-	session, err := m.SelfHeal(plan, simnet.HealConfig{ProbeInterval: 16, Monitor: breaker})
+	session, err := m.SelfHeal(plan, simnet.HealConfig{Monitor: breaker})
 	if err != nil {
 		return err
 	}

@@ -83,7 +83,7 @@ func TestLensBreakerHalfOpenClosesAfterRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, err := m.SelfHeal(plan, simnet.HealConfig{ProbeInterval: 16, Monitor: breaker})
+	session, err := m.SelfHeal(plan, simnet.HealConfig{Monitor: breaker})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,10 +295,7 @@ func (s *Scheduler) CreateSession(tc TenantConfig) (int64, error) {
 	} else {
 		plan = simnet.NewFaultPlanFor(s.g)
 	}
-	hc := simnet.HealConfig{}
-	hc.QueueCapacity = tc.QueueCapacity
-	hc.HoldBudget = tc.HoldBudget
-	heal, err := s.nw.SelfHeal(plan, hc)
+	heal, err := s.nw.SelfHeal(plan, simnet.HealConfig{QueueCapacity: tc.QueueCapacity, HoldBudget: tc.HoldBudget})
 	if err != nil {
 		return 0, err
 	}

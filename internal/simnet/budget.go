@@ -1,71 +1,67 @@
 package simnet
 
-// Retry budgets. The fault and heal engines historically each carried a
-// private copy of the same backoff ladder (attempt-doubled delay clamped
-// to a cap); this file is the one shared policy both now consult, plus
-// the deterministic jitter the literature recommends for decorrelating
-// synchronized retries. Everything is pure arithmetic on the run's own
-// state — no clocks, no global randomness — so seeded runs stay
-// byte-identical.
+// Run budgets. Each is computed here and nowhere else: the cycle budget
+// and the hold budget by one function each, shared by the plain engine
+// and the fault loop, and the TTL and retry ladder of the fault loop as
+// fixed constants. Everything is pure arithmetic on the run's own state
+// — no clocks, no randomness — so seeded runs stay byte-identical.
 
-// retryPolicy is the shared retry/backoff budget of a run: how many
-// times a packet with no live useful out-arc may be requeued, and how
-// long each requeue waits. The zero jitterSeed reproduces the exact
-// historical ladder base<<(attempt-1) clamped to cap; a non-zero seed
-// spreads each delay deterministically over [delay/2, delay] per
-// (packet, attempt), so packets backing off together do not retry in
-// lockstep.
-type retryPolicy struct {
-	max        int
-	base       int
-	cap        int
-	jitterSeed uint64
+// The retry ladder of the fault loop: a packet that finds no live useful
+// out-arc is requeued up to maxRetries times, retry k waiting
+// backoffBase<<(k-1) cycles capped at backoffCap, and then dropped.
+const (
+	maxRetries  = 8
+	backoffBase = 1
+	backoffCap  = 64
+)
+
+// backoff returns the delay in cycles before retry attempt (1-based).
+func backoff(attempt int) int {
+	return min(backoffBase<<(attempt-1), backoffCap)
 }
 
-// newRetryPolicy derives the policy from an already-defaulted
-// FaultConfig.
-func newRetryPolicy(cfg FaultConfig) retryPolicy {
-	return retryPolicy{
-		max:        cfg.MaxRetries,
-		base:       cfg.BackoffBase,
-		cap:        cfg.BackoffCap,
-		jitterSeed: uint64(cfg.BackoffJitterSeed),
+// ttl is the per-packet hop budget of the fault loop: 4·diameter+8, or
+// 2n when the digraph is not strongly connected.
+func (nw *Network) ttl() int {
+	if d := nw.diameter(); d >= 0 {
+		return 4*d + 8
 	}
+	return 2 * nw.g.N()
 }
 
-// backoff returns the delay in cycles before retry attempt (1-based) of
-// packet pktID.
-func (p retryPolicy) backoff(attempt, pktID int) int {
-	b := p.base << uint(attempt-1)
-	if b > p.cap || b <= 0 {
-		b = p.cap
+// cycleBudget is a run of pkts packets' cycle bound: the run's own (a
+// load sweep's), else the Network's (WithMaxCycles), else a generous
+// 64·n·HopLatency + 16·pkts + 1024, widened for the admission regulator
+// to trickle the whole workload in and, on the fault loop (retries), for
+// every retry of the backoff ladder to play out.
+func (nw *Network) cycleBudget(tun runTuning, pkts int, retries bool) int {
+	if tun.budget > 0 {
+		return tun.budget
 	}
-	if p.jitterSeed != 0 && b > 1 {
-		span := uint64(b-b/2) + 1 // delays drawn from [b/2, b]
-		h := splitmix64(p.jitterSeed ^ uint64(pktID)*0x9e3779b97f4a7c15 ^ uint64(attempt)<<32)
-		b = b/2 + int(h%span)
+	if nw.cfg.MaxCycles > 0 {
+		return nw.cfg.MaxCycles
 	}
-	return b
+	budget := nw.defaultBudget(pkts, nw.cfg.HopLatency)
+	if retries {
+		budget += maxRetries * backoffCap
+	}
+	if tun.admit != nil {
+		budget += int(float64(pkts)/tun.admit.rate) + tun.admit.maxDelay
+	}
+	return budget
 }
 
-// charge spends one retry of m's budget at the given cycle: on success
-// m.readyAt is advanced by the attempt's backoff and charge reports
-// true; once the budget is exhausted it reports false and the caller
-// drops the packet.
-func (p retryPolicy) charge(m *pktMeta, cycle, pktID int) bool {
-	m.retries++
-	if m.retries > p.max {
-		return false
-	}
-	m.readyAt = cycle + p.backoff(m.retries, pktID)
-	return true
+// defaultBudget is the generous cycle bound of a network with no
+// MaxCycles.
+func (nw *Network) defaultBudget(pkts, hopLatency int) int {
+	return 64*nw.g.N()*hopLatency + 16*pkts + 1024
 }
 
-// splitmix64 is the SplitMix64 finalizer: a statistically strong,
-// allocation-free 64-bit mix used for the deterministic retry jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+// withDefaults resolves the hold budget a queue bound implies:
+// 4·qcap+16 hold-in-place cycles per packet unless the run set one.
+func (t runTuning) withDefaults() runTuning {
+	if t.qcap > 0 && t.hold < 1 {
+		t.hold = 4*t.qcap + 16
+	}
+	return t
 }

@@ -86,7 +86,7 @@ func TestChaosSelfHealingInvariant(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		plan := randomChaosPlan(rng, g)
-		session, err := nw.SelfHeal(plan, HealConfig{ProbeInterval: 8})
+		session, err := nw.SelfHeal(plan, HealConfig{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -129,7 +129,7 @@ func (nw *Network) degradationPoint(rate float64, packets int, seed, point int64
 			}
 		}
 	}
-	res, _, err := nw.runWithFaults(UniformRandom(g.N(), packets, seed), plan, FaultConfig{}, false, nil, nw.rec)
+	res, err := nw.RunOpts(UniformLoad(packets), WithSeed(seed), WithFaults(plan))
 	if err != nil {
 		return DegradationPoint{}, err
 	}

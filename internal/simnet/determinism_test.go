@@ -89,7 +89,7 @@ func TestSeededHealSessionIsByteIdentical(t *testing.T) {
 		lens := rng.Intn(len(lenses))
 		plan := NewFaultPlan().LensDown(rng.Intn(8), 24+rng.Intn(16), lens, lenses[lens])
 		mon := &quarMonitor{arc: lenses[(lens+1)%len(lenses)][0], at: 4}
-		session, err := nw.SelfHeal(plan, HealConfig{ProbeInterval: 8, Monitor: mon})
+		session, err := nw.SelfHeal(plan, HealConfig{Monitor: mon})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -100,22 +100,11 @@ func (r *FaultAwareRouter) fromPrimary(at, dst, p int) int {
 	return deflect(r.g, at, p, up, func(v int) int32 { return res.walk(col, v, dst) })
 }
 
-// Primary returns the wrapped router's decision, fault-blind.
-func (r *FaultAwareRouter) Primary(at, dst int) int { return r.primary.NextArc(at, dst) }
-
 // residual returns the routing around the permanent faults active now,
 // rebuilt when one has activated since the last call.
 func (r *FaultAwareRouter) residual() *residual {
 	if version := r.state.PermanentVersion(); r.res == nil || version != r.resVersion {
-		var down []Arc
-		for u := range r.g.N() {
-			for k := range r.g.Out(u) {
-				if r.state.ArcPermanentlyDown(u, k) {
-					down = append(down, Arc{Tail: u, Index: k})
-				}
-			}
-		}
-		r.res, r.resVersion = newResidual(r.g, r.state.arcBase, down), version
+		r.res, r.resVersion = newResidual(r.g, r.state.arcBase, r.state.permanentlyDown()), version
 	}
 	return r.res
 }

@@ -28,106 +28,6 @@ import (
 // Delivered + Dropped == Offered holds unconditionally — the invariant
 // the property tests exercise with adversarial release schedules.
 
-// FaultConfig tunes a fault run (WithFaultConfig). The zero value
-// selects defaults; negative fields are invalid (validate).
-type FaultConfig struct {
-	// HopLatency is the wire time of one hop in cycles (0: the
-	// Network's, WithHopLatency).
-	HopLatency int
-	// MaxCycles aborts the run (0: the Network's, WithMaxCycles, and
-	// when that is 0 too, a generous bound).
-	MaxCycles int
-	// TTL is the per-packet hop budget (0: 4·diameter+8, or 2n when the
-	// digraph is not strongly connected).
-	TTL int
-	// MaxRetries bounds how often a packet with no live out-arc is
-	// requeued before it is dropped (0: 8).
-	MaxRetries int
-	// BackoffBase is the first retry delay in cycles (0: 1); successive
-	// retries double it up to BackoffCap (0: 64).
-	BackoffBase int
-	BackoffCap  int
-	// BackoffJitterSeed decorrelates the retry ladder with deterministic
-	// per-(packet, attempt) jitter over [delay/2, delay] (0: no jitter —
-	// the exact historical ladder).
-	BackoffJitterSeed int64
-	// QueueCapacity bounds each node's hold queue at QueueCapacity
-	// packets per out-arc (0: unbounded; a per-run WithQueueCapacity
-	// wins). A full downstream node is not forwarded to: the packet holds
-	// in place upstream (credit-based backpressure) until space opens or
-	// its hold budget runs out.
-	QueueCapacity int
-	// HoldBudget is the lifetime number of hold-in-place cycles a packet
-	// may spend against full downstream nodes before dropping as
-	// DroppedQueueFull (0: 4·QueueCapacity+16, from the bound the run
-	// takes; a per-run WithHoldBudget wins).
-	HoldBudget int
-}
-
-// validate reports the first negative field of c as an *OptionError
-// naming option; zero fields select their documented defaults.
-func (c FaultConfig) validate(option string) error {
-	var reason string
-	switch {
-	case c.HopLatency < 0:
-		reason = fmt.Sprintf("HopLatency must be >= 0, got %d", c.HopLatency)
-	case c.MaxCycles < 0:
-		reason = fmt.Sprintf("MaxCycles must be >= 0, got %d", c.MaxCycles)
-	case c.TTL < 0:
-		reason = fmt.Sprintf("TTL must be >= 0 (0 selects the default), got %d", c.TTL)
-	case c.MaxRetries < 0:
-		reason = fmt.Sprintf("MaxRetries must be >= 0, got %d", c.MaxRetries)
-	case c.BackoffBase < 0 || c.BackoffCap < 0:
-		reason = fmt.Sprintf("backoff base/cap must be >= 0, got %d/%d", c.BackoffBase, c.BackoffCap)
-	case c.QueueCapacity < 0:
-		reason = fmt.Sprintf("QueueCapacity must be >= 0, got %d", c.QueueCapacity)
-	case c.HoldBudget < 0:
-		reason = fmt.Sprintf("HoldBudget must be >= 0, got %d", c.HoldBudget)
-	default:
-		return nil
-	}
-	return &OptionError{Option: option, Reason: reason}
-}
-
-// faultConfig resolves the tuning of a fault run or a self-healing
-// session on nw: a field c sets explicitly wins, a zero HopLatency or
-// MaxCycles takes the Network's, and withDefaults fills the rest.
-func (nw *Network) faultConfig(c FaultConfig, diameter int) FaultConfig {
-	if c.HopLatency < 1 {
-		c.HopLatency = nw.cfg.HopLatency
-	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = nw.cfg.MaxCycles
-	}
-	return c.withDefaults(nw.g.N(), diameter)
-}
-
-func (c FaultConfig) withDefaults(n, diameter int) FaultConfig {
-	if c.HopLatency < 1 {
-		c.HopLatency = 1
-	}
-	if c.TTL < 1 {
-		if diameter >= 0 {
-			c.TTL = 4*diameter + 8
-		} else {
-			c.TTL = 2 * n
-		}
-	}
-	if c.MaxRetries < 1 {
-		c.MaxRetries = 8
-	}
-	if c.BackoffBase < 1 {
-		c.BackoffBase = 1
-	}
-	if c.BackoffCap < 1 {
-		c.BackoffCap = 64
-	}
-	if c.QueueCapacity > 0 && c.HoldBudget < 1 {
-		c.HoldBudget = 4*c.QueueCapacity + 16
-	}
-	return c
-}
-
 // FaultResult extends Result with the fault-path accounting. Dropped is
 // the sum of every Dropped* bucket (including the embedded Result's
 // DroppedQueueFull) plus Stuck, and Delivered + Dropped + Shed equals
@@ -174,28 +74,18 @@ func (r FaultResult) DeliveredFraction() float64 {
 	return float64(r.Delivered) / float64(offered)
 }
 
-// pktMeta is a packet's retry and hold bookkeeping as retryPolicy.charge
-// reads and advances it: retries spent, the cycle the packet may try
-// again, and hold-in-place cycles spent.
-type pktMeta struct {
-	retries int
-	readyAt int
-	holds   int
-}
-
 // runWithFaults runs the fault loop under the oracle routing policy.
-func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
+func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, tun runTuning, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := plan.Compile(nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}
-	cfg = nw.faultConfig(cfg, nw.diameter())
-	res, events, err := nw.faultLoop(packets, state, nil, cfg, traced, admit, rec)
+	res, events, err := nw.faultLoop(packets, state, nil, tun, rec)
 	return res.FaultResult, events, err
 }
 
 // faultLoop is the cycle loop of both the fault engine and self-healing
-// sessions; cfg is already defaulted. The routing policy is chosen by s:
+// sessions. The routing policy is chosen by s:
 //
 //   - s == nil is the oracle. Departures route by a FaultAwareRouter over
 //     the compiled FaultState, which never picks a downed arc, so every
@@ -225,7 +115,7 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, cfg FaultCon
 //
 // A session's control-plane counters go straight to rec; per-hop
 // telemetry goes through the run-local tally under both policies.
-func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (HealResult, []Event, error) {
+func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing, tun runTuning, rec *obs.Recorder) (HealResult, []Event, error) {
 	start := 0
 	if s != nil {
 		start = s.clock
@@ -240,8 +130,8 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 		tl.Arena(reused)
 	}
 	fr := &ar.fault
-	maxCycles := fr.setup(nw, ar, pkts, cfg, admit)
-	fr.state, fr.s, fr.rec, fr.tl, fr.traced = state, s, rec, tl, traced
+	maxCycles := fr.setup(nw, ar, pkts, tun)
+	fr.state, fr.s, fr.rec, fr.tl = state, s, rec, tl
 	if s == nil {
 		fr.oracle = NewFaultAwareRouter(nw.g, nw.router, state)
 	}
@@ -257,8 +147,8 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 			}
 		}
 		holdsBefore := fr.res.Holds
-		if admit != nil {
-			admit.refill(heldLast)
+		if fr.admit != nil {
+			fr.admit.refill(heldLast)
 		}
 		fr.inject(cycle)
 		fr.arrive(cycle)
@@ -283,7 +173,7 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 		}
 	}
 	res, events := fr.res, fr.events
-	res.aggregate(pkts, cfg.HopLatency)
+	res.aggregate(pkts, nw.cfg.HopLatency)
 	rec.Merge(tl)
 	return res, events, nil
 }
@@ -340,7 +230,6 @@ type faultRun struct {
 
 	ttl, hopLat, horizon     int32
 	segCap, qcap, holdBudget int
-	policy                   retryPolicy
 
 	// Devirtualized primary routing, as in runState.
 	tArcs []int8
@@ -371,30 +260,22 @@ type faultRun struct {
 // setup prepares fr for a run of pkts on nw and returns its cycle
 // budget: resolves the per-run constants, sizes and resets the slabs,
 // settles self-addressed packets and orders the rest by release.
-func (fr *faultRun) setup(nw *Network, ar *arena, pkts []Packet, cfg FaultConfig, admit *admitState) (maxCycles int) {
+func (fr *faultRun) setup(nw *Network, ar *arena, pkts []Packet, tun runTuning) (maxCycles int) {
 	n := nw.g.N()
 	m := int(nw.arcBase[n])
 	p := len(pkts)
 	guardIndexInt32(p, "packets")
-	maxCycles = cfg.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = nw.defaultBudget(p, cfg.HopLatency)
-		// Room for every retry of the backoff ladder to play out.
-		maxCycles += cfg.MaxRetries * cfg.BackoffCap
-		if admit != nil {
-			// Room for the regulator to trickle the whole workload in.
-			maxCycles += int(float64(p)/admit.rate) + admit.maxDelay
-		}
-	}
+	tun = tun.withDefaults()
+	maxCycles = nw.cycleBudget(tun, p, true)
+	hopLat := nw.cfg.HopLatency
 	// Pipe ready cycles and retry-ready cycles are narrowed into int32
 	// slabs; this guard dominates every stamp, and a packet past the
 	// horizon (maxCycles+1) can no longer move, so ready cycles clamp to
 	// it and a TTL above it is never reached.
-	guardIndexInt32(maxCycles+cfg.HopLatency+2, "cycles")
-	fr.nw, fr.pkts, fr.admit = nw, pkts, admit
-	fr.ttl, fr.hopLat, fr.horizon = int32(min(cfg.TTL, maxCycles+1)), int32(cfg.HopLatency), int32(maxCycles+1)
-	fr.segCap, fr.qcap, fr.holdBudget = cfg.HopLatency, cfg.QueueCapacity, cfg.HoldBudget
-	fr.policy = newRetryPolicy(cfg)
+	guardIndexInt32(maxCycles+hopLat+2, "cycles")
+	fr.nw, fr.pkts, fr.admit, fr.traced = nw, pkts, tun.admit, tun.trace
+	fr.ttl, fr.hopLat, fr.horizon = int32(min(nw.ttl(), maxCycles+1)), int32(hopLat), int32(maxCycles+1)
+	fr.segCap, fr.qcap, fr.holdBudget = hopLat, tun.qcap, tun.hold
 	fr.tArcs, fr.tN, fr.shift = nil, 0, nw.shift
 	if tr, ok := nw.router.(*TableRouter); ok {
 		fr.tArcs, fr.tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
@@ -774,7 +655,7 @@ func (fr *faultRun) depart(cycle, start int) error {
 
 // attempt is a session's transmission of packet i on out-arc k of node
 // u, which has consumed the link slot. Onto a physically-down arc it
-// fails: the packet stays queued for DetectLatency cycles while its NACK
+// fails: the packet stays queued for detectLatency cycles while its NACK
 // feeds the tail's suspicion — the only way the control plane ever
 // learns of a fault.
 func (fr *faultRun) attempt(i int32, u, k, cycle, start int) (sent bool, err error) {
@@ -785,7 +666,7 @@ func (fr *faultRun) attempt(i int32, u, k, cycle, start int) (sent bool, err err
 			return false, err
 		}
 		//lint:ignore slabindex clamped to the horizon, dominated by setup's guardIndexInt32
-		fr.hot[i].readyAt = int32(min(cycle+s.cfg.DetectLatency, int(fr.horizon)))
+		fr.hot[i].readyAt = int32(min(cycle+detectLatency, int(fr.horizon)))
 		return false, nil
 	}
 	s.transmitted(a, start+cycle)
@@ -819,14 +700,12 @@ func (fr *faultRun) holdIn(i int32, depth int) bool {
 // exhausted and the caller drops the packet.
 func (fr *faultRun) retry(i int32, cycle int) bool {
 	h := &fr.hot[i]
-	m := pktMeta{retries: int(h.retries)}
-	if !fr.policy.charge(&m, cycle, fr.pkts[i].ID) {
+	if h.retries >= maxRetries {
 		return false
 	}
-	//lint:ignore slabindex a packet retries at most once a cycle, and cycles are dominated by setup's guardIndexInt32
-	h.retries = int32(m.retries)
+	h.retries++
 	//lint:ignore slabindex clamped to the horizon, dominated by setup's guardIndexInt32
-	h.readyAt = int32(min(m.readyAt, int(fr.horizon)))
+	h.readyAt = int32(min(cycle+backoff(int(h.retries)), int(fr.horizon)))
 	fr.res.Retries++
 	if fr.tl != nil {
 		fr.tl.Retry()

@@ -23,6 +23,64 @@ import (
 // against Network.runWithFaults proves the two are observably
 // identical.
 
+// refFaultConfig is the resolved tuning the frozen fault and heal loops
+// read, as the historical FaultConfig held it once defaulted.
+type refFaultConfig struct {
+	HopLatency, MaxCycles, TTL          int
+	MaxRetries, BackoffBase, BackoffCap int
+	QueueCapacity, HoldBudget           int
+}
+
+// refFaultConfigFor resolves what a run on nw with queue bound qcap and
+// hold budget hold (0: the default) takes: the Network's hop latency and
+// cycle budget, a TTL of 4·diameter+8 (2n when not strongly connected),
+// the 8-retry backoff ladder from 1 to 64 cycles and a hold budget of
+// 4·qcap+16.
+func refFaultConfigFor(nw *Network, qcap, hold int) refFaultConfig {
+	c := refFaultConfig{HopLatency: nw.cfg.HopLatency, MaxCycles: nw.cfg.MaxCycles, TTL: 2 * nw.g.N(),
+		MaxRetries: 8, BackoffBase: 1, BackoffCap: 64, QueueCapacity: qcap, HoldBudget: hold}
+	if d := nw.g.Diameter(); d >= 0 {
+		c.TTL = 4*d + 8
+	}
+	if qcap > 0 && hold < 1 {
+		c.HoldBudget = 4*qcap + 16
+	}
+	return c
+}
+
+// pktMeta is a packet's retry and hold bookkeeping in the frozen loops:
+// retries spent, the cycle the packet may try again, and hold-in-place
+// cycles spent.
+type pktMeta struct {
+	retries int
+	readyAt int
+	holds   int
+}
+
+// retryPolicy is the historical shared retry/backoff budget: how many
+// times a packet with no live useful out-arc may be requeued, and the
+// ladder base<<(attempt-1) clamped to cap each requeue waits.
+type retryPolicy struct{ max, base, cap int }
+
+func newRetryPolicy(cfg refFaultConfig) retryPolicy {
+	return retryPolicy{max: cfg.MaxRetries, base: cfg.BackoffBase, cap: cfg.BackoffCap}
+}
+
+// charge spends one retry of m's budget at cycle: true with m.readyAt
+// advanced by the attempt's backoff, false once the budget is exhausted.
+func (p retryPolicy) charge(m *pktMeta, cycle, _ int) bool {
+	m.retries++
+	if m.retries > p.max {
+		return false
+	}
+	b := p.base << uint(m.retries-1)
+	if b > p.cap || b <= 0 {
+		b = p.cap
+	}
+	m.readyAt = cycle + b
+	return true
+}
+
 // refFaultState is the historical map-keyed compiled fault plan.
 type refFaultState struct {
 	arcSpans   map[Arc][]span
@@ -292,7 +350,7 @@ func (s *refNextHopSlab) Hop(u, dst int) int { return int(s.hops[u*s.n+dst]) }
 // refRunWithFaults is the frozen fault run loop (historical
 // Network.runWithFaults). The arena counter is recorded as a fresh
 // allocation; comparisons strip the arena lines.
-func refRunWithFaults(nw *Network, packets []Packet, plan *FaultPlan, cfg FaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
+func refRunWithFaults(nw *Network, packets []Packet, plan *FaultPlan, cfg refFaultConfig, traced bool, admit *admitState, rec *obs.Recorder) (FaultResult, []Event, error) {
 	state, err := refCompile(plan, nw.g)
 	if err != nil {
 		return FaultResult{}, nil, err
@@ -301,7 +359,6 @@ func refRunWithFaults(nw *Network, packets []Packet, plan *FaultPlan, cfg FaultC
 
 	n := nw.g.N()
 	m := int(nw.arcBase[n])
-	cfg = cfg.withDefaults(n, nw.g.Diameter())
 	policy := newRetryPolicy(cfg)
 	maxCycles := cfg.MaxCycles
 	if maxCycles == 0 {
@@ -767,6 +824,18 @@ func faultRefPlans(top faultRefTopology, rng *rand.Rand) []struct {
 	return plans
 }
 
+// trapRouter routes like primary except toward destinations divisible
+// by 5, where it always takes out-arc 0: a walk that need not reach the
+// destination, so packets loop until their TTL runs out.
+type trapRouter struct{ primary Router }
+
+func (r trapRouter) NextArc(at, dst int) int {
+	if dst%5 == 0 {
+		return 0
+	}
+	return r.primary.NextArc(at, dst)
+}
+
 // TestFaultEngineMatchesReference drives the fault engine and its
 // frozen reference over topologies × fault plans × run options ×
 // tracing × seeds and requires reflect.DeepEqual results and event
@@ -774,24 +843,43 @@ func faultRefPlans(top faultRefTopology, rng *rand.Rand) []struct {
 // aside, as the reference allocates fresh scratch).
 func TestFaultEngineMatchesReference(t *testing.T) {
 	configs := []struct {
-		name  string
-		cfg   FaultConfig
-		admit *AdmissionConfig
+		name       string
+		net        NetworkOption // the hop latency or cycle budget, set on the Network
+		loop       bool          // route by trapRouter over the topology's router
+		qcap, hold int
+		admit      *AdmissionConfig
 	}{
 		{name: "default"},
-		{name: "lat2_jitter", cfg: FaultConfig{HopLatency: 2, BackoffJitterSeed: 5}},
-		{name: "qcap1", cfg: FaultConfig{QueueCapacity: 1}},
-		{name: "qcap2_admit", cfg: FaultConfig{QueueCapacity: 2, HoldBudget: 3},
-			admit: &AdmissionConfig{Rate: 2, Burst: 2, MaxDelay: 6}},
-		{name: "trunc", cfg: FaultConfig{MaxCycles: 7, TTL: 5}},
+		{name: "lat2", net: WithHopLatency(2)},
+		{name: "qcap1", qcap: 1},
+		{name: "qcap2_admit", qcap: 2, hold: 3, admit: &AdmissionConfig{Rate: 2, Burst: 2, MaxDelay: 6}},
+		{name: "trunc", net: WithMaxCycles(7)},
+		{name: "loop", loop: true},
 	}
 	// Every fault path must fire somewhere in the matrix, or the
 	// equivalence would be vacuous for it.
 	var total FaultResult
 	for _, top := range faultRefTopologies(t) {
-		nw := top.nw
-		n := nw.g.N()
-		m := int(nw.arcBase[n])
+		n := top.nw.g.N()
+		m := int(top.nw.arcBase[n])
+		nets := make([]*Network, len(configs))
+		for i, cc := range configs {
+			nets[i] = top.nw
+			if cc.net == nil && !cc.loop {
+				continue
+			}
+			opts := []NetworkOption{WithRouter(top.nw.router)}
+			if cc.loop {
+				opts[0] = WithRouter(trapRouter{top.nw.router})
+			} else {
+				opts = append(opts, cc.net)
+			}
+			nw, err := NewNetwork(top.nw.g, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nets[i] = nw
+		}
 		reroutes := 0
 		for seed := int64(1); seed <= 2; seed++ {
 			rng := rand.New(rand.NewSource(seed * 104729))
@@ -800,7 +888,8 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 				pkts[i] = Packet{ID: i, Src: rng.Intn(n), Dst: rng.Intn(n), Release: rng.Intn(n)}
 			}
 			for _, pc := range faultRefPlans(top, rng) {
-				for _, cc := range configs {
+				for ci, cc := range configs {
+					nw := nets[ci]
 					for _, traced := range []bool{false, true} {
 						name := fmt.Sprintf("%s/seed%d/%s/%s/traced=%v", top.name, seed, pc.name, cc.name, traced)
 						var admitRef, admitNew *admitState
@@ -811,11 +900,12 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 						recRef, recNew := obs.NewRecorder(nil), obs.NewRecorder(nil)
 						recRef.SizeArcs(m)
 						recNew.SizeArcs(m)
-						want, wantEv, err := refRunWithFaults(nw, pkts, pc.plan, cc.cfg, traced, admitRef, recRef)
+						want, wantEv, err := refRunWithFaults(nw, pkts, pc.plan, refFaultConfigFor(nw, cc.qcap, cc.hold), traced, admitRef, recRef)
 						if err != nil {
 							t.Fatalf("%s: reference: %v", name, err)
 						}
-						got, gotEv, err := nw.runWithFaults(pkts, pc.plan, cc.cfg, traced, admitNew, recNew)
+						tun := runTuning{qcap: cc.qcap, hold: cc.hold, admit: admitNew, trace: traced}
+						got, gotEv, err := nw.runWithFaults(pkts, pc.plan, tun, recNew)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -852,7 +942,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if nw.shift != nil && reroutes == 0 {
+		if top.nw.shift != nil && reroutes == 0 {
 			// Shift-routed: the engine ranked every deflection in closed
 			// form, so it must have deflected.
 			t.Errorf("%s: no run deflected, so the closed-form ranking went unchecked", top.name)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -78,11 +79,9 @@ func TestFaultStateSpans(t *testing.T) {
 	check(15, false, false, false, 0)
 	check(20, false, true, false, 1) // permanent fault active
 	check(1000, false, true, false, 1)
-	if st.ArcPermanentlyDown(1, 0) {
-		t.Error("transient fault reported permanent")
-	}
-	if !st.ArcPermanentlyDown(1, 1) {
-		t.Error("permanent fault not reported")
+	// Only the permanent fault on (1#1) counts, not the transient (1#0).
+	if got := st.permanentlyDown(); !reflect.DeepEqual(got, []Arc{{Tail: 1, Index: 1}}) {
+		t.Errorf("permanently down %v, want [(1#1)]", got)
 	}
 	if (*FaultState)(nil).ArcDown(0, 0) || (*FaultState)(nil).NodeDown(0) {
 		t.Error("nil state reports faults")
@@ -188,15 +187,47 @@ func TestNodeFaultDropsInFlight(t *testing.T) {
 	}
 }
 
+// cycleRouter forwards every packet to next[at], whatever its
+// destination: along a cycle of next, a router that really loops.
+type cycleRouter struct {
+	g    *digraph.Digraph
+	next map[int]int
+}
+
+func (r cycleRouter) NextArc(at, _ int) int {
+	for k, v := range r.g.Out(at) {
+		if v == r.next[at] {
+			return k
+		}
+	}
+	return -1
+}
+
+// TestTTLDropsLoopingPackets: a packet its router sends round the cycle
+// 1→2→4→1 of B(2,3), never reaching its destination 7, is dropped by
+// its TTL after exactly 4·diameter+8 = 20 hops.
 func TestTTLDropsLoopingPackets(t *testing.T) {
-	nw, _ := faultNet(t, 2, 3)
-	pkts := []Packet{{ID: 0, Src: 0, Dst: 7, Release: 0}} // distance 3 > TTL
-	res, err := nw.RunOpts(Fixed(pkts), WithFaults(NewFaultPlan()), WithFaultConfig(FaultConfig{TTL: 1}))
+	g := debruijn.DeBruijn(2, 3)
+	nw, err := NewNetwork(g, WithRouter(cycleRouter{g: g, next: map[int]int{1: 2, 2: 4, 4: 1}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := []Packet{{ID: 0, Src: 1, Dst: 7}}
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(NewFaultPlan()), WithTrace())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.DroppedTTL != 1 || res.Delivered != 0 {
-		t.Fatalf("TTL=1 run: %v", res)
+		t.Fatalf("looping run: %v", res)
+	}
+	hops := 0
+	for _, e := range res.Events {
+		if e.Kind == EventArrive {
+			hops++
+		}
+	}
+	if want := 4*g.Diameter() + 8; hops != want {
+		t.Fatalf("looping packet made %d hops before its TTL drop, want %d", hops, want)
 	}
 }
 

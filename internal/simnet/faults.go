@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -224,12 +225,12 @@ func (s span) contains(cycle int) bool {
 
 // FaultState is a compiled FaultPlan bound to a digraph: per-arc and
 // per-node down intervals, with a current-cycle cursor the run loop
-// advances. The intervals live in flat CSR slabs — the spans of flat arc
-// f (the simulator's arcBase[tail]+index layout) are
-// arcSpans[arcSpanAt[f]:arcSpanAt[f+1]], node u's are
-// nodeSpans[nodeSpanAt[u]:nodeSpanAt[u+1]] — with no hashing. A version
-// counter over the set of *active permanent* faults tells routers when
-// to recompute residual paths.
+// advances. The intervals are one list per kind, keyed by flat arc (the
+// simulator's arcBase[tail]+index layout) or node and sorted by key, each
+// key's spans in plan order: one entry per faulted arc or node, with no
+// per-arc offset slab and no hashing. A version counter over the set of
+// *active permanent* faults tells routers when to recompute residual
+// paths.
 //
 // On top of the spans sits the fault view of the current cycle: a bitmap
 // of the arcs down now, one of the nodes down now, and the permanent
@@ -239,21 +240,17 @@ func (s span) contains(cycle int) bool {
 // cycle leaves that window (in either direction). ArcDown, NodeDown and
 // PermanentVersion answer from it with one bit test or one field read.
 type FaultState struct {
-	arcBase    []int32 // arcBase[u]: flat index of node u's first out-arc
-	arcSpanAt  []int32 // nil ⇔ no arc spans
-	arcSpans   []span
-	nodeSpanAt []int32 // nil ⇔ no node spans
-	nodeSpans  []span
+	arcBase   []int32 // arcBase[u]: flat index of node u's first out-arc
+	arcSpans  []flatSpan
+	nodeSpans []flatSpan
 	// permStarts holds the start cycles of permanent arc faults, sorted;
 	// PermanentVersion is the count of starts <= current cycle.
 	permStarts []int
 	cycle      int
 
-	// spanArcs and spanNodes list the flat arcs and nodes that have
-	// spans, and bounds the distinct span starts and ends, sorted: what a
-	// view rebuild scans and where the views change.
-	spanArcs, spanNodes []int32
-	bounds              []int
+	// bounds holds the distinct span starts and ends, sorted: where the
+	// views change.
+	bounds []int
 	// The view of cycle: arcDown bit f ⇔ flat arc f is down, nodeDown bit
 	// u ⇔ a node fault is active on u (each nil when no span of its kind
 	// exists), and version the permanent version. It is valid for every
@@ -264,7 +261,7 @@ type FaultState struct {
 }
 
 // flatSpan is one compiled down interval keyed by its flat arc or node
-// index, before Compile buckets the spans into their CSR slabs.
+// index.
 type flatSpan struct {
 	key int
 	sp  span
@@ -283,12 +280,11 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 	}
 	n := g.N()
 	st.arcBase = arcBaseOf(g)
-	var arcs, nodes []flatSpan
 	addArc := func(a Arc, sp span) error {
 		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
 			return fmt.Errorf("simnet: fault arc (%d#%d) out of range", a.Tail, a.Index)
 		}
-		arcs = append(arcs, flatSpan{key: int(st.arcBase[a.Tail]) + a.Index, sp: sp})
+		st.arcSpans = append(st.arcSpans, flatSpan{key: int(st.arcBase[a.Tail]) + a.Index, sp: sp})
 		if sp.end < 0 {
 			st.permStarts = append(st.permStarts, sp.start)
 		}
@@ -311,7 +307,7 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 			if f.Node < 0 || f.Node >= n {
 				return nil, fmt.Errorf("simnet: fault node %d out of range [0,%d)", f.Node, n)
 			}
-			nodes = append(nodes, flatSpan{key: f.Node, sp: sp})
+			st.nodeSpans = append(st.nodeSpans, flatSpan{key: f.Node, sp: sp})
 			for k := 0; k < g.OutDegree(f.Node); k++ {
 				if err := addArc(Arc{Tail: f.Node, Index: k}, sp); err != nil {
 					return nil, err
@@ -336,16 +332,21 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 			return nil, fmt.Errorf("simnet: unknown fault kind %v", f.Kind)
 		}
 	}
-	st.arcSpanAt, st.arcSpans = bucketSpans(arcs, g.M())
-	st.nodeSpanAt, st.nodeSpans = bucketSpans(nodes, n)
+	byKey := func(a, b flatSpan) int { return cmp.Compare(a.key, b.key) }
+	slices.SortStableFunc(st.arcSpans, byKey)
+	slices.SortStableFunc(st.nodeSpans, byKey)
 	sort.Ints(st.permStarts)
-	st.spanArcs, st.arcDown = spanKeys(st.arcSpanAt)
-	st.spanNodes, st.nodeDown = spanKeys(st.nodeSpanAt)
-	for _, spans := range [][]span{st.arcSpans, st.nodeSpans} {
-		for _, sp := range spans {
-			st.bounds = append(st.bounds, sp.start)
-			if sp.end >= 0 {
-				st.bounds = append(st.bounds, sp.end)
+	if len(st.arcSpans) > 0 {
+		st.arcDown = make([]uint64, (g.M()+63)/64)
+	}
+	if len(st.nodeSpans) > 0 {
+		st.nodeDown = make([]uint64, (n+63)/64)
+	}
+	for _, spans := range [][]flatSpan{st.arcSpans, st.nodeSpans} {
+		for _, e := range spans {
+			st.bounds = append(st.bounds, e.sp.start)
+			if e.sp.end >= 0 {
+				st.bounds = append(st.bounds, e.sp.end)
 			}
 		}
 	}
@@ -353,45 +354,6 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 	st.bounds = slices.Compact(st.bounds)
 	st.rebuildView()
 	return st, nil
-}
-
-// spanKeys lists the keys that have spans in a CSR offset slab and
-// returns a bitmap with one bit per key (both nil when at is).
-func spanKeys(at []int32) (keys []int32, bits []uint64) {
-	if at == nil {
-		return nil, nil
-	}
-	for k := range len(at) - 1 {
-		if at[k] < at[k+1] {
-			//lint:ignore slabindex a key is an arc or node id, dominated by arcBaseOf's and newNetwork's guardIndexInt32
-			keys = append(keys, int32(k))
-		}
-	}
-	return keys, make([]uint64, (len(at)-1+63)/64)
-}
-
-// bucketSpans sorts spans into CSR form over keys [0, keys): a stable
-// counting sort, so each key's spans keep their plan order. No spans
-// yields nil slabs.
-func bucketSpans(entries []flatSpan, keys int) (at []int32, spans []span) {
-	if len(entries) == 0 {
-		return nil, nil
-	}
-	guardIndexInt32(len(entries), "fault spans")
-	at = make([]int32, keys+1)
-	for _, e := range entries {
-		at[e.key+1]++
-	}
-	for k := 0; k < keys; k++ {
-		at[k+1] += at[k]
-	}
-	spans = make([]span, len(entries))
-	fill := make([]int32, keys)
-	for _, e := range entries {
-		spans[at[e.key]+fill[e.key]] = e.sp
-		fill[e.key]++
-	}
-	return at, spans
 }
 
 // Empty reports whether no fault is scheduled.
@@ -410,22 +372,11 @@ func (s *FaultState) Advance(cycle int) {
 
 // rebuildView recomputes the view at s.cycle from the spans and the
 // window [viewLo, viewHi) between the span boundaries around it: the
-// bitmaps' words plus each faulted arc's and node's spans, not all M
-// arcs.
+// bitmaps' words plus the spans, not all M arcs.
 func (s *FaultState) rebuildView() {
 	c := s.cycle
-	clearBits(s.arcDown)
-	for _, f := range s.spanArcs {
-		if spansContain(s.arcSpans[s.arcSpanAt[f]:s.arcSpanAt[f+1]], c) {
-			s.arcDown[f>>6] |= 1 << (uint32(f) & 63)
-		}
-	}
-	clearBits(s.nodeDown)
-	for _, u := range s.spanNodes {
-		if spansContain(s.nodeSpans[s.nodeSpanAt[u]:s.nodeSpanAt[u+1]], c) {
-			s.nodeDown[u>>6] |= 1 << (uint32(u) & 63)
-		}
-	}
+	markDown(s.arcDown, s.arcSpans, c)
+	markDown(s.nodeDown, s.nodeSpans, c)
 	s.version = sort.SearchInts(s.permStarts, c+1)
 	k := sort.SearchInts(s.bounds, c+1) // bounds[k-1] <= c < bounds[k]
 	s.viewLo, s.viewHi = math.MinInt, math.MaxInt
@@ -437,30 +388,15 @@ func (s *FaultState) rebuildView() {
 	}
 }
 
-// spansContain reports whether any of spans contains cycle.
-func spansContain(spans []span, cycle int) bool {
-	for _, sp := range spans {
-		if sp.contains(cycle) {
-			return true
+// markDown sets exactly the bits of the keys with a span containing
+// cycle.
+func markDown(bits []uint64, spans []flatSpan, cycle int) {
+	clearBits(bits)
+	for _, e := range spans {
+		if e.sp.contains(cycle) {
+			bits[e.key>>6] |= 1 << (uint(e.key) & 63)
 		}
 	}
-	return false
-}
-
-// Cycle returns the current cycle.
-func (s *FaultState) Cycle() int { return s.cycle }
-
-// arcSpansOf returns the spans of the arc at (tail, index); none for an
-// arc without faults or outside the digraph.
-func (s *FaultState) arcSpansOf(tail, index int) []span {
-	if s == nil || len(s.arcSpans) == 0 || tail < 0 || tail+1 >= len(s.arcBase) || index < 0 {
-		return nil
-	}
-	f := int(s.arcBase[tail]) + index
-	if f >= int(s.arcBase[tail+1]) {
-		return nil
-	}
-	return s.arcSpans[s.arcSpanAt[f]:s.arcSpanAt[f+1]]
 }
 
 // ArcDown reports whether the arc at (tail, index) is down at the
@@ -473,31 +409,31 @@ func (s *FaultState) ArcDown(tail, index int) bool {
 	return f < int(s.arcBase[tail+1]) && s.arcDown[f>>6]&(1<<(uint(f)&63)) != 0
 }
 
-// ArcDownAt reports whether the arc at (tail, index) is down at the
-// given cycle.
-func (s *FaultState) ArcDownAt(tail, index, cycle int) bool {
-	return spansContain(s.arcSpansOf(tail, index), cycle)
-}
-
 // NodeDown reports whether a node fault is active on node at the current
 // cycle. (Arc faults touching the node are reported by ArcDown, not
 // here.)
 func (s *FaultState) NodeDown(node int) bool {
-	if s == nil || s.nodeDown == nil || node < 0 || node+1 >= len(s.nodeSpanAt) {
+	if s == nil || node < 0 || node>>6 >= len(s.nodeDown) {
 		return false
 	}
 	return s.nodeDown[node>>6]&(1<<(uint(node)&63)) != 0
 }
 
-// ArcPermanentlyDown reports whether a permanent fault covering the arc
-// is active at the current cycle.
-func (s *FaultState) ArcPermanentlyDown(tail, index int) bool {
-	for _, sp := range s.arcSpansOf(tail, index) {
-		if sp.end < 0 && s.cycle >= sp.start {
-			return true
+// permanentlyDown lists the arcs a permanent fault active at the current
+// cycle holds down, in ascending (tail, index) order: one walk of the
+// faulted arcs' spans, not of all M arcs.
+func (s *FaultState) permanentlyDown() []Arc {
+	var down []Arc
+	last := -1
+	for _, e := range s.arcSpans {
+		if e.key == last || e.sp.end >= 0 || s.cycle < e.sp.start {
+			continue
 		}
+		last = e.key
+		tail := sort.Search(len(s.arcBase)-1, func(u int) bool { return int(s.arcBase[u+1]) > e.key })
+		down = append(down, Arc{Tail: tail, Index: e.key - int(s.arcBase[tail])})
 	}
-	return false
+	return down
 }
 
 // PermanentVersion counts the permanent arc faults active at the current

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/debruijn"
@@ -87,12 +88,13 @@ func randomFaultPlan(g *digraph.Digraph, rng *rand.Rand) *FaultPlan {
 	return p
 }
 
-// TestFaultStateMatchesBruteForce checks ArcDown, ArcDownAt, NodeDown,
-// ArcPermanentlyDown, PermanentVersion and Empty against a brute-force
-// scan of the plan's faults, over random plans on several digraphs
-// (including multigraph self-loops) and a random walk of Advance calls
-// that moves backwards as often as forwards. Out-of-range arcs and nodes
-// are never down, as the map-keyed state reported.
+// TestFaultStateMatchesBruteForce checks ArcDown, NodeDown,
+// PermanentVersion, Empty and the permanently-down arcs residual routing
+// avoids against a brute-force scan of the plan's faults, over random
+// plans on several digraphs (including multigraph self-loops) and a
+// random walk of Advance calls that moves backwards as often as
+// forwards. Out-of-range arcs and nodes are never down, as the
+// map-keyed state reported.
 func TestFaultStateMatchesBruteForce(t *testing.T) {
 	kautz, _ := debruijn.Kautz(2, 3)
 	graphs := map[string]*digraph.Digraph{
@@ -119,9 +121,6 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 			for step := 0; step < 30; step++ {
 				cycle := rng.Intn(40) - 2
 				st.Advance(cycle)
-				if st.Cycle() != cycle {
-					t.Fatalf("%s seed %d: Cycle() = %d after Advance(%d)", name, seed, st.Cycle(), cycle)
-				}
 				version := 0
 				for _, f := range faults {
 					if f.Permanent() && cycle >= f.Start {
@@ -131,6 +130,7 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 				if got := st.PermanentVersion(); got != version {
 					t.Fatalf("%s seed %d cycle %d: PermanentVersion = %d, want %d", name, seed, cycle, got, version)
 				}
+				var permanent []Arc
 				for v := 0; v < n; v++ {
 					want := false
 					for _, f := range faults {
@@ -141,29 +141,26 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 					}
 					for k := 0; k < g.OutDegree(v); k++ {
 						down, perm := false, false
-						other := rng.Intn(40) - 2
-						downAt := false
 						for _, f := range faults {
 							if !bruteCovers(g, f, v, k) {
 								continue
 							}
 							down = down || activeAt(f, cycle)
 							perm = perm || (f.Permanent() && cycle >= f.Start)
-							downAt = downAt || activeAt(f, other)
 						}
 						if st.ArcDown(v, k) != down {
 							t.Fatalf("%s seed %d cycle %d: ArcDown(%d,%d) = %v, want %v", name, seed, cycle, v, k, !down, down)
 						}
-						if st.ArcPermanentlyDown(v, k) != perm {
-							t.Fatalf("%s seed %d cycle %d: ArcPermanentlyDown(%d,%d) = %v, want %v", name, seed, cycle, v, k, !perm, perm)
-						}
-						if st.ArcDownAt(v, k, other) != downAt {
-							t.Fatalf("%s seed %d: ArcDownAt(%d,%d,%d) = %v, want %v", name, seed, v, k, other, !downAt, downAt)
+						if perm {
+							permanent = append(permanent, Arc{Tail: v, Index: k})
 						}
 					}
 				}
+				if got := st.permanentlyDown(); !reflect.DeepEqual(got, permanent) {
+					t.Fatalf("%s seed %d cycle %d: permanently down %v, want %v", name, seed, cycle, got, permanent)
+				}
 				for _, q := range [][2]int{{-1, 0}, {n, 0}, {0, -1}, {0, g.OutDegree(0)}} {
-					if st.ArcDown(q[0], q[1]) || st.ArcPermanentlyDown(q[0], q[1]) {
+					if st.ArcDown(q[0], q[1]) {
 						t.Fatalf("%s seed %d: out-of-range arc (%d#%d) reported down", name, seed, q[0], q[1])
 					}
 				}
@@ -174,8 +171,7 @@ func TestFaultStateMatchesBruteForce(t *testing.T) {
 		}
 	}
 	var nilState *FaultState
-	if !nilState.Empty() || nilState.ArcDown(0, 0) || nilState.NodeDown(0) ||
-		nilState.ArcPermanentlyDown(0, 0) || nilState.PermanentVersion() != 0 {
+	if !nilState.Empty() || nilState.ArcDown(0, 0) || nilState.NodeDown(0) || nilState.PermanentVersion() != 0 {
 		t.Fatal("nil FaultState must report no faults")
 	}
 }
@@ -201,12 +197,24 @@ func viewPlan(g *digraph.Digraph, rng *rand.Rand, horizon int) *FaultPlan {
 	return p
 }
 
+// spansDown reports, for each of keys keys, whether a compiled span of it
+// contains cycle: a direct scan of the spans, with no view.
+func spansDown(spans []flatSpan, keys, cycle int) []bool {
+	down := make([]bool, keys)
+	for _, e := range spans {
+		if e.sp.contains(cycle) {
+			down[e.key] = true
+		}
+	}
+	return down
+}
+
 // TestFaultViewMatchesSpans is the property test of the per-cycle fault
 // view: after every Advance — through every cycle of [-1, horizon+2] in
 // order, then backwards, then at random — the view's arc bitmap, node
 // bitmap and permanent version, read raw as the departure sweep reads
-// them, equal a direct scan of the compiled spans at that cycle. A view not rebuilt when the cycle crosses a span boundary
-// fails it.
+// them, equal a direct scan of the compiled spans at that cycle. A view
+// not rebuilt when the cycle crosses a span boundary fails it.
 func TestFaultViewMatchesSpans(t *testing.T) {
 	kautz, _ := debruijn.Kautz(2, 3)
 	graphs := map[string]*digraph.Digraph{
@@ -227,22 +235,23 @@ func TestFaultViewMatchesSpans(t *testing.T) {
 				st.Advance(cycle)
 				arcs, permanent := st.arcDown, st.version > 0
 				version := 0
-				for _, sp := range st.arcSpans {
-					if sp.end < 0 && cycle >= sp.start {
+				for _, e := range st.arcSpans {
+					if e.sp.end < 0 && cycle >= e.sp.start {
 						version++
 					}
 				}
 				if st.version != version || permanent != (version > 0) {
 					t.Fatalf("%s seed %d cycle %d: view version %d (permanent %v), spans give %d", name, seed, cycle, st.version, permanent, version)
 				}
+				arcsDown, nodesDown := spansDown(st.arcSpans, m, cycle), spansDown(st.nodeSpans, g.N(), cycle)
 				for f := 0; f < m; f++ {
-					want := spansContain(st.arcSpans[st.arcSpanAt[f]:st.arcSpanAt[f+1]], cycle)
+					want := arcsDown[f]
 					if got := arcs[f>>6]&(1<<(uint(f)&63)) != 0; got != want {
 						t.Fatalf("%s seed %d cycle %d: view says flat arc %d down=%v, spans say %v", name, seed, cycle, f, got, want)
 					}
 				}
 				for u := 0; u < g.N(); u++ {
-					want := st.nodeSpanAt != nil && spansContain(st.nodeSpans[st.nodeSpanAt[u]:st.nodeSpanAt[u+1]], cycle)
+					want := nodesDown[u]
 					if got := st.nodeDown != nil && st.nodeDown[u>>6]&(1<<(uint(u)&63)) != 0; got != want {
 						t.Fatalf("%s seed %d cycle %d: view says node %d down=%v, spans say %v", name, seed, cycle, u, got, want)
 					}

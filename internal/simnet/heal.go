@@ -14,8 +14,8 @@ import (
 // Everything the control plane knows it learned the hard way:
 //
 //   - detect: a transmission onto a downed arc fails; the sender times
-//     out (DetectLatency cycles), bumps a per-arc suspicion counter,
-//     and after SuspectThreshold consecutive failures commits a
+//     out (detectLatency cycles), bumps a per-arc suspicion counter,
+//     and after suspectThreshold consecutive failures commits a
 //     link-down event — local knowledge, at the tail only;
 //   - disseminate: each committed event floods the network one
 //     all-port round per cycle over the arcs that still work
@@ -25,7 +25,7 @@ import (
 //     believed-down set of its epoch, per destination on first use
 //     (SelfHealing.route) — never an all-pairs table;
 //   - recover: tails probe their believed-down out-arcs every
-//     ProbeInterval cycles; a probe that succeeds commits a link-up
+//     probeInterval cycles; a probe that succeeds commits a link-up
 //     event that floods the same way.
 //
 // A HealMonitor (the machine layer's lens circuit breaker) can
@@ -56,60 +56,54 @@ type HealMonitor interface {
 	ProbeResult(cycle int, arc Arc, ok bool)
 }
 
-// HealConfig tunes a self-healing session. The zero value selects
-// defaults; negative fields are invalid. The embedded FaultConfig keeps
-// its fault-run meaning (hop latency, TTL, retry/backoff budget, queue
-// bound, cycle bound per Run), resolved against the Network the same
-// way.
+// HealConfig is what a self-healing session sets for itself: the queue
+// bound and hold budget of its Runs, and an optional monitor. The zero
+// value runs unbounded queues with no monitor; negative fields are
+// invalid. Hop latency and the cycle budget of each Run come from the
+// Network (WithHopLatency, WithMaxCycles), and the TTL, the retry
+// ladder, detection and probing are fixed: a failed attempt times out
+// for 2 cycles, 2 failures on an arc commit a link-down event, and tails
+// probe believed-down arcs every 16 cycles.
 type HealConfig struct {
-	FaultConfig
-	// DetectLatency is the timeout a sender pays for a failed
-	// transmission attempt before the packet may try again — the stand-
-	// in for a NACK round trip (0: 2).
-	DetectLatency int
-	// SuspectThreshold is how many failed attempts on an out-arc its
-	// tail accumulates before committing a link-down event (0: 2).
-	SuspectThreshold int
-	// ProbeInterval is how often (in cycles) tails probe believed-down
-	// out-arcs for recovery (0: 16).
-	ProbeInterval int
+	// QueueCapacity bounds each node's hold queue at QueueCapacity
+	// packets per out-arc (0: unbounded). A full downstream node is not
+	// forwarded to: the packet holds in place upstream (credit-based
+	// backpressure) until space opens or its hold budget runs out.
+	QueueCapacity int
+	// HoldBudget is the lifetime number of hold-in-place cycles a packet
+	// may spend against full downstream nodes before dropping as
+	// DroppedQueueFull (0: 4·QueueCapacity+16).
+	HoldBudget int
 	// Monitor, when non-nil, is consulted every cycle and may
 	// quarantine arc groups (see HealMonitor).
 	Monitor HealMonitor
 }
 
+// The control plane's fixed timing: the timeout a sender pays for a
+// failed transmission attempt before the packet may try again (the
+// stand-in for a NACK round trip), how many failed attempts on an
+// out-arc its tail accumulates before committing a link-down event, and
+// how often (in cycles) tails probe believed-down out-arcs for
+// recovery.
+const (
+	detectLatency    = 2
+	suspectThreshold = 2
+	probeInterval    = 16
+)
+
 // validate reports the first negative field of c as an *OptionError
-// naming SelfHeal, under the same rule as WithFaultConfig.
+// naming SelfHeal.
 func (c HealConfig) validate() error {
-	if err := c.FaultConfig.validate("SelfHeal"); err != nil {
-		return err
-	}
 	var reason string
 	switch {
-	case c.DetectLatency < 0:
-		reason = fmt.Sprintf("DetectLatency must be >= 0, got %d", c.DetectLatency)
-	case c.SuspectThreshold < 0:
-		reason = fmt.Sprintf("SuspectThreshold must be >= 0, got %d", c.SuspectThreshold)
-	case c.ProbeInterval < 0:
-		reason = fmt.Sprintf("ProbeInterval must be >= 0, got %d", c.ProbeInterval)
+	case c.QueueCapacity < 0:
+		reason = fmt.Sprintf("QueueCapacity must be >= 0, got %d", c.QueueCapacity)
+	case c.HoldBudget < 0:
+		reason = fmt.Sprintf("HoldBudget must be >= 0, got %d", c.HoldBudget)
 	default:
 		return nil
 	}
 	return &OptionError{Option: "SelfHeal", Reason: reason}
-}
-
-func (c HealConfig) withHealDefaults(nw *Network, diameter int) HealConfig {
-	c.FaultConfig = nw.faultConfig(c.FaultConfig, diameter)
-	if c.DetectLatency < 1 {
-		c.DetectLatency = 2
-	}
-	if c.SuspectThreshold < 1 {
-		c.SuspectThreshold = 2
-	}
-	if c.ProbeInterval < 1 {
-		c.ProbeInterval = 16
-	}
-	return c
 }
 
 // HealResult extends FaultResult with the control-plane accounting of
@@ -180,7 +174,7 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 		nw:          nw,
 		state:       state,
 		heal:        &healState{g: nw.g, suspicion: map[Arc]int{}},
-		cfg:         cfg.withHealDefaults(nw, nw.diameter()),
+		cfg:         cfg,
 		faultFree:   distSource{g: nw.g, router: nw.router},
 		quarantined: map[Arc]bool{},
 	}, nil
@@ -210,7 +204,11 @@ func (s *SelfHealing) Quarantined() []Arc { return sortedArcs(s.quarantined) }
 // session-absolute cycles. The fault plan's Start cycles are
 // session-absolute.
 func (s *SelfHealing) Run(packets []Packet) (HealResult, error) {
-	res, _, err := s.nw.faultLoop(packets, s.state, s, s.cfg.FaultConfig, false, nil, s.nw.rec)
+	if err := checkEndpoints(packets, s.nw.g.N()); err != nil {
+		return HealResult{}, err
+	}
+	tun := runTuning{qcap: s.cfg.QueueCapacity, hold: s.cfg.HoldBudget}
+	res, _, err := s.nw.faultLoop(packets, s.state, s, tun, s.nw.rec)
 	if err != nil {
 		return res, err
 	}
@@ -246,7 +244,7 @@ func (s *SelfHealing) tick(abs int, res *HealResult, rec *obs.Recorder) error {
 			mon.ProbeResult(abs, a, !s.state.ArcDown(a.Tail, a.Index))
 		}
 	}
-	if abs > 0 && abs%s.cfg.ProbeInterval == 0 {
+	if abs > 0 && abs%probeInterval == 0 {
 		for _, a := range h.downSet(len(h.events)) {
 			res.Probes++
 			rec.Probe()
@@ -269,7 +267,7 @@ func (s *SelfHealing) gossipLive(tail, index int) bool { return !s.state.ArcDown
 
 // nack accounts a failed transmission on arc a at session cycle abs: the
 // monitor hears of it, the tail's suspicion of the arc grows, and at
-// SuspectThreshold consecutive failures the tail commits a link-down
+// suspectThreshold consecutive failures the tail commits a link-down
 // event.
 func (s *SelfHealing) nack(a Arc, abs int, res *HealResult, rec *obs.Recorder) error {
 	h := s.heal
@@ -279,7 +277,7 @@ func (s *SelfHealing) nack(a Arc, abs int, res *HealResult, rec *obs.Recorder) e
 		mon.ArcFailed(abs, a)
 	}
 	h.suspicion[a]++
-	if h.suspicion[a] >= s.cfg.SuspectThreshold && !h.activeDown(a) {
+	if h.suspicion[a] >= suspectThreshold && !h.activeDown(a) {
 		if err := h.commit(a, false, abs); err != nil {
 			return err
 		}

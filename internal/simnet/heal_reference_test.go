@@ -29,21 +29,33 @@ import (
 // all-pairs distance slab its deflections rank by.
 type refHealSession struct {
 	*SelfHealing
+	cfg     refHealConfig
 	base    *TableRouter
 	slabs   map[int]*TableRouter
 	repairs int
 	dist    []int32
 }
 
-// newRefHealSession wraps s with the frozen pristine-slab build: the
+// refHealConfig is the resolved session tuning the frozen loop reads, as
+// the historical HealConfig held it once defaulted.
+type refHealConfig struct {
+	refFaultConfig
+	DetectLatency, SuspectThreshold, ProbeInterval int
+	Monitor                                        HealMonitor
+}
+
+// newRefHealSession wraps s with the frozen pristine-slab build — the
 // network's router when it is a *TableRouter, else NewTableRouter of
-// the digraph.
+// the digraph — and the session's resolved tuning: detection after 2
+// failures of 2 cycles each, and recovery probes every 16 cycles.
 func newRefHealSession(s *SelfHealing) *refHealSession {
 	base, ok := s.nw.router.(*TableRouter)
 	if !ok {
 		base = NewTableRouter(s.nw.g)
 	}
-	return &refHealSession{SelfHealing: s, base: base, slabs: map[int]*TableRouter{}, dist: s.nw.g.DistanceSlab()}
+	cfg := refHealConfig{refFaultConfig: refFaultConfigFor(s.nw, s.cfg.QueueCapacity, s.cfg.HoldBudget),
+		DetectLatency: 2, SuspectThreshold: 2, ProbeInterval: 16, Monitor: s.cfg.Monitor}
+	return &refHealSession{SelfHealing: s, cfg: cfg, base: base, slabs: map[int]*TableRouter{}, dist: s.nw.g.DistanceSlab()}
 }
 
 // routerFor is the frozen healState.routerFor: the routing slab of the
@@ -250,7 +262,7 @@ func refHealRun(s *refHealSession, packets []Packet) (HealResult, error) {
 	sortByRelease(order, pkts)
 	cursor := 0
 
-	policy := newRetryPolicy(cfg.FaultConfig)
+	policy := newRetryPolicy(cfg.refFaultConfig)
 	qcap := cfg.QueueCapacity
 	nodeFull := func(v int) bool {
 		return qcap > 0 && len(waiting[v]) >= qcap*int(nw.arcBase[v+1]-nw.arcBase[v])
@@ -647,12 +659,13 @@ func (m *callLog) ProbeResult(cycle int, arc Arc, ok bool) {
 func TestHealEngineMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
+		net  NetworkOption // the hop latency or cycle budget, set on the Network
 		cfg  HealConfig
 	}{
 		{name: "default"},
-		{name: "lat2_jitter", cfg: HealConfig{FaultConfig: FaultConfig{HopLatency: 2, BackoffJitterSeed: 5}}},
-		{name: "qcap1", cfg: HealConfig{FaultConfig: FaultConfig{QueueCapacity: 1}}},
-		{name: "trunc", cfg: HealConfig{FaultConfig: FaultConfig{MaxCycles: 7, TTL: 5}}},
+		{name: "lat2", net: WithHopLatency(2)},
+		{name: "qcap1", cfg: HealConfig{QueueCapacity: 1}},
+		{name: "trunc", net: WithMaxCycles(7)},
 	}
 	// Every control-plane and drop path must fire somewhere in the
 	// matrix, or the equivalence would be vacuous for it.
@@ -678,7 +691,11 @@ func TestHealEngineMatchesReference(t *testing.T) {
 					for _, monitored := range []bool{false, true} {
 						name := fmt.Sprintf("%s/seed%d/%s/%s/monitor=%v", top.name, seed, pc.name, cc.name, monitored)
 						open := func() (*SelfHealing, *obs.Recorder, *callLog) {
-							nw, err := NewNetwork(g, WithRouter(router))
+							opts := []NetworkOption{WithRouter(router)}
+							if cc.net != nil {
+								opts = append(opts, cc.net)
+							}
+							nw, err := NewNetwork(g, opts...)
 							if err != nil {
 								t.Fatal(err)
 							}

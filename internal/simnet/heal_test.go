@@ -167,7 +167,7 @@ found:
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, err := nw.SelfHeal(plan, HealConfig{ProbeInterval: 8})
+	session, err := nw.SelfHeal(plan, HealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,11 +207,11 @@ found:
 func TestSelfHealingTruncatedRunAccounting(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	plan := NewFaultPlanFor(g).LinkDown(0, 0, 1, 0)
-	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)), WithMaxCycles(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	session, err := nw.SelfHeal(plan, HealConfig{FaultConfig: FaultConfig{MaxCycles: 3}})
+	session, err := nw.SelfHeal(plan, HealConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -232,47 +232,38 @@ func sameDeliveries(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestQueueBoundPrecedence pins which queue bound and hold budget a run
-// takes: a per-run WithQueueCapacity beats the FaultConfig's bound, and
-// the default hold budget is resolved from the bound the run finally
-// takes. Each run is DeepEqual to the FaultConfig that spells out what
-// it must resolve to.
+// TestQueueBoundPrecedence pins the hold budget a bounded fault run
+// takes when it sets none: 4·qcap+16, resolved from its
+// WithQueueCapacity. Each run is DeepEqual to the one that spells the
+// budget out, and differs from one held 4·1+16 cycles, so the case
+// turns on the budget.
 func TestQueueBoundPrecedence(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	nw, err := NewNetwork(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	overridden := []RunOption{WithFaultConfig(FaultConfig{QueueCapacity: 1}), WithQueueCapacity(4)}
-	for _, tc := range []struct {
-		name    string
-		want    FaultConfig
-		packets int
-	}{
-		{"per_run_bound_over_fault_config", FaultConfig{QueueCapacity: 4}, 256},
-		// Holds for 4·4+16 cycles, not the 4·1+16 of the FaultConfig's
-		// bound.
-		{"per_run_bound_hold_budget", FaultConfig{QueueCapacity: 4, HoldBudget: 4*4 + 16}, 1024},
-	} {
-		for seed := int64(1); seed <= 3; seed++ {
-			want, err := nw.RunOpts(UniformLoad(tc.packets), WithSeed(seed), WithFaultConfig(tc.want))
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := nw.RunOpts(UniformLoad(tc.packets), append(overridden, WithSeed(seed))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s seed %d: run %v, spelled out %v", tc.name, seed, got.FaultResult, want.FaultResult)
-			}
+	run := func(seed int64, opts ...RunOption) RunReport {
+		rep, err := nw.RunOpts(UniformLoad(1024), append(opts, WithSeed(seed), WithFaults(nil), WithQueueCapacity(4))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		got, want := run(seed), run(seed, WithHoldBudget(4*4+16))
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: run %v, spelled out %v", seed, got.FaultResult, want.FaultResult)
+		}
+		if short := run(seed, WithHoldBudget(4*1+16)); reflect.DeepEqual(got, short) {
+			t.Fatalf("seed %d: a hold budget of %d runs the same as %d", seed, 4*1+16, 4*4+16)
 		}
 	}
 }
 
 // TestMaxCyclesReachesFaultEngine: a Network's cycle budget stops a fault
-// run left at FaultConfig.MaxCycles 0 at the same cycle as the plain
-// run, and the packets it strands are counted as Stuck.
+// run at the same cycle as the plain run, and the packets it strands are
+// counted as Stuck.
 func TestMaxCyclesReachesFaultEngine(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	const budget = 5

@@ -8,7 +8,7 @@ import (
 
 // Overload protection: admission control at injection and the
 // saturation instrumentation around it. Bounded queues
-// (WithQueueCapacity, FaultConfig.QueueCapacity) and credit-based
+// (WithQueueCapacity, HealConfig.QueueCapacity) and credit-based
 // backpressure live in the run loops; this file holds the source
 // regulator that decides which offered packets enter the network at
 // all, and the sweep that measures how a topology degrades as offered

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -198,7 +199,7 @@ func TestHealOverload(t *testing.T) {
 		plan.NodeDown(10, 30, 3)
 		return plan
 	}
-	cfg := HealConfig{FaultConfig: FaultConfig{QueueCapacity: 2}}
+	cfg := HealConfig{QueueCapacity: 2}
 	run := func() HealResult {
 		session, err := nw.SelfHeal(mkPlan(), cfg)
 		if err != nil {
@@ -254,14 +255,7 @@ func TestRunOptsValidation(t *testing.T) {
 		{"duplicate admission", ok, []RunOption{
 			WithAdmission(AdmissionConfig{Rate: 1}), WithAdmission(AdmissionConfig{Rate: 2})}, "WithAdmission", nil},
 		{"duplicate fault plans", ok, []RunOption{WithFaults(nil), WithFaults(nil)}, "WithFaults", nil},
-		{"duplicate fault configs", ok, []RunOption{
-			WithFaultConfig(FaultConfig{}), WithFaultConfig(FaultConfig{})}, "WithFaultConfig", nil},
 		{"duplicate recorders", ok, []RunOption{WithRecorder(nil), WithRecorder(nil)}, "WithRecorder", nil},
-		{"negative TTL", ok, []RunOption{WithFaultConfig(FaultConfig{TTL: -1})}, "WithFaultConfig", nil},
-		{"negative retries", ok, []RunOption{WithFaultConfig(FaultConfig{MaxRetries: -1})}, "WithFaultConfig", nil},
-		{"negative backoff", ok, []RunOption{WithFaultConfig(FaultConfig{BackoffBase: -1})}, "WithFaultConfig", nil},
-		{"negative queue capacity in config", ok, []RunOption{WithFaultConfig(FaultConfig{QueueCapacity: -1})}, "WithFaultConfig", nil},
-		{"negative hold budget in config", ok, []RunOption{WithFaultConfig(FaultConfig{HoldBudget: -1})}, "WithFaultConfig", nil},
 		{"poisson rate zero", PoissonLoad(10, 0), nil, "PoissonLoad", nil},
 		{"poisson rate above one", PoissonLoad(10, 1.5), nil, "PoissonLoad", nil},
 		{"poisson negative count", PoissonLoad(-1, 0.5), nil, "PoissonLoad", nil},
@@ -271,12 +265,8 @@ func TestRunOptsValidation(t *testing.T) {
 		{"duplicate queue capacities", ok, []RunOption{WithQueueCapacity(1), WithQueueCapacity(4)}, "WithQueueCapacity", nil},
 		{"duplicate hold budgets", ok, []RunOption{
 			WithQueueCapacity(2), WithHoldBudget(3), WithHoldBudget(8)}, "WithHoldBudget", nil},
-		{name: "heal negative max cycles", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{MaxCycles: -1}}},
-		{name: "heal negative queue capacity", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{QueueCapacity: -1}}},
-		{name: "heal negative TTL", option: "SelfHeal", heal: &HealConfig{FaultConfig: FaultConfig{TTL: -1}}},
-		{name: "heal negative detect latency", option: "SelfHeal", heal: &HealConfig{DetectLatency: -1}},
-		{name: "heal negative suspect threshold", option: "SelfHeal", heal: &HealConfig{SuspectThreshold: -1}},
-		{name: "heal negative probe interval", option: "SelfHeal", heal: &HealConfig{ProbeInterval: -1}},
+		{name: "heal negative queue capacity", option: "SelfHeal", heal: &HealConfig{QueueCapacity: -1}},
+		{name: "heal negative hold budget", option: "SelfHeal", heal: &HealConfig{HoldBudget: -1}},
 	}
 	for _, tc := range cases {
 		var err error
@@ -295,10 +285,6 @@ func TestRunOptsValidation(t *testing.T) {
 		}
 	}
 
-	// Zero TTL stays legal: it selects the documented default.
-	if _, err := nw.RunOpts(ok, WithFaultConfig(FaultConfig{TTL: 0})); err != nil {
-		t.Errorf("zero-value FaultConfig rejected: %v", err)
-	}
 	// And valid overload options run.
 	if _, err := nw.RunOpts(ok, WithQueueCapacity(2), WithHoldBudget(8),
 		WithAdmission(AdmissionConfig{Rate: 0.5})); err != nil {
@@ -318,57 +304,80 @@ func TestRunOptsValidation(t *testing.T) {
 	}
 }
 
-// TestRetryPolicy: the unified budget reproduces the historical ladder
-// exactly at jitter seed zero, and spreads delays over [b/2, b]
-// deterministically otherwise.
+// TestOutOfRangeEndpointsRefused: a packet whose source or destination
+// is not a node of B(2,3) is refused with an *OptionError naming the
+// workload, before any simulation work, by every engine: plain and
+// fault runs, table- and shift-routed, and heal sessions, whose clock
+// stays at 0. None is silently lost, misrouted into a TTL drop or
+// indexed out of range.
+func TestOutOfRangeEndpointsRefused(t *testing.T) {
+	g := debruijn.DeBruijn(2, 3)
+	for _, mode := range []RoutingMode{TableRouting, ShiftRouting} {
+		nw, err := NewNetwork(g, WithRouting(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range []Packet{{Src: 0, Dst: 8}, {Src: 8, Dst: 1}, {Src: -1, Dst: 2}, {Src: 3, Dst: -5}} {
+			pkts := []Packet{{ID: 0, Src: 1, Dst: 6}, {ID: 1, Src: bad.Src, Dst: bad.Dst}}
+			name := fmt.Sprintf("%v %d→%d", mode, bad.Src, bad.Dst)
+			refused := func(engine string, err error) {
+				t.Helper()
+				var oe *OptionError
+				if !errors.As(err, &oe) || oe.Option != "Workload" {
+					t.Errorf("%s %s: error %v, want an *OptionError naming Workload", name, engine, err)
+				}
+			}
+			_, err := nw.RunOpts(Fixed(pkts))
+			refused("plain run", err)
+			_, err = nw.RunOpts(Fixed(pkts), WithFaults(NewFaultPlan()))
+			refused("fault run", err)
+			session, err := nw.SelfHeal(nil, HealConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = session.Run(pkts)
+			refused("heal session", err)
+			if session.Cycle() != 0 {
+				t.Errorf("%s: the refused heal Run advanced the session clock to %d", name, session.Cycle())
+			}
+		}
+	}
+}
+
+// TestRetryPolicy: the backoff ladder doubles from 1 to its cap of 64
+// cycles, a packet with no live out-arc spends all 8 retries on it
+// before it drops, at cycle 1+2+4+8+16+32+64+64 = 191, and a fault run's
+// default cycle budget has room for the whole ladder.
 func TestRetryPolicy(t *testing.T) {
-	legacy := newRetryPolicy(FaultConfig{MaxRetries: 8, BackoffBase: 1, BackoffCap: 64}.withDefaults(16, 4))
-	want := []int{1, 2, 4, 8, 16, 32, 64, 64, 64}
+	want := []int{1, 2, 4, 8, 16, 32, 64, 64}
 	for i, w := range want {
-		if got := legacy.backoff(i+1, 7); got != w {
-			t.Errorf("legacy backoff(%d) = %d, want %d", i+1, got, w)
+		if got := backoff(i + 1); got != w {
+			t.Errorf("backoff(%d) = %d, want %d", i+1, got, w)
 		}
 	}
-
-	jit := legacy
-	jit.jitterSeed = 42
-	seen := map[int]bool{}
-	for pkt := 0; pkt < 200; pkt++ {
-		for attempt := 1; attempt <= 8; attempt++ {
-			b := 1 << uint(attempt-1)
-			if b > 64 {
-				b = 64
-			}
-			got := jit.backoff(attempt, pkt)
-			lo := b / 2
-			if b == 1 {
-				lo = 1 // delays of one cycle are never jittered
-			}
-			if got < lo || got > b {
-				t.Fatalf("jittered backoff(%d, pkt %d) = %d outside [%d, %d]", attempt, pkt, got, lo, b)
-			}
-			if again := jit.backoff(attempt, pkt); again != got {
-				t.Fatalf("jitter not deterministic: %d then %d", got, again)
-			}
-			seen[jit.backoff(6, pkt)] = true
-		}
+	g := debruijn.DeBruijn(2, 3)
+	nw, err := NewNetwork(g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(seen) < 4 {
-		t.Errorf("jitter produced only %d distinct attempt-6 delays across 200 packets", len(seen))
+	plan := NewFaultPlanFor(g).LinkDown(0, 0, 1, 0).LinkDown(0, 0, 1, 1)
+	res, err := nw.RunOpts(Fixed([]Packet{{ID: 0, Src: 1, Dst: 6}}), WithFaults(plan), WithTrace())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// charge spends the budget and reports exhaustion.
-	var m pktMeta
-	for i := 1; i <= 8; i++ {
-		if !legacy.charge(&m, 100, 3) {
-			t.Fatalf("charge exhausted early at retry %d", i)
-		}
-		if m.readyAt <= 100 {
-			t.Fatalf("charge did not advance readyAt: %d", m.readyAt)
-		}
+	last := res.Events[len(res.Events)-1]
+	if res.Retries != 8 || res.DroppedNoRoute != 1 || last.Kind != EventDrop || last.Cycle != 191 {
+		t.Fatalf("isolated packet: %v, last event %v; want 8 retries and a no-route drop at cycle 191", res, last)
 	}
-	if legacy.charge(&m, 100, 3) {
-		t.Error("charge allowed a 9th retry with MaxRetries 8")
+	// The fault loop's default cycle budget leaves room for the whole
+	// ladder: 8·64 cycles past a plain run's 64·8+16·1+1024 = 1552 on
+	// B(2,3), so a lone packet released at 1553 still runs.
+	late, err := nw.RunOpts(Fixed([]Packet{{ID: 0, Src: 1, Dst: 6, Release: 1553}}), WithFaults(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Delivered != 1 {
+		t.Fatalf("packet released at cycle 1553: %v; want it delivered inside the retry room", late)
 	}
 }
 

@@ -114,9 +114,6 @@ func (w errWorkload) Err() error { return w.err }
 type runConfig struct {
 	faults      bool
 	plan        *FaultPlan
-	planSet     bool
-	faultCfg    FaultConfig
-	faultCfgSet bool
 	traced      bool
 	rec         *obs.Recorder
 	recOverride bool
@@ -145,33 +142,12 @@ type RunOption func(runConfig) runConfig
 // Two WithFaults options on one call conflict and fail eagerly.
 func WithFaults(plan *FaultPlan) RunOption {
 	return func(c runConfig) runConfig {
-		if c.planSet {
+		if c.faults {
 			c.fail("WithFaults", "conflicting duplicate option (two fault plans on one run)")
 			return c
 		}
 		c.faults = true
 		c.plan = plan
-		c.planSet = true
-		return c
-	}
-}
-
-// WithFaultConfig tunes the fault engine (TTL, retries, backoff, queue
-// bounds) and implies the fault-aware engine like WithFaults(nil).
-// Negative fields fail eagerly; zero fields keep selecting their
-// documented defaults. Duplicate WithFaultConfig options conflict.
-func WithFaultConfig(cfg FaultConfig) RunOption {
-	return func(c runConfig) runConfig {
-		if c.faultCfgSet {
-			c.fail("WithFaultConfig", "conflicting duplicate option (two fault configs on one run)")
-			return c
-		}
-		if err := cfg.validate("WithFaultConfig"); err != nil {
-			c.errs = append(c.errs, err)
-		}
-		c.faults = true
-		c.faultCfg = cfg
-		c.faultCfgSet = true
 		return c
 	}
 }
@@ -243,11 +219,10 @@ func WithShards(s int) RunOption {
 
 // WithQueueCapacity bounds every output queue of this run at cap
 // packets per arc (the fault engine bounds each node's hold queue at cap
-// packets per out-arc), overriding a FaultConfig's QueueCapacity. A full
-// downstream queue holds the packet upstream — credit-based
-// backpressure — until its hold budget (WithHoldBudget) runs out. cap
-// must be at least 1; zero or negative capacities and duplicate
-// WithQueueCapacity options fail eagerly.
+// packets per out-arc). A full downstream queue holds the packet
+// upstream — credit-based backpressure — until its hold budget
+// (WithHoldBudget) runs out. cap must be at least 1; zero or negative
+// capacities and duplicate WithQueueCapacity options fail eagerly.
 func WithQueueCapacity(cap int) RunOption {
 	return func(c runConfig) runConfig {
 		if c.qcap != 0 {
@@ -265,9 +240,9 @@ func WithQueueCapacity(cap int) RunOption {
 
 // WithHoldBudget sets the lifetime number of hold-in-place cycles a
 // packet may spend against full queues before dropping as
-// DroppedQueueFull (default 4·QueueCapacity+16), overriding a
-// FaultConfig's HoldBudget. Only meaningful with a queue bound; budget
-// must be at least 1, and duplicate WithHoldBudget options fail eagerly.
+// DroppedQueueFull (default 4·QueueCapacity+16). Only meaningful with a
+// queue bound; budget must be at least 1, and duplicate WithHoldBudget
+// options fail eagerly.
 func WithHoldBudget(budget int) RunOption {
 	return func(c runConfig) runConfig {
 		if c.hold != 0 {
@@ -328,12 +303,12 @@ type RunReport struct {
 }
 
 // RunOpts generates the workload and runs it under the given options:
-// a plain run with none, the fault engine under WithFaults or
-// WithFaultConfig, and the event log under WithTrace. Plain unbounded
-// runs take the allocation-free lane kernel; fault, bounded, admission-
-// controlled and traced runs use their engines.
-// Invalid options and workloads fail eagerly, before any simulation
-// work, with *OptionError values.
+// a plain run with none, the fault engine under WithFaults, and the
+// event log under WithTrace. Plain unbounded runs take the
+// allocation-free lane kernel; fault, bounded, admission-controlled and
+// traced runs use their engines. Invalid options and workloads, and a
+// packet whose source or destination is not a node of the digraph, fail
+// eagerly, before any simulation work, with *OptionError values.
 func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	if w == nil {
 		return RunReport{}, fmt.Errorf("simnet: RunOpts needs a workload")
@@ -354,6 +329,10 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 			return RunReport{}, err
 		}
 	}
+	pkts := w.Packets(nw.g.N(), cfg.seed)
+	if err := checkEndpoints(pkts, nw.g.N()); err != nil {
+		return RunReport{}, err
+	}
 	rec := nw.rec
 	if cfg.recOverride {
 		rec = cfg.rec
@@ -363,7 +342,6 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 	if cfg.admit {
 		admit = newAdmitState(cfg.admission, nw.diameter())
 	}
-	pkts := w.Packets(nw.g.N(), cfg.seed)
 
 	// A sharded run was requested; whether dispatch honors it is decided
 	// below. Every one-lane return past this point is a fallback worth
@@ -377,23 +355,14 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 		return rep
 	}
 
+	tun := runTuning{qcap: cfg.qcap, hold: cfg.hold, admit: admit, trace: cfg.traced}
 	if cfg.faults {
-		// A per-run WithQueueCapacity or WithHoldBudget beats the
-		// FaultConfig field (faultConfig fills the fields still zero).
-		fcfg := cfg.faultCfg
-		if cfg.qcap > 0 {
-			fcfg.QueueCapacity = cfg.qcap
-		}
-		if cfg.hold > 0 {
-			fcfg.HoldBudget = cfg.hold
-		}
-		res, events, err := nw.runWithFaults(pkts, cfg.plan, fcfg, cfg.traced, admit, rec)
+		res, events, err := nw.runWithFaults(pkts, cfg.plan, tun, rec)
 		if err != nil {
 			return RunReport{}, err
 		}
 		return fallback(RunReport{FaultResult: res, Events: events}), nil
 	}
-	tun := runTuning{qcap: cfg.qcap, hold: cfg.hold, admit: admit, trace: cfg.traced}
 	// The lane kernel runs every plain unbounded run without admission or
 	// a trace; it spreads one over the requested lanes unless a recorder
 	// is attached. Anything else runs one lane or the general path
@@ -408,4 +377,17 @@ func (nw *Network) RunOpts(w Workload, opts ...RunOption) (RunReport, error) {
 		rep = fallback(rep)
 	}
 	return rep, nil
+}
+
+// checkEndpoints refuses the first packet whose source or destination is
+// not a node of the n-node digraph, as an *OptionError naming the
+// workload.
+func checkEndpoints(pkts []Packet, n int) error {
+	for i, p := range pkts {
+		if uint(p.Src) >= uint(n) || uint(p.Dst) >= uint(n) {
+			return &OptionError{Option: "Workload", Reason: fmt.Sprintf(
+				"packet %d (ID %d) runs %d→%d, outside the %d-node digraph", i, p.ID, p.Src, p.Dst, n)}
+		}
+	}
+	return nil
 }

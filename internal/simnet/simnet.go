@@ -539,32 +539,20 @@ func (s *distSource) dist(v, dst int) int32 {
 	return s.cols.walk(s.cols.column(dst), v, dst)
 }
 
-// defaultBudget is the generous cycle bound used when MaxCycles is 0.
-func (nw *Network) defaultBudget(pkts, hopLatency int) int {
-	return 64*nw.g.N()*hopLatency + 16*pkts + 1024
-}
-
-// runTuning is the per-run tuning threaded through run: the cycle
-// budget, the per-arc queue bound, the lifetime per-packet hold budget,
-// the admission regulator and event tracing. The zero value reproduces
-// the historical unbounded, untraced behaviour.
+// runTuning is the per-run tuning threaded through run and the fault
+// loop: the cycle budget, the queue bound (per arc on a plain run, per
+// out-arc of a node's FIFO on the fault loop), the lifetime per-packet
+// hold budget, the admission regulator and event tracing. The zero value
+// reproduces the historical unbounded, untraced behaviour.
 type runTuning struct {
-	budget int
-	qcap   int         // per-arc queue bound (0: unbounded)
+	budget int         // cycle budget (0: cycleBudget's)
+	qcap   int         // queue bound (0: unbounded)
 	hold   int         // per-packet hold budget (0: default when qcap > 0)
 	admit  *admitState // nil: no admission control
 	trace  bool        // record the event log (takes the general path)
 	// shards is a lane-kernel run's lane count (0: one lane) and workers
 	// the goroutines that execute them (0: shardWorkers(shards)).
 	shards, workers int
-}
-
-// withDefaults resolves the hold budget a queue bound implies.
-func (t runTuning) withDefaults() runTuning {
-	if t.qcap > 0 && t.hold < 1 {
-		t.hold = 4*t.qcap + 16
-	}
-	return t
 }
 
 // enqStatus reports the outcome of a routing-and-enqueue attempt.
@@ -763,17 +751,7 @@ func (nw *Network) run(packets []Packet, tun runTuning, rec *obs.Recorder) (Resu
 		tl.Arena(reused)
 	}
 
-	maxCycles := tun.budget
-	if maxCycles == 0 {
-		maxCycles = nw.cfg.MaxCycles
-	}
-	if maxCycles == 0 {
-		maxCycles = nw.defaultBudget(len(pkts), nw.cfg.HopLatency)
-		if tun.admit != nil {
-			// Room for the regulator to trickle the whole workload in.
-			maxCycles += int(float64(len(pkts))/tun.admit.rate) + tun.admit.maxDelay
-		}
-	}
+	maxCycles := nw.cycleBudget(tun, len(pkts), false)
 	// Cycle stamps (releases, pipe ready cycles) are narrowed into int32
 	// slabs; one guard at entry dominates every stamp below.
 	guardIndexInt32(maxCycles+nw.cfg.HopLatency+2, "cycles")

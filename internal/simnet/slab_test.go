@@ -133,10 +133,7 @@ func checkFaultAccounting(t *testing.T, res FaultResult, offered int) {
 func TestFaultAccountingAdversarialReleases(t *testing.T) {
 	g := debruijn.DeBruijn(2, 4)
 	n := g.N()
-	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	router := NewTableRouter(g)
 	for trial := 0; trial < 20; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
 		pkts := make([]Packet, 60)
@@ -163,8 +160,11 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			plan.NodeDown(rng.Intn(30), 1+rng.Intn(10), rng.Intn(n))
 		}
-		cfg := FaultConfig{MaxCycles: 30 + rng.Intn(40)}
-		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithFaultConfig(cfg), WithTrace())
+		nw, err := NewNetwork(g, WithRouter(router), WithMaxCycles(30+rng.Intn(40)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := nw.RunOpts(Fixed(pkts), WithFaults(plan), WithTrace())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestFaultAccountingAdversarialReleases(t *testing.T) {
 // the accounting. It must now land in DroppedHorizon.
 func TestHorizonPacketsDropped(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
-	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)))
+	nw, err := NewNetwork(g, WithRouter(NewTableRouter(g)), WithMaxCycles(20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestHorizonPacketsDropped(t *testing.T) {
 		{ID: 0, Src: 0, Dst: 3, Release: 0},
 		{ID: 1, Src: 1, Dst: 4, Release: 5000}, // beyond the budget
 	}
-	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil), WithFaultConfig(FaultConfig{MaxCycles: 20}))
+	res, err := nw.RunOpts(Fixed(pkts), WithFaults(nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func TestWitnessRoutingMatchesTableRuns(t *testing.T) {
 		plan := NewFaultPlan().LensDown(3, 30, 7, lenses[7])
 		sessions := make([]*SelfHealing, 2)
 		for k, nw := range []*Network{table, witness} {
-			if sessions[k], err = nw.SelfHeal(plan, HealConfig{ProbeInterval: 8}); err != nil {
+			if sessions[k], err = nw.SelfHeal(plan, HealConfig{}); err != nil {
 				t.Fatal(err)
 			}
 		}

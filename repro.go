@@ -290,7 +290,8 @@ type (
 	FaultPlan = simnet.FaultPlan
 	// DegradationPoint is one fault-rate measurement of a sweep.
 	DegradationPoint = simnet.DegradationPoint
-	// HealConfig tunes detection, gossip and probing.
+	// HealConfig sets a self-healing session's queue bound, hold budget
+	// and optional monitor.
 	HealConfig = simnet.HealConfig
 	// LensBreaker is the per-lens quarantine circuit breaker.
 	LensBreaker = machine.LensBreaker

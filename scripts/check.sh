@@ -143,6 +143,14 @@ for run in "2 -faultlens 5" "1.5 -selfheal"; do
     fi
 done
 
+echo "== RunOpts fuzz (10 s of decoded digraphs, packets and options) =="
+# Every input must fail with an *OptionError or account every packet as
+# delivered, dropped or shed, with a traced run's log passing
+# VerifyTrace. A crasher the fuzzer finds is written under
+# internal/simnet/testdata/fuzz/FuzzRunOpts; commit it with the fix, so
+# the plain test run replays it.
+go test -run '^$' -fuzz FuzzRunOpts -fuzztime 10s ./internal/simnet
+
 echo "== chaos smoke (seeded random fault plans) =="
 go test ./internal/simnet -run Chaos -count=1
 

@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"bytes"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -240,57 +239,6 @@ func TestFacadeFFT(t *testing.T) {
 	}
 }
 
-func TestFacadeViterbi(t *testing.T) {
-	code := viterbi.NASA()
-	rng := rand.New(rand.NewSource(41))
-	msg := make([]byte, 64)
-	for i := range msg {
-		msg[i] = byte(rng.Intn(2))
-	}
-	enc, err := code.Encode(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	noisy, flips := viterbi.BSC(enc, 0.015, rng)
-	if flips == 0 {
-		t.Log("no flips this seed; still a valid decode test")
-	}
-	dec, err := code.Decode(noisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dec, msg) {
-		t.Error("decode failed")
-	}
-	if viterbi.Galileo(11).States() != 1024 {
-		t.Error("Galileo states wrong")
-	}
-	// Trellis digraph is the size of B(2, K-1).
-	if code.TrellisDigraph().N() != 64 {
-		t.Error("trellis size wrong")
-	}
-}
-
-func TestFacadeSoftChannel(t *testing.T) {
-	code := viterbi.NASA()
-	msg := []byte{1, 0, 1, 1, 0, 0, 1, 0}
-	enc, _ := code.Encode(msg)
-	soft := make([]float64, len(enc))
-	for i, b := range enc {
-		soft[i] = 1 - 2*float64(b)
-	}
-	dec, err := code.DecodeSoft(soft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(msg) {
-		t.Error("soft decode length wrong")
-	}
-	if got := viterbi.HardSlice(soft); len(got) != len(enc) {
-		t.Error("hard slice length wrong")
-	}
-}
-
 func TestFacadeMultistage(t *testing.T) {
 	wbf := multistage.WrappedButterfly(2, 3)
 	if err := digraph.VerifyIsomorphism(wbf,
@@ -358,32 +306,6 @@ func TestGalileoTrellisMatchesOptimizedLayoutSize(t *testing.T) {
 	}
 	if layout.Lenses() != 96 {
 		t.Errorf("lenses = %d", layout.Lenses())
-	}
-}
-
-func TestFacadeKautzRouting(t *testing.T) {
-	src, _ := word.Parse(3, "0102")
-	dst, _ := word.Parse(3, "2010")
-	if !debruijn.IsKautzWord(2, src) || !debruijn.IsKautzWord(2, dst) {
-		t.Fatal("fixture words invalid")
-	}
-	dist := debruijn.KautzDistance(2, src, dst)
-	path := debruijn.KautzRoute(2, src, dst)
-	if len(path)-1 != dist {
-		t.Errorf("route length %d, distance %d", len(path)-1, dist)
-	}
-}
-
-func TestFacade2DBench(t *testing.T) {
-	b, err := optics.NewBench2D(4, 4, 8, 4, optics.DefaultPitch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.VerifyTranspose(); err != nil {
-		t.Fatal(err)
-	}
-	if b.Lenses() != 48 {
-		t.Error("2D lens count wrong")
 	}
 }
 
