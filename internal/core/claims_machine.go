@@ -47,7 +47,10 @@ func init() {
 			if err != nil {
 				return err
 			}
-			res := dn.Run(simnet.UniformRandom(g.N(), 300, 124))
+			res, err := dn.Run(simnet.UniformRandom(g.N(), 300, 124))
+			if err != nil {
+				return err
+			}
 			if res.Delivered != 300 {
 				return fmt.Errorf("deflection lost packets: %v", res)
 			}

@@ -45,3 +45,44 @@ func BenchmarkLensFaultRun(b *testing.B) {
 	b.ReportMetric(float64(fault)/float64(plain), "fault/plain")
 	b.ReportMetric(float64(fault.Microseconds())/float64(b.N), "fault_µs/op")
 }
+
+// BenchmarkLensHealSession is BenchmarkLensFaultRun's twin for
+// self-healing sessions on the same machine: each iteration runs 8,192
+// uniform packets through the oracle fault engine with transmitter lens
+// 0 down permanently, then opens a session on the same plan and runs the
+// same packets through it twice. The session/oracle metric is a
+// session's time per Run as a multiple of the oracle run's, so a faster
+// or slower host cancels out of it.
+func BenchmarkLensHealSession(b *testing.B) {
+	m, err := Build(2, 12, optics.DefaultPitch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := m.LensFaultPlan(0, 0, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkts := simnet.UniformRandom(m.Nodes(), 8192, 1)
+	var oracle, session time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t0 := time.Now()
+		if _, err := m.RunOpts(simnet.Fixed(pkts), simnet.WithFaults(plan)); err != nil {
+			b.Fatal(err)
+		}
+		t1 := time.Now()
+		s, err := m.SelfHeal(plan, simnet.HealConfig{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for run := 0; run < 2; run++ {
+			if _, err := s.Run(pkts); err != nil {
+				b.Fatal(err)
+			}
+		}
+		oracle += t1.Sub(t0)
+		session += time.Since(t1)
+	}
+	b.ReportMetric(float64(session)/float64(2*oracle), "session/oracle")
+	b.ReportMetric(float64(session.Milliseconds())/float64(b.N), "session_ms/op")
+}

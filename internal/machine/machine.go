@@ -162,7 +162,7 @@ func (m *Machine) RunDeflection(pkts []simnet.Packet) (simnet.DeflectionResult, 
 	if err != nil {
 		return simnet.DeflectionResult{}, err
 	}
-	return dn.Run(pkts), nil
+	return dn.Run(pkts)
 }
 
 // TDMSchedule returns the d conflict-free transmission slots of the

@@ -35,33 +35,34 @@ type arena struct {
 	pCarry []int32
 
 	// The links, in two flat slabs of segCap·M entries. The general path
-	// and the fault kernel cut them into fixed-capacity pipe segments per
-	// arc (packet index and ready cycle, pipeLen entries in use). A pipe
-	// holds at most HopLatency in-flight packets when nothing holds on
-	// the link (one departure per cycle, each resident exactly
-	// HopLatency cycles) and at most qcap+HopLatency — the credit window
-	// — under the plain engine's bounded queues. The lane kernel cuts the
-	// same slabs into a departure ring instead (departureRing): HopLatency
+	// cuts them into fixed-capacity pipe segments per arc (packet index
+	// and ready cycle, pipeLen entries in use). A pipe holds at most
+	// HopLatency in-flight packets when nothing holds on the link (one
+	// departure per cycle, each resident exactly HopLatency cycles) and
+	// at most qcap+HopLatency — the credit window — under the plain
+	// engine's bounded queues. The lane and fault kernels cut the same
+	// slabs into a departure ring instead (departureRing): HopLatency
 	// buckets of M (packet, arc) entries.
 	pipePkt, pipeReady, pipeLen []int32
 
 	// The one-lane kernel's routing batch (arrivalBatch): the packets
-	// entering a node this cycle, their nodes and their arcs.
+	// entering a node this cycle, their nodes and their arcs. The fault
+	// kernel's entering batch uses the first two.
 	arrPkt, arrNode, arrArc []int32
 
-	// Intrusive linked queues of the plain engines (see arcQueues): a
-	// {tail, length} pair per arc plus one link slab holding each
-	// packet's next pointer followed by a head sentinel per arc, so a
+	// Intrusive linked queues of every engine (see arcQueues): a
+	// {tail, length} pair per queue plus one link slab holding each
+	// packet's next pointer followed by a head sentinel per queue, so a
 	// push touches one pair and one link. A packet sits in one queue at
 	// a time, so one link per packet suffices.
 	qEnds []queueEnds
 	qLink []int32
 
-	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets, and
-	// aBits bit a set ⇔ arc a has in-flight (or held) pipe entries
-	// (general path and fault kernel). The per-cycle sweeps walk set bits
-	// in ascending order instead of scanning all M arcs, which is what
-	// makes ns/packet flat in network size.
+	// Activity bitmaps: qBits bit a set ⇔ arc a has queued packets
+	// (general path and fault kernel), and aBits bit a set ⇔ arc a has
+	// in-flight (or held) pipe entries (general path). The per-cycle
+	// sweeps walk set bits in ascending order instead of scanning all M
+	// arcs, which is what makes ns/packet flat in network size.
 	qBits, aBits []uint64
 
 	// tally is the run-local telemetry of a recorded run: the kernels
@@ -72,8 +73,8 @@ type arena struct {
 	// lanes is the lane kernel's state, partitioned on first use.
 	lanes laneRun
 
-	// fault is the fault kernel's state: per-packet records and node
-	// FIFOs, sized on first use (see faultRun).
+	// fault is the fault kernel's state: per-packet records, node counts
+	// and bitmaps, sized on first use (see faultRun).
 	fault faultRun
 }
 
@@ -170,13 +171,14 @@ func (ar *arena) arrivalBatch(p int) (pkt, node, arc []int32) {
 	return ar.arrPkt[:p], ar.arrNode[:p], ar.arrArc[:p]
 }
 
-// arcQueues are the plain engines' per-arc FIFO queues, threaded
-// through one link slab: link[i] is packet i's successor in its queue,
-// and link[head+a] is arc a's head sentinel, whose successor is the
+// arcQueues are the engines' FIFO queues, one per arc, threaded through
+// one link slab: link[i] is packet i's successor in its queue, and
+// link[head+a] is queue a's head sentinel, whose successor is the
 // queue's head. An empty queue's tail is its sentinel, so a push has no
 // empty-queue case; the pop that empties a queue points its tail back
-// at the sentinel. Every per-arc queue of the lane kernel and the general
-// path has this one layout.
+// at the sentinel. Every queue of the lane kernel, the general path and
+// the fault kernel has this one layout; the fault kernel adds one queue
+// per node after the M arc queues.
 type arcQueues struct {
 	ends []queueEnds
 	link []int32
@@ -198,6 +200,11 @@ func (q *arcQueues) push(a, pk int32) int32 {
 	return e.length
 }
 
+// peek returns the head of queue a, which must be non-empty.
+//
+//lint:hotpath
+func (q *arcQueues) peek(a int32) int32 { return q.link[q.head+a] }
+
 // pop unlinks and returns the head of arc a's non-empty queue and
 // reports whether the queue is now empty.
 //
@@ -216,10 +223,10 @@ func (q *arcQueues) pop(a int) (pk int32, empty bool) {
 	return pk, true
 }
 
-// queueLinks returns empty queues for m arcs and p packets on the
-// arena's end and link slabs: 2m ends and p+m links. Ends are
-// reset here (a truncated previous run may have left packets queued);
-// links need none, since a push writes every link a pop later reads.
+// queueLinks returns m empty queues for p packets on the arena's end
+// and link slabs: m ends and p+m links. Ends are reset here (a truncated
+// previous run may have left packets queued); links need none, since a
+// push writes every link a pop later reads.
 func (ar *arena) queueLinks(m, p int) arcQueues {
 	guardIndexInt32(p+m, "queue links")
 	if cap(ar.qEnds) < m {
@@ -255,13 +262,14 @@ func (ar *arena) pipeSegments(m, segCap int) (pkt, ready []int32, length []int32
 	return ar.pipePkt, ar.pipeReady, ar.pipeLen
 }
 
-// departureRing returns the lane kernel's departure ring, carved from
-// the pipe slabs: hopLat buckets of m entries, bucket b holding the
-// packets (pkt) that left on which arcs (arc) at the cycles ≡ b mod
-// hopLat, in ascending arc order. A link sends at
-// most one packet per cycle, so m entries per bucket suffice, and the
-// packets arriving at cycle t are exactly bucket t mod hopLat as written
-// at cycle t−hopLat. Each lane counts its own bucket fills.
+// departureRing returns the lane and fault kernels' departure ring,
+// carved from the pipe slabs: hopLat buckets of m entries, bucket b
+// holding the packets (pkt) that left on which arcs (arc) at the cycles
+// ≡ b mod hopLat, in ascending arc order. A link sends at most one
+// packet per cycle, so m entries per bucket suffice, and the packets
+// arriving at cycle t are exactly bucket t mod hopLat as written at
+// cycle t−hopLat. Each lane, and the fault kernel, counts its own
+// bucket fills.
 func (ar *arena) departureRing(m, hopLat int) (pkt, arc []int32) {
 	pkt, arc, _ = ar.pipeSegments(m, hopLat)
 	return pkt, arc

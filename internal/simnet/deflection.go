@@ -221,8 +221,13 @@ func sortByReleaseID(group []int, pkts []Packet) {
 // Run simulates until all packets are delivered or the cycle limit hits.
 // Packets with Src == Dst are delivered at injection. On a truncated
 // run the survivors are drained into the Stuck and DroppedHorizon
-// buckets, so Delivered + Dropped == Offered always holds.
-func (dn *DeflectionNetwork) Run(packets []Packet) DeflectionResult {
+// buckets, so Delivered + Dropped == Offered always holds. A packet with
+// Src or Dst outside [0, n) is refused with an *OptionError naming
+// Workload, before any simulation work.
+func (dn *DeflectionNetwork) Run(packets []Packet) (DeflectionResult, error) {
+	if err := checkEndpoints(packets, dn.nw.g.N()); err != nil {
+		return DeflectionResult{}, err
+	}
 	pkts := make([]Packet, len(packets))
 	copy(pkts, packets)
 	n := dn.nw.g.N()
@@ -304,5 +309,5 @@ func (dn *DeflectionNetwork) Run(packets []Packet) DeflectionResult {
 		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
 	}
 	res.Packets = pkts
-	return res
+	return res, nil
 }

@@ -15,7 +15,7 @@ func TestDeflectionDrainInvariant(t *testing.T) {
 	dn := deflectionOn(t, g)
 
 	// Completed run: nothing dropped.
-	res := dn.Run(UniformRandom(g.N(), 100, 7))
+	res := runDeflection(t, dn, UniformRandom(g.N(), 100, 7))
 	if res.Offered != 100 || res.Delivered != 100 || res.Dropped != 0 {
 		t.Fatalf("completed run accounting: %+v", res)
 	}
@@ -26,7 +26,7 @@ func TestDeflectionDrainInvariant(t *testing.T) {
 	// Horizon drop: a release beyond the cycle limit (64 * n cycles)
 	// means the packet is never injected.
 	far := dn.limit + 10
-	res = dn.Run([]Packet{
+	res = runDeflection(t, dn, []Packet{
 		{ID: 0, Src: 0, Dst: 3},
 		{ID: 1, Src: 1, Dst: 5, Release: far},
 	})
@@ -51,7 +51,7 @@ func TestDeflectionDrainInvariant(t *testing.T) {
 	for i := range flood {
 		flood[i] = Packet{ID: i, Src: 0, Dst: g.N() - 1}
 	}
-	res = dn.Run(flood)
+	res = runDeflection(t, dn, flood)
 	if res.Delivered+res.Dropped != res.Offered {
 		t.Fatalf("flood drain invariant broken: %+v", res)
 	}
@@ -69,7 +69,7 @@ func TestDeflectionDrainInvariant(t *testing.T) {
 	}
 
 	// Zero-offered run never divides by zero.
-	if f := dn.Run(nil).DeliveredFraction(); f != 0 {
+	if f := runDeflection(t, dn, nil).DeliveredFraction(); f != 0 {
 		t.Errorf("empty run DeliveredFraction = %v", f)
 	}
 }
@@ -89,7 +89,7 @@ func TestDeflectionObserved(t *testing.T) {
 	}
 	rec := obs.NewRecorder(nil)
 	nw.Observe(rec)
-	res := dn.Run(UniformRandom(g.N(), 500, 11))
+	res := runDeflection(t, dn, UniformRandom(g.N(), 500, 11))
 	if res.Delivered != 500 {
 		t.Fatalf("undelivered: %v", res)
 	}
@@ -115,7 +115,7 @@ func TestDeflectionObserved(t *testing.T) {
 	}
 
 	// Instrumented and uninstrumented runs agree.
-	bare := deflectionOn(t, g).Run(UniformRandom(g.N(), 500, 11))
+	bare := runDeflection(t, deflectionOn(t, g), UniformRandom(g.N(), 500, 11))
 	if bare.Delivered != res.Delivered || bare.TotalHops != res.TotalHops ||
 		bare.Deflections != res.Deflections || bare.Cycles != res.Cycles {
 		t.Errorf("instrumented deflection diverged:\nbare: %+v\nobs:  %+v", bare, res)

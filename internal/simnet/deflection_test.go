@@ -1,7 +1,10 @@
 package simnet
 
 import (
+	"errors"
+	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/debruijn"
 	"repro/internal/digraph"
@@ -19,6 +22,16 @@ func deflectionOn(t *testing.T, g *digraph.Digraph, opts ...NetworkOption) *Defl
 		t.Fatal(err)
 	}
 	return dn
+}
+
+// runDeflection runs pkts on dn and fails the test on an error.
+func runDeflection(t *testing.T, dn *DeflectionNetwork, pkts []Packet) DeflectionResult {
+	t.Helper()
+	res, err := dn.Run(pkts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 // TestNewDeflectionValidation: NewDeflection refuses an irregular
@@ -54,7 +67,7 @@ func TestNewDeflectionValidation(t *testing.T) {
 	if dn.limit != 20 {
 		t.Fatalf("cycle limit %d, want the WithMaxCycles budget 20", dn.limit)
 	}
-	res := dn.Run([]Packet{{ID: 0, Src: 0, Dst: 3}, {ID: 1, Src: 1, Dst: 5, Release: 21}})
+	res := runDeflection(t, dn, []Packet{{ID: 0, Src: 0, Dst: 3}, {ID: 1, Src: 1, Dst: 5, Release: 21}})
 	if res.Delivered != 1 || res.DroppedHorizon != 1 {
 		t.Fatalf("a release past the WithMaxCycles budget must drop at the horizon: %+v", res)
 	}
@@ -67,7 +80,7 @@ func TestDeflectionSinglePacketTakesShortestPath(t *testing.T) {
 	g := debruijn.DeBruijn(2, 5)
 	dn := deflectionOn(t, g)
 	dist := g.BFSFrom(3)
-	res := dn.Run([]Packet{{ID: 0, Src: 3, Dst: 17}})
+	res := runDeflection(t, dn, []Packet{{ID: 0, Src: 3, Dst: 17}})
 	if res.Delivered != 1 {
 		t.Fatalf("undelivered: %v", res)
 	}
@@ -82,7 +95,7 @@ func TestDeflectionSinglePacketTakesShortestPath(t *testing.T) {
 func TestDeflectionDeliversUnderLoad(t *testing.T) {
 	g := debruijn.DeBruijn(2, 6)
 	dn := deflectionOn(t, g)
-	res := dn.Run(UniformRandom(g.N(), 800, 91))
+	res := runDeflection(t, dn, UniformRandom(g.N(), 800, 91))
 	if res.Delivered != 800 {
 		t.Fatalf("delivered %d/800: %v", res.Delivered, res)
 	}
@@ -105,7 +118,7 @@ func TestDeflectionVsStoreAndForward(t *testing.T) {
 	pkts := UniformRandom(g.N(), 400, 92)
 
 	dn := deflectionOn(t, g)
-	defRes := dn.Run(pkts)
+	defRes := runDeflection(t, dn, pkts)
 
 	nw, _ := NewNetwork(g, WithRouter(NewTableRouter(g)))
 	sfRes := runFixed(t, nw, pkts)
@@ -122,7 +135,7 @@ func TestDeflectionVsStoreAndForward(t *testing.T) {
 func TestDeflectionSelfPacket(t *testing.T) {
 	g := debruijn.DeBruijn(2, 3)
 	dn := deflectionOn(t, g)
-	res := dn.Run([]Packet{{ID: 0, Src: 2, Dst: 2, Release: 5}})
+	res := runDeflection(t, dn, []Packet{{ID: 0, Src: 2, Dst: 2, Release: 5}})
 	if res.Delivered != 1 || res.Packets[0].Delivered != 5 {
 		t.Errorf("self packet mishandled: %+v", res.Packets[0])
 	}
@@ -134,7 +147,7 @@ func TestDeflectionConservation(t *testing.T) {
 	// connected and assignment always moves packets).
 	g := debruijn.DeBruijn(3, 3)
 	dn := deflectionOn(t, g)
-	res := dn.Run(UniformRandom(g.N(), 300, 93))
+	res := runDeflection(t, dn, UniformRandom(g.N(), 300, 93))
 	if res.Delivered != 300 {
 		t.Fatalf("lost packets: %v", res)
 	}
@@ -144,6 +157,45 @@ func TestDeflectionConservation(t *testing.T) {
 		}
 		if p.Src != p.Dst && p.Hops == 0 {
 			t.Fatalf("packet %d delivered without moving", p.ID)
+		}
+	}
+}
+
+// TestDeflectionRefusesOutOfRangeEndpoints: Run refuses a packet whose
+// source or destination is not a node, under table and shift routing,
+// with an *OptionError naming Workload and before simulating anything.
+// Unchecked, a table-routed 0→8 never returned, 8→1 and −1→2 panicked
+// with an index out of range, and a shift-routed 0→8 deflected until the
+// cycle limit; each Run here has a deadline and a recover.
+func TestDeflectionRefusesOutOfRangeEndpoints(t *testing.T) {
+	g := debruijn.DeBruijn(2, 3)
+	for _, mode := range []RoutingMode{TableRouting, ShiftRouting} {
+		dn := deflectionOn(t, g, WithRouting(mode))
+		for _, bad := range []Packet{{Src: 0, Dst: 8}, {Src: 8, Dst: 1}, {Src: -1, Dst: 2}, {Src: 3, Dst: -5}} {
+			name := fmt.Sprintf("%v %d→%d", mode, bad.Src, bad.Dst)
+			pkts := []Packet{{ID: 0, Src: 1, Dst: 6}, {ID: 1, Src: bad.Src, Dst: bad.Dst}}
+			done := make(chan error, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("panic: %v", r)
+					}
+				}()
+				res, err := dn.Run(pkts)
+				if err == nil {
+					err = fmt.Errorf("ran: %v", res)
+				}
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				var oe *OptionError
+				if !errors.As(err, &oe) || oe.Option != "Workload" {
+					t.Errorf("%s: %v, want an *OptionError naming Workload", name, err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: Run still running after 5 s", name)
+			}
 		}
 	}
 }

@@ -85,6 +85,16 @@ func (h *healState) stepFloods(cycle int, live func(tail, index int) bool) {
 	}
 }
 
+// heard reports whether node u has heard of any committed event.
+func (h *healState) heard(u int) bool {
+	for i := range h.events {
+		if h.events[i].flood.Informed(u) {
+			return true
+		}
+	}
+	return false
+}
+
 // knownEpoch returns node u's epoch: the longest contiguous prefix of
 // committed events u has heard.
 func (h *healState) knownEpoch(u int) int {

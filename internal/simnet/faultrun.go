@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -99,17 +101,30 @@ func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, tun runTunin
 //     fault plan or the control plane reads them, and the loop advances
 //     s.clock past the Run.
 //
-// A cycle is three phase sweeps over flat slabs, like the lane kernel's:
-// inject (source-held packets, then the release cursor through the
-// admission regulator), arrive (the in-flight bitmap in ascending arc
-// order) and depart (the waiting-node bitmap in ascending node order,
-// each node's FIFO in order). Every run mode goes through these same
-// functions: the routing policy (s), bounded queues (qcap > 0),
-// admission (admit), the event log (traced) and telemetry (tl) are
-// per-run flags each phase tests, not copies of the cycle. A packet's
-// per-hop state is one faultPkt record; its primary (fault-blind) arc is
-// gathered once, when it enters a node, and a departure takes it after
-// one bit test of the FaultState's per-cycle view unless that arc is
+// A cycle is three phase sweeps over flat slabs, on the lane kernel's
+// storage: inject (source-held packets, then the release cursor through
+// the admission regulator), arrive (the departure ring's bucket, in
+// ascending arc order) and depart. A packet's per-hop state is one
+// faultPkt record. When it enters a node it gathers its primary
+// (fault-blind) arc, takes the next entry stamp and waits in that arc's
+// queue (arcQueues; a packet with no primary arc waits in the node's own
+// queue). A node's FIFO is its packets in stamp order, and its depth a
+// per-node count.
+//
+// At departure a node takes one of two paths. The pop path pops the head
+// of each non-empty queue onto its arc, as the lane kernel does. A node
+// takes it only where that is exactly what a walk of its FIFO would do:
+// in a run with no queue bound and no trace, at a node with none of its
+// out-arcs down in the FaultState's per-cycle view and no slow packet
+// (faultRun.slowBits), and — on an oracle run — while no permanent fault
+// is active, or — in a session with no monitor on a table- or
+// shift-routed network — at a node that has heard of no link-state
+// event, whose epoch-0 routing is its primary arc (poppable). Every
+// other node walks its FIFO: every run mode goes through the same walk,
+// the routing policy (s), bounded queues (qcap > 0), admission (admit),
+// the event log (traced) and telemetry (tl) being per-run flags it
+// tests, not copies of the cycle. A walking departure takes the cached
+// primary arc after one bit test of the fault view unless that arc is
 // down now or absent, or a permanent fault is active — only then does it
 // ask the FaultAwareRouter (fromPrimary).
 //
@@ -135,6 +150,8 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 	if s == nil {
 		fr.oracle = NewFaultAwareRouter(nw.g, nw.router, state)
 	}
+	_, table := nw.router.(*TableRouter)
+	fr.poppable = fr.qcap == 0 && !fr.traced && (s == nil || (s.cfg.Monitor == nil && (table || nw.shift != nil)))
 	defer fr.release(ar)
 
 	var cycle int
@@ -161,6 +178,8 @@ func (nw *Network) faultLoop(packets []Packet, state *FaultState, s *SelfHealing
 		s.clock = start + cycle
 	}
 	fr.drain(cycle)
+	nw.faultPops.Add(fr.pops)
+	nw.faultWalks.Add(fr.walks)
 
 	// Scatter the per-hop records into the packet table. Deliveries are
 	// tallied here rather than in the arrival sweep: the same (latency,
@@ -192,31 +211,28 @@ type faultPkt struct {
 	// (retry backoff, NACK timeout), clamped to the run's horizon.
 	readyAt int32
 	// prim is the primary router's fault-blind arc out of the packet's
-	// node, gathered when it entered the node.
+	// node, gathered when it entered the node: the arc whose queue it
+	// waits in.
 	prim int32
 	// carry is the shift state after the primary hop (staleCarry:
 	// recompute at the next node); unused unless the run is shift-routed.
 	carry int32
-	// link is the packet's successor in its node FIFO.
-	link int32
+	// stamp orders the packet's entry into its node (faultRun.stamp):
+	// the node's packets in stamp order are its FIFO.
+	stamp int32
 	// retries and holds count the retries and hold-in-place cycles the
 	// packet has spent (rarely touched; they pad the record to 32 bytes,
 	// so no record straddles a cache line).
 	retries, holds int32
 }
 
-// nodeFIFO is one node's hold queue of n packets, threaded through their
-// faultPkt links from head to tail.
-type nodeFIFO struct{ head, tail, n int32 }
-
 // faultRun is the state of one fault-loop run, kept in the run's arena
-// so its slabs are reused across runs. The links are the general path's
-// SoA pipe segments: one departure per arc per cycle, each in flight
-// exactly HopLatency cycles, so HopLatency slots per arc suffice (not
-// the lane kernel's departure ring: packets leave a node in FIFO order,
-// not ascending arc order, and arrivals must be swept in arc order).
-// nodeBits (bit u ⇔ node u's FIFO is non-empty) and aBits (bit a ⇔ arc a
-// has packets in flight) let the sweeps walk only active nodes and arcs.
+// so its slabs are reused across runs. The waiting packets sit in the
+// lane kernel's arcQueues: queue a < M is flat arc a's, and queue M+u
+// holds node u's packets with no primary arc. The links are the lane
+// kernel's departure ring: one departure per arc per cycle, each in
+// flight exactly HopLatency cycles, every bucket in ascending arc order,
+// the order arrivals are swept in.
 type faultRun struct {
 	nw     *Network
 	state  *FaultState
@@ -228,8 +244,10 @@ type faultRun struct {
 	traced bool
 	events []Event
 
-	ttl, hopLat, horizon     int32
-	segCap, qcap, holdBudget int
+	ttl, hopLat, horizon int32
+	m, qcap, holdBudget  int
+	// poppable: nodes may take the pop path this run (see faultLoop).
+	poppable bool
 
 	// Devirtualized primary routing, as in runState.
 	tArcs []int8
@@ -238,24 +256,60 @@ type faultRun struct {
 
 	pkts []Packet // the run's packet table: IDs, sources, releases, deliveries
 	hot  []faultPkt
-	fifo []nodeFIFO
+	q    arcQueues
+	// stamp is the entry stamp the next packet to enter a node takes.
+	// Stamps compare by their wrapping difference, which orders a node's
+	// packets while fewer than 2³¹ entries happen during one packet's
+	// wait there; a run has at most packets·(TTL+1) entries.
+	stamp int32
+	// depth[u] counts the packets waiting at node u: its queue depth,
+	// which MaxQueue, the node-depth telemetry and the queue bound read.
+	depth []int32
+	// Activity bitmaps. qBits: arc a's queue is non-empty. nodeBits:
+	// packets may wait at node u (set on entry, cleared by a walk or a
+	// node sweep that leaves u empty). slowBits: u is slow — a packet
+	// waits there that a pop could get wrong, with no primary arc, at
+	// its TTL, or not ready to leave next cycle; an entry can add only
+	// the first two kinds, and a slow node walks every cycle, so its
+	// walk recomputes the mark. downBits: an out-arc of u is down in the
+	// fault view [viewLo, viewHi) (downNodes).
+	qBits, nodeBits, slowBits, downBits []uint64
+	viewLo, viewHi                      int
+	// ringPkt and ringArc are the departure ring, ringFill its bucket
+	// fills.
+	ringPkt, ringArc, ringFill []int32
 
-	pipePkt, pipeReady, pipeLen []int32
-	aBits, nodeBits             []uint64
-
-	// busy marks out-arcs already used this (node, cycle): busy[k] equals
-	// the current busyToken. Bumping the token invalidates every mark in
-	// O(1).
+	// busy marks out-arcs already used this (node, cycle) by a walk:
+	// busy[k] equals the current busyToken. Bumping the token invalidates
+	// every mark in O(1). leave[k] is the packet the walk sends on out-arc
+	// k (−1: none), so the node's departures leave in arc order.
 	busy      []int64
 	busyToken int64
+	leave     []int32
+	fifo      []int32 // a walking node's packets in stamp order (gather)
+	// heads and left are gather's merge cursors: each non-empty queue's
+	// next packet and how many remain.
+	heads, left []int32
+	leaving     []departure // this cycle's walk departures, in arc order
+	walked      []int32     // this cycle's walked nodes with packets left
+	// batchPkt and batchNode hold the cycle's batch of packets entering a
+	// node (arena.arrivalBatch), batched of them so far: its injections,
+	// then its arrivals.
+	batchPkt, batchNode []int32
+	batched             int
 
 	order  []int32 // routed packets by (Release, index)
 	cursor int     // next packet of order to release
 	holdq  []int32 // source-held packets (bounded-queue backpressure)
 
 	res                 HealResult
+	hotCycle            int // the cycle MaxQueue was first reached in
 	remaining, resident int
+	pops, walks         int64 // packets popped and nodes walked
 }
+
+// departure is a walk's departure: packet pkt leaves on flat arc arc.
+type departure struct{ arc, pkt int32 }
 
 // setup prepares fr for a run of pkts on nw and returns its cycle
 // budget: resolves the per-run constants, sizes and resets the slabs,
@@ -268,14 +322,14 @@ func (fr *faultRun) setup(nw *Network, ar *arena, pkts []Packet, tun runTuning) 
 	tun = tun.withDefaults()
 	maxCycles = nw.cycleBudget(tun, p, true)
 	hopLat := nw.cfg.HopLatency
-	// Pipe ready cycles and retry-ready cycles are narrowed into int32
-	// slabs; this guard dominates every stamp, and a packet past the
-	// horizon (maxCycles+1) can no longer move, so ready cycles clamp to
-	// it and a TTL above it is never reached.
+	// Retry-ready cycles are narrowed into the int32 records; this guard
+	// dominates every one, and a packet past the horizon (maxCycles+1)
+	// can no longer move, so ready cycles clamp to it and a TTL above it
+	// is never reached.
 	guardIndexInt32(maxCycles+hopLat+2, "cycles")
 	fr.nw, fr.pkts, fr.admit, fr.traced = nw, pkts, tun.admit, tun.trace
 	fr.ttl, fr.hopLat, fr.horizon = int32(min(nw.ttl(), maxCycles+1)), int32(hopLat), int32(maxCycles+1)
-	fr.segCap, fr.qcap, fr.holdBudget = hopLat, tun.qcap, tun.hold
+	fr.m, fr.qcap, fr.holdBudget = m, tun.qcap, tun.hold
 	fr.tArcs, fr.tN, fr.shift = nil, 0, nw.shift
 	if tr, ok := nw.router.(*TableRouter); ok {
 		fr.tArcs, fr.tN = tr.arcs, tr.n // nil (interface dispatch) on a wide table
@@ -284,17 +338,31 @@ func (fr *faultRun) setup(nw *Network, ar *arena, pkts []Packet, tun runTuning) 
 		fr.hot = make([]faultPkt, p)
 	}
 	fr.hot = fr.hot[:p]
-	if len(fr.fifo) != n {
-		fr.fifo, fr.nodeBits, fr.busy = make([]nodeFIFO, n), make([]uint64, (n+63)/64), make([]int64, nw.maxDeg)
+	if len(fr.depth) != n {
+		words := (n + 63) / 64
+		fr.depth = make([]int32, n)
+		fr.nodeBits, fr.slowBits, fr.downBits = make([]uint64, words), make([]uint64, words), make([]uint64, words)
+		fr.busy, fr.leave = make([]int64, nw.maxDeg), make([]int32, nw.maxDeg)
+		fr.ringFill = make([]int32, hopLat)
 	}
-	// A run cut short by an error leaves FIFOs and bits behind; busy
-	// stays valid because the token only ever grows.
-	clear(fr.fifo)
+	// A run cut short by an error leaves its marks behind; busy stays
+	// valid because the token only ever grows.
+	clear(fr.depth)
 	clearBits(fr.nodeBits)
-	fr.pipePkt, fr.pipeReady, fr.pipeLen = ar.pipeSegments(m, fr.segCap)
-	fr.aBits = ar.aBits
+	clearBits(fr.slowBits)
+	clearBits(fr.downBits)
+	clearInt32(fr.ringFill)
+	for k := range fr.leave {
+		fr.leave[k] = -1
+	}
+	fr.viewLo, fr.viewHi = 1, 0 // no view: downNodes rebuilds on first use
+	fr.q = ar.queueLinks(m+n, p)
+	fr.qBits = ar.qBits // zeroed at checkout
+	fr.ringPkt, fr.ringArc = ar.departureRing(m, hopLat)
+	fr.batchPkt, fr.batchNode, _ = ar.arrivalBatch(p)
 	fr.holdq = ar.holdq[:0]
 	fr.res, fr.events, fr.remaining, fr.resident, fr.cursor = HealResult{}, nil, 0, 0, 0
+	fr.stamp, fr.hotCycle, fr.pops, fr.walks, fr.batched = 0, 0, 0, 0, 0
 
 	order := ar.order[:0]
 	for i := range pkts {
@@ -371,15 +439,22 @@ func (fr *faultRun) inject(cycle int) {
 func (fr *faultRun) offer(i int32, cycle int) (held bool) {
 	src := fr.pkts[i].Src
 	if fr.full(src) {
-		if fr.holdIn(i, int(fr.fifo[src].n)) {
+		if fr.holdIn(i, int(fr.depth[src])) {
 			return true
 		}
 		fr.drop(i, cycle, src, &fr.res.DroppedQueueFull, obs.DropQueueFull)
 		fr.remaining--
 		return false
 	}
+	// With unbounded queues the packet joins the cycle's entering batch;
+	// a bounded source must count it before the next offer.
 	//lint:ignore slabindex a node id, below n, which newNetwork's guardIndexInt32 bounds
-	fr.enter(i, int32(src))
+	fr.batchPkt[fr.batched], fr.batchNode[fr.batched] = i, int32(src)
+	fr.batched++
+	if fr.qcap > 0 {
+		fr.enter(fr.batchPkt[:1], fr.batchNode, cycle)
+		fr.batched = 0
+	}
 	fr.resident++
 	fr.res.PeakResident = max(fr.res.PeakResident, fr.resident)
 	if fr.traced {
@@ -388,130 +463,124 @@ func (fr *faultRun) offer(i int32, cycle int) (held bool) {
 	return false
 }
 
-// enter appends packet pk to node v's FIFO and gathers its primary arc
-// out of v: under table routing one slab load, under shift routing one
-// step of its carried state (recomputed first, the one O(D) call, only
-// when stale), leaving carry at the state after the primary hop, which a
-// departure on the primary arc keeps and any other marks stale.
+// enter queues packets pks[k] at nodes nodes[k], in order, at cycle —
+// the cycle's batch, or one injection into a bounded queue — in two
+// passes, as the lane kernel routes and pushes its batches. The first
+// gathers each packet's primary arc out of its node: under table routing
+// one slab load, under shift routing one step of its carried state
+// (recomputed first, the one O(D) call, only when stale), leaving carry
+// at the state after the primary hop, which a departure on the primary
+// arc keeps and any other marks stale. The second stamps each packet,
+// queues it under its primary arc (no arc: the node's own queue M+v),
+// marks the node slow for a packet with no arc or at its TTL, and
+// observes the node's depth for MaxQueue and HotNode. A node's depth
+// only grows between its departures, so the maximum over entries is the
+// maximum over departure-time depths, and the first node to reach it is
+// the earliest cycle's, lowest node first: the node a departure sweep in
+// node order would have named.
 //
 //lint:hotpath
-func (fr *faultRun) enter(pk, v int32) {
-	f := &fr.fifo[v]
-	if f.n == 0 {
-		f.head = pk
-		fr.nodeBits[v>>6] |= 1 << (uint32(v) & 63)
-	} else {
-		fr.hot[f.tail].link = pk
-	}
-	f.tail = pk
-	f.n++
-	h := &fr.hot[pk]
-	switch {
-	case fr.tArcs != nil:
-		h.prim = int32(fr.tArcs[int(v)*fr.tN+int(h.dst)])
-	case fr.shift != nil:
-		t := h.carry
-		if t == staleCarry {
-			t = fr.shift.start(int(v), int(h.dst))
+func (fr *faultRun) enter(pks, nodes []int32, cycle int) {
+	hot := fr.hot
+	nodes = nodes[:len(pks)]
+	switch tArcs, tN, shift := fr.tArcs, fr.tN, fr.shift; {
+	case tArcs != nil:
+		for k, pk := range pks {
+			h := &hot[pk]
+			h.prim = int32(tArcs[int(nodes[k])*tN+int(h.dst)])
 		}
-		arc, next := fr.shift.step(int(v), t)
-		//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-		h.prim, h.carry = int32(arc), next
+	case shift != nil:
+		for k, pk := range pks {
+			h := &hot[pk]
+			t := h.carry
+			if t == staleCarry {
+				t = shift.start(int(nodes[k]), int(h.dst))
+			}
+			arc, next := shift.step(int(nodes[k]), t)
+			//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+			h.prim, h.carry = int32(arc), next
+		}
 	default:
-		//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-		h.prim = int32(fr.nw.router.NextArc(int(v), int(h.dst)))
+		for k, pk := range pks {
+			h := &hot[pk]
+			//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+			h.prim = int32(fr.nw.router.NextArc(int(nodes[k]), int(h.dst)))
+		}
 	}
+	q, arcBase, qBits, nodeBits, slowBits, depth := fr.q, fr.nw.arcBase, fr.qBits, fr.nodeBits, fr.slowBits, fr.depth
+	ttl, stamp, res := fr.ttl, fr.stamp, &fr.res
+	//lint:ignore slabindex M, within queueLinks' guard
+	own := int32(fr.m)
+	for k, pk := range pks {
+		v := nodes[k]
+		h := &hot[pk]
+		h.stamp = stamp
+		stamp++
+		bit := uint64(1) << (uint32(v) & 63)
+		nodeBits[v>>6] |= bit
+		if h.prim < 0 || h.hops >= ttl {
+			slowBits[v>>6] |= bit
+		}
+		qa := arcBase[v] + h.prim
+		if h.prim < 0 {
+			qa = own + v
+		} else {
+			qBits[qa>>6] |= 1 << (uint32(qa) & 63)
+		}
+		q.push(qa, pk)
+		depth[v]++
+		if d := depth[v]; int(d) > res.MaxQueue || (int(d) == res.MaxQueue && cycle == fr.hotCycle && int(v) < res.HotNode) {
+			res.MaxQueue, res.HotNode, fr.hotCycle = int(d), int(v), cycle
+		}
+	}
+	fr.stamp = stamp
 }
 
-// arrive is the cycle's arrival phase: wire time completes, swept over
-// the in-flight bitmap in ascending arc order, each arc's segment
-// compacted in place. Each hop is counted; a downed node loses the
-// packet, its destination absorbs it, any other node queues it and
-// gathers its primary arc (enter).
+// arrive is the cycle's arrival phase: the packets sent HopLatency
+// cycles ago, read from their ring bucket in ascending arc order. Each
+// hop is counted; a downed node loses the packet, its destination
+// absorbs it, and every other packet joins the cycle's entering batch
+// behind its injections, which then enters.
 //
 //lint:hotpath
 func (fr *faultRun) arrive(cycle int) {
-	//lint:ignore slabindex cycle ≤ maxCycles, dominated by setup's guardIndexInt32
-	cycle32 := int32(cycle)
-	pipePkt, pipeReady, pipeLen, aBits := fr.pipePkt, fr.pipeReady, fr.pipeLen, fr.aBits
+	bucket := cycle % int(fr.hopLat)
+	base := bucket * fr.m
+	sentPkt := fr.ringPkt[base : base+int(fr.ringFill[bucket])]
+	sentArc := fr.ringArc[base : base+len(sentPkt)]
 	arcTail, arcHead := fr.nw.arcTail, fr.nw.arcHead
-	hot, pkts, fifo, nodeBits := fr.hot, fr.pkts, fr.fifo, fr.nodeBits
-	tl, segCap, traced := fr.tl, fr.segCap, fr.traced
-	tArcs, tN, shift, router := fr.tArcs, fr.tN, fr.shift, fr.nw.router
+	hot, pkts, tl, traced := fr.hot, fr.pkts, fr.tl, fr.traced
 	state := fr.state
 	nodeFaults := state.nodeDown != nil
-	delivered := 0
-	for w := range aBits {
-		bits := aBits[w]
-		for bits != 0 {
-			a := w<<6 + trailingZeros64(bits)
-			bits &= bits - 1
-			base := a * segCap
-			cnt := int(pipeLen[a])
-			v := arcHead[a]
-			keep := 0
-			for j := 0; j < cnt; j++ {
-				pk, rdy := pipePkt[base+j], pipeReady[base+j]
-				if rdy > cycle32 {
-					pipePkt[base+keep], pipeReady[base+keep] = pk, rdy
-					keep++
-					continue
-				}
-				h := &hot[pk]
-				h.hops++
-				if tl != nil {
-					tl.ArcTraverse(a)
-				}
-				if traced {
-					fr.emit(cycle, EventArrive, pk, int(v), int(arcTail[a]))
-				}
-				if nodeFaults && state.NodeDown(int(v)) {
-					fr.drop(pk, cycle, int(v), &fr.res.DroppedFault, obs.DropFault)
-					fr.remaining--
-					fr.resident--
-					continue
-				}
-				if v == h.dst {
-					pkts[pk].Delivered = cycle
-					delivered++
-					if traced {
-						fr.emit(cycle, EventDeliver, pk, int(v), -1)
-					}
-					continue
-				}
-				// enter, inlined with its slabs hoisted: as a call it
-				// costs 3–4% of a lens-faulted run.
-				f := &fifo[v]
-				if f.n == 0 {
-					f.head = pk
-					nodeBits[v>>6] |= 1 << (uint32(v) & 63)
-				} else {
-					hot[f.tail].link = pk
-				}
-				f.tail = pk
-				f.n++
-				switch {
-				case tArcs != nil:
-					h.prim = int32(tArcs[int(v)*tN+int(h.dst)])
-				case shift != nil:
-					t := h.carry
-					if t == staleCarry {
-						t = shift.start(int(v), int(h.dst))
-					}
-					arc, next := shift.step(int(v), t)
-					//lint:ignore slabindex an arc index is below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-					h.prim, h.carry = int32(arc), next
-				default:
-					//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-					h.prim = int32(router.NextArc(int(v), int(h.dst)))
-				}
-			}
-			//lint:ignore slabindex keep ≤ pipeLen[a], an int32
-			pipeLen[a] = int32(keep)
-			if keep == 0 {
-				aBits[w] &^= 1 << (uint(a) & 63)
-			}
+	bPkt, bNode := fr.batchPkt, fr.batchNode
+	n, delivered := fr.batched, 0
+	for k, pk := range sentPkt {
+		a := sentArc[k]
+		v := arcHead[a]
+		h := &hot[pk]
+		h.hops++
+		if tl != nil {
+			tl.ArcTraverse(int(a))
 		}
+		if traced {
+			fr.emit(cycle, EventArrive, pk, int(v), int(arcTail[a]))
+		}
+		if nodeFaults && state.NodeDown(int(v)) {
+			fr.drop(pk, cycle, int(v), &fr.res.DroppedFault, obs.DropFault)
+			fr.remaining--
+			fr.resident--
+			continue
+		}
+		if v == h.dst {
+			pkts[pk].Delivered = cycle
+			delivered++
+			if traced {
+				fr.emit(cycle, EventDeliver, pk, int(v), -1)
+			}
+			continue
+		}
+		bPkt[n], bNode[n] = pk, v
+		n++
 	}
 	if delivered > 0 {
 		fr.res.Delivered += delivered
@@ -519,138 +588,307 @@ func (fr *faultRun) arrive(cycle int) {
 		fr.resident -= delivered
 		fr.res.Cycles = cycle
 	}
+	fr.enter(bPkt[:n], bNode, cycle)
+	fr.batched = 0
 }
 
-// depart is the cycle's departure phase: each node forwards its waiting
-// packets in FIFO order, each out-arc accepting one attempt per cycle,
-// swept over the waiting-node bitmap in ascending node order. Packets
-// that stay are relinked in order; MaxQueue is the deepest node FIFO.
-// start is the session clock at the Run's cycle 0.
+// depart is the cycle's departure phase. First the walks, in ascending
+// node order: every waiting node's when no node may pop (see faultLoop);
+// else, on an oracle run, the slow nodes' and those with an out-arc
+// down, and in a session also those that have heard of a link-state
+// event. A walk's departures join the leaving list, and its remaining
+// packets stay out of the queued bitmap. Then the pop sweep: the head of
+// every marked queue leaves, swept like the lane kernel's depart and
+// merged with the walks' departures, so the ring bucket gets the cycle's
+// departures in ascending arc order. Every waiting node's depth is
+// observed once, by its walk or at its first popped arc. start is the
+// session clock at the Run's cycle 0.
 //
 //lint:hotpath
 func (fr *faultRun) depart(cycle, start int) error {
-	//lint:ignore slabindex cycle ≤ maxCycles, dominated by setup's guardIndexInt32
-	cycle32 := int32(cycle)
-	ready := cycle32 + fr.hopLat
-	nw, s, oracle, tl := fr.nw, fr.s, fr.oracle, fr.tl
-	arcBase, arcHead := nw.arcBase, nw.arcHead
-	hot, fifo, nodeBits, busy := fr.hot, fr.fifo, fr.nodeBits, fr.busy
-	pipePkt, pipeReady, pipeLen, aBits := fr.pipePkt, fr.pipeReady, fr.pipeLen, fr.aBits
-	segCap, ttl, qcap, traced := fr.segCap, fr.ttl, fr.qcap, fr.traced
-	down, permanent := fr.state.arcDown, fr.state.version > 0
-	for w := range nodeBits {
-		wbits := nodeBits[w]
-		for wbits != 0 {
-			u := w<<6 + trailingZeros64(wbits)
-			wbits &= wbits - 1
-			f := &fifo[u]
-			depth := f.n
-			if int(depth) > fr.res.MaxQueue {
-				fr.res.MaxQueue, fr.res.HotNode = int(depth), u
+	s, depth, nodeBits, slowBits := fr.s, fr.depth, fr.nodeBits, fr.slowBits
+	pop := fr.poppable && (s != nil || fr.state.version == 0)
+	downBits := fr.downNodes()
+	fr.leaving, fr.walked = fr.leaving[:0], fr.walked[:0]
+	if s != nil || !pop {
+		for w := range nodeBits {
+			wbits := nodeBits[w]
+			for wbits != 0 {
+				u := w<<6 + trailingZeros64(wbits)
+				wbits &= wbits - 1
+				if depth[u] == 0 {
+					nodeBits[w] &^= 1 << (uint(u) & 63)
+					continue
+				}
+				// A session node that has heard of no event routes by
+				// its epoch-0 routing, which is its primary arc.
+				if pop && (slowBits[w]|downBits[w])&(1<<(uint(u)&63)) == 0 && !s.heal.heard(u) {
+					continue
+				}
+				if err := fr.walk(u, cycle, start); err != nil {
+					return err
+				}
 			}
-			if tl != nil {
-				tl.NodeQueueDepth(int(depth))
-			}
-			fr.busyToken++
-			token := fr.busyToken
-			base := arcBase[u]
-			var head, tail, kept int32
-			next := f.head
-			for j := int32(0); j < depth; j++ {
-				i := next
-				h := &hot[i]
-				next = h.link
-				if h.readyAt <= cycle32 {
-					if h.hops >= ttl {
-						fr.drop(i, cycle, u, &fr.res.DroppedTTL, obs.DropTTL)
-						fr.remaining--
-						fr.resident--
-						continue
-					}
-					arc := h.prim
-					if s != nil {
-						//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-						arc = int32(s.routeArc(u, int(h.dst), fr.rec))
-					} else if arc < 0 || permanent || (down != nil && down[(base+arc)>>6]&(1<<(uint32(base+arc)&63)) != 0) {
-						// fromPrimary's first branch — the primary arc when it
-						// is up and no permanent fault is active — is the bit
-						// test above; anything else takes the cascade.
-						//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
-						arc = int32(oracle.fromPrimary(u, int(h.dst), int(arc)))
-					}
-					if arc < 0 {
-						if !fr.retry(i, cycle) {
-							fr.drop(i, cycle, u, &fr.res.DroppedNoRoute, obs.DropNoRoute)
-							fr.remaining--
-							fr.resident--
-							continue
-						}
-					} else if busy[arc] != token {
-						flat := base + arc
-						to := arcHead[flat]
-						sent := false
-						switch {
-						case qcap > 0 && to != h.dst && fr.full(int(to)):
-							// Credit-based backpressure: the downstream node is
-							// full (delivery always absorbs), so the packet holds
-							// in place instead of deepening to's queue.
-							if !fr.holdIn(i, int(fifo[to].n)) {
-								fr.drop(i, cycle, u, &fr.res.DroppedQueueFull, obs.DropQueueFull)
-								fr.remaining--
-								fr.resident--
-								continue
-							}
-						case s != nil:
-							busy[arc] = token
-							var err error
-							if sent, err = fr.attempt(i, u, int(arc), cycle, start); err != nil {
-								return err
-							}
-						default:
-							busy[arc] = token
-							sent = true
-						}
-						if sent {
-							if arc != h.prim {
-								// Off the primary arc the packet leaves the
-								// shortest path its carried state describes:
-								// the next node recomputes it.
-								h.carry = staleCarry
-								fr.res.Reroutes++
-								if tl != nil {
-									tl.Reroute()
-								}
-								if traced {
-									fr.emit(cycle, EventReroute, i, u, int(to))
-								}
-							}
-							if traced {
-								fr.emit(cycle, EventDepart, i, u, int(to))
-							}
-							slot := int(flat)*segCap + int(pipeLen[flat])
-							pipePkt[slot], pipeReady[slot] = i, ready
-							pipeLen[flat]++
-							aBits[flat>>6] |= 1 << (uint32(flat) & 63)
-							continue
-						}
+		}
+	} else {
+		for w := range slowBits {
+			wbits := slowBits[w] | downBits[w]
+			for wbits != 0 {
+				u := w<<6 + trailingZeros64(wbits)
+				wbits &= wbits - 1
+				if depth[u] > 0 {
+					if err := fr.walk(u, cycle, start); err != nil {
+						return err
 					}
 				}
-				// i stays queued: relink it behind the packets kept so far.
-				if kept == 0 {
-					head = i
-				} else {
-					hot[tail].link = i
-				}
-				tail = i
-				kept++
 			}
-			f.head, f.tail, f.n = head, tail, kept
-			if kept == 0 {
-				nodeBits[w] &^= 1 << (uint(u) & 63)
+		}
+	}
+
+	bucket := cycle % int(fr.hopLat)
+	base := bucket * fr.m
+	f := base
+	q, qBits, arcTail, tl := fr.q, fr.qBits, fr.nw.arcTail, fr.tl
+	ringPkt, ringArc, leaving := fr.ringPkt, fr.ringArc, fr.leaving
+	j, seen := 0, int32(-1)
+	for w := range qBits {
+		bits := qBits[w]
+		for bits != 0 {
+			tz := trailingZeros64(bits)
+			bits &= bits - 1
+			//lint:ignore slabindex a < M, dominated by newNetwork's guardIndexInt32
+			a := int32(w<<6 + tz)
+			for ; j < len(leaving) && leaving[j].arc < a; j++ {
+				ringPkt[f], ringArc[f] = leaving[j].pkt, leaving[j].arc
+				f++
+			}
+			pk, empty := q.pop(int(a))
+			if empty {
+				qBits[w] &^= 1 << uint(tz)
+			}
+			t := arcTail[a]
+			if tl != nil && t != seen {
+				tl.NodeQueueDepth(int(depth[t]))
+				seen = t
+			}
+			if s != nil && len(s.heal.suspicion) > 0 {
+				s.transmitted(Arc{Tail: int(t), Index: int(a - fr.nw.arcBase[t])}, start+cycle)
+			}
+			depth[t]--
+			ringPkt[f], ringArc[f] = pk, a
+			f++
+		}
+	}
+	fr.pops += int64(f - base - j)
+	for ; j < len(leaving); j++ {
+		ringPkt[f], ringArc[f] = leaving[j].pkt, leaving[j].arc
+		f++
+	}
+	//lint:ignore slabindex at most one departure per arc, below M
+	fr.ringFill[bucket] = int32(f - base)
+	// The walked nodes' remaining packets sat out the sweep; mark their
+	// queues again.
+	arcBase := fr.nw.arcBase
+	for _, u := range fr.walked {
+		for a := arcBase[u]; a < arcBase[u+1]; a++ {
+			if q.ends[a].length > 0 {
+				qBits[a>>6] |= 1 << (uint32(a) & 63)
 			}
 		}
 	}
 	return nil
+}
+
+// downNodes returns the nodes with an out-arc down in the fault view as
+// a bitmap, rebuilt when the view changes (all clear when no arc fault
+// is scheduled).
+func (fr *faultRun) downNodes() []uint64 {
+	st := fr.state
+	if st.arcDown != nil && (fr.viewLo != st.viewLo || fr.viewHi != st.viewHi) {
+		fr.viewLo, fr.viewHi = st.viewLo, st.viewHi
+		clearBits(fr.downBits)
+		for w, bits := range st.arcDown {
+			for bits != 0 {
+				t := fr.nw.arcTail[w<<6+trailingZeros64(bits)]
+				bits &= bits - 1
+				fr.downBits[t>>6] |= 1 << (uint32(t) & 63)
+			}
+		}
+	}
+	return fr.downBits
+}
+
+// walk is node u's departure by its FIFO (d packets): each packet in
+// stamp order forwards if it can, each out-arc accepting one attempt per
+// cycle, and the packets that stay are filed back under their primary
+// arcs, which keeps every queue in stamp order. The departures join the
+// cycle's leaving list in arc order.
+func (fr *faultRun) walk(u, cycle, start int) error {
+	fr.walks++
+	//lint:ignore slabindex cycle ≤ maxCycles, dominated by setup's guardIndexInt32
+	cycle32 := int32(cycle)
+	nw, s, oracle, tl := fr.nw, fr.s, fr.oracle, fr.tl
+	if tl != nil {
+		tl.NodeQueueDepth(int(fr.depth[u]))
+	}
+	arcHead := nw.arcHead
+	hot, busy, leave, q := fr.hot, fr.busy, fr.leave, fr.q
+	ttl, qcap, traced := fr.ttl, fr.qcap, fr.traced
+	down, permanent := fr.state.arcDown, fr.state.version > 0
+	fr.busyToken++
+	token := fr.busyToken
+	base := nw.arcBase[u]
+	//lint:ignore slabindex M+u < M+n, within queueLinks' guard
+	own := int32(fr.m + u)
+	var kept int32
+	slow := false
+	for _, i := range fr.gather(u) {
+		h := &hot[i]
+		if h.readyAt <= cycle32 {
+			if h.hops >= ttl {
+				fr.drop(i, cycle, u, &fr.res.DroppedTTL, obs.DropTTL)
+				fr.remaining--
+				fr.resident--
+				continue
+			}
+			arc := h.prim
+			if s != nil {
+				//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+				arc = int32(s.routeArc(u, int(h.dst), fr.rec))
+			} else if arc < 0 || permanent || (down != nil && down[(base+arc)>>6]&(1<<(uint32(base+arc)&63)) != 0) {
+				// fromPrimary's first branch — the primary arc when it is
+				// up and no permanent fault is active — is the bit test
+				// above; anything else takes the cascade.
+				//lint:ignore slabindex an arc index is −1 or below the out-degree ≤ M, dominated by newNetwork's guardIndexInt32
+				arc = int32(oracle.fromPrimary(u, int(h.dst), int(arc)))
+			}
+			if arc < 0 {
+				if !fr.retry(i, cycle) {
+					fr.drop(i, cycle, u, &fr.res.DroppedNoRoute, obs.DropNoRoute)
+					fr.remaining--
+					fr.resident--
+					continue
+				}
+			} else if busy[arc] != token {
+				to := arcHead[base+arc]
+				sent := false
+				switch {
+				case qcap > 0 && to != h.dst && fr.full(int(to)):
+					// Credit-based backpressure: the downstream node is
+					// full (delivery always absorbs), so the packet holds
+					// in place instead of deepening to's queue.
+					if !fr.holdIn(i, int(fr.depth[to])) {
+						fr.drop(i, cycle, u, &fr.res.DroppedQueueFull, obs.DropQueueFull)
+						fr.remaining--
+						fr.resident--
+						continue
+					}
+				case s != nil:
+					busy[arc] = token
+					var err error
+					if sent, err = fr.attempt(i, u, int(arc), cycle, start); err != nil {
+						return err
+					}
+				default:
+					busy[arc] = token
+					sent = true
+				}
+				if sent {
+					if arc != h.prim {
+						// Off the primary arc the packet leaves the shortest
+						// path its carried state describes: the next node
+						// recomputes it.
+						h.carry = staleCarry
+						fr.res.Reroutes++
+						if tl != nil {
+							tl.Reroute()
+						}
+						if traced {
+							fr.emit(cycle, EventReroute, i, u, int(to))
+						}
+					}
+					if traced {
+						fr.emit(cycle, EventDepart, i, u, int(to))
+					}
+					leave[arc] = i
+					continue
+				}
+			}
+		}
+		// i stays, back in the queue it was gathered from, which the pop
+		// sweep skips this cycle.
+		if h.prim < 0 {
+			q.push(own, i)
+		} else {
+			q.push(base+h.prim, i)
+		}
+		kept++
+		slow = slow || h.prim < 0 || h.hops >= ttl || h.readyAt > cycle32+1
+	}
+	fr.depth[u] = kept
+	bit := uint64(1) << (uint(u) & 63)
+	if slow {
+		fr.slowBits[u>>6] |= bit
+	} else {
+		fr.slowBits[u>>6] &^= bit
+	}
+	if kept == 0 {
+		fr.nodeBits[u>>6] &^= bit
+	} else {
+		//lint:ignore slabindex a node id, below n, which newNetwork's guardIndexInt32 bounds
+		fr.walked = append(fr.walked, int32(u))
+	}
+	for k, i := range leave[:nw.arcBase[u+1]-base] {
+		if i >= 0 {
+			//lint:ignore slabindex a flat arc index, below M
+			fr.leaving = append(fr.leaving, departure{arc: base + int32(k), pkt: i})
+			leave[k] = -1
+		}
+	}
+	return nil
+}
+
+// gather empties node u's queues — its out-arcs' and its own — into the
+// fifo buffer in stamp order and returns it: the node's FIFO. Each queue
+// is already in stamp order, so this is a merge of at most out-degree+1
+// lists, read in place through their links.
+func (fr *faultRun) gather(u int) []int32 {
+	q, hot, qBits := fr.q, fr.hot, fr.qBits
+	lo, hi := fr.nw.arcBase[u], fr.nw.arcBase[u+1]
+	//lint:ignore slabindex M+u < M+n, within queueLinks' guard
+	own := int32(fr.m + u)
+	heads, left := fr.heads[:0], fr.left[:0]
+	for a := lo; a <= hi; a++ {
+		qa := a
+		if a == hi {
+			qa = own
+		} else {
+			qBits[a>>6] &^= 1 << (uint32(a) & 63)
+		}
+		if n := q.ends[qa].length; n > 0 {
+			heads, left = append(heads, q.peek(qa)), append(left, n)
+			q.ends[qa] = queueEnds{tail: q.head + qa}
+		}
+	}
+	fifo := fr.fifo[:0]
+	for len(heads) > 0 {
+		j := 0
+		for k := 1; k < len(heads); k++ {
+			if hot[heads[k]].stamp-hot[heads[j]].stamp < 0 {
+				j = k
+			}
+		}
+		fifo = append(fifo, heads[j])
+		if left[j]--; left[j] > 0 {
+			heads[j] = q.link[heads[j]]
+		} else {
+			last := len(heads) - 1
+			heads[j], left[j] = heads[last], left[last]
+			heads, left = heads[:last], left[:last]
+		}
+	}
+	fr.heads, fr.left, fr.fifo = heads, left, fifo
+	return fifo
 }
 
 // attempt is a session's transmission of packet i on out-arc k of node
@@ -673,14 +911,14 @@ func (fr *faultRun) attempt(i int32, u, k, cycle, start int) (sent bool, err err
 	return true, nil
 }
 
-// full reports whether node v's FIFO is at its bound of QueueCapacity
-// packets per out-arc (never, with unbounded queues).
+// full reports whether node v is at its bound of QueueCapacity packets
+// per out-arc (never, with unbounded queues).
 func (fr *faultRun) full(v int) bool {
-	return fr.qcap > 0 && int(fr.fifo[v].n) >= fr.qcap*int(fr.nw.arcBase[v+1]-fr.nw.arcBase[v])
+	return fr.qcap > 0 && int(fr.depth[v]) >= fr.qcap*int(fr.nw.arcBase[v+1]-fr.nw.arcBase[v])
 }
 
 // holdIn charges one hold-in-place cycle to packet i's lifetime budget,
-// recorded at the refusing FIFO's depth; false: the budget is exhausted
+// recorded at the refusing node's depth; false: the budget is exhausted
 // and the caller drops the packet.
 func (fr *faultRun) holdIn(i int32, depth int) bool {
 	h := &fr.hot[i]
@@ -733,27 +971,35 @@ func (fr *faultRun) emit(cycle int, kind EventKind, i int32, node, peer int) {
 // drain is the exit path when the cycle budget ran out with work
 // outstanding: every survivor is dropped with a cause, so Delivered +
 // Dropped == Offered holds on truncated runs too. Order is
-// deterministic: node FIFOs, then link pipelines (at their tails), then
-// source-held packets, then never-injected ones.
+// deterministic: node FIFOs, then the links by arc and departure cycle
+// (at their tails), then source-held packets, then never-injected ones.
 func (fr *faultRun) drain(cycle int) {
 	if fr.remaining == 0 {
 		return
 	}
-	for u := range fr.fifo {
-		f := &fr.fifo[u]
-		i := f.head
-		for j := int32(0); j < f.n; j++ {
-			fr.drop(i, cycle, u, &fr.res.Stuck, obs.DropStuck)
-			i = fr.hot[i].link
+	for w, bits := range fr.nodeBits {
+		for bits != 0 {
+			u := w<<6 + trailingZeros64(bits)
+			bits &= bits - 1
+			for _, i := range fr.gather(u) {
+				fr.drop(i, cycle, u, &fr.res.Stuck, obs.DropStuck)
+			}
 		}
-		f.n = 0
+		fr.nodeBits[w] = 0
 	}
-	for a := range fr.pipeLen {
-		base := a * fr.segCap
-		for _, i := range fr.pipePkt[base : base+int(fr.pipeLen[a])] {
-			fr.drop(i, cycle, int(fr.nw.arcTail[a]), &fr.res.Stuck, obs.DropStuck)
+	// In flight: the departures of the last HopLatency cycles, each
+	// bucket in arc order, merged oldest first.
+	var links []departure
+	hopLat := int(fr.hopLat)
+	for c := max(cycle-hopLat, 0); c < cycle; c++ {
+		b := c % hopLat
+		for e := b * fr.m; e < b*fr.m+int(fr.ringFill[b]); e++ {
+			links = append(links, departure{arc: fr.ringArc[e], pkt: fr.ringPkt[e]})
 		}
-		fr.pipeLen[a] = 0
+	}
+	slices.SortStableFunc(links, func(x, y departure) int { return cmp.Compare(x.arc, y.arc) })
+	for _, l := range links {
+		fr.drop(l.pkt, cycle, int(fr.nw.arcTail[l.arc]), &fr.res.Stuck, obs.DropStuck)
 	}
 	// Source-held packets (admitted but never accepted by their full
 	// source) drain under the queue-full bucket, distinct from Stuck.

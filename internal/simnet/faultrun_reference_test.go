@@ -838,9 +838,14 @@ func (r trapRouter) NextArc(at, dst int) int {
 
 // TestFaultEngineMatchesReference drives the fault engine and its
 // frozen reference over topologies × fault plans × run options ×
-// tracing × seeds and requires reflect.DeepEqual results and event
+// tracing × workloads and requires reflect.DeepEqual results and event
 // traces and byte-identical OBS_run/v1 documents (arena counters
-// aside, as the reference allocates fresh scratch).
+// aside, as the reference allocates fresh scratch). The workloads are
+// two seeded ones of 3n packets released over n cycles and a dense one
+// of 8n packets all released at cycle 0, whose nodes hold packets for
+// several out-arcs, interleaved several deep. Both departure paths —
+// a node popping its queue heads and a node walking its FIFO — must
+// run somewhere in the matrix.
 func TestFaultEngineMatchesReference(t *testing.T) {
 	configs := []struct {
 		name       string
@@ -851,6 +856,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 	}{
 		{name: "default"},
 		{name: "lat2", net: WithHopLatency(2)},
+		{name: "lat3", net: WithHopLatency(3)},
 		{name: "qcap1", qcap: 1},
 		{name: "qcap2_admit", qcap: 2, hold: 3, admit: &AdmissionConfig{Rate: 2, Burst: 2, MaxDelay: 6}},
 		{name: "trunc", net: WithMaxCycles(7)},
@@ -859,6 +865,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 	// Every fault path must fire somewhere in the matrix, or the
 	// equivalence would be vacuous for it.
 	var total FaultResult
+	var pops, walks int64
 	for _, top := range faultRefTopologies(t) {
 		n := top.nw.g.N()
 		m := int(top.nw.arcBase[n])
@@ -881,17 +888,24 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 			nets[i] = nw
 		}
 		reroutes := 0
-		for seed := int64(1); seed <= 2; seed++ {
+		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed * 104729))
+			load := fmt.Sprintf("seed%d", seed)
 			pkts := make([]Packet, 3*n)
+			if seed == 3 {
+				load, pkts = "dense", make([]Packet, 8*n)
+			}
 			for i := range pkts {
-				pkts[i] = Packet{ID: i, Src: rng.Intn(n), Dst: rng.Intn(n), Release: rng.Intn(n)}
+				pkts[i] = Packet{ID: i, Src: rng.Intn(n), Dst: rng.Intn(n)}
+				if seed < 3 {
+					pkts[i].Release = rng.Intn(n)
+				}
 			}
 			for _, pc := range faultRefPlans(top, rng) {
 				for ci, cc := range configs {
 					nw := nets[ci]
 					for _, traced := range []bool{false, true} {
-						name := fmt.Sprintf("%s/seed%d/%s/%s/traced=%v", top.name, seed, pc.name, cc.name, traced)
+						name := fmt.Sprintf("%s/%s/%s/%s/traced=%v", top.name, load, pc.name, cc.name, traced)
 						var admitRef, admitNew *admitState
 						if cc.admit != nil {
 							admitRef = newAdmitState(*cc.admit, nw.g.Diameter())
@@ -905,10 +919,13 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 							t.Fatalf("%s: reference: %v", name, err)
 						}
 						tun := runTuning{qcap: cc.qcap, hold: cc.hold, admit: admitNew, trace: traced}
+						pops0, walks0 := nw.faultPops.Load(), nw.faultWalks.Load()
 						got, gotEv, err := nw.runWithFaults(pkts, pc.plan, tun, recNew)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
+						pops += nw.faultPops.Load() - pops0
+						walks += nw.faultWalks.Load() - walks0
 						if !reflect.DeepEqual(want, got) {
 							want.Packets, got.Packets = nil, nil
 							t.Fatalf("%s: results diverge\nref: %+v\nnew: %+v", name, want, got)
@@ -956,6 +973,7 @@ func TestFaultEngineMatchesReference(t *testing.T) {
 		{"shed", total.Shed}, {"TTL drops", total.DroppedTTL}, {"no-route drops", total.DroppedNoRoute},
 		{"fault drops", total.DroppedFault}, {"horizon drops", total.DroppedHorizon},
 		{"queue-full drops", total.DroppedQueueFull}, {"stuck", total.Stuck},
+		{"popped departures", int(pops)}, {"walked nodes", int(walks)},
 	} {
 		if c.count == 0 {
 			t.Errorf("no run in the matrix exercised %s", c.name)

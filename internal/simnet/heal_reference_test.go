@@ -655,7 +655,10 @@ func (m *callLog) ProbeResult(cycle int, arc Arc, ok bool) {
 // results and session state (clock, epoch, believed-down and
 // quarantined sets, suspicion counters, convergence), identical
 // monitor callbacks and identical OBS_run/v1 documents (arena counters
-// aside, as the reference allocates fresh scratch).
+// aside, as the reference allocates fresh scratch). Both departure paths
+// must run somewhere in the matrix: a node popping its queue heads (a
+// session node that has heard of no link-state event) and a node
+// walking its FIFO.
 func TestHealEngineMatchesReference(t *testing.T) {
 	configs := []struct {
 		name string
@@ -671,6 +674,7 @@ func TestHealEngineMatchesReference(t *testing.T) {
 	// matrix, or the equivalence would be vacuous for it.
 	var total HealResult
 	quarantines := 0
+	var pops, walks int64
 	for _, top := range faultRefTopologies(t) {
 		g, router := top.nw.g, top.nw.router
 		n := g.N()
@@ -765,6 +769,8 @@ func TestHealEngineMatchesReference(t *testing.T) {
 							total.Stuck += res.Stuck
 							quarantines += len(got.Quarantined())
 						}
+						pops += got.nw.faultPops.Load()
+						walks += got.nw.faultWalks.Load()
 					}
 				}
 			}
@@ -779,6 +785,7 @@ func TestHealEngineMatchesReference(t *testing.T) {
 		{"holds", total.Holds}, {"TTL drops", total.DroppedTTL}, {"no-route drops", total.DroppedNoRoute},
 		{"fault drops", total.DroppedFault}, {"horizon drops", total.DroppedHorizon},
 		{"queue-full drops", total.DroppedQueueFull}, {"stuck", total.Stuck},
+		{"popped departures", int(pops)}, {"walked nodes", int(walks)},
 	} {
 		if c.count == 0 {
 			t.Errorf("no run in the matrix exercised %s", c.name)

@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/debruijn"
@@ -325,8 +326,9 @@ type Packet struct {
 type config struct {
 	// HopLatency is the wire time of one hop in cycles (≥ 1).
 	HopLatency int
-	// MaxCycles aborts the run (0 means 64·n·HopLatency + total packets,
-	// a generous bound).
+	// MaxCycles aborts the run (0: the generous default budget,
+	// 64·n·HopLatency + 16·packets + 1024 plus room for admission and the
+	// fault loop's retry ladder; see Network.cycleBudget).
 	MaxCycles int
 }
 
@@ -435,6 +437,11 @@ type Network struct {
 	shift *DeBruijnRouter
 
 	scratch sync.Pool // *arena
+
+	// faultPops and faultWalks count the fault kernel's popped departures
+	// and walked nodes (faultRun.depart), added once per run, so a test
+	// can check that both departure paths ran.
+	faultPops, faultWalks atomic.Int64
 }
 
 // Observe attaches a metrics recorder to the network: subsequent runs

@@ -344,8 +344,9 @@ func TestFacadeDeflection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := dn.Run(simnet.UniformLoad(200).Packets(g.N(), 13)); res.Delivered != 200 {
-		t.Fatalf("deflection: %v", res)
+	res, err := dn.Run(simnet.UniformLoad(200).Packets(g.N(), 13))
+	if err != nil || res.Delivered != 200 {
+		t.Fatalf("deflection: %v, %v", res, err)
 	}
 }
 
