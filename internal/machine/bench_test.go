@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/optics"
 	"repro/internal/simnet"
 )
@@ -85,4 +86,46 @@ func BenchmarkLensHealSession(b *testing.B) {
 	}
 	b.ReportMetric(float64(session)/float64(2*oracle), "session/oracle")
 	b.ReportMetric(float64(session.Milliseconds())/float64(b.N), "session_ms/op")
+}
+
+// BenchmarkRecordedRun times telemetry on the paper's machine as the
+// otis_lens study records it: each iteration runs one permutation plain
+// and recorded into a fresh recorder, then the same permutation with
+// one lens down for cycles 2–17, unrecorded and recorded into a fresh
+// recorder, the lens cycling through a seeded order of all 192. The
+// recorded/plain and recorded_fault/fault metrics are ratios of summed
+// times, so a faster or slower host cancels out of them.
+func BenchmarkRecordedRun(b *testing.B) {
+	m, err := Build(2, 12, optics.DefaultPitch)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pkts := simnet.Permutation(m.Nodes(), 1)
+	lenses := rand.New(rand.NewSource(1)).Perm(m.Lenses())
+	plans := make([]simnet.RunOption, len(lenses))
+	for i, lens := range lenses {
+		plan, err := m.LensFaultPlan(2, 16, lens)
+		if err != nil {
+			b.Fatal(err)
+		}
+		plans[i] = simnet.WithFaults(plan)
+	}
+	run := func(sum *time.Duration, opts ...simnet.RunOption) {
+		t0 := time.Now()
+		if _, err := m.RunOpts(simnet.Fixed(pkts), opts...); err != nil {
+			b.Fatal(err)
+		}
+		*sum += time.Since(t0)
+	}
+	var plain, recorded, fault, recordedFault time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan := plans[i%len(plans)]
+		run(&plain)
+		run(&recorded, simnet.WithRecorder(obs.NewRecorder(nil)))
+		run(&fault, plan)
+		run(&recordedFault, plan, simnet.WithRecorder(obs.NewRecorder(nil)))
+	}
+	b.ReportMetric(float64(recorded)/float64(plain), "recorded/plain")
+	b.ReportMetric(float64(recordedFault)/float64(fault), "recorded_fault/fault")
 }

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // DropCause classifies why a packet left a simulation undelivered. The
 // causes mirror the FaultResult buckets of simnet so instrumented and
@@ -98,26 +95,33 @@ const (
 // traversal counts and peak queue depths, indexed by the same CSR arc
 // layout the simulator's queues use (arcBase[u]+k).
 //
-// The cycle kernels of simnet (the plain run in both its lean and its
-// general form, and the fault engine) do not call the per-event methods
-// in their loops: each run records into a run-local Tally and folds it
-// in with Merge once, at the end of the run, so the recorder is updated
-// once per run and a recorded run takes the same kernel path as an
-// unrecorded one (the sharded engine aside, which falls back to the
-// sequential kernel when a recorder is attached). The per-event methods
-// remain for the engines that record live (self-healing, deflection)
-// and for callers outside the simulators.
+// The simnet engines (the plain run in both its lean and its general
+// form, the fault engine, heal sessions and the deflection engine) do
+// not call the per-event methods in their loops: each run records into
+// a run-local Tally and folds it in with Merge once, at the end of the
+// run, so the recorder is updated once per run and a recorded run takes
+// the same kernel path as an unrecorded one (the sharded engine aside,
+// which falls back to the sequential kernel when a recorder is
+// attached). The per-event methods remain for callers outside the
+// simulators.
 //
 // A nil *Recorder is the uninstrumented mode: every exported method is
 // nil-receiver guarded, so recording sites may call through nil freely
 // — the fast path pays one predictable branch and zero allocations.
 // All methods are safe for concurrent use (sweep workers share one
-// Recorder), at the price of atomic updates.
+// Recorder): counters, gauges and histograms update atomically, and
+// the per-arc slabs are plain integers guarded by one mutex, which a
+// merge takes once per run and a per-event ArcTraverse or QueueDepth
+// once per event.
 type Recorder struct {
 	reg *Registry
 
-	mu    sync.Mutex // serializes slab growth
-	slabs atomic.Pointer[arcSlabs]
+	mu         sync.Mutex
+	traversals []int64 // guarded by mu
+	// peakQueue is nil until the first non-zero peak, then as long as
+	// traversals: runs that record only node depths (fault runs) never
+	// allocate it, and readers see full-length zeros.
+	peakQueue []int64 // guarded by mu
 
 	delivered   *Counter
 	dropped     *Counter
@@ -202,38 +206,40 @@ func (r *Recorder) Registry() *Registry {
 	return r.reg
 }
 
-// arcSlabs is the per-arc storage, swapped atomically as one unit so
-// hot-path readers never see a torn resize.
-type arcSlabs struct {
-	traversals []int64
-	peakQueue  []int64
-}
-
 // SizeArcs grows the per-arc slabs to hold m arcs. Networks call it when
 // a recorder is attached; growing never shrinks, so one recorder may
 // observe several networks and keeps the largest layout. Counts already
-// accumulated are preserved (attach before running: a grow racing live
-// recording may miss increments landing in the old slab mid-copy).
+// accumulated are preserved. Only the traversal slab is allocated here;
+// the peak-queue slab waits for the first non-zero peak.
 func (r *Recorder) SizeArcs(m int) {
 	if r == nil || m <= 0 {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cur := r.slabs.Load()
-	if cur != nil && len(cur.traversals) >= m {
+	if len(r.traversals) >= m {
 		return
 	}
-	next := &arcSlabs{traversals: make([]int64, m), peakQueue: make([]int64, m)}
-	if cur != nil {
-		for i := range cur.traversals {
-			//lint:ignore atomicguard next is unpublished until the Store below; only this goroutine (under mu) can write it
-			next.traversals[i] = atomic.LoadInt64(&cur.traversals[i])
-			//lint:ignore atomicguard next is unpublished until the Store below; only this goroutine (under mu) can write it
-			next.peakQueue[i] = atomic.LoadInt64(&cur.peakQueue[i])
-		}
+	r.traversals = grown(r.traversals, m)
+	if r.peakQueue != nil {
+		r.peakQueue = grown(r.peakQueue, m)
 	}
-	r.slabs.Store(next)
+}
+
+// grown returns a copy of s extended with zeros to m entries.
+func grown(s []int64, m int) []int64 {
+	out := make([]int64, m)
+	copy(out, s)
+	return out
+}
+
+// peakSlabLocked returns the peak-queue slab, allocating it as long as
+// the traversal slab on first use.
+func (r *Recorder) peakSlabLocked() []int64 {
+	if r.peakQueue == nil {
+		r.peakQueue = make([]int64, len(r.traversals))
+	}
+	return r.peakQueue
 }
 
 // Arcs returns the current per-arc slab size (0 for a nil recorder).
@@ -241,10 +247,9 @@ func (r *Recorder) Arcs() int {
 	if r == nil {
 		return 0
 	}
-	if s := r.slabs.Load(); s != nil {
-		return len(s.traversals)
-	}
-	return 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.traversals)
 }
 
 // ArcTraverse records one packet hop over the flat arc index.
@@ -252,9 +257,11 @@ func (r *Recorder) ArcTraverse(arc int) {
 	if r == nil {
 		return
 	}
-	if s := r.slabs.Load(); s != nil && arc >= 0 && arc < len(s.traversals) {
-		atomic.AddInt64(&s.traversals[arc], 1)
+	r.mu.Lock()
+	if arc >= 0 && arc < len(r.traversals) {
+		r.traversals[arc]++
 	}
+	r.mu.Unlock()
 	r.arcTotal.Add(1)
 }
 
@@ -268,15 +275,14 @@ func (r *Recorder) QueueDepth(arc int, depth int) {
 	d := int64(depth)
 	r.queue.Observe(d)
 	r.maxQueue.SetMax(d)
-	s := r.slabs.Load()
-	if s == nil || arc < 0 || arc >= len(s.peakQueue) {
+	if d <= 0 {
 		return
 	}
-	for {
-		cur := atomic.LoadInt64(&s.peakQueue[arc])
-		if d <= cur || atomic.CompareAndSwapInt64(&s.peakQueue[arc], cur, d) {
-			return
-		}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if arc >= 0 && arc < len(r.traversals) {
+		pq := r.peakSlabLocked()
+		pq[arc] = max(pq[arc], d)
 	}
 }
 
@@ -481,24 +487,39 @@ func (r *Recorder) ArcTraversals() []int64 {
 	if r == nil {
 		return nil
 	}
-	if s := r.slabs.Load(); s != nil {
-		//lint:ignore atomicguard the slice header is immutable after publication; copyAtomicSlab reads the elements atomically
-		return copyAtomicSlab(s.traversals)
-	}
-	return nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.traversalsLocked()
 }
 
 // ArcPeakQueue returns a copy of the per-arc peak-queue slab (nil for a
-// nil or unsized recorder).
+// nil or unsized recorder; all zeros before any peak).
 func (r *Recorder) ArcPeakQueue() []int64 {
 	if r == nil {
 		return nil
 	}
-	if s := r.slabs.Load(); s != nil {
-		//lint:ignore atomicguard the slice header is immutable after publication; copyAtomicSlab reads the elements atomically
-		return copyAtomicSlab(s.peakQueue)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.peakQueueLocked()
+}
+
+// traversalsLocked copies the traversal slab (nil when unsized).
+func (r *Recorder) traversalsLocked() []int64 {
+	if len(r.traversals) == 0 {
+		return nil
 	}
-	return nil
+	return append([]int64(nil), r.traversals...)
+}
+
+// peakQueueLocked copies the peak-queue slab at the traversal slab's
+// length (nil when unsized).
+func (r *Recorder) peakQueueLocked() []int64 {
+	if len(r.traversals) == 0 {
+		return nil
+	}
+	out := make([]int64, len(r.traversals))
+	copy(out, r.peakQueue)
+	return out
 }
 
 // SumArcTraversalsBy rolls the per-arc traversal slab up into two
@@ -506,25 +527,22 @@ func (r *Recorder) ArcPeakQueue() []int64 {
 // transmitter-side and the receiver-side lenses — adding in-place into
 // sums: flat arc a adds its count to sums[first[a]] and to
 // sums[second[a]] (a negative group skips that side). The slab is read
-// where it lies — no copy — in one forward pass, and a run of arcs in
-// one first-side group is summed in a register before it is added.
-// Arcs beyond the slab or either map add nothing, as does a nil or
-// unsized recorder.
+// where it lies — no copy — in one forward pass under the recorder's
+// lock, and a run of arcs in one first-side group is summed in a
+// register before it is added. Arcs beyond the slab or either map add
+// nothing, as does a nil or unsized recorder.
 func (r *Recorder) SumArcTraversalsBy(first, second []int16, sums []int64) {
 	if r == nil {
 		return
 	}
-	s := r.slabs.Load()
-	if s == nil {
-		return
-	}
-	//lint:ignore atomicguard the slice header is immutable after publication; the elements are read atomically below
-	tr := s.traversals
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	tr := r.traversals
 	n := min(len(first), len(second), len(tr))
 	first, second = first[:n], second[:n]
 	cur, acc := int16(-1), int64(0)
 	for a, g := range first {
-		t := atomic.LoadInt64(&tr[a])
+		t := tr[a]
 		if g != cur {
 			if cur >= 0 {
 				sums[cur] += acc
@@ -549,15 +567,15 @@ func (r *Recorder) MaxArcPeakQueueBy(first, second []int16, peaks []int64) {
 	if r == nil {
 		return
 	}
-	s := r.slabs.Load()
-	if s == nil {
-		return
-	}
-	//lint:ignore atomicguard the slice header is immutable after publication; the elements are read atomically below
-	pq := s.peakQueue
-	n := min(len(first), len(second), len(pq))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	pq := r.peakQueue
+	n := min(len(first), len(second), len(r.traversals))
 	for a, g := range first[:n] {
-		d := atomic.LoadInt64(&pq[a])
+		var d int64 // every peak is zero before the slab exists
+		if pq != nil {
+			d = pq[a]
+		}
 		if g >= 0 && d > peaks[g] {
 			peaks[g] = d
 		}
@@ -575,24 +593,14 @@ func (r *Recorder) Snapshot() RunMetrics {
 		return RunMetrics{Schema: RunMetricsSchema}
 	}
 	m := r.reg.Snapshot()
-	tr := r.ArcTraversals()
-	if len(tr) > 0 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if tr := r.traversalsLocked(); len(tr) > 0 {
 		m.Arcs = &ArcMetrics{
 			Arcs:       len(tr),
 			Traversals: tr,
-			PeakQueue:  r.ArcPeakQueue(),
+			PeakQueue:  r.peakQueueLocked(),
 		}
 	}
 	return m
-}
-
-func copyAtomicSlab(src []int64) []int64 {
-	if len(src) == 0 {
-		return nil
-	}
-	out := make([]int64, len(src))
-	for i := range src {
-		out[i] = atomic.LoadInt64(&src[i])
-	}
-	return out
 }

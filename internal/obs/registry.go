@@ -10,13 +10,16 @@
 //     Recorder method is nil-receiver guarded, so instrumented code can
 //     call through a nil *Recorder and the uninstrumented fast path
 //     stays branch-predictable and allocation-free (reprolint's recguard
-//     analyzer enforces the guards);
-//   - Tally: the run-local side of a Recorder. The simnet cycle kernels
-//     record every event of a run into a Tally with plain stores, then
-//     fold it into the Recorder with Recorder.Merge once, when the run
-//     ends — so a recorder is updated once per run, never per hop, and
-//     attaching one does not change which engine runs (the sharded
-//     engine aside, which still falls back to the sequential kernel);
+//     analyzer enforces the guards). Its registry metrics update
+//     atomically; its per-arc slabs are plain integers under one mutex;
+//   - Tally: the run-local side of a Recorder. Every simnet engine
+//     records each event of a run into a Tally with plain stores (small
+//     queue depths, latencies and hop counts as one increment each),
+//     then folds it into the Recorder with Recorder.Merge once, when the
+//     run ends, taking the recorder's mutex once — so a recorder is
+//     updated once per run, never per hop, and attaching one does not
+//     change which engine runs (the sharded engine aside, which still
+//     falls back to the sequential kernel);
 //   - RunMetrics: a stable JSON document (schema "OBS_run/v1") built by
 //     Snapshot, carrying the registry plus flat per-arc utilization
 //     slabs and optional per-lens roll-ups.

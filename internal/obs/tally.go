@@ -1,6 +1,6 @@
 package obs
 
-import "sync/atomic"
+import "math"
 
 // Tally is the run-local side of a Recorder: plain counters, drop-cause
 // buckets, histograms and per-arc traversal and peak-queue slabs that a
@@ -11,6 +11,10 @@ import "sync/atomic"
 // a Recorder keeps is a sum, a maximum or a histogram, so the merged
 // document is exactly the one that recording each event straight into
 // the Recorder would have produced.
+//
+// The per-arc slabs are int32: a run moves at most one packet over an
+// arc per cycle and holds fewer packets than math.MaxInt32, and the
+// simulators guard both its cycles and its packet count to int32.
 //
 // Unlike the Recorder, a Tally is not nil-safe: a run without a
 // recorder holds a nil *Tally, and its recording sites test it before
@@ -23,6 +27,7 @@ type Tally struct {
 	holds       int64
 	retries     int64
 	reroutes    int64
+	deflections int64
 	arenaReused int64
 	arenaAlloc  int64
 
@@ -31,16 +36,25 @@ type Tally struct {
 	hops      tallyHist
 	queueFull tallyHist
 
-	traversals []int64
-	peakQueue  []int64
+	traversals []int32
+	peakQueue  []int32
 }
 
-// tallyHist is the plain-integer twin of Histogram.
+// smallValues bounds the values a tallyHist counts one by one in an
+// array: a recorded run's queue depths, hop counts and most latencies
+// lie in [0, smallValues), so recording one is a single increment.
+const smallValues = 64
+
+// tallyHist is the plain-integer twin of Histogram. Values in
+// [0, smallValues) are counted in small and folded into the other
+// fields only when the tally is merged; every other value goes through
+// observe.
 type tallyHist struct {
 	count   int64
 	sum     int64
 	max     int64
 	buckets [HistogramBuckets]int64
+	small   [smallValues]int64
 }
 
 // observe records one value.
@@ -49,10 +63,34 @@ type tallyHist struct {
 func (h *tallyHist) observe(v int64) {
 	h.count++
 	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
+	h.max = max(h.max, v)
 	h.buckets[bucketOf(v)]++
+}
+
+// add records one value, counting a small one in small.
+//
+//lint:hotpath
+func (h *tallyHist) add(v int) {
+	if uint(v) < smallValues {
+		h.small[v]++
+	} else {
+		h.observe(int64(v))
+	}
+}
+
+// fold moves the small-value counts into count, sum, max and buckets,
+// leaving h what observing each value would have built.
+func (h *tallyHist) fold() {
+	for v, c := range h.small {
+		if c == 0 {
+			continue
+		}
+		h.count += c
+		h.sum += int64(v) * c
+		h.max = max(h.max, int64(v))
+		h.buckets[bucketOf(int64(v))] += c
+	}
+	h.small = [smallValues]int64{}
 }
 
 // Reset zeroes the tally and sizes its per-arc slabs for m arcs,
@@ -60,8 +98,8 @@ func (h *tallyHist) observe(v int64) {
 func (t *Tally) Reset(m int) {
 	traversals, peakQueue := t.traversals, t.peakQueue
 	if cap(traversals) < m {
-		traversals = make([]int64, m)
-		peakQueue = make([]int64, m)
+		traversals = make([]int32, m)
+		peakQueue = make([]int32, m)
 	} else {
 		traversals = traversals[:m]
 		peakQueue = peakQueue[:m]
@@ -78,30 +116,30 @@ func (t *Tally) Reset(m int) {
 func (t *Tally) ArcTraverse(arc int) { t.traversals[arc]++ }
 
 // QueueDepth records the depth of the flat arc's output queue after an
-// enqueue, as Recorder.QueueDepth does.
+// enqueue, as Recorder.QueueDepth does. A depth past math.MaxInt32 —
+// more packets than a run may hold — peaks at math.MaxInt32. It and
+// NodeQueueDepth fit the inliner's budget (79 and 65 of 80), which
+// keeps them inside the kernels' loops.
 //
 //lint:hotpath
 func (t *Tally) QueueDepth(arc, depth int) {
-	d := int64(depth)
-	t.queue.observe(d)
-	if d > t.peakQueue[arc] {
-		t.peakQueue[arc] = d
-	}
+	t.queue.add(depth)
+	t.peakQueue[arc] = max(t.peakQueue[arc], int32(min(depth, math.MaxInt32)))
 }
 
 // NodeQueueDepth records a per-node hold-queue depth, as
 // Recorder.NodeQueueDepth does.
 //
 //lint:hotpath
-func (t *Tally) NodeQueueDepth(depth int) { t.queue.observe(int64(depth)) }
+func (t *Tally) NodeQueueDepth(depth int) { t.queue.add(depth) }
 
 // Deliver records a delivery with its latency (cycles) and hop count.
 //
 //lint:hotpath
 func (t *Tally) Deliver(latency, hops int) {
 	t.delivered++
-	t.latency.observe(int64(latency))
-	t.hops.observe(int64(hops))
+	t.latency.add(latency)
+	t.hops.add(hops)
 }
 
 // Drop records an undelivered packet under its cause bucket.
@@ -139,6 +177,12 @@ func (t *Tally) Retry() { t.retries++ }
 //lint:hotpath
 func (t *Tally) Reroute() { t.reroutes++ }
 
+// Deflect records a hot-potato hop that moved a packet off its shortest
+// path.
+//
+//lint:hotpath
+func (t *Tally) Deflect() { t.deflections++ }
+
 // Arena records one scratch-arena checkout: reused from the pool or
 // freshly allocated.
 func (t *Tally) Arena(reused bool) {
@@ -150,11 +194,13 @@ func (t *Tally) Arena(reused bool) {
 }
 
 // Merge folds a run's tally into the recorder: one atomic update per
-// non-zero counter, histogram bucket and per-arc slab entry, instead of
-// one per event. Arcs beyond the recorder's slab still count toward the
-// arc_traversals_total counter, as Recorder.ArcTraverse counts them.
-// Safe for concurrent use: sweep workers merge their own tallies into
-// one shared recorder.
+// non-zero counter and histogram bucket, and one pass over each per-arc
+// slab with plain stores under the recorder's lock, instead of one
+// update per event. It first folds t's small-value counts into t's
+// histograms, which leaves t's totals unchanged. Arcs beyond the
+// recorder's slab still count toward the arc_traversals_total counter,
+// as Recorder.ArcTraverse counts them. Safe for concurrent use: sweep
+// workers merge their own tallies into one shared recorder.
 func (r *Recorder) Merge(t *Tally) {
 	if r == nil || t == nil {
 		return
@@ -168,8 +214,12 @@ func (r *Recorder) Merge(t *Tally) {
 	addNonZero(r.holds, t.holds)
 	addNonZero(r.retries, t.retries)
 	addNonZero(r.reroutes, t.reroutes)
+	addNonZero(r.deflections, t.deflections)
 	addNonZero(r.arenaReused, t.arenaReused)
 	addNonZero(r.arenaAlloc, t.arenaAlloc)
+	t.latency.fold()
+	t.queue.fold()
+	t.hops.fold()
 	r.latency.merge(&t.latency)
 	r.queue.merge(&t.queue)
 	r.hops.merge(&t.hops)
@@ -178,31 +228,27 @@ func (r *Recorder) Merge(t *Tally) {
 		r.maxQueue.SetMax(t.queue.max)
 	}
 
-	s := r.slabs.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := min(len(t.traversals), len(r.traversals))
+	tr, pq := r.traversals[:n], r.peakQueue
 	var total int64
-	for a, c := range t.traversals {
-		if c == 0 {
-			continue
-		}
-		total += c
-		if s != nil && a < len(s.traversals) {
-			atomic.AddInt64(&s.traversals[a], c)
-		}
+	for a, c := range t.traversals[:n] {
+		tr[a] += int64(c)
+		total += int64(c)
+	}
+	for _, c := range t.traversals[n:] {
+		total += int64(c)
 	}
 	addNonZero(r.arcTotal, total)
-	if s == nil {
-		return
-	}
-	for a, d := range t.peakQueue {
-		if d == 0 || a >= len(s.peakQueue) {
+	for a, d := range t.peakQueue[:n] {
+		if d == 0 {
 			continue
 		}
-		for {
-			cur := atomic.LoadInt64(&s.peakQueue[a])
-			if d <= cur || atomic.CompareAndSwapInt64(&s.peakQueue[a], cur, d) {
-				break
-			}
+		if pq == nil {
+			pq = r.peakSlabLocked()
 		}
+		pq[a] = max(pq[a], int64(d))
 	}
 }
 

@@ -18,19 +18,42 @@ type tallyEvent struct {
 }
 
 // randomTallyEvents draws a seeded sequence of every per-event kind a
-// simulator records, over arcs [0, m).
-func randomTallyEvents(rng *rand.Rand, m, count int) []tallyEvent {
+// simulator records, over arcs [0, m). Queue depths, latencies and hop
+// counts come from tallyValue: with smallOnly every one lies in the
+// tally's exact range [0, smallValues), so a histogram's max comes from
+// the small-value counts alone.
+func randomTallyEvents(rng *rand.Rand, m, count int, smallOnly bool) []tallyEvent {
 	evs := make([]tallyEvent, count)
 	for i := range evs {
 		evs[i] = tallyEvent{
-			kind:  rng.Intn(10),
+			kind:  rng.Intn(11),
 			arc:   rng.Intn(m),
-			value: rng.Intn(300),
-			hops:  rng.Intn(12),
+			value: tallyValue(rng, smallOnly),
+			hops:  tallyValue(rng, smallOnly),
 			cause: DropCause(rng.Intn(int(numDropCauses))),
 		}
 	}
 	return evs
+}
+
+// tallyValue draws a recorded value: the edges of the exact range (0,
+// smallValues−1 and, unless smallOnly, smallValues), values inside it,
+// and unless smallOnly values up to 2²⁰ and negative ones.
+func tallyValue(rng *rand.Rand, smallOnly bool) int {
+	switch k := rng.Intn(10); {
+	case k == 0:
+		return 0
+	case k == 1:
+		return smallValues - 1
+	case smallOnly || k < 5:
+		return rng.Intn(smallValues)
+	case k == 5:
+		return smallValues
+	case k == 6:
+		return -1 - rng.Intn(1000)
+	default:
+		return rng.Intn(1<<20 + 1)
+	}
 }
 
 func (e tallyEvent) direct(r *Recorder) {
@@ -38,9 +61,9 @@ func (e tallyEvent) direct(r *Recorder) {
 	case 0:
 		r.ArcTraverse(e.arc)
 	case 1:
-		r.QueueDepth(e.arc, 1+e.value%9)
+		r.QueueDepth(e.arc, e.value)
 	case 2:
-		r.NodeQueueDepth(e.value % 17)
+		r.NodeQueueDepth(e.value)
 	case 3:
 		r.Deliver(e.value, e.hops)
 	case 4:
@@ -48,13 +71,15 @@ func (e tallyEvent) direct(r *Recorder) {
 	case 5:
 		r.Shed()
 	case 6:
-		r.Hold(e.value % 5)
+		r.Hold(e.value)
 	case 7:
 		r.Retry()
 	case 8:
 		r.Reroute()
 	case 9:
 		r.Arena(e.value%2 == 0)
+	case 10:
+		r.Deflect()
 	}
 }
 
@@ -63,9 +88,9 @@ func (e tallyEvent) tallied(t *Tally) {
 	case 0:
 		t.ArcTraverse(e.arc)
 	case 1:
-		t.QueueDepth(e.arc, 1+e.value%9)
+		t.QueueDepth(e.arc, e.value)
 	case 2:
-		t.NodeQueueDepth(e.value % 17)
+		t.NodeQueueDepth(e.value)
 	case 3:
 		t.Deliver(e.value, e.hops)
 	case 4:
@@ -73,13 +98,15 @@ func (e tallyEvent) tallied(t *Tally) {
 	case 5:
 		t.Shed()
 	case 6:
-		t.Hold(e.value % 5)
+		t.Hold(e.value)
 	case 7:
 		t.Retry()
 	case 8:
 		t.Reroute()
 	case 9:
 		t.Arena(e.value%2 == 0)
+	case 10:
+		t.Deflect()
 	}
 }
 
@@ -96,18 +123,23 @@ func snapshotJSON(t *testing.T, r *Recorder) string {
 // both straight into a Recorder and through run-local tallies merged
 // once per run, and requires byte-identical OBS_run/v1 documents —
 // including recorders whose per-arc slabs are smaller than the runs'
-// arc counts, and several runs folded into one recorder.
+// arc counts, and several runs folded into one recorder. Every
+// small-value count (queue depths from QueueDepth and NodeQueueDepth,
+// latencies, hop counts) sees 0, 63 and, on odd seeds, 64, values up to
+// 2²⁰ and negative ones; even seeds record only values below 64, so a
+// histogram's max and every bucket come from the small counts alone.
 func TestTallyMergeMatchesDirectRecording(t *testing.T) {
 	const m = 97
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		smallOnly := seed%2 == 0
 		for _, sized := range []int{m, m / 2, 0} {
 			direct, merged := NewRecorder(nil), NewRecorder(nil)
 			direct.SizeArcs(sized)
 			merged.SizeArcs(sized)
 			var tl Tally
 			for run := 0; run < 3; run++ {
-				evs := randomTallyEvents(rng, m, 200+rng.Intn(400))
+				evs := randomTallyEvents(rng, m, 200+rng.Intn(400), smallOnly)
 				tl.Reset(m)
 				for _, e := range evs {
 					e.direct(direct)
@@ -122,42 +154,111 @@ func TestTallyMergeMatchesDirectRecording(t *testing.T) {
 	}
 }
 
-// TestTallyConcurrentMerges folds tallies from concurrent runs into one
-// shared recorder (as sweep workers do) and requires the same document
-// as merging them one after another.
+// TestTallyConcurrentMerges drives one shared recorder from every side
+// at once, as sweep workers and live callers do: goroutines merging
+// their own tallies, live ArcTraverse and QueueDepth callers, SizeArcs
+// growing the slabs, and Snapshot and SumArcTraversalsBy readers. The
+// final document must equal that of a recorder fed the same events one
+// after another, and each reader must see the traversal total only
+// grow. Run it under -race.
 func TestTallyConcurrentMerges(t *testing.T) {
-	const m, runs = 64, 8
+	const m, runs, live, grown = 64, 8, 2, 80
 	rng := rand.New(rand.NewSource(5))
-	streams := make([][]tallyEvent, runs)
+	streams := make([][]tallyEvent, runs+live)
 	for i := range streams {
-		streams[i] = randomTallyEvents(rng, m, 500)
+		streams[i] = randomTallyEvents(rng, m, 500, i%2 == 0)
 	}
 	sequential, shared := NewRecorder(nil), NewRecorder(nil)
-	sequential.SizeArcs(m)
+	sequential.SizeArcs(grown)
 	shared.SizeArcs(m)
-	var wg sync.WaitGroup
-	for _, evs := range streams {
-		var tl Tally
-		tl.Reset(m)
-		for _, e := range evs {
-			e.tallied(&tl)
+	for i, evs := range streams {
+		if i < runs {
+			var tl Tally
+			tl.Reset(m)
+			for _, e := range evs {
+				e.tallied(&tl)
+			}
+			sequential.Merge(&tl)
+			continue
 		}
-		sequential.Merge(&tl)
-		wg.Add(1)
-		go func(evs []tallyEvent) {
-			defer wg.Done()
+		for _, e := range evs {
+			liveEvent(e).direct(sequential)
+		}
+	}
+
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			first, second := make([]int16, grown), make([]int16, grown)
+			for a := range first {
+				first[a], second[a] = int16(a%4), int16(4+a%3)
+			}
+			var last int64
+			for {
+				var total int64
+				if r == 0 {
+					for _, c := range shared.Snapshot().Arcs.Traversals {
+						total += c
+					}
+				} else {
+					sums := make([]int64, 7)
+					shared.SumArcTraversalsBy(first, second, sums)
+					total = sums[0] + sums[1] + sums[2] + sums[3]
+				}
+				if total < last {
+					t.Errorf("reader %d: traversal total fell from %d to %d", r, last, total)
+					return
+				}
+				last = total
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}(r)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for size := m + 1; size <= grown; size++ {
+			shared.SizeArcs(size)
+		}
+	}()
+	for i, evs := range streams {
+		writers.Add(1)
+		go func(evs []tallyEvent, merge bool) {
+			defer writers.Done()
+			if !merge {
+				for _, e := range evs {
+					liveEvent(e).direct(shared)
+				}
+				return
+			}
 			var tl Tally
 			tl.Reset(m)
 			for _, e := range evs {
 				e.tallied(&tl)
 			}
 			shared.Merge(&tl)
-		}(evs)
+		}(evs, i < runs)
 	}
-	wg.Wait()
+	writers.Wait()
+	close(done)
+	readers.Wait()
 	if want, got := snapshotJSON(t, sequential), snapshotJSON(t, shared); want != got {
-		t.Fatalf("concurrent merges diverge\nsequential:\n%s\nconcurrent:\n%s", want, got)
+		t.Fatalf("concurrent recording diverges\nsequential:\n%s\nconcurrent:\n%s", want, got)
 	}
+}
+
+// liveEvent turns every event into one of the two per-arc live calls,
+// ArcTraverse or QueueDepth.
+func liveEvent(e tallyEvent) tallyEvent {
+	e.kind = e.kind % 2
+	return e
 }
 
 // TestTallyResetReusesStorage checks that Reset zeroes every field and
@@ -174,7 +275,7 @@ func TestTallyResetReusesStorage(t *testing.T) {
 	if &tl.traversals[0] != before {
 		t.Error("Reset to a smaller arc count reallocated the slab")
 	}
-	if !reflect.DeepEqual(tl, Tally{traversals: make([]int64, 8), peakQueue: make([]int64, 8)}) {
+	if !reflect.DeepEqual(tl, Tally{traversals: make([]int32, 8), peakQueue: make([]int32, 8)}) {
 		t.Errorf("Reset left state behind: %+v", tl)
 	}
 	rec := NewRecorder(nil)
@@ -195,7 +296,7 @@ func TestArcRollUpsByGroup(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	rec := NewRecorder(nil)
 	rec.SizeArcs(m)
-	for _, e := range randomTallyEvents(rng, m, 2000) {
+	for _, e := range randomTallyEvents(rng, m, 2000, false) {
 		e.direct(rec)
 	}
 	trav, peak := rec.ArcTraversals(), rec.ArcPeakQueue()

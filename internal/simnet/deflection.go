@@ -65,9 +65,10 @@ func (r DeflectionResult) DeliveredFraction() float64 {
 
 // DeflectionNetwork simulates hot-potato routing on a Network whose
 // digraph is d-regular. It reads the Network the way every other engine
-// does: outputs rank by its router's fault-free distance, arc
-// traversals record at ArcIndex into the recorder attached with
-// Observe, and its cycle budget bounds the run.
+// does: outputs rank by its router's fault-free distance, a run records
+// into the recorder attached with Observe (arc traversals at ArcIndex)
+// through a run-local tally merged once per run, and its cycle budget
+// bounds the run.
 type DeflectionNetwork struct {
 	nw    *Network
 	limit int
@@ -109,24 +110,24 @@ type deflectionRun struct {
 	res       *DeflectionResult
 }
 
-func (st *deflectionRun) deliver(i, cycle int, rec *obs.Recorder) {
+func (st *deflectionRun) deliver(i, cycle int, tl *obs.Tally) {
 	st.pkts[i].Delivered = cycle
 	st.res.Delivered++
 	st.remaining--
 	if cycle > st.res.Cycles {
 		st.res.Cycles = cycle
 	}
-	if rec != nil {
-		rec.Deliver(cycle-st.pkts[i].Release, st.pkts[i].Hops)
+	if tl != nil {
+		tl.Deliver(cycle-st.pkts[i].Release, st.pkts[i].Hops)
 	}
 }
 
 // step advances the simulation one cycle: absorb arrivals, inject where
 // capacity allows, then assign every held packet an output (deflecting
-// losers). Recording sites are rec != nil guarded.
+// losers). Recording sites are tl != nil guarded.
 //
 //lint:hotpath
-func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorder) {
+func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, tl *obs.Tally) {
 	n := dn.nw.g.N()
 	pkts := st.pkts
 
@@ -135,7 +136,7 @@ func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorde
 		keep := st.at[u][:0]
 		for _, i := range st.at[u] {
 			if pkts[i].Dst == u {
-				st.deliver(i, cycle, rec)
+				st.deliver(i, cycle, tl)
 			} else {
 				keep = append(keep, i)
 			}
@@ -188,13 +189,13 @@ func (dn *DeflectionNetwork) step(cycle int, st *deflectionRun, rec *obs.Recorde
 			v := outs[best]
 			if bestDist >= st.faultFree.dist(u, dst) {
 				st.res.Deflections++
-				if rec != nil {
-					rec.Deflect()
+				if tl != nil {
+					tl.Deflect()
 				}
 			}
 			pkts[i].Hops++
-			if rec != nil {
-				rec.ArcTraverse(dn.nw.ArcIndex(u, best))
+			if tl != nil {
+				tl.ArcTraverse(dn.nw.ArcIndex(u, best))
 			}
 			next[v] = append(next[v], i)
 		}
@@ -232,6 +233,15 @@ func (dn *DeflectionNetwork) Run(packets []Packet) (DeflectionResult, error) {
 	copy(pkts, packets)
 	n := dn.nw.g.N()
 	rec := dn.nw.rec
+	var tl *obs.Tally
+	if rec != nil {
+		// The tally counts each arc's traversals in an int32, and an
+		// output carries at most one packet per cycle.
+		guardIndexInt32(dn.limit+1, "cycles")
+		ar, _ := dn.nw.getArena()
+		defer dn.nw.putArena(ar)
+		tl = ar.tallyFor(rec, int(dn.nw.arcBase[n]))
+	}
 	res := DeflectionResult{Offered: len(pkts)}
 
 	st := &deflectionRun{
@@ -257,7 +267,7 @@ func (dn *DeflectionNetwork) Run(packets []Packet) (DeflectionResult, error) {
 
 	var cycle int
 	for cycle = 0; st.remaining > 0 && cycle <= dn.limit; cycle++ {
-		dn.step(cycle, st, rec)
+		dn.step(cycle, st, tl)
 	}
 
 	// Exit drain: the cycle limit hit with work outstanding. In-flight
@@ -270,8 +280,8 @@ func (dn *DeflectionNetwork) Run(packets []Packet) (DeflectionResult, error) {
 			*bucket++
 			res.Dropped++
 			st.remaining--
-			if rec != nil {
-				rec.Drop(cause)
+			if tl != nil {
+				tl.Drop(cause)
 			}
 			_ = i
 		}
@@ -309,5 +319,6 @@ func (dn *DeflectionNetwork) Run(packets []Packet) (DeflectionResult, error) {
 		res.MeanHops = float64(res.TotalHops) / float64(res.Delivered)
 	}
 	res.Packets = pkts
+	rec.Merge(tl)
 	return res, nil
 }

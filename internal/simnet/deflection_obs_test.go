@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/debruijn"
@@ -119,5 +123,79 @@ func TestDeflectionObserved(t *testing.T) {
 	if bare.Delivered != res.Delivered || bare.TotalHops != res.TotalHops ||
 		bare.Deflections != res.Deflections || bare.Cycles != res.Cycles {
 		t.Errorf("instrumented deflection diverged:\nbare: %+v\nobs:  %+v", bare, res)
+	}
+}
+
+// TestDeflectionObsGolden pins the full OBS_run/v1 document (counters,
+// histograms and per-arc slabs) of two seeded recorded deflection runs
+// beside their headline results: one that completes, and one cut short
+// by the cycle limit, which drains survivors into the stuck, horizon and
+// queue-full buckets. Packets with Src == Dst ride along in both; they
+// are delivered at injection without a recorded delivery. The goldens
+// were generated from the engine that recorded each event live into
+// the recorder, so they also gate recording through a run-local tally.
+// Rewrite them with -update-engine-golden.
+func TestDeflectionObsGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		g    int // de Bruijn diameter, degree 2
+		opts []NetworkOption
+		pkts func(n int) []Packet
+	}{
+		{
+			name: "completed",
+			g:    5,
+			pkts: func(n int) []Packet {
+				pkts := UniformRandom(n, 600, 23)
+				return append(pkts, Packet{ID: 600, Src: 7, Dst: 7, Release: 3})
+			},
+		},
+		{
+			name: "truncated",
+			g:    4,
+			opts: []NetworkOption{WithMaxCycles(6)},
+			pkts: func(n int) []Packet {
+				pkts := UniformRandom(n, 240, 31)
+				for i := range pkts {
+					pkts[i].Release = i % 4
+				}
+				for i := 0; i < 5; i++ {
+					pkts = append(pkts, Packet{ID: 240 + i, Src: i, Dst: n - 1 - i, Release: 9 + i})
+				}
+				return append(pkts, Packet{ID: 245, Src: 2, Dst: 2})
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := debruijn.DeBruijn(2, tc.g)
+			dn := deflectionOn(t, g, tc.opts...)
+			rec := obs.NewRecorder(nil)
+			dn.nw.Observe(rec)
+			res := runDeflection(t, dn, tc.pkts(g.N()))
+			if tc.name == "truncated" && (res.Stuck == 0 || res.DroppedHorizon == 0 || res.DroppedQueueFull == 0) {
+				t.Fatalf("case does not drain every drop bucket: %v stuck=%d horizon=%d queuefull=%d",
+					res, res.Stuck, res.DroppedHorizon, res.DroppedQueueFull)
+			}
+			doc, err := rec.Snapshot().MarshalIndent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := fmt.Sprintf("case: %s\n%v\nstuck=%d horizon=%d queuefull=%d totalHops=%d\nobs:\n%s\n",
+				tc.name, res, res.Stuck, res.DroppedHorizon, res.DroppedQueueFull, res.TotalHops, doc)
+			golden := filepath.Join("testdata", "deflection_"+tc.name+".golden")
+			if *updateEngineGolden {
+				if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update-engine-golden to create)", err)
+			}
+			if !bytes.Equal([]byte(got), want) {
+				t.Errorf("deflection telemetry drifted from golden %s:\ngot:\n%s\nwant:\n%s", golden, got, want)
+			}
+		})
 	}
 }

@@ -78,7 +78,7 @@ func (r FaultResult) DeliveredFraction() float64 {
 
 // runWithFaults runs the fault loop under the oracle routing policy.
 func (nw *Network) runWithFaults(packets []Packet, plan *FaultPlan, tun runTuning, rec *obs.Recorder) (FaultResult, []Event, error) {
-	state, err := plan.Compile(nw.g)
+	state, err := plan.compile(nw.g, nw.arcBase)
 	if err != nil {
 		return FaultResult{}, nil, err
 	}

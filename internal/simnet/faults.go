@@ -271,6 +271,12 @@ type flatSpan struct {
 // to their arc groups: a node fault downs all out-arcs and in-arcs of
 // the node, a lens fault downs its listed group.
 func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
+	return p.compile(g, arcBaseOf(g))
+}
+
+// compile is Compile on g's CSR index arcBase (arcBaseOf(g)), which the
+// state shares and never writes: a Network compiles on its own.
+func (p *FaultPlan) compile(g *digraph.Digraph, arcBase []int32) (*FaultState, error) {
 	st := &FaultState{cycle: -1, viewLo: math.MinInt, viewHi: math.MaxInt}
 	if p == nil {
 		return st, nil
@@ -279,7 +285,7 @@ func (p *FaultPlan) Compile(g *digraph.Digraph) (*FaultState, error) {
 		return nil, p.err
 	}
 	n := g.N()
-	st.arcBase = arcBaseOf(g)
+	st.arcBase = arcBase
 	addArc := func(a Arc, sp span) error {
 		if a.Tail < 0 || a.Tail >= n || a.Index < 0 || a.Index >= g.OutDegree(a.Tail) {
 			return fmt.Errorf("simnet: fault arc (%d#%d) out of range", a.Tail, a.Index)

@@ -166,7 +166,7 @@ func (nw *Network) SelfHeal(plan *FaultPlan, cfg HealConfig) (*SelfHealing, erro
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	state, err := plan.Compile(nw.g)
+	state, err := plan.compile(nw.g, nw.arcBase)
 	if err != nil {
 		return nil, err
 	}

@@ -182,6 +182,27 @@ if [ -z "$ratio" ] || ! awk -v r="$ratio" 'BEGIN { exit !(r <= 1.78) }'; then
     exit 1
 fi
 
+echo "== telemetry gate (recorded/plain ≤ 1.26 and recorded_fault/fault ≤ 1.13 on the B(2,12) machine, 100 iterations) =="
+# A run recorded into a fresh recorder, as a multiple of the same run
+# unrecorded, for a plain permutation and for a lens-faulted one, timed
+# in one process. On a 2-vCPU host fifteen runs of this stage read
+# 1.11-1.19 and 1.06-1.13 with run-local tallies folded under the
+# recorder's lock, and 1.32-1.42 and 1.13-1.22 for their predecessor,
+# which merged with one atomic update per arc; each budget sits midway
+# between the two, and the fault ratios meet at 1.13, so the plain
+# ratio is the one that separates them.
+rec_out=$(go test -run '^$' -bench 'RecordedRun$' -benchtime 100x ./internal/machine)
+printf '%s\n' "$rec_out"
+for gate in recorded/plain:1.26 recorded_fault/fault:1.13; do
+    metric=${gate%:*} budget=${gate#*:}
+    ratio=$(printf '%s\n' "$rec_out" |
+        awk -v m="$metric" '/^BenchmarkRecordedRun/ { for (i = 1; i < NF; i++) if ($(i + 1) == m) print $i }')
+    if [ -z "$ratio" ] || ! awk -v r="$ratio" -v b="$budget" 'BEGIN { exit !(r <= b) }'; then
+        echo "BenchmarkRecordedRun: $metric ${ratio:-missing}, budget $budget" >&2
+        exit 1
+    fi
+done
+
 echo "== heal-session benchmark (one iteration: session/oracle on the B(2,12) machine) =="
 go test -run '^$' -bench 'LensHealSession$' -benchtime 1x ./internal/machine
 
